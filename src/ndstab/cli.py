@@ -6,7 +6,8 @@ Subcommands: ``check`` (run every stability test on a spec), ``simulate``
 ``fundamental`` (fundamental-function trajectory CSV).
 
 Exit codes: 0 on success, 1 when a benchmark reproduction has unwaived
-mismatches, 2 on a specification parse or validation failure.
+mismatches, 2 on a specification parse or validation failure, including
+override values or coefficients that the analysis rejects.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import sys
 import numpy as np
 
 from . import criteria, report
+from .criteria import MissingLimit
 from .eqspec import SpecError, load_spec, validate
-from .expr import sin, tvar
-from .params import integral_summary, summarize
+from .expr import DomainError, sin, tvar
+from .params import QuadratureError, SummaryError, integral_summary, summarize
 from .simulate import SeededHistory, fundamental, integrate
 
 PROG = "ndstab"
@@ -270,7 +272,7 @@ def run(argv=None) -> int:
         if args.command == "fundamental":
             return _cmd_fundamental(args)
         parser.error(f"unknown command {args.command!r}")
-    except SpecError as exc:
+    except (SpecError, SummaryError, QuadratureError, MissingLimit, DomainError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -278,3 +280,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -10,6 +10,7 @@ a dense uniform grid and reports witnesses for every violation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,6 +82,10 @@ class EquationSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "EquationSpec":
         try:
+            overrides = {k: float(v) for k, v in d.get("overrides", {}).items()}
+            bad = sorted(k for k, v in overrides.items() if not math.isfinite(v))
+            if bad:
+                raise SpecError(f"non-finite override values: {bad}")
             return cls(
                 a=parse_expr(d["a"]),
                 b=parse_expr(d["b"]),
@@ -89,7 +94,7 @@ class EquationSpec:
                 t0=float(d["t0"]),
                 horizon=float(d["horizon"]),
                 f=parse_expr(d["f"]) if "f" in d else None,
-                overrides={k: float(v) for k, v in d.get("overrides", {}).items()},
+                overrides=overrides,
                 name=str(d.get("name", "")),
             )
         except SpecError:

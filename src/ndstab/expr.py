@@ -16,7 +16,7 @@ and the mapping is lossless in both directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -212,8 +212,3 @@ def parse_expr(node) -> Expr:
     if tag not in _TAG_KINDS:
         raise ValueError(f"unknown expression tag {tag!r}")
     return Expr(_TAG_KINDS[tag], args=tuple(parse_expr(c) for c in node[1:]))
-
-
-def evaluate(expr: Expr, t: float) -> float:
-    """Module-level alias for Expr.evaluate."""
-    return expr.evaluate(t)

@@ -14,6 +14,15 @@ loop runs, interpolating y linearly inside the current step for lookups
 that land past the last accepted node (this makes the scheme collapse to
 plain RK4 on ordinary equations).
 
+On the vectorized path, a node whose neutral argument g(t) lies past the
+start of its block is recovered by wavefront: the longest run of such
+nodes whose interpolation nodes all precede the first of them is solved in
+one array expression, with the same floating-point operations in the same
+order as the node-by-node iteration, so the results and the iteration
+statistics are bit-for-bit those of the sequential loop.  Only a node
+whose neutral lag is under one step refers to itself and is iterated on
+its own.
+
 Derivative jumps emitted at t0 and propagated along the delays are handled
 by small fixed steps and linear interpolation, not breakpoint tracking:
 verdict-level accuracy is the goal, not high-order solution accuracy.
@@ -31,6 +40,12 @@ from .expr import Expr, const, tvar
 
 _DEGENERATE_LAG = 1e-14
 
+# Rows per write in Trajectory.write_csv, each block formatted by one %
+# operation: a write and a format call per row cost more than the number
+# formatting, and one string for the whole trajectory would hold every row
+# in memory at once.
+_CSV_BLOCK_ROWS = 4096
+
 
 class FixedPointDivergence(RuntimeError):
     """The x-recovery iteration failed to contract (||a|| >= 1 or a broken spec)."""
@@ -42,7 +57,18 @@ class PositivityViolation(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Dense solution samples on a uniform grid, immutable once returned."""
+    """Dense solution samples on a uniform grid, immutable once returned.
+
+    ``path`` names the integrator path that produced the samples
+    ("chunked" or "scalar"; empty when built by hand).  The ``nodes_*``
+    counts split the nodes after t0 by the branch that recovered x from y:
+    closed-form division for a degenerate neutral lag (near), a history
+    lookup for g(t) < t0 (below), one interpolation into the committed
+    prefix (easy, chunked path only), fixed-point recovery from final
+    interpolation nodes (hard), and the iteration of a node whose neutral
+    lag is under one step (self).  From ``integrate`` they add up to
+    ``n - 1``.
+    """
 
     t0: float
     step: float
@@ -52,6 +78,12 @@ class Trajectory:
     forcing: object
     fp_iterations_max: int
     fp_residual_max: float
+    path: str = ""
+    nodes_near: int = 0
+    nodes_below: int = 0
+    nodes_easy: int = 0
+    nodes_hard: int = 0
+    nodes_self: int = 0
 
     @property
     def n(self) -> int:
@@ -73,8 +105,10 @@ class Trajectory:
     def write_csv(self, fh) -> None:
         fh.write("t,x,y\r\n")
         ts = self.times()
-        for i in range(self.n):
-            fh.write(f"{ts[i]:.12g},{self.x[i]:.12g},{self.y[i]:.12g}\r\n")
+        for lo in range(0, self.n, _CSV_BLOCK_ROWS):
+            hi = lo + _CSV_BLOCK_ROWS
+            block = np.column_stack((ts[lo:hi], self.x[lo:hi], self.y[lo:hi]))
+            fh.write("%.12g,%.12g,%.12g\r\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -185,7 +219,9 @@ def integrate(
     if np.any(below_g):
         phi_g[below_g] = hist_array(g_n[below_g])
 
-    x = np.empty(n_steps + 1)
+    # zeros, not empty: a stage lookup at exactly t0 from the first chunk
+    # reads the last node with weight 0, which must not be NaN garbage
+    x = np.zeros(n_steps + 1)
     y = np.empty(n_steps + 1)
     x0 = float(hist_scalar(t0)) if initial_value is None else float(initial_value)
     g0 = float(g_n[0])
@@ -201,11 +237,12 @@ def integrate(
 
     stats = _Stats()
     if k_chunk >= 8:
-        _advance_chunked(spec, x, y, tn, ts, a_n, g_n, b_s, h_s, f_s,
-                         phi_h, phi_g, below_h, below_g,
+        path = "chunked"
+        _advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
                          t0, step, n_steps, min(k_chunk, 4096),
                          fp_tol, fp_max_iter, stats)
     else:
+        path = "scalar"
         _advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
                         hist_scalar, t0, step, n_steps,
                         fp_tol, fp_max_iter, stats)
@@ -213,33 +250,51 @@ def integrate(
     return Trajectory(t0=t0, step=step, x=x, y=y,
                       history=history, forcing=forcing,
                       fp_iterations_max=stats.iters_max,
-                      fp_residual_max=stats.resid_max)
+                      fp_residual_max=float(stats.resid_max),
+                      path=path, nodes_near=stats.near, nodes_below=stats.below,
+                      nodes_easy=stats.easy, nodes_hard=stats.hard,
+                      nodes_self=stats.self_ref)
 
 
 class _Stats:
-    __slots__ = ("iters_max", "resid_max")
+    __slots__ = ("iters_max", "resid_max", "near", "below", "easy", "hard", "self_ref")
 
     def __init__(self):
         self.iters_max = 1
         self.resid_max = 0.0
+        self.near = self.below = self.easy = self.hard = self.self_ref = 0
 
 
-def _lookup_vec(qs, x, committed, t0, step, phi_vals):
-    """Vectorized x(q) for q <= t_committed: history below t0, else linear
-    interpolation into the accepted prefix of x."""
-    out = np.empty(len(qs))
-    below = qs < t0
-    out[below] = phi_vals[below]
-    inside = ~below
-    pos = (qs[inside] - t0) / step
-    j = np.clip(np.floor(pos).astype(np.int64), 0, committed - 1)
-    frac = pos - j
-    out[inside] = x[j] * (1.0 - frac) + x[j + 1] * frac
-    return out
+def _interp_index(q, t0, step, last):
+    """Grid index j (clamped to [0, last]) and weight of the linear
+    interpolation of x at q."""
+    pos = (q - t0) / step
+    j = np.minimum(np.maximum(np.floor(pos).astype(np.int64), 0), last)
+    return j, pos - j
+
+
+def _divergence(t_i):
+    return FixedPointDivergence(
+        f"x-recovery did not contract at t={t_i} (|a| >= 1 or broken spec?)")
+
+
+def _fixed_point(i, j, frac, x, yi, ai, t_i, fp_tol, fp_max_iter, stats):
+    """Scalar fixed-point recovery of x[i] = yi + ai (x[j] + frac (x[j+1] - x[j]))."""
+    x[i] = x[i - 1]
+    for it in range(1, fp_max_iter + 1):
+        xq = x[j] + frac * (x[j + 1] - x[j])
+        new = yi + ai * xq
+        resid = abs(new - x[i])
+        x[i] = new
+        if resid < fp_tol:
+            stats.iters_max = max(stats.iters_max, it)
+            stats.resid_max = max(stats.resid_max, resid)
+            return
+    raise _divergence(t_i)
 
 
 def _recover_node(i, x, y, a_n, g_n, t0, step, hist_scalar, fp_tol, fp_max_iter, stats):
-    """Scalar fixed-point recovery of x[i] = y[i] + a(t_i) x(g(t_i))."""
+    """Scalar recovery of x[i] = y[i] + a(t_i) x(g(t_i))."""
     yi = y[i]
     ai = a_n[i]
     q = g_n[i]
@@ -252,64 +307,106 @@ def _recover_node(i, x, y, a_n, g_n, t0, step, hist_scalar, fp_tol, fp_max_iter,
         return
     pos = (q - t0) / step
     j = min(int(pos), i - 1)
-    frac = pos - j
-    x[i] = x[i - 1]
-    for it in range(1, fp_max_iter + 1):
-        xq = x[j] + frac * (x[j + 1] - x[j])
-        new = yi + ai * xq
-        resid = abs(new - x[i])
-        x[i] = new
-        if resid < fp_tol:
-            stats.iters_max = max(stats.iters_max, it)
-            stats.resid_max = max(stats.resid_max, resid)
-            return
-    raise FixedPointDivergence(
-        f"x-recovery did not contract at t={t_i} (|a| >= 1 or broken spec?)")
+    _fixed_point(i, j, pos - j, x, yi, ai, t_i, fp_tol, fp_max_iter, stats)
 
 
-def _advance_chunked(spec, x, y, tn, ts, a_n, g_n, b_s, h_s, f_s,
-                     phi_h, phi_g, below_h, below_g,
+def _advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
                      t0, step, n_steps, k_chunk, fp_tol, fp_max_iter, stats):
     # All stage lookups inside a chunk land at or before the chunk start,
     # so a whole chunk of y-updates is a pure quadrature accumulation.
+    # Per-chunk work arrays keep memory at the size of one chunk.
+    hist_h = np.flatnonzero(h_s < t0)
+    last_hist_h = int(hist_h[-1]) if len(hist_h) else -1
     pos = 0
     while pos < n_steps:
         end = min(pos + k_chunk, n_steps)
-        j0, j1 = 2 * pos, 2 * end
-        qs = h_s[j0:j1 + 1]
-        xq = _lookup_vec(qs, x, pos, t0, step, phi_h[j0:j1 + 1])
-        F = -b_s[j0:j1 + 1] * xq + f_s[j0:j1 + 1]
+        j0, j1 = 2 * pos, 2 * end + 1
+        qs = h_s[j0:j1]
+        jq, fq = _interp_index(qs, t0, step, pos - 1)
+        xq = x[jq] * (1.0 - fq) + x[jq + 1] * fq
+        if j0 <= last_hist_h:
+            hist = qs < t0
+            xq[hist] = phi_h[j0:j1][hist]
+        F = -b_s[j0:j1] * xq + f_s[j0:j1]
         dy = (step / 6.0) * (F[:-2:2] + 4.0 * F[1::2] + F[2::2])
         y[pos + 1:end + 1] = y[pos] + np.cumsum(dy)
 
         idx = np.arange(pos + 1, end + 1)
-        lag = tn[idx] - g_n[idx]
-        qg = g_n[idx]
-        near = lag < _DEGENERATE_LAG
+        qg = g_n[pos + 1:end + 1]
+        near = tn[pos + 1:end + 1] - qg < _DEGENERATE_LAG
         below = ~near & (qg < t0)
         easy = ~near & ~below & (qg <= tn[pos])
         hard = ~(near | below | easy)
 
-        if np.any(near):
-            ii = idx[near]
+        ii = idx[near]
+        if len(ii):
             x[ii] = y[ii] / (1.0 - a_n[ii])
-        if np.any(below):
-            ii = idx[below]
+            stats.near += len(ii)
+        ii = idx[below]
+        if len(ii):
             x[ii] = y[ii] + a_n[ii] * phi_g[ii]
-        if np.any(easy):
-            ii = idx[easy]
-            x[ii] = y[ii] + a_n[ii] * _lookup_vec(qg[easy], x, pos, t0, step,
-                                                  np.zeros(int(np.sum(easy))))
-        # hard nodes have g strictly inside (t0, t_n]; the history branch of
-        # _recover_node is unreachable for them
-        for i in idx[hard]:
-            _recover_node(int(i), x, y, a_n, g_n, t0, step,
-                          _no_history, fp_tol, fp_max_iter, stats)
+            stats.below += len(ii)
+        ii = idx[easy]
+        if len(ii):
+            je, fe = _interp_index(qg[easy], t0, step, pos - 1)
+            x[ii] = y[ii] + a_n[ii] * (x[je] * (1.0 - fe) + x[je + 1] * fe)
+            stats.easy += len(ii)
+        ii = idx[hard]
+        if len(ii):
+            _wavefront(ii, *_interp_index(qg[hard], t0, step, ii - 1), x, y, a_n,
+                       t0, step, fp_tol, fp_max_iter, stats)
         pos = end
 
 
-def _no_history(q):
-    raise AssertionError("history lookup from a node classified as interior")
+def _wavefront(nodes, jn, fn, x, y, a_n, t0, step, fp_tol, fp_max_iter, stats):
+    """Recover x at the hard nodes of one chunk (ascending, g past the chunk
+    start), bit-for-bit as the node-by-node iteration would, in rounds: p is
+    the first unresolved node, and every node before the first whose
+    interpolation reaches p or beyond reads only final values."""
+    jn1 = jn + 1
+    self_ref = (jn1 == nodes).tolist()
+    n_self = sum(self_ref)
+    stats.self_ref += n_self
+    stats.hard += len(nodes) - n_self
+    # Without a self-reference the second iterate repeats the first, so the
+    # node-by-node loop takes one iteration when |x_i - x_{i-1}| < fp_tol and
+    # two (the second with residual 0) otherwise, and fails on non-finite x_i.
+    one_ok = fp_max_iter >= 1
+    two_ok = fp_max_iter >= 2 and 0.0 < fp_tol
+    n = len(nodes)
+    k = 0
+    while k < n:
+        p = int(nodes[k])
+        if self_ref[k]:
+            _fixed_point(p, int(jn[k]), float(fn[k]), x, y[p], a_n[p], t0 + step * p,
+                         fp_tol, fp_max_iter, stats)
+            k += 1
+            continue
+        stop = n
+        if k + 1 < n:
+            blocked = jn1[k + 1:] >= p
+            m = int(blocked.argmax())
+            if blocked[m]:
+                stop = k + 1 + m
+        ii, jj = nodes[k:stop], jn[k:stop]
+        xj = x[jj]
+        new = y[ii] + a_n[ii] * (xj + fn[k:stop] * (x[jn1[k:stop]] - xj))
+        x[ii] = new
+        r1 = np.abs(new - x[ii - 1])
+        k = stop
+        r_hi = np.maximum.reduce(r1)  # NaN if any r1 is
+        if not (two_ok and r_hi < math.inf):
+            ok = np.isfinite(new)
+            if not two_ok:
+                ok &= (r1 < fp_tol) & one_ok
+            if not ok.all():
+                raise _divergence(t0 + step * int(ii[ok.argmin()]))
+        if r_hi < fp_tol:
+            stats.resid_max = max(stats.resid_max, float(r_hi))
+            continue
+        stats.iters_max = max(stats.iters_max, 2)
+        if np.fmin.reduce(r1) < fp_tol:  # fmin skips NaN
+            stats.resid_max = max(stats.resid_max, float(r1[r1 < fp_tol].max()))
 
 
 def _advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
@@ -352,6 +449,16 @@ def _advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
         else:
             xq = x_in_step(q, s, y_s, n)
         return -b_s[j] * xq + f_s[j]
+
+    # every node goes through _recover_node; count its branches up front
+    qg = g_n[1:]
+    near = tn[1:] - qg < _DEGENERATE_LAG
+    below = ~near & (qg < t0)
+    rest = np.flatnonzero(~(near | below)) + 1
+    j, _ = _interp_index(g_n[rest], t0, step, rest - 1)
+    stats.near, stats.below = int(np.count_nonzero(near)), int(np.count_nonzero(below))
+    stats.self_ref = int(np.count_nonzero(j + 1 == rest))
+    stats.hard = len(rest) - stats.self_ref
 
     half = 0.5 * step
     for n in range(n_steps):

@@ -46,6 +46,20 @@ def test_help_enumerates_every_flag():
             assert flag in sub, (name, flag)
 
 
+def test_module_entry_point_prints_help():
+    import subprocess
+    import sys
+
+    import ndstab
+    src = str(Path(ndstab.__file__).parents[1])
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "ndstab.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / "cli_help.txt").read_text()
+
+
 def test_unknown_flag_is_an_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["check", corpus_path("ex1"), "--frobnicate"])
@@ -84,6 +98,22 @@ def test_check_invalid_spec_exits_2(tmp_path, capsys):
                              "g": ["t"], "h": ["t"], "t0": 0.0, "horizon": 5.0}))
     assert run(["check", str(p)]) == 2
     assert "a1_a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "compare"])
+@pytest.mark.parametrize("override, message", [
+    ('{"norm_a": NaN}', "non-finite override values: ['norm_a']"),
+    ('{"norm_a": 1.5}', "norm_a must lie in [0, 1), got 1.5"),
+], ids=["nan", "out_of_range"])
+def test_bad_override_exits_2_with_message(tmp_path, capsys, command, override, message):
+    spec = json.loads((corpus_dir() / "ex1.json").read_text())
+    del spec["overrides"]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(spec)[:-1] + ', "overrides": ' + override + "}")
+    assert run([command, str(p), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ndstab: {message}\n"
+    assert captured.out == ""
 
 
 # -- simulate / fundamental ----------------------------------------------------------

@@ -1,13 +1,16 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+from ndstab import simulate
 from ndstab.eqspec import EquationSpec
-from ndstab.expr import add, const, div, scale, sin, tvar
+from ndstab.expr import absval, add, const, div, scale, sin, tvar
 from ndstab.simulate import (
     FixedPointDivergence,
     SeededHistory,
+    Trajectory,
     decay_rate,
     forced_bound_check,
     fundamental,
@@ -108,6 +111,157 @@ def test_trajectory_csv(tmp_path, ex1):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x,y"
     assert len(lines) == traj.n + 1
+
+
+# -- wavefront recovery and block CSV writer against their sequential forms -----------
+
+def _reference_lookup(qs, x, committed, t0, step, phi_vals):
+    out = np.empty(len(qs))
+    below = qs < t0
+    out[below] = phi_vals[below]
+    inside = ~below
+    pos = (qs[inside] - t0) / step
+    j = np.clip(np.floor(pos).astype(np.int64), 0, committed - 1)
+    frac = pos - j
+    out[inside] = x[j] * (1.0 - frac) + x[j + 1] * frac
+    return out
+
+
+def _reference_advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
+                               t0, step, n_steps, k_chunk, fp_tol, fp_max_iter, stats):
+    """The chunked integrator as it was before wavefront recovery: lookups
+    and node classes per chunk, hard nodes recovered one by one."""
+    pos = 0
+    while pos < n_steps:
+        end = min(pos + k_chunk, n_steps)
+        j0, j1 = 2 * pos, 2 * end
+        xq = _reference_lookup(h_s[j0:j1 + 1], x, pos, t0, step, phi_h[j0:j1 + 1])
+        F = -b_s[j0:j1 + 1] * xq + f_s[j0:j1 + 1]
+        dy = (step / 6.0) * (F[:-2:2] + 4.0 * F[1::2] + F[2::2])
+        y[pos + 1:end + 1] = y[pos] + np.cumsum(dy)
+
+        idx = np.arange(pos + 1, end + 1)
+        lag = tn[idx] - g_n[idx]
+        qg = g_n[idx]
+        near = lag < 1e-14
+        below = ~near & (qg < t0)
+        easy = ~near & ~below & (qg <= tn[pos])
+        hard = ~(near | below | easy)
+        ii = idx[near]
+        x[ii] = y[ii] / (1.0 - a_n[ii])
+        ii = idx[below]
+        x[ii] = y[ii] + a_n[ii] * phi_g[ii]
+        ii = idx[easy]
+        x[ii] = y[ii] + a_n[ii] * _reference_lookup(qg[easy], x, pos, t0, step,
+                                                    np.zeros(len(ii)))
+        for i in idx[hard].tolist():
+            yi, ai = y[i], a_n[i]
+            q = (g_n[i] - t0) / step
+            j = min(int(q), i - 1)
+            frac = q - j
+            x[i] = x[i - 1]
+            for it in range(1, fp_max_iter + 1):
+                new = yi + ai * (x[j] + frac * (x[j + 1] - x[j]))
+                resid = abs(new - x[i])
+                x[i] = new
+                if resid < fp_tol:
+                    stats.iters_max = max(stats.iters_max, it)
+                    stats.resid_max = max(stats.resid_max, resid)
+                    break
+            else:
+                raise FixedPointDivergence(
+                    f"x-recovery did not contract at t={t0 + step * i} "
+                    "(|a| >= 1 or broken spec?)")
+        pos = end
+
+
+def _integrate_both(monkeypatch, spec, t_end):
+    new = integrate(spec, 1.0, t_end, 1e-3)
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_advance_chunked", _reference_advance_chunked)
+        ref = integrate(spec, 1.0, t_end, 1e-3)
+    return new, ref
+
+
+# neutral lag 0.003 |sin t| dips below one step near multiples of pi
+LAG_UNDER_STEP = spec_of(const(0.4), const(1.0), add(T, scale(-0.003, absval(sin(T)))),
+                         add(T, const(-0.05)))
+# pantograph g = t/1.2, h = t/3: the neutral lag t/6 is the shorter one
+PANTOGRAPH_SHORT_NEUTRAL = spec_of(const(0.5), div(const(0.2), T), div(T, const(1.2)),
+                                   div(T, const(3.0)), t0=1.0)
+# x moves by up to about 1e-12 per step, so rounds converge in two
+# iterations, or in one, or mix both; with b = 1e-10 every node takes one
+SLOW_DRIFT = spec_of(const(0.5), scale(2e-9, absval(sin(T))), add(T, const(-0.05)),
+                     add(T, const(-0.2)))
+STILL = spec_of(const(0.5), const(1e-10), add(T, const(-0.05)), add(T, const(-0.2)))
+
+
+@pytest.mark.parametrize("name, t_end", [("ex4", 30.0), ("ex1", 30.0),
+                                         ("lag_under_step", 10.0), ("pantograph", 20.0),
+                                         ("slow_drift", 10.0), ("still", 5.0)])
+def test_wavefront_recovery_matches_sequential_loop(monkeypatch, corpus, name, t_end):
+    spec = {"lag_under_step": LAG_UNDER_STEP, "pantograph": PANTOGRAPH_SHORT_NEUTRAL,
+            "slow_drift": SLOW_DRIFT, "still": STILL}.get(name) or corpus.get(name)
+    new, ref = _integrate_both(monkeypatch, spec, t_end)
+    assert new.path == "chunked" and new.nodes_hard > 0
+    assert np.array_equal(new.x, ref.x)
+    assert np.array_equal(new.y, ref.y)
+    assert new.fp_iterations_max == ref.fp_iterations_max
+    assert new.fp_residual_max == ref.fp_residual_max
+    if name == "lag_under_step":
+        assert new.nodes_self > 0
+    if name == "pantograph":
+        assert new.nodes_below > 0
+    if name == "slow_drift":
+        assert new.fp_iterations_max == 2 and new.fp_residual_max > 0.0
+    if name == "still":
+        assert new.fp_iterations_max == 1 and new.fp_residual_max > 0.0
+
+
+@pytest.mark.parametrize("case", ["expanding", "one_iteration_allowed"])
+def test_wavefront_divergence_reports_the_sequential_node(monkeypatch, ex4, case):
+    if case == "expanding":
+        spec = spec_of(const(1.5), const(1.0), add(T, const(-0.003)), add(T, const(-0.02)))
+        args = (spec, 1.0, 6.0, 1e-3)
+    else:
+        args = (ex4, 1.0, 5.0, 1e-3, None, None, 1e-12, 1)
+    messages = []
+    for advance in (simulate._advance_chunked, _reference_advance_chunked):
+        monkeypatch.setattr(simulate, "_advance_chunked", advance)
+        with pytest.raises(FixedPointDivergence) as exc, \
+                np.errstate(over="ignore", invalid="ignore"):
+            integrate(*args)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_recovery_branch_counts_add_up_to_steps(ex4):
+    traj = integrate(ex4, 1.0, 30.0, 1e-3)
+    counts = (traj.nodes_near, traj.nodes_below, traj.nodes_easy, traj.nodes_hard,
+              traj.nodes_self)
+    assert traj.path == "chunked"
+    assert sum(counts) == traj.n - 1
+    assert min(traj.nodes_easy, traj.nodes_hard, traj.nodes_self) > 0
+    # the scalar path counts the same branches, with no easy nodes
+    scalar = integrate(spec_of(const(0.5), const(1.0), add(T, const(-5e-4)),
+                               add(T, const(-2e-3))), 1.0, 1.0, 1e-3)
+    assert scalar.path == "scalar"
+    assert scalar.nodes_easy == 0 and scalar.nodes_self == scalar.n - 1
+
+
+def test_block_csv_writer_matches_per_row_format():
+    n = 2 * simulate._CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    y = x[::-1].copy()
+    x[[0, 1, 2, 3, 4, 5, n - 1]] = [-0.0, 1e-300, 1e300, math.inf, math.nan, -math.inf, 0.0]
+    traj = Trajectory(t0=0.5, step=1e-3, x=x, y=y, history=None, forcing=None,
+                      fp_iterations_max=1, fp_residual_max=0.0)
+    out = io.StringIO()
+    traj.write_csv(out)
+    ts = traj.times()
+    rows = [f"{ts[i]:.12g},{x[i]:.12g},{y[i]:.12g}\r\n" for i in range(n)]
+    assert out.getvalue() == "t,x,y\r\n" + "".join(rows)
 
 
 # -- fundamental function -----------------------------------------------------------
