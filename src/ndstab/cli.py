@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -62,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="swept parameter (only the b amplitude 'r' is supported)")
     p.add_argument("--alpha-grid", default="0:1:0.01", metavar="A:B:S",
                    help="start:stop:step for alpha (default 0:1:0.01)")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker threads (default: available parallelism)")
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
 
     p = sub.add_parser("examples", help="reproduce the bundled benchmark corpus")
@@ -133,6 +130,26 @@ def _parse_alpha_grid(text: str) -> list[float]:
     return [a + i * s for i in range(n + 1)]
 
 
+def _parse_alpha(text: str) -> float | None:
+    """None for 'auto', else a fixed alpha in [0, 1]."""
+    if text == "auto":
+        return None
+    try:
+        alpha = float(text)
+    except ValueError:
+        alpha = math.nan
+    if not 0.0 <= alpha <= 1.0:
+        raise SpecError(f"--alpha must be 'auto' or a number in [0, 1], got {text!r}")
+    return alpha
+
+
+def _check_window(t_start: float, t_end: float, step: float) -> None:
+    if not (math.isfinite(step) and step > 0.0):
+        raise SpecError(f"--step must be positive and finite, got {step:g}")
+    if not t_start < t_end < math.inf:
+        raise SpecError(f"--t-end must be finite and exceed the start time {t_start:g}, got {t_end:g}")
+
+
 def _fmt_verdict(v) -> str:
     mark = "satisfied" if v.satisfied else ("not satisfied" if v.applicable else "not applicable")
     margin = "" if math.isnan(v.margin) else f"  margin={v.margin:+.6g}"
@@ -142,12 +159,14 @@ def _fmt_verdict(v) -> str:
 
 
 def _cmd_check(args) -> int:
+    alpha = _parse_alpha(args.alpha)
+    if args.grid < 2:
+        raise SpecError(f"--grid must be at least 2, got {args.grid}")
     spec = _load_validated(args.spec, args.grid)
     summary = summarize(spec, args.grid)
-    if args.alpha == "auto":
+    if alpha is None:
         verdicts = criteria.best_verdict(spec, summary)
     else:
-        alpha = float(args.alpha)
         verdicts = [criteria.check_theorem1(summary, alpha)]
         if summary.limit_tau is not None:
             verdicts.append(criteria.check_corollary3(summary, alpha))
@@ -174,6 +193,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_simulate(args, seed: int) -> int:
     spec = _load_validated(args.spec)
+    _check_window(spec.t0, args.t_end, args.step)
     history = _parse_history(args.history, spec, seed)
     traj = integrate(spec, history, args.t_end, args.step)
     fh, close = _open_out(args.out)
@@ -188,7 +208,7 @@ def _cmd_simulate(args, seed: int) -> int:
 def _cmd_sweep(args) -> int:
     spec = _load_validated(args.spec)
     alphas = _parse_alpha_grid(args.alpha_grid)
-    rows = report.sweep_alpha_r(spec, alphas, threads=args.threads)
+    rows = report.sweep_alpha_r(spec, alphas)
     fh, close = _open_out(args.out)
     try:
         report.write_sweep_csv(rows, fh)
@@ -245,6 +265,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_fundamental(args) -> int:
     spec = _load_validated(args.spec)
+    _check_window(args.s, args.t_end, args.step)
     traj = fundamental(spec.b, spec.h, args.s, args.t_end, args.step)
     fh, close = _open_out(args.out)
     try:

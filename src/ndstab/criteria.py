@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .eqspec import EquationSpec
 from .params import (
-    ANALYTIC,
     IntegralSummary,
     ParameterSummary,
     estimate_limsup_int_b,
@@ -144,12 +143,31 @@ def tau_bar(summary: ParameterSummary) -> float:
 _FIELDS_T1 = ("norm_a", "inf_a", "norm_b", "sigma", "tau", "delta")
 
 
-def _lhs_main(s: ParameterSummary) -> float:
+def _sigma_term(s: ParameterSummary) -> float:
     one_minus = 1.0 - s.norm_a
-    return s.tau * s.norm_b + s.sigma * s.norm_a * s.norm_b * (1.0 - s.inf_a) / (one_minus * one_minus)
+    return s.sigma * s.norm_a * s.norm_b * (1.0 - s.inf_a) / (one_minus * one_minus)
 
 
-def _cert(s: ParameterSummary, fields) -> str:
+def _lhs_main(s: ParameterSummary) -> float:
+    return s.tau * s.norm_b + _sigma_term(s)
+
+
+def _rhs(one_minus: float, alpha: float) -> float:
+    return one_minus * (1.0 + alpha / math.e)
+
+
+def _clipped_interval(lower: float, upper: float, lower_open: bool, upper_open: bool) -> AlphaInterval:
+    """Intersect an alpha range with [0, 1]; a clipped endpoint is closed."""
+    if lower < 0.0:
+        lower, lower_open = 0.0, False
+    if upper > 1.0:
+        upper, upper_open = 1.0, False
+    if lower > upper or (lower == upper and (lower_open or upper_open)):
+        return _EMPTY_INTERVAL
+    return AlphaInterval(lower, upper, lower_open, upper_open, False)
+
+
+def _cert(s: ParameterSummary | IntegralSummary, fields) -> str:
     return CERTIFIED if s.certified(fields) else NUMERIC
 
 
@@ -169,8 +187,8 @@ def check_theorem1(summary: ParameterSummary, alpha: float,
         return _not_applicable(
             criterion, f"gate alpha*tau0 <= delta fails ({alpha * tau0(summary):.6g} > {summary.delta:.6g})",
             UNIFORM_EXPONENTIAL, cert, alpha)
-    rhs = (1.0 - summary.norm_a) * (1.0 + alpha / math.e)
-    return _decide(criterion, rhs - _lhs_main(summary), UNIFORM_EXPONENTIAL, cert, alpha)
+    return _decide(criterion, _rhs(1.0 - summary.norm_a, alpha) - _lhs_main(summary),
+                   UNIFORM_EXPONENTIAL, cert, alpha)
 
 
 def alpha_interval_theorem1(summary: ParameterSummary) -> AlphaInterval:
@@ -182,18 +200,8 @@ def alpha_interval_theorem1(summary: ParameterSummary) -> AlphaInterval:
     """
     if summary.inf_a <= 0.0:
         return _EMPTY_INTERVAL
-    one_minus = 1.0 - summary.norm_a
-    lower = math.e * (_lhs_main(summary) / one_minus - 1.0)
-    upper = summary.delta / tau0(summary)
-    lower_open = True
-    upper_open = False
-    if lower < 0.0:
-        lower, lower_open = 0.0, False
-    if upper > 1.0:
-        upper, upper_open = 1.0, False
-    if lower > upper or (lower == upper and (lower_open or upper_open)) or lower > 1.0 or upper < 0.0:
-        return _EMPTY_INTERVAL
-    return AlphaInterval(lower, upper, lower_open, upper_open, False)
+    lower = math.e * (_lhs_main(summary) / (1.0 - summary.norm_a) - 1.0)
+    return _clipped_interval(lower, summary.delta / tau0(summary), True, False)
 
 
 def check_corollary_main(summary: ParameterSummary) -> tuple[CriterionVerdict, CriterionVerdict]:
@@ -221,10 +229,13 @@ def check_corollary3(summary: ParameterSummary, alpha: float) -> CriterionVerdic
     one_minus = 1.0 - summary.norm_a
     tb = summary.limit_tau * summary.norm_b
     lower_margin = tb - alpha * one_minus / math.e
-    sigma_term = summary.sigma * summary.norm_a * summary.norm_b * (1.0 - summary.inf_a) / (one_minus * one_minus)
-    upper_margin = one_minus * (1.0 + alpha / math.e) - sigma_term - tb
+    upper_margin = _rhs(one_minus, alpha) - _sigma_term(summary) - tb
     return _decide("corollary3", min(lower_margin, upper_margin),
                    UNIFORM_EXPONENTIAL, cert, alpha)
+
+
+def _corollary1_gate(s: ParameterSummary) -> float:
+    return s.delta * math.e * s.norm_b / (1.0 - s.norm_a)
 
 
 def check_corollary1(summary: ParameterSummary, alpha: float) -> CriterionVerdict:
@@ -238,15 +249,13 @@ def check_corollary1(summary: ParameterSummary, alpha: float) -> CriterionVerdic
         raise NotConstant(
             f"constant neutral coefficient required (norm_a={summary.norm_a}, inf_a={summary.inf_a})")
     a = summary.norm_a
-    fields = ("norm_a", "inf_a", "norm_b", "sigma", "tau", "delta")
-    cert = _cert(summary, fields)
-    gate = summary.delta * math.e * summary.norm_b / (1.0 - a)
+    cert = _cert(summary, _FIELDS_T1)
+    gate = _corollary1_gate(summary)
     if alpha > gate:
         return _not_applicable("corollary1", f"gate alpha <= delta*e*||b||/(1-a) fails ({alpha:.6g} > {gate:.6g})",
                                UNIFORM_EXPONENTIAL, cert, alpha)
     lhs = summary.tau * summary.norm_b + summary.sigma * a * summary.norm_b / (1.0 - a)
-    rhs = (1.0 - a) * (1.0 + alpha / math.e)
-    return _decide("corollary1", rhs - lhs, UNIFORM_EXPONENTIAL, cert, alpha)
+    return _decide("corollary1", _rhs(1.0 - a, alpha) - lhs, UNIFORM_EXPONENTIAL, cert, alpha)
 
 
 def check_corollary2(summary: ParameterSummary) -> CriterionVerdict:
@@ -315,12 +324,13 @@ def check_theorem2_remark(summary: ParameterSummary, alpha: float) -> CriterionV
         return _not_applicable(
             "theorem2_remark", f"gate alpha*tau_bar <= delta fails ({alpha * tb:.6g} > {summary.delta:.6g})",
             UNIFORM_EXPONENTIAL, cert, alpha)
+    # spelled out rather than _lhs_split: (1 - a) ** 2 and (1 - a) * (1 - a)
+    # can differ in the last bit
     a = summary.norm_a
     lhs = (summary.tau * summary.norm_b
            + summary.sigma * a * summary.norm_b / (1.0 - a) ** 2
            + summary.norm_a_minus * summary.norm_b / (1.0 - a))
-    rhs = (1.0 - a) * (1.0 + alpha / math.e)
-    return _decide("theorem2_remark", rhs - lhs, UNIFORM_EXPONENTIAL, cert, alpha)
+    return _decide("theorem2_remark", _rhs(1.0 - a, alpha) - lhs, UNIFORM_EXPONENTIAL, cert, alpha)
 
 
 def check_corollary5(summary: ParameterSummary) -> tuple[CriterionVerdict, CriterionVerdict]:
@@ -340,6 +350,12 @@ _T3_NOTES = (
 )
 
 
+def theorem3_lhs(isummary: IntegralSummary) -> float:
+    """Left-hand side of the integral-delay decisive inequality."""
+    one_minus = 1.0 - isummary.norm_a
+    return isummary.tilde_tau + isummary.tilde_sigma * isummary.norm_a * (1.0 - isummary.inf_a) / (one_minus * one_minus)
+
+
 def check_theorem3(isummary: IntegralSummary, alpha: float) -> CriterionVerdict:
     """Integral-delay test (delays may be unbounded); claims asymptotic stability.
 
@@ -349,7 +365,7 @@ def check_theorem3(isummary: IntegralSummary, alpha: float) -> CriterionVerdict:
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    cert = CERTIFIED if isummary.certified(_FIELDS_T3) else NUMERIC
+    cert = _cert(isummary, _FIELDS_T3)
     if isummary.inf_a <= 0.0:
         return _not_applicable("theorem3", "a(t) >= a0 > 0 fails", ASYMPTOTIC, cert, alpha, _T3_NOTES)
     if alpha * isummary.tilde_tau0 > isummary.tilde_delta:
@@ -358,16 +374,8 @@ def check_theorem3(isummary: IntegralSummary, alpha: float) -> CriterionVerdict:
             f"gate alpha*tilde_tau0 <= tilde_delta fails "
             f"({alpha * isummary.tilde_tau0:.6g} > {isummary.tilde_delta:.6g})",
             ASYMPTOTIC, cert, alpha, _T3_NOTES)
-    one_minus = 1.0 - isummary.norm_a
-    lhs = isummary.tilde_tau + isummary.tilde_sigma * isummary.norm_a * (1.0 - isummary.inf_a) / (one_minus * one_minus)
-    rhs = one_minus * (1.0 + alpha / math.e)
-    return _decide("theorem3", rhs - lhs, ASYMPTOTIC, cert, alpha, _T3_NOTES)
-
-
-def theorem3_lhs(isummary: IntegralSummary) -> float:
-    """Left-hand side of the integral-delay decisive inequality."""
-    one_minus = 1.0 - isummary.norm_a
-    return isummary.tilde_tau + isummary.tilde_sigma * isummary.norm_a * (1.0 - isummary.inf_a) / (one_minus * one_minus)
+    margin = _rhs(1.0 - isummary.norm_a, alpha) - theorem3_lhs(isummary)
+    return _decide("theorem3", margin, ASYMPTOTIC, cert, alpha, _T3_NOTES)
 
 
 # -- classical constant-delay baselines ----------------------------------------
@@ -390,11 +398,15 @@ def tang_zou_threshold(norm_a: float) -> float | None:
 _BASELINE_NOTES = ("hypotheses assumed: constant delays, continuous coefficients, int b = inf",)
 
 
-def _baseline_cert(summary: ParameterSummary) -> str:
-    if (summary.provenance.get("norm_a") == ANALYTIC
-            and summary.provenance.get("limsup_int_b") == ANALYTIC):
-        return CERTIFIED
-    return NUMERIC
+def _baseline(criterion: str, summary: ParameterSummary, limsup_int_b: float,
+              constant_delays: bool, threshold: float | None, out_of_range: str) -> CriterionVerdict:
+    """Decide ``limsup_int_b < threshold``; a None threshold is out of range."""
+    cert = _cert(summary, ("norm_a", "limsup_int_b"))
+    if not constant_delays:
+        return _not_applicable(criterion, "constant delays required", ASYMPTOTIC, cert)
+    if threshold is None:
+        return _not_applicable(criterion, out_of_range, ASYMPTOTIC, cert)
+    return _decide(criterion, threshold - limsup_int_b, ASYMPTOTIC, cert, notes=_BASELINE_NOTES)
 
 
 def check_prop_yu(summary: ParameterSummary, limsup_int_b: float,
@@ -404,29 +416,17 @@ def check_prop_yu(summary: ParameterSummary, limsup_int_b: float,
     ``limsup_int_b`` is limsup_t int_{t-tau}^t b; applicable only for
     constant delays and a positive threshold.
     """
-    cert = _baseline_cert(summary)
-    if not constant_delays:
-        return _not_applicable("prop_yu", "constant delays required", ASYMPTOTIC, cert)
     thr = yu_threshold(summary.norm_a)
-    if thr <= 0.0:
-        return _not_applicable(
-            "prop_yu", f"threshold 3/2 - 2*A0*(2-A0) = {thr:.6g} is not positive (A0 = {summary.norm_a:.6g})",
-            ASYMPTOTIC, cert)
-    return _decide("prop_yu", thr - limsup_int_b, ASYMPTOTIC, cert, notes=_BASELINE_NOTES)
+    return _baseline(
+        "prop_yu", summary, limsup_int_b, constant_delays, thr if thr > 0.0 else None,
+        f"threshold 3/2 - 2*A0*(2-A0) = {thr:.6g} is not positive (A0 = {summary.norm_a:.6g})")
 
 
 def check_prop_tang_zou(summary: ParameterSummary, limsup_int_b: float,
                         constant_delays: bool = True) -> CriterionVerdict:
     """Refined constant-delay baseline; case selected by A0."""
-    cert = _baseline_cert(summary)
-    if not constant_delays:
-        return _not_applicable("prop_tang_zou", "constant delays required", ASYMPTOTIC, cert)
-    thr = tang_zou_threshold(summary.norm_a)
-    if thr is None:
-        return _not_applicable(
-            "prop_tang_zou", f"A0 = {summary.norm_a:.6g} >= 1/2 is out of range",
-            ASYMPTOTIC, cert)
-    return _decide("prop_tang_zou", thr - limsup_int_b, ASYMPTOTIC, cert, notes=_BASELINE_NOTES)
+    return _baseline("prop_tang_zou", summary, limsup_int_b, constant_delays,
+                     tang_zou_threshold(summary.norm_a), f"A0 = {summary.norm_a:.6g} >= 1/2 is out of range")
 
 
 # -- orchestration --------------------------------------------------------------
@@ -454,17 +454,8 @@ def corollary3_alpha_interval(summary: ParameterSummary) -> AlphaInterval:
         return _EMPTY_INTERVAL
     one_minus = 1.0 - summary.norm_a
     tb = summary.limit_tau * summary.norm_b
-    sigma_term = summary.sigma * summary.norm_a * summary.norm_b * (1.0 - summary.inf_a) / (one_minus * one_minus)
-    lower = math.e * ((tb + sigma_term) / one_minus - 1.0)
-    upper = tb * math.e / one_minus
-    lower_open = upper_open = True
-    if lower < 0.0:
-        lower, lower_open = 0.0, False
-    if upper > 1.0:
-        upper, upper_open = 1.0, False
-    if lower > upper or (lower == upper and (lower_open or upper_open)):
-        return _EMPTY_INTERVAL
-    return AlphaInterval(lower, upper, lower_open, upper_open, False)
+    lower = math.e * ((tb + _sigma_term(summary)) / one_minus - 1.0)
+    return _clipped_interval(lower, tb * math.e / one_minus, True, True)
 
 
 def best_verdict(
@@ -492,8 +483,7 @@ def best_verdict(
         verdicts.append(check_corollary3(summary, alpha3))
 
     if summary.norm_a == summary.inf_a:
-        gate = summary.delta * math.e * summary.norm_b / (1.0 - summary.norm_a)
-        verdicts.append(check_corollary1(summary, min(1.0, gate)))
+        verdicts.append(check_corollary1(summary, min(1.0, _corollary1_gate(summary))))
 
     if summary.tau == 0.0:
         verdicts.append(check_corollary2(summary))

@@ -81,8 +81,11 @@ class EquationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EquationSpec":
+        raw = d.get("overrides", {})
+        if not isinstance(raw, dict):
+            raise SpecError(f"overrides must be a JSON object, got {json.dumps(raw)}")
         try:
-            overrides = {k: float(v) for k, v in d.get("overrides", {}).items()}
+            overrides = {k: float(v) for k, v in raw.items()}
             bad = sorted(k for k, v in overrides.items() if not math.isfinite(v))
             if bad:
                 raise SpecError(f"non-finite override values: {bad}")

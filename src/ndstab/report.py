@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import criteria
@@ -58,9 +57,7 @@ def scale_b(spec: EquationSpec, r: float) -> EquationSpec:
     for key in ("norm_b", "inf_b", "limsup_int_b", "tilde_tau", "tilde_delta", "tilde_sigma"):
         if key in ov:
             ov[key] = ov[key] * r
-    return EquationSpec(a=spec.a, b=scale(r, spec.b), g=spec.g, h=spec.h,
-                        t0=spec.t0, horizon=spec.horizon, f=spec.f,
-                        overrides=ov, name=spec.name)
+    return replace(spec, b=scale(r, spec.b), overrides=ov)
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -91,7 +88,7 @@ def _band(summary: ParameterSummary, alpha: float) -> tuple[float, float]:
     one_minus = 1.0 - summary.norm_a
     shape = summary.norm_b  # family is stored at unit amplitude
     denom = summary.tau + summary.sigma * summary.norm_a * (1.0 - summary.inf_a) / (one_minus * one_minus)
-    upper = one_minus * (1.0 + alpha / math.e) / (shape * denom)
+    upper = criteria._rhs(one_minus, alpha) / (shape * denom)
     if alpha == 0.0:
         return 0.0, upper
     if summary.delta <= 0.0:
@@ -104,37 +101,19 @@ def sweep_alpha_r(
     alpha_grid,
     r_grid=None,
     summary: ParameterSummary | None = None,
-    threads: int | None = None,
 ) -> list[SweepRow]:
     """Feasibility bands of the alpha-parameterized main test over alpha.
 
     ``spec`` holds the coefficient family at unit amplitude (b enters
     linearly).  With ``r_grid`` the result has one row per (alpha, r) cell;
-    otherwise one row per alpha.  Rows come back in grid order regardless
-    of ``threads``.
+    otherwise one row per alpha, in grid order.
     """
     if summary is None:
         summary = summarize(spec)
-    alphas = [float(a) for a in alpha_grid]
-    if summary.inf_a <= 0.0:
-        bands = [(math.inf, -math.inf)] * len(alphas)
-    else:
-        def work(chunk):
-            return [_band(summary, a) for a in chunk]
-
-        if threads and threads > 1 and len(alphas) > 1:
-            n = threads
-            chunks = [alphas[i::n] for i in range(n)]
-            with ThreadPoolExecutor(max_workers=n) as pool:
-                results = list(pool.map(work, chunks))
-            bands = [None] * len(alphas)
-            for off, chunk_res in enumerate(results):
-                bands[off::n] = chunk_res
-        else:
-            bands = work(alphas)
-
     rows: list[SweepRow] = []
-    for a, (lo, hi) in zip(alphas, bands):
+    for a in alpha_grid:
+        a = float(a)
+        lo, hi = _band(summary, a) if summary.inf_a > 0.0 else (math.inf, -math.inf)
         if r_grid is None:
             rows.append(SweepRow(a, lo, hi, lo < hi))
         else:
@@ -269,12 +248,9 @@ def _report_ex2(spec, summary, sim, sim_note):
 
 
 def _report_ex3(spec, summary, sim, sim_note):
-    part_a, part_b = criteria.check_corollary_main(summary)
-    one_minus = 1.0 - summary.norm_a
-    denom = summary.tau + summary.sigma * summary.norm_a * (1.0 - summary.inf_a) / one_minus ** 2
-    r_b_upper = one_minus / denom                                   # alpha = 0 bound
-    r_a_upper = one_minus * (1.0 + 1.0 / math.e) / denom            # alpha = 1 bound
-    r_a_lower = one_minus / (math.e * summary.delta)                # alpha = 1 gate
+    # ex3's family is stored at unit amplitude, so these are the sweep bands
+    _, r_b_upper = _band(summary, 0.0)                              # alpha = 0 bound
+    r_a_lower, r_a_upper = _band(summary, 1.0)                      # alpha = 1 gate and bound
     yu_thr = criteria.yu_threshold(summary.norm_a)
     tz_thr = criteria.tang_zou_threshold(summary.norm_a)
     quantities = (
@@ -305,9 +281,7 @@ def _report_ex3(spec, summary, sim, sim_note):
 
 def _report_ex4(spec, summary, sim, sim_note):
     tb = criteria.tau_bar(summary)
-    lhs = (summary.tau * summary.norm_b
-           + summary.sigma * summary.norm_a_plus * summary.norm_b / (1.0 - summary.norm_a_plus) ** 2
-           + summary.norm_a_minus * summary.norm_b / (1.0 - summary.norm_a_plus))
+    lhs = criteria._lhs_split(summary)
     alpha_thr = math.e * (lhs - (1.0 - summary.norm_a)) / (1.0 - summary.norm_a_plus)
     rhs_045 = 1.0 - summary.norm_a + 0.45 * (1.0 - summary.norm_a_plus) / math.e
     t2 = criteria.check_theorem2(summary, 0.45)
@@ -335,7 +309,7 @@ def _report_ex4(spec, summary, sim, sim_note):
 def _report_ex5(spec, summary, sim, sim_note):
     isummary = integral_summary(spec)
     lhs = criteria.theorem3_lhs(isummary)
-    rhs_1 = (1.0 - isummary.norm_a) * (1.0 + 1.0 / math.e)
+    rhs_1 = criteria._rhs(1.0 - isummary.norm_a, 1.0)
     t3 = {a: criteria.check_theorem3(isummary, a) for a in (1.0, 0.36, 0.30)}
     quantities = (
         _Q("tilde_sigma", 0.25 * math.log(3.0), isummary.tilde_sigma, 1e-8, "quadrature"),
@@ -367,22 +341,14 @@ _BUILDERS = {
 
 
 def _grid(spec: EquationSpec, field_name: str, points: int = 20001) -> float:
-    bare = EquationSpec(a=spec.a, b=spec.b, g=spec.g, h=spec.h,
-                        t0=spec.t0, horizon=spec.horizon, f=spec.f, name=spec.name)
-    return getattr(summarize(bare, points), field_name)
+    return getattr(summarize(replace(spec, overrides={}), points), field_name)
 
 
 def _with_b(summary: ParameterSummary, norm_b: float) -> ParameterSummary:
     ratio = norm_b / summary.norm_b
-    return ParameterSummary(
-        norm_a=summary.norm_a, inf_a=summary.inf_a,
-        norm_a_plus=summary.norm_a_plus, norm_a_minus=summary.norm_a_minus,
-        norm_b=norm_b, inf_b=summary.inf_b * ratio,
-        sigma=summary.sigma, tau=summary.tau, delta=summary.delta,
-        limit_tau=summary.limit_tau,
-        limsup_int_b=None if summary.limsup_int_b is None else summary.limsup_int_b * ratio,
-        provenance=dict(summary.provenance),
-    )
+    return replace(
+        summary, norm_b=norm_b, inf_b=summary.inf_b * ratio,
+        limsup_int_b=None if summary.limsup_int_b is None else summary.limsup_int_b * ratio)
 
 
 def reproduce_examples(
@@ -438,51 +404,30 @@ def compare_baselines(spec: EquationSpec, summary: ParameterSummary | None = Non
     one_minus = 1.0 - summary.norm_a
     rows: list[dict] = []
 
+    def row(criterion, unit, threshold, note):
+        rows.append({"criterion": criterion, "scale": unit, "threshold": threshold,
+                     "applicable": threshold is not None, "note": note})
+
     yu_thr = criteria.yu_threshold(summary.norm_a)
-    rows.append({
-        "criterion": "baseline_3_2",
-        "scale": "limsup int b",
-        "threshold": yu_thr if yu_thr > 0.0 else None,
-        "applicable": yu_thr > 0.0,
-        "note": "" if yu_thr > 0.0 else f"threshold not positive at A0={summary.norm_a:g}",
-    })
+    row("baseline_3_2", "limsup int b", yu_thr if yu_thr > 0.0 else None,
+        "" if yu_thr > 0.0 else f"threshold not positive at A0={summary.norm_a:g}")
     tz_thr = criteria.tang_zou_threshold(summary.norm_a)
-    rows.append({
-        "criterion": "baseline_sqrt",
-        "scale": "limsup int b",
-        "threshold": tz_thr,
-        "applicable": tz_thr is not None,
-        "note": "" if tz_thr is not None else f"A0={summary.norm_a:g} >= 1/2 out of range",
-    })
+    row("baseline_sqrt", "limsup int b", tz_thr,
+        "" if tz_thr is not None else f"A0={summary.norm_a:g} >= 1/2 out of range")
 
     if summary.inf_a > 0.0:
+        # _band's left-hand side, but with one_minus ** 2, which can differ
+        # from one_minus * one_minus in the last bit
         denom = summary.tau + summary.sigma * summary.norm_a * (1.0 - summary.inf_a) / one_minus ** 2
         b_upper = one_minus / denom
         factor = None
         if summary.limsup_int_b is not None and summary.norm_b > 0.0:
             factor = summary.limsup_int_b / summary.norm_b
-        rows.append({
-            "criterion": "corollary_main_b",
-            "scale": "sup b",
-            "threshold": b_upper,
-            "applicable": True,
-            "note": "" if factor is None else
-            f"equivalent limsup-int-b threshold {b_upper * factor:.6g}",
-        })
-        rows.append({
-            "criterion": "corollary_main_a",
-            "scale": "sup b",
-            "threshold": b_upper * (1.0 + 1.0 / math.e),
-            "applicable": True,
-            "note": f"requires sup b >= {one_minus / (math.e * summary.delta):.6g} (lag-scale gate)"
-            if summary.delta > 0.0 else "gate requires delta > 0",
-        })
+        row("corollary_main_b", "sup b", b_upper,
+            "" if factor is None else f"equivalent limsup-int-b threshold {b_upper * factor:.6g}")
+        row("corollary_main_a", "sup b", b_upper * (1.0 + 1.0 / math.e),
+            f"requires sup b >= {one_minus / (math.e * summary.delta):.6g} (lag-scale gate)"
+            if summary.delta > 0.0 else "gate requires delta > 0")
     else:
-        rows.append({
-            "criterion": "corollary_main_b",
-            "scale": "sup b",
-            "threshold": None,
-            "applicable": False,
-            "note": "a(t) >= a0 > 0 fails",
-        })
+        row("corollary_main_b", "sup b", None, "a(t) >= a0 > 0 fails")
     return rows

@@ -1,6 +1,7 @@
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,7 +36,7 @@ def test_help_enumerates_every_flag():
     flags = {
         "check": ("--alpha", "--grid", "--json"),
         "simulate": ("--t-end", "--step", "--history", "--out"),
-        "sweep": ("--param", "--alpha-grid", "--threads", "--out"),
+        "sweep": ("--param", "--alpha-grid", "--out"),
         "examples": ("--all", "--id", "--no-simulation", "--json"),
         "compare": ("--json",),
         "fundamental": ("--s", "--t-end", "--step", "--out"),
@@ -116,6 +117,36 @@ def test_bad_override_exits_2_with_message(tmp_path, capsys, command, override, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("overrides", ["[1]", "null"])
+def test_non_object_overrides_exit_2(tmp_path, capsys, overrides):
+    spec = json.loads((corpus_dir() / "ex1.json").read_text())
+    del spec["overrides"]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(spec)[:-1] + ', "overrides": ' + overrides + "}")
+    assert run(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ndstab: overrides must be a JSON object, got {overrides}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "ex1", "--alpha", "1.5"], "--alpha must be 'auto' or a number in [0, 1], got '1.5'"),
+    (["check", "ex1", "--alpha", "abc"], "--alpha must be 'auto' or a number in [0, 1], got 'abc'"),
+    (["check", "ex1", "--grid", "1"], "--grid must be at least 2, got 1"),
+    (["simulate", "ex1", "--t-end", "1", "--step", "0"], "--step must be positive and finite, got 0"),
+    (["simulate", "ex1", "--t-end", "0"], "--t-end must be finite and exceed the start time 0, got 0"),
+    (["simulate", "ex1", "--t-end", "-1"], "--t-end must be finite and exceed the start time 0, got -1"),
+    (["fundamental", "ex1", "--s", "0", "--t-end", "1", "--step", "0"],
+     "--step must be positive and finite, got 0"),
+], ids=["alpha_range", "alpha_text", "grid", "step", "t_end_at_t0", "t_end_before_t0", "fundamental_step"])
+def test_out_of_range_numbers_exit_2(capsys, argv, message):
+    argv = [corpus_path(a) if a == "ex1" else a for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ndstab: {message}\n"
+    assert captured.out == ""
+
+
 # -- simulate / fundamental ----------------------------------------------------------
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -169,16 +200,6 @@ def test_sweep_csv_output(tmp_path):
     assert float(last[2]) == pytest.approx(0.168354, abs=1e-6)
 
 
-def test_sweep_deterministic_across_thread_counts(tmp_path):
-    blobs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"s{threads}.csv"
-        run(["sweep", corpus_path("ex2"), "--alpha-grid", "0:1:0.02",
-             "--threads", threads, "--out", str(out)])
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
-
-
 def test_sweep_bad_grid_exits_2(capsys):
     assert run(["sweep", corpus_path("ex2"), "--alpha-grid", "nope"]) == 2
 
@@ -210,6 +231,32 @@ def test_examples_exit_1_without_waivers(tmp_path, capsys, monkeypatch):
 def test_corpus_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("NDSTAB_CORPUS_DIR", str(tmp_path))
     assert corpus_dir() == tmp_path
+
+
+def test_corpus_outputs_match_bench_references(tmp_path, capsys, monkeypatch):
+    # the benchmark's recorded corpus outputs, compared the way the benchmark
+    # compares them: CSV by SHA-256, numbers within 1e-9 relative
+    bench = Path(__file__).parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import checks
+    refs = json.loads((bench / "references.json").read_text())
+    problems = []
+
+    def compare(kind, spec_id, argv, out=None):
+        assert run(argv) == 0, argv
+        outcome = checks.Outcome(exit=0, stdout=capsys.readouterr().out)
+        got = checks.view(SimpleNamespace(kind=kind, out=out), outcome, None)
+        problems.extend(checks.diff(got, refs[kind][spec_id], f"{kind} {spec_id}"))
+
+    for ex_id in refs["check"]:
+        compare("check", ex_id, ["check", corpus_path(ex_id), "--json"])
+    for ex_id in refs["compare"]:
+        compare("compare", ex_id, ["compare", corpus_path(ex_id), "--json"])
+    for ex_id in refs["sweep"]:
+        out = str(tmp_path / f"{ex_id}.csv")
+        compare("sweep", ex_id, ["sweep", corpus_path(ex_id), "--out", out], out)
+    compare("examples_nosim", "corpus", ["examples", "--no-simulation", "--json"])
+    assert problems == []
 
 
 def test_compare_table(capsys):

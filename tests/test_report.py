@@ -43,13 +43,6 @@ def test_sweep_cells_match_main_test(ex2):
         assert row.feasible == (v.applicable and v.satisfied), (row.alpha, row.r)
 
 
-def test_sweep_threads_deterministic(ex2):
-    alphas = [i / 100 for i in range(101)]
-    rows1 = sweep_alpha_r(ex2, alphas, threads=1)
-    rows4 = sweep_alpha_r(ex2, alphas, threads=4)
-    assert rows1 == rows4
-
-
 def test_sweep_csv_deterministic(ex2):
     alphas = [i / 10 for i in range(11)]
     blobs = []
