@@ -171,10 +171,13 @@ def _cmd_check(args) -> int:
         if summary.limit_tau is not None:
             verdicts.append(criteria.check_corollary3(summary, alpha))
         verdicts.append(criteria.check_theorem2(summary, alpha))
-        try:
-            verdicts.append(criteria.check_theorem3(integral_summary(spec), alpha))
-        except ValueError:
-            pass
+        if alpha == 0.0:
+            verdicts.append(criteria.theorem3_not_applicable(spec, "alpha must be positive", alpha))
+        else:
+            try:
+                verdicts.append(criteria.check_theorem3(integral_summary(spec), alpha))
+            except (SummaryError, QuadratureError) as exc:
+                verdicts.append(criteria.theorem3_not_applicable(spec, str(exc), alpha))
     if args.json:
         print(json.dumps([v.to_dict() for v in verdicts], indent=2))
     else:

@@ -378,6 +378,13 @@ def check_theorem3(isummary: IntegralSummary, alpha: float) -> CriterionVerdict:
     return _decide("theorem3", margin, ASYMPTOTIC, cert, alpha, _T3_NOTES)
 
 
+def theorem3_not_applicable(spec: EquationSpec, reason: str, alpha: float) -> CriterionVerdict:
+    """Theorem 3 verdict when the test cannot run: alpha = 0, or no integral
+    summary.  Certified exactly when check_theorem3 would be."""
+    cert = CERTIFIED if set(_FIELDS_T3) <= spec.overrides.keys() else NUMERIC
+    return _not_applicable("theorem3", reason, ASYMPTOTIC, cert, alpha, _T3_NOTES)
+
+
 # -- classical constant-delay baselines ----------------------------------------
 
 def yu_threshold(norm_a: float) -> float:

@@ -20,12 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eqspec import EquationSpec
+from .expr import DomainError
 
 GRID_ESTIMATE = "grid-estimate"
 ANALYTIC = "analytic-override"
 
 DEFAULT_GRID = 100_000
 DEFAULT_PANELS = 2048
+_INTEGRAL_SAMPLES = 513  # sample times t of integral_summary
+_LIMSUP_SAMPLES = 257    # sample times t of estimate_limsup_int_b
+_SIMPSON_BLOCK = 16      # integrals per Simpson block; bounds its node arrays to 16 x (panels + 1)
 
 
 class SummaryError(ValueError):
@@ -132,6 +136,18 @@ class IntegralSummary:
         }
 
 
+def _pick(ov: dict, prov: dict, name: str, estimate=None):
+    """The analytic override of ``name`` if the spec has one, else
+    ``estimate()`` (None when there is no estimate); records the provenance."""
+    if name in ov:
+        prov[name] = ANALYTIC
+        return float(ov[name])
+    if estimate is None:
+        return None
+    prov[name] = GRID_ESTIMATE
+    return float(estimate())
+
+
 def summarize(spec: EquationSpec, grid_points: int = DEFAULT_GRID) -> ParameterSummary:
     """Extract the scalar bounds, preferring analytic overrides.
 
@@ -149,150 +165,110 @@ def summarize(spec: EquationSpec, grid_points: int = DEFAULT_GRID) -> ParameterS
 
     ov = spec.overrides
     prov: dict[str, str] = {}
-
-    def pick(name: str, estimate: float) -> float:
-        if name in ov:
-            prov[name] = ANALYTIC
-            return float(ov[name])
-        prov[name] = GRID_ESTIMATE
-        return float(estimate)
-
-    norm_a = pick("norm_a", np.max(np.abs(av)))
-    inf_a = pick("inf_a", np.min(av))
-    norm_a_plus = pick("norm_a_plus", np.max(np.maximum(av, 0.0)))
-    norm_a_minus = pick("norm_a_minus", np.max(np.maximum(-av, 0.0)))
-    norm_b = pick("norm_b", np.max(bv))
-    inf_b = pick("inf_b", np.min(bv))
-    sigma = pick("sigma", np.max(lag_g))
-    tau = pick("tau", np.max(lag_h))
-    delta = pick("delta", np.min(lag_h))
-
-    limit_tau = None
-    if "limit_tau" in ov:
-        limit_tau = float(ov["limit_tau"])
-        prov["limit_tau"] = ANALYTIC
-
-    limsup_int_b = None
-    if "limsup_int_b" in ov:
-        limsup_int_b = float(ov["limsup_int_b"])
-        prov["limsup_int_b"] = ANALYTIC
-
-    if inf_b <= 0.0:
-        raise SummaryError(f"b must stay positive on the window; estimated inf b = {inf_b}")
-
-    return ParameterSummary(
-        norm_a=norm_a, inf_a=inf_a,
-        norm_a_plus=norm_a_plus, norm_a_minus=norm_a_minus,
-        norm_b=norm_b, inf_b=inf_b,
-        sigma=sigma, tau=tau, delta=delta,
-        limit_tau=limit_tau, limsup_int_b=limsup_int_b,
-        provenance=prov,
+    summary = dict(
+        norm_a=_pick(ov, prov, "norm_a", lambda: np.max(np.abs(av))),
+        inf_a=_pick(ov, prov, "inf_a", lambda: np.min(av)),
+        norm_a_plus=_pick(ov, prov, "norm_a_plus", lambda: np.max(np.maximum(av, 0.0))),
+        norm_a_minus=_pick(ov, prov, "norm_a_minus", lambda: np.max(np.maximum(-av, 0.0))),
+        norm_b=_pick(ov, prov, "norm_b", lambda: np.max(bv)),
+        inf_b=_pick(ov, prov, "inf_b", lambda: np.min(bv)),
+        sigma=_pick(ov, prov, "sigma", lambda: np.max(lag_g)),
+        tau=_pick(ov, prov, "tau", lambda: np.max(lag_h)),
+        delta=_pick(ov, prov, "delta", lambda: np.min(lag_h)),
+        limit_tau=_pick(ov, prov, "limit_tau"),
+        limsup_int_b=_pick(ov, prov, "limsup_int_b"),
     )
+    if summary["inf_b"] <= 0.0:
+        raise SummaryError(f"b must stay positive on the window; estimated inf b = {summary['inf_b']}")
+    return ParameterSummary(**summary, provenance=prov)
 
 
-def simpson(expr, lo: float, hi: float, panels: int = DEFAULT_PANELS) -> float:
+def simpson(expr, lo, hi, panels: int = DEFAULT_PANELS):
     """Composite Simpson quadrature of an expression over [lo, hi].
 
-    ``panels`` counts subintervals (rounded up to even).  Summation is
-    numpy's pairwise reduction, so the result does not depend on any
-    threading or chunk order.
+    ``lo`` and ``hi`` may be arrays of limits: the result is then an array
+    with one integral per entry, each bit-identical to the scalar call,
+    because the nodes come from the same ``linspace`` formula and the sum
+    over each row is numpy's pairwise reduction, as for a 1-D array.
+    Scalar limits give a float.  ``panels`` counts subintervals (rounded
+    up to even).  Errors are those of the first failing entry in order.
     """
-    if hi < lo:
-        raise ValueError("empty or reversed integration range")
-    if hi == lo:
-        return 0.0
+    lo_v = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi_v = np.atleast_1d(np.asarray(hi, dtype=float))
     n = panels + (panels % 2)
-    xs = np.linspace(lo, hi, n + 1)
-    ys = expr.eval_array(xs)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float((hi - lo) / (3.0 * n) * np.sum(w * ys))
+    out = np.zeros(lo_v.shape)
+    reversed_rows = np.flatnonzero(hi_v < lo_v)
+    stop = reversed_rows[0] if reversed_rows.size else len(out)
+    # zero-width rows stay 0.0 and out of linspace, which switches a whole
+    # block to another formula when any row has a zero step
+    rows = np.flatnonzero(hi_v[:stop] != lo_v[:stop])
+    for k in range(0, len(rows), _SIMPSON_BLOCK):
+        r = rows[k:k + _SIMPSON_BLOCK]
+        out[r] = _simpson_rows(expr, lo_v[r], hi_v[r], n, w)
+    if reversed_rows.size:
+        raise ValueError("empty or reversed integration range")
+    return float(out[0]) if np.ndim(lo) == 0 and np.ndim(hi) == 0 else out
 
 
-def integral_summary(
-    spec: EquationSpec,
-    quadrature_points: int = DEFAULT_PANELS,
-    t_samples: int = 513,
-) -> IntegralSummary:
+def _simpson_rows(expr, lo, hi, n, w):
+    xs = np.linspace(lo, hi, n + 1, axis=1)
+    try:
+        ys = expr.eval_array(xs.ravel()).reshape(xs.shape)
+    except DomainError:
+        if len(lo) > 1:  # the first failing row wins, whatever order the tree met them in
+            for i in range(len(lo)):
+                _simpson_rows(expr, lo[i:i + 1], hi[i:i + 1], n, w)
+        raise
+    return (hi - lo) / (3.0 * n) * np.sum(w * ys, axis=1)
+
+
+def _delay_integrals(spec: EquationSpec, ts, lower, family: str, notes: list) -> list[float]:
+    """int_{lower(t)}^t b at the samples whose lower limit is not before t0."""
+    mask = lower >= spec.t0
+    skipped = int(np.sum(~mask))
+    if skipped:
+        notes.append(f"skipped {skipped} sample(s) with {family}(t) < t0 for the {family}-integral")
+    if not np.any(mask):
+        raise QuadratureError(
+            f"{family}(t) < t0 at every sample; no admissible range for the {family}-integral")
+    return simpson(spec.b, lower[mask], ts[mask]).tolist()
+
+
+def integral_summary(spec: EquationSpec) -> IntegralSummary:
     """Bound int_{h(t)}^t b and int_{g(t)}^t b over a grid of t.
 
     Sample points whose delay argument falls before t0 (no b there) are
     skipped and noted.  Analytic overrides win over quadrature estimates.
     """
-    ts = spec.grid(t_samples)
+    ts = spec.grid(_INTEGRAL_SAMPLES)
     hv = spec.h.eval_array(ts)
     gv = spec.g.eval_array(ts)
 
     ov = spec.overrides
     prov: dict[str, str] = {}
     notes: list[str] = []
+    int_h = [] if {"tilde_tau", "tilde_delta"} <= ov.keys() else _delay_integrals(spec, ts, hv, "h", notes)
+    int_g = [] if "tilde_sigma" in ov else _delay_integrals(spec, ts, gv, "g", notes)
+    tilde_tau = _pick(ov, prov, "tilde_tau", lambda: max(int_h))
+    tilde_delta = _pick(ov, prov, "tilde_delta", lambda: min(int_h))
+    tilde_sigma = _pick(ov, prov, "tilde_sigma", lambda: max(int_g))
 
-    need_h = not ({"tilde_tau", "tilde_delta"} <= set(ov))
-    need_g = "tilde_sigma" not in ov
-
-    int_h = []
-    if need_h:
-        mask = hv >= spec.t0
-        skipped = int(np.sum(~mask))
-        if skipped:
-            notes.append(f"skipped {skipped} sample(s) with h(t) < t0 for the h-integral")
-        if not np.any(mask):
-            raise QuadratureError("h(t) < t0 at every sample; no admissible range for the h-integral")
-        int_h = [simpson(spec.b, float(hv[i]), float(ts[i]), quadrature_points)
-                 for i in np.nonzero(mask)[0]]
-
-    int_g = []
-    if need_g:
-        mask = gv >= spec.t0
-        skipped = int(np.sum(~mask))
-        if skipped:
-            notes.append(f"skipped {skipped} sample(s) with g(t) < t0 for the g-integral")
-        if not np.any(mask):
-            raise QuadratureError("g(t) < t0 at every sample; no admissible range for the g-integral")
-        int_g = [simpson(spec.b, float(gv[i]), float(ts[i]), quadrature_points)
-                 for i in np.nonzero(mask)[0]]
-
-    def pick(name: str, estimate) -> float:
-        if name in ov:
-            prov[name] = ANALYTIC
-            return float(ov[name])
-        prov[name] = GRID_ESTIMATE
-        return float(estimate())
-
-    tilde_tau = pick("tilde_tau", lambda: max(int_h))
-    tilde_delta = pick("tilde_delta", lambda: min(int_h))
-    tilde_sigma = pick("tilde_sigma", lambda: max(int_g))
-
-    if "norm_a" in ov:
-        norm_a = float(ov["norm_a"])
-        prov["norm_a"] = ANALYTIC
-    else:
-        norm_a = float(np.max(np.abs(spec.a.eval_array(ts))))
-        prov["norm_a"] = GRID_ESTIMATE
-    if "inf_a" in ov:
-        inf_a = float(ov["inf_a"])
-        prov["inf_a"] = ANALYTIC
-    else:
-        inf_a = float(np.min(spec.a.eval_array(ts)))
-        prov["inf_a"] = GRID_ESTIMATE
-
-    tilde_tau0 = (1.0 - norm_a) / math.e
+    av = None if {"norm_a", "inf_a"} <= ov.keys() else spec.a.eval_array(ts)
+    norm_a = _pick(ov, prov, "norm_a", lambda: np.max(np.abs(av)))
+    inf_a = _pick(ov, prov, "inf_a", lambda: np.min(av))
     prov["tilde_tau0"] = prov["norm_a"]
 
     return IntegralSummary(
         tilde_delta=tilde_delta, tilde_tau=tilde_tau, tilde_sigma=tilde_sigma,
-        tilde_tau0=tilde_tau0, norm_a=norm_a, inf_a=inf_a,
+        tilde_tau0=(1.0 - norm_a) / math.e, norm_a=norm_a, inf_a=inf_a,
         provenance=prov, notes=tuple(notes),
     )
 
 
-def estimate_limsup_int_b(
-    spec: EquationSpec,
-    window: float,
-    t_samples: int = 257,
-    panels: int = DEFAULT_PANELS,
-) -> float:
+def estimate_limsup_int_b(spec: EquationSpec, window: float) -> float:
     """Grid estimate of limsup_t int_{t-window}^t b, over the window tail.
 
     Uses the last half of [t0, horizon]; an analytic override is preferable
@@ -304,6 +280,5 @@ def estimate_limsup_int_b(
         lo = spec.t0 + window
     if lo > spec.horizon:
         raise QuadratureError("window longer than the analysis horizon")
-    ts = np.linspace(lo, spec.horizon, t_samples)
-    vals = [simpson(spec.b, float(t - window), float(t), panels) for t in ts]
-    return float(max(vals))
+    ts = np.linspace(lo, spec.horizon, _LIMSUP_SAMPLES)
+    return float(max(simpson(spec.b, ts - window, ts).tolist()))

@@ -64,31 +64,26 @@ def scale_b(spec: EquationSpec, r: float) -> EquationSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Feasibility band of the swept coefficient amplitude at one alpha.
-
-    When the sweep is evaluated on an explicit r grid, ``r`` holds the cell
-    coordinate and ``feasible`` says whether the main test is applicable
-    and satisfied there; without an r grid, ``feasible`` says whether the
-    band [r_lower, r_upper) is nonempty.
-    """
+    """Feasibility band [r_lower, r_upper) of the swept coefficient amplitude
+    at one alpha; ``feasible`` says whether it is nonempty."""
 
     alpha: float
     r_lower: float
     r_upper: float
     feasible: bool
-    r: float | None = None
 
 
 def _band(summary: ParameterSummary, alpha: float) -> tuple[float, float]:
     """Closed-form feasibility band for b = r * (unit shape) at fixed alpha.
 
     The gate alpha * tau0 <= delta inverts to r >= alpha (1-||a||)/(e delta
-    ||shape||); the decisive inequality gives the upper bound.
+    ||shape||); the decisive inequality gives the upper bound, which is
+    infinite when tau = sigma = 0 (the left-hand side vanishes).
     """
     one_minus = 1.0 - summary.norm_a
     shape = summary.norm_b  # family is stored at unit amplitude
     denom = summary.tau + summary.sigma * summary.norm_a * (1.0 - summary.inf_a) / (one_minus * one_minus)
-    upper = criteria._rhs(one_minus, alpha) / (shape * denom)
+    upper = criteria._rhs(one_minus, alpha) / (shape * denom) if denom else math.inf
     if alpha == 0.0:
         return 0.0, upper
     if summary.delta <= 0.0:
@@ -99,14 +94,12 @@ def _band(summary: ParameterSummary, alpha: float) -> tuple[float, float]:
 def sweep_alpha_r(
     spec: EquationSpec,
     alpha_grid,
-    r_grid=None,
     summary: ParameterSummary | None = None,
 ) -> list[SweepRow]:
     """Feasibility bands of the alpha-parameterized main test over alpha.
 
     ``spec`` holds the coefficient family at unit amplitude (b enters
-    linearly).  With ``r_grid`` the result has one row per (alpha, r) cell;
-    otherwise one row per alpha, in grid order.
+    linearly).  One row per alpha, in grid order.
     """
     if summary is None:
         summary = summarize(spec)
@@ -114,12 +107,7 @@ def sweep_alpha_r(
     for a in alpha_grid:
         a = float(a)
         lo, hi = _band(summary, a) if summary.inf_a > 0.0 else (math.inf, -math.inf)
-        if r_grid is None:
-            rows.append(SweepRow(a, lo, hi, lo < hi))
-        else:
-            for r in r_grid:
-                r = float(r)
-                rows.append(SweepRow(a, lo, hi, lo <= r < hi, r))
+        rows.append(SweepRow(a, lo, hi, lo < hi))
     return rows
 
 
@@ -231,10 +219,11 @@ def _report_ex2(spec, summary, sim, sim_note):
     rows = {a: sweep_alpha_r(spec, [a], summary=summary)[0] for a in (0.0, 0.5, 1.0)}
     s15 = summarize(scale_b(spec, 0.15), 4096)
     s20 = summarize(scale_b(spec, 0.20), 4096)
+    grid = _grid(spec)
     quantities = (
         _Q("r_upper_alpha_1", 0.168, rows[1.0].r_upper, 5e-4, "closed-form"),
-        _Q("norm_a_grid", 0.6, _grid(spec, "norm_a"), 1e-3, "grid-estimate"),
-        _Q("inf_a_grid", 0.4, _grid(spec, "inf_a"), 1e-3, "grid-estimate"),
+        _Q("norm_a_grid", 0.6, grid.norm_a, 1e-3, "grid-estimate"),
+        _Q("inf_a_grid", 0.4, grid.inf_a, 1e-3, "grid-estimate"),
     )
     claims = (
         ClaimCheck("band_nonempty_for_every_alpha", all(r.feasible for r in rows.values())),
@@ -253,9 +242,10 @@ def _report_ex3(spec, summary, sim, sim_note):
     r_a_lower, r_a_upper = _band(summary, 1.0)                      # alpha = 1 gate and bound
     yu_thr = criteria.yu_threshold(summary.norm_a)
     tz_thr = criteria.tang_zou_threshold(summary.norm_a)
+    grid = _grid(spec)
     quantities = (
-        _Q("norm_a_grid", 0.499, _grid(spec, "norm_a"), 1e-3, "grid-estimate"),
-        _Q("inf_a_grid", 0.497, _grid(spec, "inf_a"), 1e-3, "grid-estimate"),
+        _Q("norm_a_grid", 0.499, grid.norm_a, 1e-3, "grid-estimate"),
+        _Q("inf_a_grid", 0.497, grid.inf_a, 1e-3, "grid-estimate"),
         _Q("part_b_r_upper", 0.0797, r_b_upper, 5e-5, "closed-form"),
         # the reference band 0.059 < . < 0.109 does not recompute from the
         # alpha = 0 part it is attributed to; derived replacements below,
@@ -288,7 +278,7 @@ def _report_ex4(spec, summary, sim, sim_note):
     t1 = criteria.check_theorem1(summary, 0.45)
     c5a, c5b = criteria.check_corollary5(summary)
     quantities = (
-        _Q("norm_a_grid", 0.6, _grid(spec, "norm_a"), 1e-3, "grid-estimate"),
+        _Q("norm_a_grid", 0.6, _grid(spec).norm_a, 1e-3, "grid-estimate"),
         _Q("sign_split_lhs", 0.4125, lhs, 1e-9, "closed-form"),
         _Q("alpha_threshold", 0.085, alpha_thr, 5e-4, "closed-form"),
         _Q("tau_bar", 0.98, tb, 5e-3, "closed-form"),
@@ -340,8 +330,9 @@ _BUILDERS = {
 }
 
 
-def _grid(spec: EquationSpec, field_name: str, points: int = 20001) -> float:
-    return getattr(summarize(replace(spec, overrides={}), points), field_name)
+def _grid(spec: EquationSpec) -> ParameterSummary:
+    """Grid estimates of every summary field, ignoring the overrides."""
+    return summarize(replace(spec, overrides={}), 20001)
 
 
 def _with_b(summary: ParameterSummary, norm_b: float) -> ParameterSummary:
@@ -419,7 +410,7 @@ def compare_baselines(spec: EquationSpec, summary: ParameterSummary | None = Non
         # _band's left-hand side, but with one_minus ** 2, which can differ
         # from one_minus * one_minus in the last bit
         denom = summary.tau + summary.sigma * summary.norm_a * (1.0 - summary.inf_a) / one_minus ** 2
-        b_upper = one_minus / denom
+        b_upper = one_minus / denom if denom else math.inf  # tau = sigma = 0
         factor = None
         if summary.limsup_int_b is not None and summary.norm_b > 0.0:
             factor = summary.limsup_int_b / summary.norm_b

@@ -37,6 +37,7 @@ import numpy as np
 
 from .eqspec import EquationSpec
 from .expr import Expr, const, tvar
+from .params import simpson
 
 _DEGENERATE_LAG = 1e-14
 
@@ -484,20 +485,22 @@ def fundamental(b: Expr, h: Expr, s: float, t_end: float, step: float) -> Trajec
     return integrate(spec, 0.0, t_end, step, initial_value=1.0)
 
 
-def lemma5_condition(b: Expr, h: Expr, grid: np.ndarray,
-                     panels: int = 2048) -> tuple[bool, float]:
+def lemma5_condition(b: Expr, h: Expr, grid: np.ndarray) -> tuple[bool, float]:
     """Check sup_t int_{h(t)}^t b <= 1/e on the sampled grid (non-strict).
 
     Returns (satisfied, margin) with margin = 1/e - sup of the integrals;
-    equality is accepted up to 1e-12 rounding slack.
+    equality is accepted up to 1e-12 rounding slack.  The sup skips NaN
+    integrals.
     """
-    from .params import simpson
-
     grid = np.asarray(grid, dtype=float)
-    sup = -math.inf
+    lows = []
     for t in grid:
-        lo = h.evaluate(float(t))
-        sup = max(sup, simpson(b, lo, float(t), panels))
+        try:
+            lows.append(h.evaluate(float(t)))
+        except ValueError:
+            simpson(b, np.array(lows), grid[:len(lows)])  # a failing integral at an earlier t wins
+            raise
+    sup = max([-math.inf] + simpson(b, np.array(lows), grid).tolist())
     margin = 1.0 / math.e - sup
     return margin >= -1e-12, margin
 
@@ -549,15 +552,14 @@ def lemma4_check(b: Expr, h: Expr, s_grid: np.ndarray, t_end: float, step: float
     return best
 
 
-def decay_rate(traj: Trajectory, warmup: float, window: float,
-               decay_ratio_threshold: float = 0.5) -> DecayEstimate:
+def decay_rate(traj: Trajectory, warmup: float, window: float) -> DecayEstimate:
     """Windowed-sup decay analysis of |x|.
 
     Splits [t0 + warmup, t_end] into consecutive windows of the given
     length, fits ln(sup |x|) against the window midpoints by least squares,
-    and classifies: decaying when the last/first sup ratio drops below the
-    threshold with a positive fitted rate, non-decaying when the ratio
-    exceeds 2, inconclusive otherwise.
+    and classifies: decaying when the last/first sup ratio drops below 1/2
+    with a positive fitted rate, non-decaying when the ratio exceeds 2,
+    inconclusive otherwise.
     """
     span = traj.t_end - traj.t0
     if span < warmup + 5.0 * window:
@@ -577,7 +579,7 @@ def decay_rate(traj: Trajectory, warmup: float, window: float,
     slope = float(np.polyfit(np.array(mids), np.log(sups_arr), 1)[0])
     rate = -slope
     ratio = sups[-1] / sups[0] if sups[0] > 0.0 else 0.0
-    if ratio < decay_ratio_threshold and rate > 0.0:
+    if ratio < 0.5 and rate > 0.0:
         verdict = "decaying"
     elif ratio > 2.0:
         verdict = "non-decaying"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -86,6 +87,35 @@ def test_check_fixed_alpha(capsys):
     verdicts = {v["criterion"]: v for v in json.loads(capsys.readouterr().out)}
     assert verdicts["theorem2"]["satisfied"]
     assert not verdicts["theorem1"]["applicable"]
+
+
+def test_check_fixed_alpha_reports_theorem3(tmp_path, capsys):
+    def theorem3(path, alpha):
+        assert run(["check", path, "--alpha", alpha, "--json"]) == 0
+        return next(v for v in json.loads(capsys.readouterr().out) if v["criterion"] == "theorem3")
+
+    at_0 = theorem3(corpus_path("ex5"), "0")
+    assert not at_0["applicable"] and at_0["notes"][0] == "alpha must be positive"
+    assert theorem3(corpus_path("ex5"), "0.5")["satisfied"]
+    # an integral summary that cannot be built is reported, not dropped
+    spec = json.loads(Path(corpus_path("ex5")).read_text())
+    spec["overrides"].update(tilde_tau=0.1, tilde_delta=0.2)
+    p = tmp_path / "inconsistent.json"
+    p.write_text(json.dumps(spec))
+    bad = theorem3(str(p), "0.5")
+    assert not bad["applicable"] and bad["notes"][0].startswith("need 0 <= tilde_delta <= tilde_tau")
+
+
+def test_zero_lags_sweep_and_compare_exit_0(tmp_path, capsys):
+    # tau = sigma = 0: the main test holds at every amplitude
+    p = tmp_path / "zero_lags.json"
+    p.write_text(json.dumps({"a": ["const", 0.5], "b": ["const", 1.0], "g": ["t"], "h": ["t"],
+                             "t0": 0, "horizon": 10}))
+    assert run(["sweep", str(p), "--alpha-grid", "0:1:0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,inf"
+    assert run(["compare", str(p), "--json"]) == 0
+    rows = {r["criterion"]: r for r in json.loads(capsys.readouterr().out)}
+    assert rows["corollary_main_b"]["threshold"] == rows["corollary_main_a"]["threshold"] == math.inf
 
 
 def test_check_missing_file_exits_2(capsys):

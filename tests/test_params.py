@@ -5,11 +5,12 @@ import pytest
 
 from conftest import bare
 from ndstab.eqspec import EquationSpec
-from ndstab.expr import add, const, scale, sin, tvar
+from ndstab.expr import DomainError, add, const, div, scale, sin, tvar
 from ndstab.params import (
     ANALYTIC,
     GRID_ESTIMATE,
     SummaryError,
+    estimate_limsup_int_b,
     integral_summary,
     simpson,
     summarize,
@@ -87,6 +88,58 @@ def test_simpson_exact_for_cubic():
     from ndstab.expr import mul
     e = mul(T, T, T)
     assert simpson(e, 0.0, 2.0, 8) == pytest.approx(4.0, abs=1e-13)
+
+
+def _families(spec):
+    """(lo, hi) limits of the h-, g- and limsup families integral_summary and
+    estimate_limsup_int_b integrate b over."""
+    ts = spec.grid(513)
+    for lower in (spec.h.eval_array(ts), spec.g.eval_array(ts)):
+        keep = lower >= spec.t0
+        yield lower[keep], ts[keep]
+    tau = summarize(spec).tau
+    tail = np.linspace(max(0.5 * (spec.t0 + spec.horizon), spec.t0 + tau), spec.horizon, 257)
+    yield tail - tau, tail
+
+
+def _one_by_one(expr, lo, hi):
+    return np.array([simpson(expr, float(a), float(b)) for a, b in zip(lo, hi)])
+
+
+def test_array_simpson_equals_scalar_calls(corpus):
+    # bit-identical per row: this guards numpy's per-row pairwise summation
+    for ex_id, spec in corpus.items():
+        for lo, hi in _families(spec):
+            assert np.array_equal(simpson(spec.b, lo, hi), _one_by_one(spec.b, lo, hi)), ex_id
+    spec = corpus["ex4"]
+    lo = np.array([0.5, 2.0, 2.0, 3.0])
+    hi = np.array([1.5, 2.0, 4.0, 3.0])  # zero-width rows give 0.0
+    assert np.array_equal(simpson(spec.b, lo, hi), _one_by_one(spec.b, lo, hi))
+    assert isinstance(simpson(spec.b, 0.5, 1.5), float)
+
+
+def test_array_simpson_raises_the_first_scalar_failure():
+    def first_error(expr, lo, hi):
+        with pytest.raises(ValueError) as one:
+            _one_by_one(expr, lo, hi)
+        with pytest.raises(ValueError) as batch:
+            simpson(expr, np.array(lo), np.array(hi))
+        assert (type(batch.value), str(batch.value)) == (type(one.value), str(one.value))
+        return batch.value
+
+    quotient = div(const(1.0), add(T, const(-5.0)))
+    assert "empty or reversed" in str(first_error(quotient, [0.0, 2.0, 1.0], [1.0, 1.0, 5.0]))
+    assert isinstance(first_error(quotient, [0.0, 1.0, 2.0], [1.0, 5.0, 1.0]), DomainError)
+    # the tree meets t = 7 before t = 3 in a joint evaluation; the row order decides
+    two_poles = add(div(const(1.0), add(T, const(-7.0))), div(const(1.0), add(T, const(-3.0))))
+    err = first_error(two_poles, [2.0, 6.0], [4.0, 8.0])
+    assert "t=3.0" in str(err)
+
+
+def test_limsup_estimate_matches_per_point_loop(ex4):
+    tau = summarize(ex4).tau
+    tail = np.linspace(max(0.5 * (ex4.t0 + ex4.horizon), ex4.t0 + tau), ex4.horizon, 257)
+    assert estimate_limsup_int_b(ex4, tau) == max(_one_by_one(ex4.b, tail - tau, tail).tolist())
 
 
 def test_integral_summary_pantograph(ex5):

@@ -34,13 +34,10 @@ def test_sweep_cells_match_main_test(ex2):
     rng = np.random.default_rng(42)
     alphas = rng.uniform(0.0, 1.0, 40)
     rs = rng.uniform(0.01, 0.25, 25)
-    rows = sweep_alpha_r(ex2, alphas, rs)
-    assert len(rows) == 1000
-    summary = summarize(ex2)
-    for row in rows:
-        s_r = summarize(scale_b(ex2, row.r), 101)
-        v = criteria.check_theorem1(s_r, row.alpha)
-        assert row.feasible == (v.applicable and v.satisfied), (row.alpha, row.r)
+    for row in sweep_alpha_r(ex2, alphas):
+        for r in rs:
+            v = criteria.check_theorem1(summarize(scale_b(ex2, r), 101), row.alpha)
+            assert (row.r_lower <= r < row.r_upper) == (v.applicable and v.satisfied), (row.alpha, r)
 
 
 def test_sweep_csv_deterministic(ex2):

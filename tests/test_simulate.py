@@ -313,6 +313,17 @@ def test_lemma5_violated():
     assert not ok and margin < 0.0
 
 
+def test_lemma5_matches_per_point_loop(corpus):
+    from ndstab.params import simpson
+
+    for ex_id, spec in corpus.items():
+        grid = np.linspace(spec.t0 + 1.0, spec.t0 + 50.0, 64)
+        sup = -math.inf
+        for t in grid:  # the reference: one quadrature per sample point
+            sup = max(sup, simpson(spec.b, spec.h.evaluate(float(t)), float(t)))
+        assert lemma5_condition(spec.b, spec.h, grid)[1] == 1.0 / math.e - sup, ex_id
+
+
 def test_lemma4_closed_form_ode():
     val = lemma4_check(const(1.0), T, np.linspace(0.0, 20.0, 201), 20.0, 1e-2)
     assert val <= 1.0 + 1e-3
