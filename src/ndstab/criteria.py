@@ -31,6 +31,8 @@ from .eqspec import EquationSpec
 from .params import (
     IntegralSummary,
     ParameterSummary,
+    QuadratureError,
+    SummaryError,
     estimate_limsup_int_b,
     integral_summary,
     summarize,
@@ -378,7 +380,8 @@ def check_theorem3(isummary: IntegralSummary, alpha: float) -> CriterionVerdict:
     return _decide("theorem3", margin, ASYMPTOTIC, cert, alpha, _T3_NOTES)
 
 
-def theorem3_not_applicable(spec: EquationSpec, reason: str, alpha: float) -> CriterionVerdict:
+def theorem3_not_applicable(spec: EquationSpec, reason: str,
+                            alpha: float | None) -> CriterionVerdict:
     """Theorem 3 verdict when the test cannot run: alpha = 0, or no integral
     summary.  Certified exactly when check_theorem3 would be."""
     cert = CERTIFIED if set(_FIELDS_T3) <= spec.overrides.keys() else NUMERIC
@@ -503,8 +506,8 @@ def best_verdict(
     if isummary is None:
         try:
             isummary = integral_summary(spec)
-        except ValueError:
-            isummary = None
+        except (SummaryError, QuadratureError) as exc:
+            verdicts.append(theorem3_not_applicable(spec, str(exc), None))
     if isummary is not None:
         a_star3 = optimal_alpha(isummary.tilde_tau0, isummary.tilde_delta)
         if a_star3 > 0.0:

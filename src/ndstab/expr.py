@@ -11,12 +11,18 @@ Expressions serialize to/from a nested-array JSON form, e.g.
     ["+", ["const", 0.498], ["scale", 0.001, ["cos", ["t"]]]]
 
 and the mapping is lossless in both directions.
+
+Scalar evaluation compiles each tree once: the first ``e.evaluate`` builds
+one Python function of t doing a tree walk's operations in its order, and
+caches it on the node.  Hot loops bind ``e.evaluate`` once.  ``eval_array``
+walks the tree with one numpy ufunc per node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -67,40 +73,17 @@ class Expr:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, t: float) -> float:
-        """Evaluate at a single time in double precision.
+    @cached_property
+    def evaluate(self):
+        """``e.evaluate(t)``: the value at one time in double precision, by
+        the function that the first access compiles and caches.  Raises
+        DomainError on division by zero; inf and nan results pass through.
+        Deterministic: identical inputs give bit-identical outputs."""
+        return _compile(self)
 
-        Raises DomainError on division by zero or a non-finite result.
-        Deterministic: identical inputs give bit-identical outputs.
-        """
-        k = self.kind
-        if k == "const":
-            return self.value
-        if k == "t":
-            return t
-        if k == "add":
-            out = 0.0
-            for c in self.args:
-                out += c.evaluate(t)
-            return out
-        if k == "mul":
-            out = 1.0
-            for c in self.args:
-                out *= c.evaluate(t)
-            return out
-        if k == "div":
-            den = self.args[1].evaluate(t)
-            if den == 0.0:
-                raise DomainError(f"division by zero at t={t}")
-            return self.args[0].evaluate(t) / den
-        if k == "sin":
-            return math.sin(self.args[0].evaluate(t))
-        if k == "cos":
-            return math.cos(self.args[0].evaluate(t))
-        if k == "abs":
-            return abs(self.args[0].evaluate(t))
-        # scale
-        return self.value * self.args[0].evaluate(t)
+    def __getstate__(self):
+        # the compiled function is rebuilt on demand, and cannot be pickled
+        return {k: v for k, v in self.__dict__.items() if k != "evaluate"}
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on a numpy array of times."""
@@ -152,6 +135,53 @@ class Expr:
         if k == "scale":
             return ["scale", self.value, self.args[0].to_json()]
         return [_JSON_TAGS[k]] + [c.to_json() for c in self.args]
+
+
+# -- compilation --------------------------------------------------------------
+
+# code objects by source, which all trees of one shape share (constants are names)
+_code = lru_cache(maxsize=256)(compile)
+
+
+def _compile(expr: Expr):
+    """Compile ``expr`` into one Python function of t doing a tree walk's
+    operations in its order: one statement per node (a nested expression
+    would hit CPython's limit of 200 nested parentheses), children left to
+    right, but a quotient's denominator computed and checked first.  A sum
+    starts from ``0.0 +`` (-0.0 becomes 0.0), a product from ``1.0 *``.
+    Constants are names in the namespace, never source text."""
+    names = {"_sin": math.sin, "_cos": math.cos, "_abs": abs, "DomainError": DomainError}
+    lines = []
+
+    def emit(e):
+        k = e.kind
+        if k == "t":
+            return "t"
+        if k in ("const", "scale"):
+            c = f"_c{len(names)}"
+            names[c] = e.value
+            if k == "const":
+                return c
+            rhs = f"{c} * {emit(e.args[0])}"
+        elif k == "div":
+            den = emit(e.args[1])
+            lines.append(f'if {den} == 0.0: raise DomainError(f"division by zero at t={{t}}")')
+            rhs = f"{emit(e.args[0])} / {den}"
+        elif k in ("add", "mul"):
+            terms = ["0.0" if k == "add" else "1.0"]
+            for c in e.args:
+                terms.append(emit(c))
+            rhs = (" + " if k == "add" else " * ").join(terms)
+        else:
+            rhs = f"_{k}({emit(e.args[0])})"
+        v = f"v{len(lines)}"
+        lines.append(f"{v} = {rhs}")
+        return v
+
+    out = emit(expr)
+    source = "def evaluate(t):\n" + "".join(f"    {x}\n" for x in lines) + f"    return {out}\n"
+    exec(_code(source, "<expr>", "exec"), names)
+    return names["evaluate"]
 
 
 # -- constructors ------------------------------------------------------------

@@ -92,8 +92,9 @@ def iterated_delay(spec: EquationSpec, t: float, k: int) -> float:
     if k < 0:
         raise ValueError("k must be >= 0")
     u = float(t)
+    g_at = spec.g.evaluate
     for _ in range(k):
-        u = spec.g.evaluate(u)
+        u = g_at(u)
         if not math.isfinite(u):
             raise DomainError(f"delay composition left the domain at u={u}")
     return u
@@ -191,20 +192,21 @@ def big_B(
 
     terms = _terms_for(ratio, summary.norm_b, tol) if ratio > 0.0 else 1
     bt = spec.b.evaluate(t)
+    a_at, g_at, h_at = spec.a.evaluate, spec.g.evaluate, spec.h.evaluate
     total = 0.0
     product = 1.0  # empty product
     u = float(t)
     for j in range(terms):
         total += product
-        arg = spec.h.evaluate(u)
+        arg = h_at(u)
         if arg >= spec.t0:
-            factor = spec.a.evaluate(arg)
+            factor = a_at(arg)
         else:
             factor = 0.0 if positive_part else summary.inf_a
         if positive_part:
             factor = max(factor, 0.0)
         product *= factor
-        u = spec.g.evaluate(u)
+        u = g_at(u)
     value = bt * total
     tail = _tail(ratio, summary.norm_b, terms)
 

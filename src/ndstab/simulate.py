@@ -12,7 +12,9 @@ retarded lag stays above a few steps, whole blocks of steps reduce to a
 quadrature accumulation and are evaluated vectorized; otherwise a scalar
 loop runs, interpolating y linearly inside the current step for lookups
 that land past the last accepted node (this makes the scheme collapse to
-plain RK4 on ordinary equations).
+plain RK4 on ordinary equations).  The scalar loop runs on Python floats:
+x is one list (a neutral lookup can reach anywhere back); the other inputs
+are read, and x and y written back, in blocks of steps.
 
 On the vectorized path, a node whose neutral argument g(t) lies past the
 start of its block is recovered by wavefront: the longest run of such
@@ -46,6 +48,10 @@ _DEGENERATE_LAG = 1e-14
 # formatting, and one string for the whole trajectory would hold every row
 # in memory at once.
 _CSV_BLOCK_ROWS = 4096
+
+# Steps per block of the scalar loop, which reads its inputs as Python lists
+# (numpy scalar indexing costs more than the arithmetic) one block at a time.
+_SCALAR_BLOCK_STEPS = 4096
 
 
 class FixedPointDivergence(RuntimeError):
@@ -294,23 +300,6 @@ def _fixed_point(i, j, frac, x, yi, ai, t_i, fp_tol, fp_max_iter, stats):
     raise _divergence(t_i)
 
 
-def _recover_node(i, x, y, a_n, g_n, t0, step, hist_scalar, fp_tol, fp_max_iter, stats):
-    """Scalar recovery of x[i] = y[i] + a(t_i) x(g(t_i))."""
-    yi = y[i]
-    ai = a_n[i]
-    q = g_n[i]
-    t_i = t0 + step * i
-    if t_i - q < _DEGENERATE_LAG:
-        x[i] = yi / (1.0 - ai)
-        return
-    if q < t0:
-        x[i] = yi + ai * float(hist_scalar(q))
-        return
-    pos = (q - t0) / step
-    j = min(int(pos), i - 1)
-    _fixed_point(i, j, pos - j, x, yi, ai, t_i, fp_tol, fp_max_iter, stats)
-
-
 def _advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
                      t0, step, n_steps, k_chunk, fp_tol, fp_max_iter, stats):
     # All stage lookups inside a chunk land at or before the chunk start,
@@ -412,11 +401,11 @@ def _wavefront(nodes, jn, fn, x, y, a_n, t0, step, fp_tol, fp_max_iter, stats):
 
 def _advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
                     hist_scalar, t0, step, n_steps, fp_tol, fp_max_iter, stats):
-    a_expr, g_expr = spec.a, spec.g
-    xl = x  # direct array access; scalar loop
+    a_at, g_at = spec.a.evaluate, spec.g.evaluate
+    xl = x.tolist()
     inv_step = 1.0 / step
 
-    def lookup_committed(q, n):
+    def lookup_committed(q):
         if q < t0:
             return float(hist_scalar(q))
         pos = (q - t0) * inv_step
@@ -424,54 +413,60 @@ def _advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
         frac = pos - j
         return xl[j] + frac * (xl[j + 1] - xl[j])
 
-    def x_in_step(q, s, y_s, n, depth=0):
-        # Lookup past the last accepted node: interpolate y linearly on
+    def x_in_step(q, s, y_s, depth=0):
+        # Lookup past the last accepted node t_n: interpolate y linearly on
         # [t_n, s] using the current stage estimate, then unwind the neutral
         # term (contraction, so the recursion depth is effectively bounded).
-        t_n = tn[n]
         if s > t_n:
-            y_q = y[n] + (y_s - y[n]) * (q - t_n) / (s - t_n)
+            y_q = yn + (y_s - yn) * (q - t_n) / (s - t_n)
         else:
-            y_q = y[n]
-        aq = a_expr.evaluate(q)
-        gq = g_expr.evaluate(q)
-        if q - gq < _DEGENERATE_LAG:
-            return y_q / (1.0 - aq)
+            y_q = yn
+        aq = a_at(q)
+        gq = g_at(q)
+        if q - gq < _DEGENERATE_LAG:  # at a = 1, numpy's inf or nan and warning
+            return y_q / d if (d := 1.0 - aq) else np.float64(y_q) / d
         if gq <= t_n:
-            return y_q + aq * lookup_committed(gq, n)
+            return y_q + aq * lookup_committed(gq)
         if depth >= 100:
             return y_q
-        return y_q + aq * x_in_step(gq, s, y_s, n, depth + 1)
+        return y_q + aq * x_in_step(gq, s, y_s, depth + 1)
 
-    def f_stage(j, s, y_s, n):
-        q = h_s[j]
-        if q <= tn[n]:
-            xq = lookup_committed(q, n)
-        else:
-            xq = x_in_step(q, s, y_s, n)
-        return -b_s[j] * xq + f_s[j]
+    def f_stage(k, s, y_s):
+        q = hs[k]
+        xq = lookup_committed(q) if q <= t_n else x_in_step(q, s, y_s)
+        return -bs[k] * xq + fs[k]
 
-    # every node goes through _recover_node; count its branches up front
-    qg = g_n[1:]
-    near = tn[1:] - qg < _DEGENERATE_LAG
-    below = ~near & (qg < t0)
-    rest = np.flatnonzero(~(near | below)) + 1
-    j, _ = _interp_index(g_n[rest], t0, step, rest - 1)
-    stats.near, stats.below = int(np.count_nonzero(near)), int(np.count_nonzero(below))
-    stats.self_ref = int(np.count_nonzero(j + 1 == rest))
-    stats.hard = len(rest) - stats.self_ref
-
-    half = 0.5 * step
-    for n in range(n_steps):
-        t = tn[n]
-        yn = y[n]
-        j = 2 * n
-        k1 = f_stage(j, t, yn, n)
-        k2 = f_stage(j + 1, t + half, yn + half * k1, n)
-        k3 = f_stage(j + 1, t + half, yn + half * k2, n)
-        k4 = f_stage(j + 2, t + step, yn + step * k3, n)
-        y[n + 1] = yn + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _recover_node(n + 1, x, y, a_n, g_n, t0, step, hist_scalar, fp_tol, fp_max_iter, stats)
+    half, sixth = 0.5 * step, step / 6.0
+    near = below = self_ref = 0
+    for lo in range(0, n_steps, _SCALAR_BLOCK_STEPS):
+        hi = min(lo + _SCALAR_BLOCK_STEPS, n_steps)
+        tb, ab, gb, yb = (v[lo:hi + 1].tolist() for v in (tn, a_n, g_n, y))
+        bs, hs, fs = (v[2 * lo:2 * hi + 1].tolist() for v in (b_s, h_s, f_s))
+        for m in range(hi - lo):
+            n, t_n, yn = lo + m, tb[m], yb[m]
+            k = 2 * m
+            k1 = f_stage(k, t_n, yn)
+            k2 = f_stage(k + 1, t_n + half, yn + half * k1)
+            k3 = f_stage(k + 1, t_n + half, yn + half * k2)
+            k4 = f_stage(k + 2, t_n + step, yn + step * k3)
+            yi = yb[m + 1] = yn + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # recover x at node i = n + 1 from y
+            i, ai, q, t_i = n + 1, ab[m + 1], gb[m + 1], tb[m + 1]
+            if t_i - q < _DEGENERATE_LAG:
+                near += 1
+                xl[i] = yi / d if (d := 1.0 - ai) else np.float64(yi) / d
+            elif q < t0:
+                below += 1
+                xl[i] = yi + ai * float(hist_scalar(q))
+            else:
+                pos = (q - t0) / step
+                j = min(int(pos), n)
+                self_ref += j == n
+                _fixed_point(i, j, pos - j, xl, yi, ai, t_i, fp_tol, fp_max_iter, stats)
+        y[lo:hi + 1] = yb
+        x[lo:hi + 1] = xl[lo:hi + 1]
+    stats.near, stats.below, stats.self_ref = near, below, self_ref
+    stats.hard = n_steps - near - below - self_ref
 
 
 def fundamental(b: Expr, h: Expr, s: float, t_end: float, step: float) -> Trajectory:

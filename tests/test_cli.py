@@ -106,6 +106,19 @@ def test_check_fixed_alpha_reports_theorem3(tmp_path, capsys):
     assert not bad["applicable"] and bad["notes"][0].startswith("need 0 <= tilde_delta <= tilde_tau")
 
 
+def test_check_best_verdict_reports_theorem3_without_integral_summary(tmp_path, capsys):
+    spec = json.loads(Path(corpus_path("ex5")).read_text())
+    spec["overrides"].update(tilde_tau=0.1, tilde_delta=0.2)
+    p = tmp_path / "inconsistent.json"
+    p.write_text(json.dumps(spec))
+    assert run(["check", str(p), "--json"]) == 0
+    t3 = [v for v in json.loads(capsys.readouterr().out) if v["criterion"] == "theorem3"]
+    assert len(t3) == 1 and not t3[0]["applicable"] and t3[0]["alpha"] is None
+    assert t3[0]["notes"][0] == "need 0 <= tilde_delta <= tilde_tau, got 0.2, 0.1"
+    assert run(["check", str(p)]) == 0
+    assert "theorem3           not applicable  [asymptotic" in capsys.readouterr().out
+
+
 def test_zero_lags_sweep_and_compare_exit_0(tmp_path, capsys):
     # tau = sigma = 0: the main test holds at every amplitude
     p = tmp_path / "zero_lags.json"

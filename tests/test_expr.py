@@ -1,5 +1,8 @@
 import json
 import math
+import pickle
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -96,3 +99,107 @@ def test_parse_rejects_garbage():
 def test_json_examples_from_docs():
     e = parse_expr(["+", ["const", 0.498], ["*", ["const", 0.001], ["cos", ["t"]]]])
     assert e.evaluate(0.0) == pytest.approx(0.499, abs=1e-15)
+
+
+# -- compiled evaluate against the recursive tree walk it replaced -----------------
+
+def _walk(e, t):
+    """Scalar evaluation as a recursive tree walk: the reference."""
+    k = e.kind
+    if k == "const":
+        return e.value
+    if k == "t":
+        return t
+    if k == "add":
+        out = 0.0
+        for c in e.args:
+            out += _walk(c, t)
+        return out
+    if k == "mul":
+        out = 1.0
+        for c in e.args:
+            out *= _walk(c, t)
+        return out
+    if k == "div":
+        den = _walk(e.args[1], t)
+        if den == 0.0:
+            raise DomainError(f"division by zero at t={t}")
+        return _walk(e.args[0], t) / den
+    if k == "sin":
+        return math.sin(_walk(e.args[0], t))
+    if k == "cos":
+        return math.cos(_walk(e.args[0], t))
+    if k == "abs":
+        return abs(_walk(e.args[0], t))
+    return e.value * _walk(e.args[0], t)
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 1.0, -2.5, 0.5, 3.0]
+
+
+def _random_tree(rng, depth):
+    kinds = ["const", "t"] if depth == 0 else ["const", "t", "add", "mul", "div", "sin", "cos",
+                                              "abs", "scale", "div", "add"]
+    k = rng.choice(kinds)
+    if k == "const":
+        return const(rng.choice(SPECIAL + [rng.uniform(-4.0, 4.0)]))
+    if k == "t":
+        return T
+    if k == "scale":
+        return scale(rng.choice(SPECIAL), _random_tree(rng, depth - 1))
+    if k in ("add", "mul"):
+        return (add if k == "add" else mul)(*(_random_tree(rng, depth - 1)
+                                              for _ in range(rng.randint(1, 3))))
+    if k == "div":
+        return div(_random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+    return {"sin": sin, "cos": cos, "abs": absval}[k](_random_tree(rng, depth - 1))
+
+
+def _outcome(fn, e, t):
+    try:
+        v = fn(e, t)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return float, "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def test_compiled_evaluate_matches_tree_walk_bitwise():
+    rng = random.Random(20261018)
+    ts = [-0.0, 0.0, 1e308, -1e308, math.nan, math.inf, 5e-324, 0.25, -3.7, 12.5]
+    seen = set()
+    for _ in range(1500):
+        e = _random_tree(rng, rng.randint(0, 4))
+        for t in ts:
+            got, want = _outcome(lambda e, t: e.evaluate(t), e, t), _outcome(_walk, e, t)
+            assert got == want, (e.to_json(), t)
+            seen.add(want[0])
+    assert seen == {float, DomainError, ValueError}  # math.sin(inf) raises ValueError
+
+
+def test_compiled_evaluate_special_cases():
+    assert struct.pack("<d", add(const(-0.0)).evaluate(1.0)) == struct.pack("<d", 0.0)
+    assert math.isinf(const(math.inf).evaluate(0.0))
+    assert math.isnan(mul(const(math.nan), T).evaluate(2.0))
+    # the denominator is computed and checked before the numerator, whose
+    # sin(inf) would raise ValueError
+    e = div(sin(const(math.inf)), add(T, const(-1.0)))
+    with pytest.raises(DomainError, match=r"division by zero at t=1.0"):
+        e.evaluate(1.0)
+    with pytest.raises(ValueError, match="math domain error"):
+        e.evaluate(2.0)
+    # one statement per node: deeper than the parser's 200 nested parentheses
+    deep = T
+    for _ in range(300):
+        deep = sin(deep)
+    assert deep.evaluate(0.7) == _walk(deep, 0.7)
+
+
+def test_compiled_evaluate_is_cached_and_pickles():
+    e = CORPUS_EXPRS["t - 0.2 |cos t|"]
+    assert e.evaluate is e.evaluate
+    # trees of one shape share one code object, each with its own constants
+    f, g = (parse_expr(["+", ["t"], ["scale", c, ["abs", ["cos", ["t"]]]]]) for c in (0.5, -0.2))
+    assert f.evaluate.__code__ is g.evaluate.__code__
+    assert f.evaluate(3.0) != g.evaluate(3.0) == e.evaluate(3.0)
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e and again.evaluate(3.0) == e.evaluate(3.0)

@@ -264,6 +264,188 @@ def test_block_csv_writer_matches_per_row_format():
     assert out.getvalue() == "t,x,y\r\n" + "".join(rows)
 
 
+# -- scalar loop on Python floats against its numpy-scalar form ---------------------
+
+def _reference_recover_node(i, x, y, a_n, g_n, t0, step, hist_scalar, fp_tol, fp_max_iter,
+                            stats):
+    yi = y[i]
+    ai = a_n[i]
+    q = g_n[i]
+    t_i = t0 + step * i
+    if t_i - q < 1e-14:
+        x[i] = yi / (1.0 - ai)
+        return
+    if q < t0:
+        x[i] = yi + ai * float(hist_scalar(q))
+        return
+    pos = (q - t0) / step
+    j = min(int(pos), i - 1)
+    frac = pos - j
+    x[i] = x[i - 1]
+    for it in range(1, fp_max_iter + 1):
+        new = yi + ai * (x[j] + frac * (x[j + 1] - x[j]))
+        resid = abs(new - x[i])
+        x[i] = new
+        if resid < fp_tol:
+            stats.iters_max = max(stats.iters_max, it)
+            stats.resid_max = max(stats.resid_max, resid)
+            return
+    raise FixedPointDivergence(
+        f"x-recovery did not contract at t={t_i} (|a| >= 1 or broken spec?)")
+
+
+def _reference_advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
+                              hist_scalar, t0, step, n_steps, fp_tol, fp_max_iter, stats):
+    """The scalar loop as it was before it ran on Python floats: numpy
+    scalar reads and writes, one node recovery call per step."""
+    a_expr, g_expr = spec.a, spec.g
+    inv_step = 1.0 / step
+
+    def lookup_committed(q, n):
+        if q < t0:
+            return float(hist_scalar(q))
+        pos = (q - t0) * inv_step
+        j = min(int(pos), n - 1)
+        frac = pos - j
+        return x[j] + frac * (x[j + 1] - x[j])
+
+    def x_in_step(q, s, y_s, n, depth=0):
+        t_n = tn[n]
+        if s > t_n:
+            y_q = y[n] + (y_s - y[n]) * (q - t_n) / (s - t_n)
+        else:
+            y_q = y[n]
+        aq = a_expr.evaluate(q)
+        gq = g_expr.evaluate(q)
+        if q - gq < 1e-14:
+            return y_q / (1.0 - aq)
+        if gq <= t_n:
+            return y_q + aq * lookup_committed(gq, n)
+        if depth >= 100:
+            return y_q
+        return y_q + aq * x_in_step(gq, s, y_s, n, depth + 1)
+
+    def f_stage(j, s, y_s, n):
+        q = h_s[j]
+        if q <= tn[n]:
+            xq = lookup_committed(q, n)
+        else:
+            xq = x_in_step(q, s, y_s, n)
+        return -b_s[j] * xq + f_s[j]
+
+    qg = g_n[1:]
+    near = tn[1:] - qg < 1e-14
+    below = ~near & (qg < t0)
+    rest = np.flatnonzero(~(near | below)) + 1
+    j = np.minimum(np.floor((g_n[rest] - t0) / step).astype(np.int64), rest - 1)
+    stats.near, stats.below = int(np.count_nonzero(near)), int(np.count_nonzero(below))
+    stats.self_ref = int(np.count_nonzero(j + 1 == rest))
+    stats.hard = len(rest) - stats.self_ref
+
+    half = 0.5 * step
+    for n in range(n_steps):
+        t = tn[n]
+        yn = y[n]
+        j = 2 * n
+        k1 = f_stage(j, t, yn, n)
+        k2 = f_stage(j + 1, t + half, yn + half * k1, n)
+        k3 = f_stage(j + 1, t + half, yn + half * k2, n)
+        k4 = f_stage(j + 2, t + step, yn + step * k3, n)
+        y[n + 1] = yn + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _reference_recover_node(n + 1, x, y, a_n, g_n, t0, step, hist_scalar, fp_tol,
+                                fp_max_iter, stats)
+
+
+def _scalar_both(monkeypatch, run, *args):
+    new = run(*args)
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_advance_scalar", _reference_advance_scalar)
+        ref = run(*args)
+    return new, ref
+
+
+B = simulate._SCALAR_BLOCK_STEPS
+# neutral lag half a step: every node after t0 + 5e-4 refers to itself
+SELF_NODES = spec_of(const(0.4), const(1.0), add(T, const(-5e-4)), add(T, const(-2e-3)))
+# retarded lag under one step, neutral lag shorter still: stage lookups land
+# inside the current step and unwind the neutral term recursively
+IN_STEP = spec_of(add(const(0.3), scale(0.2, sin(T))), const(0.8),
+                  add(T, const(-3e-4)), add(T, scale(-6e-4, absval(sin(T))), const(-2e-4)))
+# lags of 50 and 5 steps: x(g) and x(h) read the history for a while
+LONG_NEUTRAL = spec_of(scale(0.5, sin(T)), add(const(1.0), scale(0.3, sin(T))),
+                       add(T, const(-0.05)), add(T, const(-5e-3)), t0=0.5)
+# both lags exactly half a step: some stage lookups land on t_n itself
+HALF_STEP = spec_of(const(0.4), const(1.0), add(T, const(-5e-4)), add(T, const(-5e-4)))
+SCALAR_CASES = {
+    "half_step": (HALF_STEP, 1.0, 2.0),
+    "self_nodes": (SELF_NODES, 1.0, 2.0),
+    "in_step": (IN_STEP, 1.0, 2.0),
+    "expr_history": (LONG_NEUTRAL, sin(scale(3.0, T)), 1.5),
+    "callable_history": (LONG_NEUTRAL, lambda t: math.cos(3.0 * t) - t, 1.5),
+    "expr_forcing": (SELF_NODES, 0.0, 2.0, sin(scale(2.0, T))),
+    "block_minus_one": (SELF_NODES, 1.0, (2 * B - 1) * 1e-3),
+    "block": (LONG_NEUTRAL, SeededHistory(5, -1.0, 0.5), 0.5 + 2 * B * 1e-3),
+    "block_plus_one": (IN_STEP, 1.0, (2 * B + 1) * 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+def test_scalar_loop_matches_numpy_scalar_loop(monkeypatch, name):
+    spec, history, t_end, *forcing = SCALAR_CASES[name]
+    new, ref = _scalar_both(monkeypatch, integrate, spec, history, t_end, 1e-3, *forcing)
+    assert new.path == "scalar"
+    assert np.array_equal(new.x, ref.x)
+    assert np.array_equal(new.y, ref.y)
+    assert (new.fp_iterations_max, new.fp_residual_max) == (ref.fp_iterations_max,
+                                                            ref.fp_residual_max)
+    counts = [(t.nodes_near, t.nodes_below, t.nodes_easy, t.nodes_hard, t.nodes_self)
+              for t in (new, ref)]
+    assert counts[0] == counts[1]
+    if name.startswith("block"):
+        assert new.n - 1 == {"block_minus_one": 2 * B - 1, "block": 2 * B,
+                             "block_plus_one": 2 * B + 1}[name]
+    if name == "self_nodes":
+        assert new.nodes_self > 0
+    if name.endswith("history"):
+        assert new.nodes_below > 0 and new.nodes_hard > 0
+
+
+def test_scalar_loop_singular_near_node_matches_numpy(monkeypatch):
+    # a = 1 with g(t) = t: x = y / 0 gives numpy's inf and nan, as before,
+    # not a ZeroDivisionError, at the nodes and inside the step
+    spec = spec_of(const(1.0), const(1.0), T, add(T, const(-5e-4)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new, ref = _scalar_both(monkeypatch, integrate, spec, 1.0, 0.05, 1e-3)
+    assert new.path == "scalar" and not np.isfinite(new.x[1:]).any()
+    assert np.array_equal(new.x, ref.x, equal_nan=True)
+    assert np.array_equal(new.y, ref.y, equal_nan=True)
+
+
+def test_fundamental_matches_numpy_scalar_loop(monkeypatch):
+    # g(t) = t: every node takes the closed-form branch
+    new, ref = _scalar_both(monkeypatch, fundamental, const(0.3), add(T, const(-2e-3)),
+                            0.5, 3.0, 1e-3)
+    assert new.path == "scalar" and new.nodes_near == new.n - 1
+    assert np.array_equal(new.x, ref.x) and np.array_equal(new.y, ref.y)
+
+
+@pytest.mark.parametrize("case", ["expanding", "one_iteration_allowed"])
+def test_scalar_divergence_reports_the_same_node(monkeypatch, case):
+    if case == "expanding":
+        args = (spec_of(const(1.5), const(1.0), add(T, const(-1e-4)), add(T, const(-2e-3))),
+                1.0, 0.5, 1e-3)
+    else:
+        args = (LONG_NEUTRAL, 1.0, 1.5, 1e-3, None, None, 1e-12, 1)
+    messages = []
+    for advance in (simulate._advance_scalar, _reference_advance_scalar):
+        monkeypatch.setattr(simulate, "_advance_scalar", advance)
+        with pytest.raises(FixedPointDivergence) as exc, \
+                np.errstate(over="ignore", invalid="ignore"):
+            integrate(*args)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 # -- fundamental function -----------------------------------------------------------
 
 def test_fundamental_ode():
