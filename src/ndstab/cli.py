@@ -87,6 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_validated(path, grid: int = 100_000):
+    """The spec at ``path`` and its validation report, which carries the
+    grid extrema for ``summarize``."""
     spec = load_spec(path)
     rep = validate(spec, grid)
     if not rep.passed:
@@ -95,7 +97,7 @@ def _load_validated(path, grid: int = 100_000):
             wit = ", ".join(f"{w:g}" for w in c.witnesses)
             lines.append(f"  [{c.check_id}] {c.description}; witness t = {wit}")
         raise SpecError("\n".join(lines))
-    return spec
+    return spec, rep
 
 
 def _parse_history(text: str, spec, seed: int):
@@ -162,8 +164,8 @@ def _cmd_check(args) -> int:
     alpha = _parse_alpha(args.alpha)
     if args.grid < 2:
         raise SpecError(f"--grid must be at least 2, got {args.grid}")
-    spec = _load_validated(args.spec, args.grid)
-    summary = summarize(spec, args.grid)
+    spec, rep = _load_validated(args.spec, args.grid)
+    summary = summarize(spec, args.grid, extrema=rep)
     if alpha is None:
         verdicts = criteria.best_verdict(spec, summary)
     else:
@@ -195,7 +197,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args, seed: int) -> int:
-    spec = _load_validated(args.spec)
+    spec, _ = _load_validated(args.spec)
     _check_window(spec.t0, args.t_end, args.step)
     history = _parse_history(args.history, spec, seed)
     traj = integrate(spec, history, args.t_end, args.step)
@@ -209,9 +211,9 @@ def _cmd_simulate(args, seed: int) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _load_validated(args.spec)
+    spec, rep = _load_validated(args.spec)
     alphas = _parse_alpha_grid(args.alpha_grid)
-    rows = report.sweep_alpha_r(spec, alphas)
+    rows = report.sweep_alpha_r(spec, alphas, summary=summarize(spec, extrema=rep))
     fh, close = _open_out(args.out)
     try:
         report.write_sweep_csv(rows, fh)
@@ -254,10 +256,10 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    spec = _load_validated(args.spec)
-    rows = report.compare_baselines(spec)
+    spec, rep = _load_validated(args.spec)
+    rows = report.compare_baselines(spec, summary=summarize(spec, extrema=rep))
     if args.json:
-        print(json.dumps(rows, indent=2))
+        print(json.dumps(rows, indent=2, allow_nan=False))
     else:
         print(f"{'criterion':<18} {'scale':<14} {'threshold':<12} applicable  note")
         for r in rows:
@@ -267,7 +269,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_fundamental(args) -> int:
-    spec = _load_validated(args.spec)
+    spec, _ = _load_validated(args.spec)
     _check_window(args.s, args.t_end, args.step)
     traj = fundamental(spec.b, spec.h, args.s, args.t_end, args.step)
     fh, close = _open_out(args.out)

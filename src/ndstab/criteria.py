@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from .eqspec import EquationSpec
 from .params import (
+    IntegralsOfB,
     IntegralSummary,
     ParameterSummary,
     QuadratureError,
@@ -503,9 +504,10 @@ def best_verdict(
     verdicts.append(check_theorem2_remark(summary, a_star2))
     verdicts.extend(check_corollary5(summary))
 
+    integrals = IntegralsOfB(spec)  # one table of the integral of b for both estimates
     if isummary is None:
         try:
-            isummary = integral_summary(spec)
+            isummary = integral_summary(spec, integrals)
         except (SummaryError, QuadratureError) as exc:
             verdicts.append(theorem3_not_applicable(spec, str(exc), None))
     if isummary is not None:
@@ -518,7 +520,7 @@ def best_verdict(
         limsup = summary.limsup_int_b
     else:
         try:
-            limsup = estimate_limsup_int_b(spec, summary.tau) if summary.tau > 0.0 else 0.0
+            limsup = estimate_limsup_int_b(spec, summary.tau, integrals) if summary.tau > 0.0 else 0.0
         except ValueError:
             limsup = None
     if limsup is not None:

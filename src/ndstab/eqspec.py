@@ -4,7 +4,9 @@ An EquationSpec bundles the four coefficient/delay expressions, an optional
 forcing term, the analysis window [t0, horizon] standing in for the right
 half-line, and optional analytic overrides for the scalar bounds that the
 stability tests consume.  ``validate`` checks the structural assumptions on
-a dense uniform grid and reports witnesses for every violation.
+a dense uniform grid and reports witnesses for every violation, together
+with the grid extrema that ``params.summarize`` turns into scalar bounds;
+one pass over the grid, in blocks, computes both.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import Expr, parse_expr
+from .expr import DomainError, Expr, parse_expr
 
 # Override keys accepted in spec files.  The tilde_* entries bound the
 # integrals of b over the delay intervals; limsup_int_b feeds the classical
@@ -135,17 +137,28 @@ class AssumptionCheck:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    """Per-assumption verdicts plus grid-estimated scalar bounds."""
+class GridExtrema:
+    """Grid extrema of the coefficients and lags over ``grid_points``
+    uniform samples of the window: sup |a|, inf a, sup a+, sup a-, sup b,
+    inf b, sup (t - g(t)), and sup and inf of t - h(t)."""
 
-    checks: tuple[AssumptionCheck, ...]
     norm_a: float
-    inf_b: float
+    inf_a: float
+    norm_a_plus: float
+    norm_a_minus: float
     norm_b: float
+    inf_b: float
     sigma: float
     tau: float
     delta: float
     grid_points: int
+
+
+@dataclass(frozen=True)
+class ValidationReport(GridExtrema):
+    """Per-assumption verdicts plus the grid extrema they were sampled with."""
+
+    checks: tuple[AssumptionCheck, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -180,13 +193,109 @@ class ValidationReport:
 
 _MAX_WITNESSES = 8
 
+# Points per sampling block.  Blocks of 8192 doubles (64 KiB) stay below
+# glibc's mmap threshold, so the allocator reuses them instead of mapping
+# fresh zeroed pages for every array, as it does for 100k-point arrays.
+SAMPLE_BLOCK = 8192
 
-def _check(check_id, description, ts, bad_mask) -> AssumptionCheck:
-    idx = np.nonzero(bad_mask)[0]
-    if idx.size == 0:
-        return AssumptionCheck(check_id, description, True)
-    wit = tuple(float(ts[i]) for i in idx[:_MAX_WITNESSES])
-    return AssumptionCheck(check_id, description, False, wit)
+
+def grid_blocks(spec: EquationSpec, points: int):
+    """``spec.grid(points)`` in consecutive blocks of at most SAMPLE_BLOCK
+    points, bit for bit: each node is i * step + t0 and the last is the
+    horizon, as numpy's ``linspace`` computes them."""
+    step = (spec.horizon - spec.t0) / (points - 1)
+    for start in range(0, points, SAMPLE_BLOCK):
+        ts = np.arange(start, min(start + SAMPLE_BLOCK, points), dtype=float)
+        ts *= step
+        ts += spec.t0
+        if start + SAMPLE_BLOCK >= points:
+            ts[-1] = spec.horizon
+        yield ts
+
+
+class _Witnesses:
+    """The first _MAX_WITNESSES flagged times of one check, over all blocks."""
+
+    def __init__(self):
+        self.times: list[float] = []
+
+    def add(self, ts, bad_mask) -> None:
+        room = _MAX_WITNESSES - len(self.times)
+        if room > 0:
+            self.times.extend(ts[np.flatnonzero(bad_mask)[:room]].tolist())
+
+    def check(self, check_id, description) -> AssumptionCheck:
+        return AssumptionCheck(check_id, description, not self.times, tuple(self.times))
+
+
+_SAMPLED_CHECKS = (
+    ("a1_a", "|a(t)| <= A0 < 1"),
+    ("a1_b", "0 < b0 <= b(t) <= B0"),
+    ("a3_g", "g(t) <= t"),
+    ("a3_h", "h(t) <= t"),
+    ("a4", "0 <= t-g(t) and 0 <= t-h(t) with finite bounds"),
+)
+
+
+# how each field of GridExtrema combines over blocks, in field order
+_COMBINE = (np.max, np.min, np.max, np.max, np.max, np.min, np.max, np.max, np.min)
+
+
+def _sample(spec: EquationSpec, points: int) -> tuple[GridExtrema, dict[str, AssumptionCheck]]:
+    """One pass over the grid in blocks: the grid extrema, and the checks of
+    _SAMPLED_CHECKS by id.  Per-block extrema combine exactly, so the values
+    equal those of whole-grid reductions."""
+    rows = []
+    wit = {cid: _Witnesses() for cid, _ in _SAMPLED_CHECKS}
+    for ts in grid_blocks(spec, points):
+        try:
+            av = spec.a.eval_array(ts)
+            bv = spec.b.eval_array(ts)
+            gv = spec.g.eval_array(ts)
+            hv = spec.h.eval_array(ts)
+        except DomainError:
+            # raise what whole-grid evaluation in the order a, b, g, h raises
+            for e in (spec.a, spec.b, spec.g, spec.h):
+                e.eval_array(spec.grid(points))
+            raise
+        abs_a = np.abs(av)
+        lag_g = ts - gv
+        lag_h = ts - hv
+        rows.append((np.max(abs_a), np.min(av), np.max(np.maximum(av, 0.0)),
+                     np.max(np.maximum(-av, 0.0)), np.max(bv), np.min(bv),
+                     np.max(lag_g), np.max(lag_h), np.min(lag_h)))
+        wit["a1_a"].add(ts, abs_a >= 1.0)
+        wit["a1_b"].add(ts, bv <= 0.0)
+        wit["a3_g"].add(ts, lag_g < 0.0)
+        wit["a3_h"].add(ts, lag_h < 0.0)
+        wit["a4"].add(ts, ~np.isfinite(lag_g) | ~np.isfinite(lag_h))
+    per_block = np.array(rows)
+    extrema = GridExtrema(*(float(f(per_block[:, i])) for i, f in enumerate(_COMBINE)),
+                          grid_points=points)
+    return extrema, {cid: wit[cid].check(cid, description) for cid, description in _SAMPLED_CHECKS}
+
+
+def grid_extrema(spec: EquationSpec, grid_points: int) -> GridExtrema:
+    """The grid extrema alone, without the structural checks."""
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
+    return _sample(spec, grid_points)[0]
+
+
+def _domain_check(label, den, spec, points) -> AssumptionCheck:
+    """Zero, non-finite, or a sign change between adjacent samples (across
+    block boundaries too) of one quotient denominator."""
+    wit = _Witnesses()
+    last_sign = 0.0
+    for ts in grid_blocks(spec, points):
+        dv = den.eval_array(ts)
+        sign = np.sign(dv)
+        sign_change = np.empty(len(ts), dtype=bool)
+        sign_change[0] = sign[0] * last_sign < 0
+        sign_change[1:] = sign[1:] * sign[:-1] < 0
+        wit.add(ts, (dv == 0.0) | ~np.isfinite(dv) | sign_change)
+        last_sign = sign[-1]
+    return wit.check(f"domain_{label}", f"quotient denominator in {label}(t) bounded away from zero")
 
 
 def validate(spec: EquationSpec, grid_points: int = 100_000) -> ValidationReport:
@@ -197,71 +306,29 @@ def validate(spec: EquationSpec, grid_points: int = 100_000) -> ValidationReport
     sign; |a| stays below 1 and b stays positive and bounded; g(t) <= t and
     h(t) <= t; the delays reach past t0 by the end of the window (finite-
     horizon proxy for the delays being unbounded above); the lags
-    t - g(t) and t - h(t) are nonnegative with finite bounds.
+    t - g(t) and t - h(t) are nonnegative with finite bounds.  The report
+    carries the grid extrema, sampled in the same pass as the checks.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    ts = spec.grid(grid_points)
-    checks: list[AssumptionCheck] = []
-
-    # Quotient denominators: zero or a sign change across adjacent samples
-    # means the expression is not bounded away from zero on the window.
-    for label, e in (("a", spec.a), ("b", spec.b), ("g", spec.g), ("h", spec.h)):
-        for den in e.denominators():
-            dv = den.eval_array(ts)
-            bad = (dv == 0.0) | ~np.isfinite(dv)
-            sign_change = np.zeros_like(bad)
-            sign_change[1:] = np.sign(dv[1:]) * np.sign(dv[:-1]) < 0
-            checks.append(_check(
-                f"domain_{label}",
-                f"quotient denominator in {label}(t) bounded away from zero",
-                ts, bad | sign_change,
-            ))
+    # Quotient denominators first, over the whole grid: a zero denominator
+    # would raise from the evaluation of a, b, g or h.
+    checks = [_domain_check(label, den, spec, grid_points)
+              for label, e in (("a", spec.a), ("b", spec.b), ("g", spec.g), ("h", spec.h))
+              for den in e.denominators()]
     if any(not c.passed for c in checks):
         # a singular coefficient cannot be sampled further; the domain
         # entries already carry witnesses
-        nan = float("nan")
-        return ValidationReport(checks=tuple(checks), norm_a=nan, inf_b=nan,
-                                norm_b=nan, sigma=nan, tau=nan, delta=nan,
-                                grid_points=grid_points)
+        return ValidationReport(*(float("nan"),) * len(_COMBINE), grid_points, tuple(checks))
 
-    av = spec.a.eval_array(ts)
-    bv = spec.b.eval_array(ts)
-    gv = spec.g.eval_array(ts)
-    hv = spec.h.eval_array(ts)
-
-    norm_a = float(np.max(np.abs(av)))
-    inf_b = float(np.min(bv))
-    norm_b = float(np.max(bv))
-    lag_g = ts - gv
-    lag_h = ts - hv
-    sigma = float(np.max(lag_g))
-    tau = float(np.max(lag_h))
-    delta = float(np.min(lag_h))
-
-    checks.append(_check("a1_a", "|a(t)| <= A0 < 1", ts, np.abs(av) >= 1.0))
-    checks.append(_check("a1_b", "0 < b0 <= b(t) <= B0", ts, bv <= 0.0))
-    checks.append(_check("a3_g", "g(t) <= t", ts, lag_g < 0.0))
-    checks.append(_check("a3_h", "h(t) <= t", ts, lag_h < 0.0))
+    extrema, sampled = _sample(spec, grid_points)
+    checks += [sampled[cid] for cid in ("a1_a", "a1_b", "a3_g", "a3_h")]
     # Finite-horizon proxy: on [t0, horizon] we can only check that the delay
     # arguments eventually exceed t0; unboundedness above is out of reach.
-    tail = np.array([spec.horizon])
-    checks.append(AssumptionCheck(
-        "a3_reach_g", "g(horizon) > t0 (finite-horizon proxy for g -> inf)",
-        bool(spec.g.evaluate(spec.horizon) > spec.t0),
-        () if spec.g.evaluate(spec.horizon) > spec.t0 else (float(tail[0]),),
-    ))
-    checks.append(AssumptionCheck(
-        "a3_reach_h", "h(horizon) > t0 (finite-horizon proxy for h -> inf)",
-        bool(spec.h.evaluate(spec.horizon) > spec.t0),
-        () if spec.h.evaluate(spec.horizon) > spec.t0 else (float(tail[0]),),
-    ))
-    checks.append(_check("a4", "0 <= t-g(t) and 0 <= t-h(t) with finite bounds",
-                         ts, ~np.isfinite(lag_g) | ~np.isfinite(lag_h)))
-
-    return ValidationReport(
-        checks=tuple(checks),
-        norm_a=norm_a, inf_b=inf_b, norm_b=norm_b,
-        sigma=sigma, tau=tau, delta=delta,
-        grid_points=grid_points,
-    )
+    for label, e in (("g", spec.g), ("h", spec.h)):
+        reached = e.evaluate(spec.horizon) > spec.t0
+        checks.append(AssumptionCheck(
+            f"a3_reach_{label}", f"{label}(horizon) > t0 (finite-horizon proxy for {label} -> inf)",
+            bool(reached), () if reached else (float(spec.horizon),)))
+    checks.append(sampled["a4"])
+    return ValidationReport(**vars(extrema), checks=tuple(checks))

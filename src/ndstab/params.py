@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .eqspec import EquationSpec
-from .expr import DomainError
+from .eqspec import SAMPLE_BLOCK, EquationSpec, GridExtrema, grid_extrema
+from .expr import DomainError, Expr
 
 GRID_ESTIMATE = "grid-estimate"
 ANALYTIC = "analytic-override"
@@ -30,6 +31,31 @@ DEFAULT_PANELS = 2048
 _INTEGRAL_SAMPLES = 513  # sample times t of integral_summary
 _LIMSUP_SAMPLES = 257    # sample times t of estimate_limsup_int_b
 _SIMPSON_BLOCK = 16      # integrals per Simpson block; bounds its node arrays to 16 x (panels + 1)
+
+# Cumulative table of the integral of b: 6-node Gauss-Legendre on cells of
+# width TABLE_CELL from t0, evaluated SAMPLE_BLOCK // 6 cells at a time.
+TABLE_CELL = 0.01
+_TABLE_BLOCK = SAMPLE_BLOCK // 6
+# Longest table, in cells (2 MiB per array; a window of about 2,600).  Its
+# 1.6 million evaluations of b are about what Simpson spends on the 1,026
+# intervals of integral_summary, so longer windows go to Simpson.
+_MAX_TABLE_CELLS = 2 ** 18
+# nodes and weights of the 6-point Gauss-Legendre rule on [-1, 1]
+_GL_NODES = np.array([-0.932469514203152027812302, -0.661209386466264513661400,
+                      -0.238619186083196908630502, 0.238619186083196908630502,
+                      0.661209386466264513661400, 0.932469514203152027812302])
+_GL_WEIGHTS = np.array([0.171324492379170345040296, 0.360761573048138607569834,
+                        0.467913934572691047389870, 0.467913934572691047389870,
+                        0.360761573048138607569834, 0.171324492379170345040296])
+
+# An override of a supremum below its grid value, or of an infimum above
+# it, by more than this slack times max(1, |t0|, |horizon|) is refuted.
+# Evaluation rounding stays far below it (lags are t - g(t) at t up to the
+# horizon).
+REFUTE_SLACK = 1e-12
+# the fields estimated by grid extrema, in ParameterSummary order, and the infima among them
+_SAMPLED = ("norm_a", "inf_a", "norm_a_plus", "norm_a_minus", "norm_b", "inf_b", "sigma", "tau", "delta")
+_INFIMA = ("inf_a", "inf_b", "delta")
 
 
 class SummaryError(ValueError):
@@ -148,36 +174,40 @@ def _pick(ov: dict, prov: dict, name: str, estimate=None):
     return float(estimate())
 
 
-def summarize(spec: EquationSpec, grid_points: int = DEFAULT_GRID) -> ParameterSummary:
+def summarize(spec: EquationSpec, grid_points: int = DEFAULT_GRID,
+              extrema: GridExtrema | None = None) -> ParameterSummary:
     """Extract the scalar bounds, preferring analytic overrides.
 
     Grid extrema can under-estimate suprema and over-estimate infima; the
     per-field provenance lets callers distinguish certified bounds from
-    sampled ones.
+    sampled ones.  ``extrema`` are the spec's grid extrema on
+    ``grid_points`` points, as ``validate`` reports them; they are sampled
+    here when None.  An override that the grid extrema refute (see
+    REFUTE_SLACK) raises SummaryError.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    ts = spec.grid(grid_points)
-    av = spec.a.eval_array(ts)
-    bv = spec.b.eval_array(ts)
-    lag_g = ts - spec.g.eval_array(ts)
-    lag_h = ts - spec.h.eval_array(ts)
+    if extrema is None:
+        extrema = grid_extrema(spec, grid_points)
+    elif extrema.grid_points != grid_points:
+        raise ValueError(f"extrema sampled on {extrema.grid_points} points, not {grid_points}")
 
     ov = spec.overrides
+    slack = REFUTE_SLACK * max(1.0, abs(spec.t0), abs(spec.horizon))
+    for name in _SAMPLED:
+        if name in ov:
+            sampled = getattr(extrema, name)
+            sup = name not in _INFIMA
+            if (sampled - ov[name] if sup else ov[name] - sampled) > slack:
+                raise SummaryError(
+                    f"override {name} = {ov[name]:.12g} is refuted: it lies "
+                    f"{'below' if sup else 'above'} the grid {'supremum' if sup else 'infimum'} "
+                    f"{sampled:.12g} ({grid_points} points)")
+
     prov: dict[str, str] = {}
-    summary = dict(
-        norm_a=_pick(ov, prov, "norm_a", lambda: np.max(np.abs(av))),
-        inf_a=_pick(ov, prov, "inf_a", lambda: np.min(av)),
-        norm_a_plus=_pick(ov, prov, "norm_a_plus", lambda: np.max(np.maximum(av, 0.0))),
-        norm_a_minus=_pick(ov, prov, "norm_a_minus", lambda: np.max(np.maximum(-av, 0.0))),
-        norm_b=_pick(ov, prov, "norm_b", lambda: np.max(bv)),
-        inf_b=_pick(ov, prov, "inf_b", lambda: np.min(bv)),
-        sigma=_pick(ov, prov, "sigma", lambda: np.max(lag_g)),
-        tau=_pick(ov, prov, "tau", lambda: np.max(lag_h)),
-        delta=_pick(ov, prov, "delta", lambda: np.min(lag_h)),
-        limit_tau=_pick(ov, prov, "limit_tau"),
-        limsup_int_b=_pick(ov, prov, "limsup_int_b"),
-    )
+    summary = {name: _pick(ov, prov, name, lambda: getattr(extrema, name)) for name in _SAMPLED}
+    summary["limit_tau"] = _pick(ov, prov, "limit_tau")
+    summary["limsup_int_b"] = _pick(ov, prov, "limsup_int_b")
     if summary["inf_b"] <= 0.0:
         raise SummaryError(f"b must stay positive on the window; estimated inf b = {summary['inf_b']}")
     return ParameterSummary(**summary, provenance=prov)
@@ -225,7 +255,81 @@ def _simpson_rows(expr, lo, hi, n, w):
     return (hi - lo) / (3.0 * n) * np.sum(w * ys, axis=1)
 
 
-def _delay_integrals(spec: EquationSpec, ts, lower, family: str, notes: list) -> list[float]:
+def _has_abs(e: Expr) -> bool:
+    return e.kind == "abs" or any(_has_abs(c) for c in e.args)
+
+
+class IntegralsOfB:
+    """Integrals of a spec's b over subintervals of its window.
+
+    Each integral is B(hi) - B(lo), where B(x) = int_{t0}^x b is read from
+    one cumulative table: 6-node Gauss-Legendre on the cells
+    [t0 + k H, t0 + (k + 1) H] of width H = TABLE_CELL, built on first use,
+    plus the same rule on the partial cell up to x.  Two cases take
+    composite Simpson per interval (``simpson``) instead: a b containing
+    ``abs``, whose kinks cost the rule its order, and a window of more than
+    _MAX_TABLE_CELLS cells.  One object serves every integral of one
+    request; nothing is kept between requests.
+    """
+
+    def __init__(self, spec: EquationSpec):
+        self.b = spec.b
+        self.t0 = spec.t0
+        self.horizon = spec.horizon
+        self.tabulated = (not _has_abs(spec.b)
+                          and spec.horizon - spec.t0 <= _MAX_TABLE_CELLS * TABLE_CELL)
+
+    def over(self, lo, hi) -> np.ndarray:
+        """int_lo^hi b for arrays of limits, one integral per entry."""
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if not self.tabulated:
+            return simpson(self.b, lo, hi)
+        if np.any(hi < lo):
+            raise ValueError("empty or reversed integration range")
+        n = len(lo)
+        x = np.concatenate((lo, hi))
+        big, small = self._table
+        k = np.clip(np.floor((x - self.t0) / TABLE_CELL), 0, len(big) - 1).astype(np.intp)
+        left = k * TABLE_CELL + self.t0
+        partial = self._gauss(left, x - left)
+        big, small = big[k], small[k]
+        return (big[n:] - big[:n]) + (small[n:] - small[:n]) + (partial[n:] - partial[:n])
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """B at the cell edges t0 + k H, k = 0 .. (number of full cells), as
+        the sum of two arrays: the running sum of the cell integrals, and the
+        running sum of its rounding errors (each step's error is exact, by
+        Knuth's two-sum), so a difference of B over many cells keeps the
+        accuracy of the cells instead of losing one rounding of B per cell."""
+        cells = int((self.horizon - self.t0) / TABLE_CELL)
+        c = np.empty(cells + 1)
+        c[0] = 0.0
+        for k in range(0, cells, _TABLE_BLOCK):
+            # the rounded edges, as over() computes them, so the cells tile [t0, x]
+            edges = np.arange(k, min(k + _TABLE_BLOCK, cells) + 1) * TABLE_CELL + self.t0
+            c[k + 1:k + len(edges)] = self._gauss(edges[:-1], np.diff(edges))
+        big = np.cumsum(c)
+        # two-sum error of big[k] = big[k-1] + c[k]: (big[k-1] - (big[k] - step))
+        # + (c[k] - step), with step = big[k] - big[k-1]; in place, so the
+        # table takes three window-length arrays
+        step = big[1:] - big[:-1]
+        c[1:] -= step
+        step -= big[1:]
+        step += big[:-1]
+        c[1:] += step
+        return big, np.cumsum(c, out=c)
+
+    def _gauss(self, left: np.ndarray, width: np.ndarray) -> np.ndarray:
+        """The Gauss-Legendre rule over [left, left + width], per entry."""
+        half = 0.5 * width
+        nodes = (left + half)[:, None] + half[:, None] * _GL_NODES
+        return half * (self.b.eval_array(nodes.ravel()).reshape(nodes.shape) @ _GL_WEIGHTS)
+
+
+def _delay_integrals(spec: EquationSpec, ts, lower, family: str, notes: list,
+                     integrals: IntegralsOfB) -> list[float]:
     """int_{lower(t)}^t b at the samples whose lower limit is not before t0."""
     mask = lower >= spec.t0
     skipped = int(np.sum(~mask))
@@ -234,15 +338,18 @@ def _delay_integrals(spec: EquationSpec, ts, lower, family: str, notes: list) ->
     if not np.any(mask):
         raise QuadratureError(
             f"{family}(t) < t0 at every sample; no admissible range for the {family}-integral")
-    return simpson(spec.b, lower[mask], ts[mask]).tolist()
+    return integrals.over(lower[mask], ts[mask]).tolist()
 
 
-def integral_summary(spec: EquationSpec) -> IntegralSummary:
+def integral_summary(spec: EquationSpec, integrals: IntegralsOfB | None = None) -> IntegralSummary:
     """Bound int_{h(t)}^t b and int_{g(t)}^t b over a grid of t.
 
     Sample points whose delay argument falls before t0 (no b there) are
     skipped and noted.  Analytic overrides win over quadrature estimates.
+    ``integrals`` evaluates the integrals; a new IntegralsOfB when None.
     """
+    if integrals is None:
+        integrals = IntegralsOfB(spec)
     ts = spec.grid(_INTEGRAL_SAMPLES)
     hv = spec.h.eval_array(ts)
     gv = spec.g.eval_array(ts)
@@ -250,8 +357,8 @@ def integral_summary(spec: EquationSpec) -> IntegralSummary:
     ov = spec.overrides
     prov: dict[str, str] = {}
     notes: list[str] = []
-    int_h = [] if {"tilde_tau", "tilde_delta"} <= ov.keys() else _delay_integrals(spec, ts, hv, "h", notes)
-    int_g = [] if "tilde_sigma" in ov else _delay_integrals(spec, ts, gv, "g", notes)
+    int_h = [] if {"tilde_tau", "tilde_delta"} <= ov.keys() else _delay_integrals(spec, ts, hv, "h", notes, integrals)
+    int_g = [] if "tilde_sigma" in ov else _delay_integrals(spec, ts, gv, "g", notes, integrals)
     tilde_tau = _pick(ov, prov, "tilde_tau", lambda: max(int_h))
     tilde_delta = _pick(ov, prov, "tilde_delta", lambda: min(int_h))
     tilde_sigma = _pick(ov, prov, "tilde_sigma", lambda: max(int_g))
@@ -268,11 +375,13 @@ def integral_summary(spec: EquationSpec) -> IntegralSummary:
     )
 
 
-def estimate_limsup_int_b(spec: EquationSpec, window: float) -> float:
+def estimate_limsup_int_b(spec: EquationSpec, window: float,
+                          integrals: IntegralsOfB | None = None) -> float:
     """Grid estimate of limsup_t int_{t-window}^t b, over the window tail.
 
     Uses the last half of [t0, horizon]; an analytic override is preferable
     whenever available (the estimate is flagged as such by callers).
+    ``integrals`` evaluates the integrals; a new IntegralsOfB when None.
     """
     lo = 0.5 * (spec.t0 + spec.horizon)
     lo = max(lo, spec.t0 + window)
@@ -281,4 +390,6 @@ def estimate_limsup_int_b(spec: EquationSpec, window: float) -> float:
     if lo > spec.horizon:
         raise QuadratureError("window longer than the analysis horizon")
     ts = np.linspace(lo, spec.horizon, _LIMSUP_SAMPLES)
-    return float(max(simpson(spec.b, ts - window, ts).tolist()))
+    if integrals is None:
+        integrals = IntegralsOfB(spec)
+    return float(max(integrals.over(ts - window, ts).tolist()))

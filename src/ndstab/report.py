@@ -410,7 +410,14 @@ def compare_baselines(spec: EquationSpec, summary: ParameterSummary | None = Non
         # _band's left-hand side, but with one_minus ** 2, which can differ
         # from one_minus * one_minus in the last bit
         denom = summary.tau + summary.sigma * summary.norm_a * (1.0 - summary.inf_a) / one_minus ** 2
-        b_upper = one_minus / denom if denom else math.inf  # tau = sigma = 0
+        if not denom:
+            # tau = sigma = 0: the left-hand side vanishes, and so does delta
+            row("corollary_main_b", "sup b", None,
+                "no finite threshold: tau = sigma = 0 (holds for every sup b)")
+            row("corollary_main_a", "sup b", None,
+                "no finite threshold: tau = sigma = 0; gate requires delta > 0")
+            return rows
+        b_upper = one_minus / denom
         factor = None
         if summary.limsup_int_b is not None and summary.norm_b > 0.0:
             factor = summary.limsup_int_b / summary.norm_b

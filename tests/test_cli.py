@@ -1,5 +1,4 @@
 import json
-import math
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -127,8 +126,29 @@ def test_zero_lags_sweep_and_compare_exit_0(tmp_path, capsys):
     assert run(["sweep", str(p), "--alpha-grid", "0:1:0.5"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "0,0,inf"
     assert run(["compare", str(p), "--json"]) == 0
-    rows = {r["criterion"]: r for r in json.loads(capsys.readouterr().out)}
-    assert rows["corollary_main_b"]["threshold"] == rows["corollary_main_a"]["threshold"] == math.inf
+    # strict JSON: no Infinity or NaN tokens; no threshold, and not applicable
+    rows = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    rows = {r["criterion"]: r for r in rows}
+    for part in ("corollary_main_b", "corollary_main_a"):
+        assert rows[part]["threshold"] is None and rows[part]["applicable"] is False
+    assert rows["corollary_main_b"]["note"] == "no finite threshold: tau = sigma = 0 (holds for every sup b)"
+
+
+def test_check_refutes_an_override_below_the_sampled_supremum(tmp_path, capsys):
+    # norm_a = inf_a = 0.05 while a = 0.6: certified by theorem1 before
+    spec = {"a": ["const", 0.6], "b": ["const", 1.0], "g": ["+", ["t"], ["const", -0.2]],
+            "h": ["+", ["t"], ["const", -0.14]], "t0": 0, "horizon": 50,
+            "overrides": {"norm_a": 0.05, "inf_a": 0.05, "norm_b": 1.0, "inf_b": 1.0,
+                          "sigma": 0.2, "tau": 0.14, "delta": 0.14}}
+    p = tmp_path / "false_override.json"
+    p.write_text(json.dumps(spec))
+    assert run(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "override norm_a = 0.05 is refuted: it lies below the grid supremum 0.6" in captured.err
+    spec["overrides"].update(norm_a=0.6, inf_a=0.6)
+    p.write_text(json.dumps(spec))
+    assert run(["check", str(p)]) == 0
 
 
 def test_check_missing_file_exits_2(capsys):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import bare
+from ndstab import criteria, params
 from ndstab.eqspec import EquationSpec
 from ndstab.expr import DomainError, add, const, div, scale, sin, tvar
 from ndstab.params import (
     ANALYTIC,
     GRID_ESTIMATE,
+    IntegralsOfB,
     SummaryError,
     estimate_limsup_int_b,
     integral_summary,
@@ -173,3 +175,67 @@ def test_summary_serialization_carries_provenance(ex1):
     d = summarize(ex1, 1001).to_dict()
     assert d["provenance"]["norm_a"] == ANALYTIC
     assert d["sign_split_convention"] == "u- = max(-u, 0)"
+
+
+# -- the cumulative table of the integral of b ----------------------------------------------
+
+def _integrals(b, t0=0.0, horizon=400.0):
+    return IntegralsOfB(EquationSpec(a=const(0.1), b=b, g=T, h=T, t0=t0, horizon=horizon))
+
+
+def test_table_rule_is_six_point_gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    np.testing.assert_allclose(params._GL_NODES, nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(params._GL_WEIGHTS, weights, rtol=0, atol=1e-15)
+
+
+def test_table_matches_closed_forms():
+    rng = np.random.default_rng(6)
+    hi = np.concatenate((rng.uniform(2.0, 400.0, 500), [2.0, 400.0]))
+    lo = hi - rng.uniform(0.0, 2.0, hi.size)
+    lo[-1] = 0.0
+    wave = add(const(0.9), scale(0.1, sin(T)))
+    for b, exact in ((const(0.7), 0.7 * (hi - lo)),
+                     (wave, 0.9 * (hi - lo) - 0.1 * (np.cos(hi) - np.cos(lo)))):
+        integrals = _integrals(b)
+        assert integrals.tabulated
+        np.testing.assert_allclose(integrals.over(lo, hi), exact, rtol=0, atol=1e-14)
+    # pantograph: int_{t/q}^t c/s ds = c ln q, from t0 = 1 to the horizon
+    integrals = _integrals(div(const(0.3), T), t0=1.0)
+    for q in (1.5, 2.0, 4.0):
+        t = np.linspace(q, 400.0, 513)
+        np.testing.assert_allclose(integrals.over(t / q, t), 0.3 * math.log(q), rtol=0, atol=1e-14)
+    assert np.array_equal(integrals.over([5.0, 7.5], [5.0, 7.5]), [0.0, 0.0])
+    with pytest.raises(ValueError, match="empty or reversed"):
+        integrals.over([2.0], [1.0])
+
+
+def test_kinked_b_and_long_windows_keep_simpson(ex4):
+    # ex4's b contains abs: integral_summary takes Simpson's values bit for bit
+    isum = integral_summary(ex4)
+    ts = ex4.grid(513)
+    lower = ex4.h.eval_array(ts)
+    int_h = simpson(ex4.b, lower[lower >= ex4.t0], ts[lower >= ex4.t0]).tolist()
+    assert (isum.tilde_tau, isum.tilde_delta) == (max(int_h), min(int_h))
+    lower = ex4.g.eval_array(ts)
+    assert isum.tilde_sigma == max(simpson(ex4.b, lower[lower >= ex4.t0], ts[lower >= ex4.t0]).tolist())
+    assert not IntegralsOfB(ex4).tabulated
+    # a window of more than 2**18 cells is not tabulated
+    long = _integrals(const(0.5), horizon=params._MAX_TABLE_CELLS * params.TABLE_CELL + 1.0)
+    assert not long.tabulated
+    assert np.array_equal(long.over([1.0, 2000.0], [3.0, 2000.5]), simpson(const(0.5), [1.0, 2000.0], [3.0, 2000.5]))
+
+
+def test_best_verdict_builds_one_table(ex2, monkeypatch):
+    built = []
+
+    class Counting(IntegralsOfB):
+        def __init__(self, spec):
+            built.append(spec)
+            super().__init__(spec)
+
+    monkeypatch.setattr(params, "IntegralsOfB", Counting)
+    monkeypatch.setattr(criteria, "IntegralsOfB", Counting)
+    names = {v.criterion for v in criteria.best_verdict(ex2)}
+    assert {"theorem3", "prop_yu"} <= names and "limsup_int_b" not in ex2.overrides
+    assert len(built) == 1

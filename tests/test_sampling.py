@@ -1,0 +1,216 @@
+"""The blocked sampling pass against whole-grid references.
+
+``validate`` and ``summarize`` sample the grid in blocks of SAMPLE_BLOCK
+points; the references below evaluate every coefficient on the whole grid
+at once, as the two functions did before.  Outputs must be identical,
+NaN and signed zeros included (compared through ``json.dumps``, which
+writes floats by ``repr``), and so must any error raised.
+"""
+
+import json
+import random
+
+import numpy as np
+import pytest
+
+from conftest import bare
+from ndstab.eqspec import SAMPLE_BLOCK, EquationSpec, grid_blocks, grid_extrema, validate
+from ndstab.expr import absval, add, const, cos, div, scale, sin, tvar
+from ndstab.params import ANALYTIC, GRID_ESTIMATE, ParameterSummary, SummaryError, summarize
+from test_expr import _random_tree
+
+T = tvar()
+SIZES = (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2, 100_000)
+
+
+# -- whole-grid references ------------------------------------------------------------
+
+def _reference_check(check_id, description, ts, bad_mask):
+    idx = np.nonzero(bad_mask)[0]
+    return {"id": check_id, "description": description, "passed": idx.size == 0,
+            "witnesses": [float(ts[i]) for i in idx[:8]]}
+
+
+def reference_validate(spec, grid_points):
+    ts = spec.grid(grid_points)
+    checks = []
+    for label, e in (("a", spec.a), ("b", spec.b), ("g", spec.g), ("h", spec.h)):
+        for den in e.denominators():
+            dv = den.eval_array(ts)
+            bad = (dv == 0.0) | ~np.isfinite(dv)
+            sign_change = np.zeros_like(bad)
+            sign_change[1:] = np.sign(dv[1:]) * np.sign(dv[:-1]) < 0
+            checks.append(_reference_check(
+                f"domain_{label}", f"quotient denominator in {label}(t) bounded away from zero",
+                ts, bad | sign_change))
+    nan = float("nan")
+    est = dict(norm_a=nan, inf_b=nan, norm_b=nan, sigma=nan, tau=nan, delta=nan)
+    if all(c["passed"] for c in checks):
+        av = spec.a.eval_array(ts)
+        bv = spec.b.eval_array(ts)
+        lag_g = ts - spec.g.eval_array(ts)
+        lag_h = ts - spec.h.eval_array(ts)
+        est = dict(norm_a=float(np.max(np.abs(av))), inf_b=float(np.min(bv)),
+                   norm_b=float(np.max(bv)), sigma=float(np.max(lag_g)),
+                   tau=float(np.max(lag_h)), delta=float(np.min(lag_h)))
+        checks.append(_reference_check("a1_a", "|a(t)| <= A0 < 1", ts, np.abs(av) >= 1.0))
+        checks.append(_reference_check("a1_b", "0 < b0 <= b(t) <= B0", ts, bv <= 0.0))
+        checks.append(_reference_check("a3_g", "g(t) <= t", ts, lag_g < 0.0))
+        checks.append(_reference_check("a3_h", "h(t) <= t", ts, lag_h < 0.0))
+        for label, e in (("g", spec.g), ("h", spec.h)):
+            ok = e.evaluate(spec.horizon) > spec.t0
+            checks.append({"id": f"a3_reach_{label}",
+                           "description": f"{label}(horizon) > t0 (finite-horizon proxy for {label} -> inf)",
+                           "passed": bool(ok), "witnesses": [] if ok else [spec.horizon]})
+        checks.append(_reference_check("a4", "0 <= t-g(t) and 0 <= t-h(t) with finite bounds",
+                                       ts, ~np.isfinite(lag_g) | ~np.isfinite(lag_h)))
+    return {"passed": all(c["passed"] for c in checks), "checks": checks,
+            "estimates": est, "grid_points": grid_points}
+
+
+def reference_summarize(spec, grid_points):
+    """The summary without overrides (their refutation is not in the reference)."""
+    ts = spec.grid(grid_points)
+    av = spec.a.eval_array(ts)
+    bv = spec.b.eval_array(ts)
+    lag_g = ts - spec.g.eval_array(ts)
+    lag_h = ts - spec.h.eval_array(ts)
+    out = {
+        "norm_a": float(np.max(np.abs(av))), "inf_a": float(np.min(av)),
+        "norm_a_plus": float(np.max(np.maximum(av, 0.0))),
+        "norm_a_minus": float(np.max(np.maximum(-av, 0.0))),
+        "norm_b": float(np.max(bv)), "inf_b": float(np.min(bv)),
+        "sigma": float(np.max(lag_g)), "tau": float(np.max(lag_h)), "delta": float(np.min(lag_h)),
+    }
+    if out["inf_b"] <= 0.0:
+        raise SummaryError(f"b must stay positive on the window; estimated inf b = {out['inf_b']}")
+    return _fields(ParameterSummary(**out))
+
+
+def _outcome(fn, *args):
+    try:
+        return json.dumps(fn(*args))
+    except ValueError as exc:  # SummaryError, DomainError
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fields(summary):
+    out = summary.to_dict()
+    del out["provenance"], out["sign_split_convention"]
+    return out
+
+
+def _summary_fields(spec, grid_points):
+    s = summarize(spec, grid_points)
+    assert set(s.provenance.values()) == {GRID_ESTIMATE}
+    return _fields(s)
+
+
+def assert_matches_reference(spec, grid_points):
+    got = _outcome(lambda: validate(spec, grid_points).to_dict())
+    assert got == _outcome(reference_validate, spec, grid_points), (spec, grid_points)
+    got = _outcome(_summary_fields, spec, grid_points)
+    assert got == _outcome(reference_summarize, spec, grid_points), (spec, grid_points)
+
+
+# -- tests ------------------------------------------------------------------------------
+
+@pytest.mark.parametrize("points", SIZES + (3, 2 * SAMPLE_BLOCK, 20_001))
+def test_grid_blocks_reproduce_the_grid(ex5, points):
+    blocks = list(grid_blocks(ex5, points))
+    assert all(len(b) <= SAMPLE_BLOCK for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), ex5.grid(points))
+
+
+@pytest.mark.parametrize("points", SIZES)
+def test_corpus_matches_whole_grid_reference(corpus, points):
+    for spec in corpus.values():
+        assert_matches_reference(bare(spec), points)
+
+
+def _random_spec(rng, wrapped):
+    a, b, g, h = (_random_tree(rng, rng.randint(0, 3)) for _ in range(4))
+    if wrapped:  # inside the assumptions unless a tree is non-finite
+        a, b = scale(0.6, sin(a)), add(const(1.5), sin(b))
+        g, h = add(T, scale(-0.5, absval(sin(g)))), add(T, scale(-0.5, absval(cos(h))))
+    return EquationSpec(a=a, b=b, g=g, h=h, t0=rng.choice((0.0, 1.0)),
+                        horizon=rng.choice((10.0, 400.0)))
+
+
+def test_random_trees_match_whole_grid_reference():
+    rng = random.Random(6)
+    specs = [_random_spec(rng, wrapped=False) for _ in range(16)]
+    while len(specs) < 32:  # and 16 that pass validation, so summaries are reached
+        spec = _random_spec(rng, wrapped=True)
+        with np.errstate(all="ignore"):
+            passed = _outcome(lambda: validate(spec, 101).passed) == "true"
+        if passed:
+            specs.append(spec)
+    with np.errstate(all="ignore"):  # the trees overflow and take sin(inf)
+        for spec in specs:
+            for points in SIZES:
+                assert_matches_reference(spec, points)
+
+
+def _unit_step_spec(**coefficients):
+    """A spec whose grid of 2 * SAMPLE_BLOCK + 5 points is t = 0, 1, 2, ..."""
+    n = 2 * SAMPLE_BLOCK + 5
+    base = dict(a=const(0.5), b=const(1.0), g=add(T, const(-1.0)), h=add(T, const(-1.0)),
+                t0=0.0, horizon=float(n - 1))
+    return EquationSpec(**{**base, **coefficients}), n
+
+
+def test_witnesses_across_a_block_boundary():
+    # b <= 0 at t = SAMPLE_BLOCK - 5 .. SAMPLE_BLOCK + 3: nine violations, of
+    # which the first eight straddle the boundary of the first two blocks
+    spec, n = _unit_step_spec(b=add(absval(add(T, const(-(SAMPLE_BLOCK - 1.0)))), const(-4.5)))
+    rep = validate(spec, n)
+    a1_b = next(c for c in rep.checks if c.check_id == "a1_b")
+    assert a1_b.witnesses == tuple(float(SAMPLE_BLOCK + i) for i in range(-5, 3))
+    assert_matches_reference(spec, n)
+
+
+@pytest.mark.parametrize("offset", [0.0, -0.5])
+def test_denominator_sign_change_at_a_block_boundary(offset):
+    # the denominator is zero at the first point of the second block, or
+    # changes sign between the last point of the first block and it
+    spec, n = _unit_step_spec(a=div(const(0.1), add(T, const(-(SAMPLE_BLOCK + offset)))))
+    rep = validate(spec, n)
+    assert [c.witnesses for c in rep.failures()] == [(float(SAMPLE_BLOCK),)]
+    assert_matches_reference(spec, n)
+
+
+def test_summarize_error_names_the_first_singular_coefficient():
+    # a's pole is in the last block, b's in the first: the error is a's, as
+    # whole-grid evaluation in the order a, b, g, h raises it
+    spec, n = _unit_step_spec(a=div(const(0.1), add(T, const(-(2.0 * SAMPLE_BLOCK)))),
+                              b=div(const(1.0), add(T, const(-3.0))))
+    assert _outcome(_summary_fields, spec, n) == _outcome(reference_summarize, spec, n)
+    assert str(2.0 * SAMPLE_BLOCK) in _outcome(_summary_fields, spec, n)
+
+
+def test_summarize_with_validation_extrema(corpus):
+    for spec in corpus.values():
+        rep = validate(spec, 4096)
+        assert summarize(spec, 4096, extrema=rep) == summarize(spec, 4096)
+    with pytest.raises(ValueError, match="4096 points"):
+        summarize(spec, 2048, extrema=rep)
+
+
+def test_overrides_refuted_by_the_grid():
+    spec = EquationSpec(a=add(const(0.3), scale(0.2, sin(T))), b=add(const(1.0), scale(0.5, sin(T))),
+                        g=add(T, const(-0.2), scale(-0.1, absval(sin(T)))),
+                        h=add(T, const(-0.14), scale(-0.05, sin(T))), t0=0.0, horizon=50.0)
+    grid = grid_extrema(spec, 1001)
+    names = ("norm_a", "inf_a", "norm_a_plus", "norm_a_minus", "norm_b", "inf_b", "sigma", "tau", "delta")
+    exact = {name: getattr(grid, name) for name in names}
+    s = summarize(EquationSpec(**{**vars(spec), "overrides": exact}), 1001)
+    assert set(s.provenance.values()) == {ANALYTIC}
+    slack = 1e-12 * 50.0
+    for name, value in exact.items():
+        infimum = name in ("inf_a", "inf_b", "delta")
+        within = value + slack / 2 if infimum else value - slack / 2
+        summarize(EquationSpec(**{**vars(spec), "overrides": {**exact, name: within}}), 1001)
+        false = value + 2 * slack if infimum else value - 2 * slack
+        with pytest.raises(SummaryError, match=f"override {name} = .* is refuted"):
+            summarize(EquationSpec(**{**vars(spec), "overrides": {**exact, name: false}}), 1001)
