@@ -23,7 +23,7 @@ from . import criteria, report
 from .criteria import MissingLimit
 from .eqspec import SpecError, load_spec, validate
 from .expr import DomainError, sin, tvar
-from .params import QuadratureError, SummaryError, integral_summary, summarize
+from .params import QuadratureError, SummaryError, summarize
 from .simulate import SeededHistory, fundamental, integrate
 
 PROG = "ndstab"
@@ -173,13 +173,7 @@ def _cmd_check(args) -> int:
         if summary.limit_tau is not None:
             verdicts.append(criteria.check_corollary3(summary, alpha))
         verdicts.append(criteria.check_theorem2(summary, alpha))
-        if alpha == 0.0:
-            verdicts.append(criteria.theorem3_not_applicable(spec, "alpha must be positive", alpha))
-        else:
-            try:
-                verdicts.append(criteria.check_theorem3(integral_summary(spec), alpha))
-            except (SummaryError, QuadratureError) as exc:
-                verdicts.append(criteria.theorem3_not_applicable(spec, str(exc), alpha))
+        verdicts.append(criteria.theorem3_verdict(spec, alpha))
     if args.json:
         print(json.dumps([v.to_dict() for v in verdicts], indent=2))
     else:

@@ -7,25 +7,22 @@ witness alpha for alpha-parameterized tests, and the claimed stability
 kind.  Margins are reported only for applicable verdicts; inapplicable
 ones carry NaN so that "satisfied iff margin > 0" holds unconditionally.
 
-The alpha-parameterized family works like this: a characteristic lag scale
-tau0 = (1 - ||a||) / (e ||b||) gates the admissible alpha via
-alpha * tau0 <= delta, and the decisive inequality compares
-
-    tau ||b|| + sigma ||a|| ||b|| (1 - a0) / (1 - ||a||)^2
-
-against (1 - ||a||) (1 + alpha/e).  The sign-split variant replaces the
-geometric factors by the positive-part norm ||a+|| and adds a
-||a-|| ||b|| / (1 - ||a+||) term; the integral variant replaces
-tau ||b||, sigma ||a|| ||b||, delta ||b|| by bounds on the integrals of b
-over the delay intervals and claims asymptotic (not uniform exponential)
-stability.  Two classical constant-delay baselines (the 3/2-type test and
-its square-root refinement) are included for comparison.
+The alpha-parameterized tests are AlphaTest records of one shape,
+"lhs < rhs(alpha), admissible when alpha * scale <= cap".  The main test
+(THEOREM1) gates alpha by the lag scale tau0 = (1 - ||a||) / (e ||b||)
+against delta and compares tau ||b|| + sigma ||a|| ||b|| (1 - a0) /
+(1 - ||a||)^2 against (1 - ||a||) (1 + alpha/e).  The sign-split variant
+(THEOREM2) uses the positive-part norm ||a+|| and adds a ||a-|| term; the
+integral variant (THEOREM3) uses bounds on the integrals of b over the
+delay intervals and claims asymptotic stability.  Two classical
+constant-delay baselines are included for comparison.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from .eqspec import EquationSpec
 from .params import (
@@ -141,22 +138,67 @@ def tau_bar(summary: ParameterSummary) -> float:
     return (1.0 - summary.norm_a_plus) / (math.e * summary.norm_b)
 
 
-# -- alpha-parameterized main test --------------------------------------------
+# -- the alpha-parameterized tests ---------------------------------------------
 
-_FIELDS_T1 = ("norm_a", "inf_a", "norm_b", "sigma", "tau", "delta")
+def _rhs(s: ParameterSummary | IntegralSummary, alpha: float) -> float:
+    return (1.0 - s.norm_a) * (1.0 + alpha / math.e)
+
+
+@dataclass(frozen=True)
+class AlphaTest:
+    """One alpha-parameterized test: ``lhs(s) < rhs(s, alpha)``, admissible
+    when ``alpha * scale <= cap`` for ``(scale, cap) = gate(s)`` (``<`` when
+    ``strict``).  ``requires(s)`` returns the reason another hypothesis
+    fails, or raises when the test cannot be posed; ``gate_message`` formats
+    a failed gate from ``op``, ``x = alpha * scale`` and ``cap``.
+    """
+
+    name: str
+    kind: str
+    fields: tuple[str, ...]
+    lhs: Callable[..., float]
+    gate: Callable[..., tuple[float, float]]
+    gate_message: str
+    rhs: Callable[..., float] = _rhs
+    requires: Callable[..., str | None] = lambda s: None
+    strict: bool = False
+    notes: tuple[str, ...] = ()
+
+    def check(self, summary: ParameterSummary | IntegralSummary, alpha: float) -> CriterionVerdict:
+        """The verdict at a fixed alpha in [0, 1]."""
+        _check_alpha_unit(alpha)
+        reason = self.requires(summary)
+        cert = _cert(summary, self.fields)
+        if reason is None:
+            scale, cap = self.gate(summary)
+            if alpha * scale >= cap if self.strict else alpha * scale > cap:
+                op = "<" if self.strict else "<="
+                reason = self.gate_message.format(op=op, x=alpha * scale, cap=cap)
+        if reason is not None:
+            return _not_applicable(self.name, reason, self.kind, cert, alpha, self.notes)
+        return _decide(self.name, self.rhs(summary, alpha) - self.lhs(summary),
+                       self.kind, cert, alpha, self.notes)
+
+    def best_alpha(self, summary: ParameterSummary | IntegralSummary) -> float:
+        """min(1, cap / scale), where the margin (increasing in alpha) is
+        largest under the non-strict gate.  cap / scale can round up past
+        the gate, so it steps down to the first alpha that passes."""
+        scale, cap = self.gate(summary)
+        if scale <= 0.0:
+            return 1.0
+        alpha = min(1.0, cap / scale)
+        while alpha * scale > cap:
+            alpha = math.nextafter(alpha, 0.0)
+        return alpha
+
+
+def _positive_a(s: ParameterSummary | IntegralSummary) -> str | None:
+    return "a(t) >= a0 > 0 fails" if s.inf_a <= 0.0 else None
 
 
 def _sigma_term(s: ParameterSummary) -> float:
     one_minus = 1.0 - s.norm_a
     return s.sigma * s.norm_a * s.norm_b * (1.0 - s.inf_a) / (one_minus * one_minus)
-
-
-def _lhs_main(s: ParameterSummary) -> float:
-    return s.tau * s.norm_b + _sigma_term(s)
-
-
-def _rhs(one_minus: float, alpha: float) -> float:
-    return one_minus * (1.0 + alpha / math.e)
 
 
 def _clipped_interval(lower: float, upper: float, lower_open: bool, upper_open: bool) -> AlphaInterval:
@@ -174,24 +216,19 @@ def _cert(s: ParameterSummary | IntegralSummary, fields) -> str:
     return CERTIFIED if s.certified(fields) else NUMERIC
 
 
-def check_theorem1(summary: ParameterSummary, alpha: float,
-                   criterion: str = "theorem1") -> CriterionVerdict:
-    """Main bounded-delay test at a fixed alpha in [0, 1].
+# -- main test ------------------------------------------------------------------
 
-    Applicable when a stays positive (inf a > 0) and alpha * tau0 <= delta
-    (non-strict gate); satisfied when the decisive inequality holds
-    strictly.  Claims uniform exponential stability.
-    """
-    _check_alpha_unit(alpha)
-    cert = _cert(summary, _FIELDS_T1)
-    if summary.inf_a <= 0.0:
-        return _not_applicable(criterion, "a(t) >= a0 > 0 fails", UNIFORM_EXPONENTIAL, cert, alpha)
-    if alpha * tau0(summary) > summary.delta:
-        return _not_applicable(
-            criterion, f"gate alpha*tau0 <= delta fails ({alpha * tau0(summary):.6g} > {summary.delta:.6g})",
-            UNIFORM_EXPONENTIAL, cert, alpha)
-    return _decide(criterion, _rhs(1.0 - summary.norm_a, alpha) - _lhs_main(summary),
-                   UNIFORM_EXPONENTIAL, cert, alpha)
+_FIELDS_T1 = ("norm_a", "inf_a", "norm_b", "sigma", "tau", "delta")
+
+# Main bounded-delay test.
+THEOREM1 = AlphaTest(
+    "theorem1", UNIFORM_EXPONENTIAL, _FIELDS_T1,
+    lhs=lambda s: s.tau * s.norm_b + _sigma_term(s),
+    gate=lambda s: (tau0(s), s.delta), requires=_positive_a,
+    gate_message="gate alpha*tau0 {op} delta fails ({x:.6g} > {cap:.6g})")
+check_theorem1 = THEOREM1.check
+COROLLARY_MAIN_A = replace(THEOREM1, name="corollary_main_a")
+COROLLARY_MAIN_B = replace(THEOREM1, name="corollary_main_b")
 
 
 def alpha_interval_theorem1(summary: ParameterSummary) -> AlphaInterval:
@@ -203,16 +240,14 @@ def alpha_interval_theorem1(summary: ParameterSummary) -> AlphaInterval:
     """
     if summary.inf_a <= 0.0:
         return _EMPTY_INTERVAL
-    lower = math.e * (_lhs_main(summary) / (1.0 - summary.norm_a) - 1.0)
+    lower = math.e * (THEOREM1.lhs(summary) / (1.0 - summary.norm_a) - 1.0)
     return _clipped_interval(lower, summary.delta / tau0(summary), True, False)
 
 
 def check_corollary_main(summary: ParameterSummary) -> tuple[CriterionVerdict, CriterionVerdict]:
     """Endpoint cases of the main test: part a) is alpha = 1 with the gate
     tau0 <= delta, part b) is alpha = 0 (gate vacuous)."""
-    part_a = check_theorem1(summary, 1.0, criterion="corollary_main_a")
-    part_b = check_theorem1(summary, 0.0, criterion="corollary_main_b")
-    return part_a, part_b
+    return COROLLARY_MAIN_A.check(summary, 1.0), COROLLARY_MAIN_B.check(summary, 0.0)
 
 
 def check_corollary3(summary: ParameterSummary, alpha: float) -> CriterionVerdict:
@@ -232,33 +267,24 @@ def check_corollary3(summary: ParameterSummary, alpha: float) -> CriterionVerdic
     one_minus = 1.0 - summary.norm_a
     tb = summary.limit_tau * summary.norm_b
     lower_margin = tb - alpha * one_minus / math.e
-    upper_margin = _rhs(one_minus, alpha) - _sigma_term(summary) - tb
+    upper_margin = _rhs(summary, alpha) - _sigma_term(summary) - tb
     return _decide("corollary3", min(lower_margin, upper_margin),
                    UNIFORM_EXPONENTIAL, cert, alpha)
 
 
-def _corollary1_gate(s: ParameterSummary) -> float:
-    return s.delta * math.e * s.norm_b / (1.0 - s.norm_a)
-
-
-def check_corollary1(summary: ParameterSummary, alpha: float) -> CriterionVerdict:
-    """Constant neutral coefficient case.
-
-    Gate alpha <= delta e ||b|| / (1 - a) (non-strict), decisive inequality
-    tau ||b|| + sigma a ||b|| / (1 - a) < (1 - a)(1 + alpha/e).
-    """
-    _check_alpha_unit(alpha)
-    if summary.norm_a != summary.inf_a:
+def _constant_a(s: ParameterSummary) -> None:
+    if s.norm_a != s.inf_a:
         raise NotConstant(
-            f"constant neutral coefficient required (norm_a={summary.norm_a}, inf_a={summary.inf_a})")
-    a = summary.norm_a
-    cert = _cert(summary, _FIELDS_T1)
-    gate = _corollary1_gate(summary)
-    if alpha > gate:
-        return _not_applicable("corollary1", f"gate alpha <= delta*e*||b||/(1-a) fails ({alpha:.6g} > {gate:.6g})",
-                               UNIFORM_EXPONENTIAL, cert, alpha)
-    lhs = summary.tau * summary.norm_b + summary.sigma * a * summary.norm_b / (1.0 - a)
-    return _decide("corollary1", _rhs(1.0 - a, alpha) - lhs, UNIFORM_EXPONENTIAL, cert, alpha)
+            f"constant neutral coefficient required (norm_a={s.norm_a}, inf_a={s.inf_a})")
+
+
+# Constant neutral coefficient a = a0, where the sigma term reduces to sigma a ||b|| / (1 - a).
+COROLLARY1 = AlphaTest(
+    "corollary1", UNIFORM_EXPONENTIAL, _FIELDS_T1,
+    lhs=lambda s: s.tau * s.norm_b + s.sigma * s.norm_a * s.norm_b / (1.0 - s.norm_a),
+    gate=lambda s: (1.0, s.delta * math.e * s.norm_b / (1.0 - s.norm_a)), requires=_constant_a,
+    gate_message="gate alpha {op} delta*e*||b||/(1-a) fails ({x:.6g} > {cap:.6g})")
+check_corollary1 = COROLLARY1.check
 
 
 def check_corollary2(summary: ParameterSummary) -> CriterionVerdict:
@@ -283,110 +309,81 @@ def check_corollary2(summary: ParameterSummary) -> CriterionVerdict:
 
 _FIELDS_T2 = ("norm_a", "norm_a_plus", "norm_a_minus", "norm_b", "sigma", "tau", "delta")
 
+# Sign-split test; no positivity restriction on a.
+THEOREM2 = AlphaTest(
+    "theorem2", UNIFORM_EXPONENTIAL, _FIELDS_T2,
+    lhs=lambda s: (s.tau * s.norm_b
+                   + s.sigma * s.norm_a_plus * s.norm_b / ((1.0 - s.norm_a_plus) * (1.0 - s.norm_a_plus))
+                   + s.norm_a_minus * s.norm_b / (1.0 - s.norm_a_plus)),
+    rhs=lambda s, alpha: 1.0 - s.norm_a + alpha * (1.0 - s.norm_a_plus) / math.e,
+    gate=lambda s: (tau_bar(s), s.delta),
+    gate_message="gate alpha*tau_bar {op} delta fails ({x:.6g} vs {cap:.6g})")
+check_theorem2 = THEOREM2.check
 
-def _lhs_split(s: ParameterSummary) -> float:
-    one_minus_p = 1.0 - s.norm_a_plus
-    return (s.tau * s.norm_b
-            + s.sigma * s.norm_a_plus * s.norm_b / (one_minus_p * one_minus_p)
-            + s.norm_a_minus * s.norm_b / one_minus_p)
-
-
-def check_theorem2(summary: ParameterSummary, alpha: float,
-                   criterion: str = "theorem2", strict_gate: bool = False) -> CriterionVerdict:
-    """Sign-split test; no positivity restriction on a.
-
-    Gate alpha * tau_bar <= delta (strict when ``strict_gate``); decisive
-    inequality LHS < 1 - ||a|| + alpha (1 - ||a+||)/e.
-    """
-    _check_alpha_unit(alpha)
-    cert = _cert(summary, _FIELDS_T2)
-    tb = tau_bar(summary)
-    gate_ok = alpha * tb < summary.delta if strict_gate else alpha * tb <= summary.delta
-    if not gate_ok:
-        op = "<" if strict_gate else "<="
-        return _not_applicable(
-            criterion, f"gate alpha*tau_bar {op} delta fails ({alpha * tb:.6g} vs {summary.delta:.6g})",
-            UNIFORM_EXPONENTIAL, cert, alpha)
-    rhs = 1.0 - summary.norm_a + alpha * (1.0 - summary.norm_a_plus) / math.e
-    return _decide(criterion, rhs - _lhs_split(summary), UNIFORM_EXPONENTIAL, cert, alpha)
-
-
-def check_theorem2_remark(summary: ParameterSummary, alpha: float) -> CriterionVerdict:
-    """Sign-split test specialized to sup a >= sup(-a) (i.e. ||a|| = ||a+||).
-
-    Under that hypothesis the positive-part norms coincide with ||a|| and
-    the right-hand side factors as (1 - ||a||)(1 + alpha/e).
-    """
-    _check_alpha_unit(alpha)
-    cert = _cert(summary, _FIELDS_T2)
-    if summary.norm_a != summary.norm_a_plus:
-        return _not_applicable("theorem2_remark", "needs sup a >= sup(-a) (||a|| = ||a+||)",
-                               UNIFORM_EXPONENTIAL, cert, alpha)
-    tb = tau_bar(summary)
-    if alpha * tb > summary.delta:
-        return _not_applicable(
-            "theorem2_remark", f"gate alpha*tau_bar <= delta fails ({alpha * tb:.6g} > {summary.delta:.6g})",
-            UNIFORM_EXPONENTIAL, cert, alpha)
-    # spelled out rather than _lhs_split: (1 - a) ** 2 and (1 - a) * (1 - a)
-    # can differ in the last bit
-    a = summary.norm_a
-    lhs = (summary.tau * summary.norm_b
-           + summary.sigma * a * summary.norm_b / (1.0 - a) ** 2
-           + summary.norm_a_minus * summary.norm_b / (1.0 - a))
-    return _decide("theorem2_remark", _rhs(1.0 - a, alpha) - lhs, UNIFORM_EXPONENTIAL, cert, alpha)
+# The sign-split test under sup a >= sup(-a), where ||a+|| = ||a|| and the
+# right-hand side factors as (1 - ||a||)(1 + alpha/e).
+THEOREM2_REMARK = AlphaTest(
+    "theorem2_remark", UNIFORM_EXPONENTIAL, _FIELDS_T2,
+    # (1 - a) ** 2 rather than THEOREM2's (1 - a) * (1 - a): the two can
+    # differ in the last bit
+    lhs=lambda s: (s.tau * s.norm_b
+                   + s.sigma * s.norm_a * s.norm_b / (1.0 - s.norm_a) ** 2
+                   + s.norm_a_minus * s.norm_b / (1.0 - s.norm_a)),
+    gate=THEOREM2.gate,
+    gate_message="gate alpha*tau_bar {op} delta fails ({x:.6g} > {cap:.6g})",
+    requires=lambda s: None if s.norm_a == s.norm_a_plus else "needs sup a >= sup(-a) (||a|| = ||a+||)")
+check_theorem2_remark = THEOREM2_REMARK.check
+COROLLARY5_A = replace(THEOREM2, name="corollary5_a", strict=True)
+COROLLARY5_B = replace(THEOREM2, name="corollary5_b")
 
 
 def check_corollary5(summary: ParameterSummary) -> tuple[CriterionVerdict, CriterionVerdict]:
     """Endpoint cases of the sign-split test: part a) is alpha = 1 with the
     strict gate tau_bar < delta, part b) is alpha = 0."""
-    part_a = check_theorem2(summary, 1.0, criterion="corollary5_a", strict_gate=True)
-    part_b = check_theorem2(summary, 0.0, criterion="corollary5_b")
-    return part_a, part_b
+    return COROLLARY5_A.check(summary, 1.0), COROLLARY5_B.check(summary, 0.0)
 
 
 # -- unbounded-delay variant ---------------------------------------------------
 
-_FIELDS_T3 = ("tilde_tau", "tilde_delta", "tilde_sigma", "norm_a", "inf_a")
-
-_T3_NOTES = (
-    "hypotheses assumed, not verified numerically: int b = inf, b != 0 almost everywhere",
-)
-
-
-def theorem3_lhs(isummary: IntegralSummary) -> float:
-    """Left-hand side of the integral-delay decisive inequality."""
-    one_minus = 1.0 - isummary.norm_a
-    return isummary.tilde_tau + isummary.tilde_sigma * isummary.norm_a * (1.0 - isummary.inf_a) / (one_minus * one_minus)
+# Integral-delay test (delays may be unbounded), with tilde_tau0 = (1 - ||a||)/e.
+THEOREM3 = AlphaTest(
+    "theorem3", ASYMPTOTIC, ("tilde_tau", "tilde_delta", "tilde_sigma", "norm_a", "inf_a"),
+    lhs=lambda s: s.tilde_tau + s.tilde_sigma * s.norm_a * (1.0 - s.inf_a) / ((1.0 - s.norm_a) * (1.0 - s.norm_a)),
+    gate=lambda s: (s.tilde_tau0, s.tilde_delta), requires=_positive_a,
+    gate_message="gate alpha*tilde_tau0 {op} tilde_delta fails ({x:.6g} > {cap:.6g})",
+    notes=("hypotheses assumed, not verified numerically: int b = inf, b != 0 almost everywhere",))
+theorem3_lhs = THEOREM3.lhs
 
 
 def check_theorem3(isummary: IntegralSummary, alpha: float) -> CriterionVerdict:
-    """Integral-delay test (delays may be unbounded); claims asymptotic stability.
-
-    Gate alpha * tilde_tau0 <= tilde_delta with tilde_tau0 = (1 - ||a||)/e;
-    decisive inequality
-    tilde_tau + tilde_sigma ||a|| (1 - a0)/(1 - ||a||)^2 < (1 - ||a||)(1 + alpha/e).
-    """
+    """THEOREM3 at a fixed alpha in (0, 1]."""
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    cert = _cert(isummary, _FIELDS_T3)
-    if isummary.inf_a <= 0.0:
-        return _not_applicable("theorem3", "a(t) >= a0 > 0 fails", ASYMPTOTIC, cert, alpha, _T3_NOTES)
-    if alpha * isummary.tilde_tau0 > isummary.tilde_delta:
-        return _not_applicable(
-            "theorem3",
-            f"gate alpha*tilde_tau0 <= tilde_delta fails "
-            f"({alpha * isummary.tilde_tau0:.6g} > {isummary.tilde_delta:.6g})",
-            ASYMPTOTIC, cert, alpha, _T3_NOTES)
-    margin = _rhs(1.0 - isummary.norm_a, alpha) - theorem3_lhs(isummary)
-    return _decide("theorem3", margin, ASYMPTOTIC, cert, alpha, _T3_NOTES)
+    return THEOREM3.check(isummary, alpha)
 
 
-def theorem3_not_applicable(spec: EquationSpec, reason: str,
-                            alpha: float | None) -> CriterionVerdict:
-    """Theorem 3 verdict when the test cannot run: alpha = 0, or no integral
-    summary.  Certified exactly when check_theorem3 would be."""
-    cert = CERTIFIED if set(_FIELDS_T3) <= spec.overrides.keys() else NUMERIC
-    return _not_applicable("theorem3", reason, ASYMPTOTIC, cert, alpha, _T3_NOTES)
+def theorem3_verdict(spec: EquationSpec, alpha: float | None = None,
+                     isummary: IntegralSummary | None = None,
+                     integrals: IntegralsOfB | None = None) -> CriterionVerdict:
+    """THEOREM3 at ``alpha``, or at its best alpha when None; not applicable,
+    with the reason, when alpha is 0 or there is no integral summary."""
+    if alpha is not None and alpha <= 0.0:
+        reason = "alpha must be positive"
+    else:
+        try:
+            if isummary is None:
+                isummary = integral_summary(spec, integrals)
+        except (SummaryError, QuadratureError) as exc:
+            reason = str(exc)
+        else:
+            if alpha is None:
+                alpha = THEOREM3.best_alpha(isummary)
+            if alpha > 0.0:
+                return THEOREM3.check(isummary, alpha)
+            reason = f"gate alpha*tilde_tau0 <= tilde_delta = {isummary.tilde_delta:.6g} admits no alpha > 0"
+    # the overrides are what would make an integral summary certified
+    cert = CERTIFIED if set(THEOREM3.fields) <= spec.overrides.keys() else NUMERIC
+    return _not_applicable("theorem3", reason, ASYMPTOTIC, cert, alpha, THEOREM3.notes)
 
 
 # -- classical constant-delay baselines ----------------------------------------
@@ -407,12 +404,13 @@ def tang_zou_threshold(norm_a: float) -> float | None:
 
 
 _BASELINE_NOTES = ("hypotheses assumed: constant delays, continuous coefficients, int b = inf",)
+_BASELINE_FIELDS = ("norm_a", "limsup_int_b")
 
 
 def _baseline(criterion: str, summary: ParameterSummary, limsup_int_b: float,
               constant_delays: bool, threshold: float | None, out_of_range: str) -> CriterionVerdict:
     """Decide ``limsup_int_b < threshold``; a None threshold is out of range."""
-    cert = _cert(summary, ("norm_a", "limsup_int_b"))
+    cert = _cert(summary, _BASELINE_FIELDS)
     if not constant_delays:
         return _not_applicable(criterion, "constant delays required", ASYMPTOTIC, cert)
     if threshold is None:
@@ -451,14 +449,6 @@ def _delays_constant(spec: EquationSpec, samples: int = 2001, rel_tol: float = 1
             and float(lag_h.max() - lag_h.min()) <= rel_tol * span)
 
 
-def optimal_alpha(gate_scale: float, gate_cap: float) -> float:
-    """Margin is affine increasing in alpha, so the best admissible alpha is
-    min(1, cap/scale) (closed-form; no search)."""
-    if gate_scale <= 0.0:
-        return 1.0
-    return min(1.0, gate_cap / gate_scale)
-
-
 def corollary3_alpha_interval(summary: ParameterSummary) -> AlphaInterval:
     """Open alpha range on which the two-sided limiting-lag test holds."""
     if summary.inf_a <= 0.0 or summary.limit_tau is None:
@@ -484,8 +474,8 @@ def best_verdict(
         summary = summarize(spec, grid_points or 100_000)
     verdicts: list[CriterionVerdict] = []
 
-    a_star = optimal_alpha(tau0(summary), summary.delta)
-    verdicts.append(check_theorem1(summary, a_star))
+    a_star = THEOREM1.best_alpha(summary)
+    verdicts.append(THEOREM1.check(summary, a_star))
     verdicts.extend(check_corollary_main(summary))
 
     if summary.limit_tau is not None:
@@ -494,36 +484,26 @@ def best_verdict(
         verdicts.append(check_corollary3(summary, alpha3))
 
     if summary.norm_a == summary.inf_a:
-        verdicts.append(check_corollary1(summary, min(1.0, _corollary1_gate(summary))))
+        verdicts.append(COROLLARY1.check(summary, COROLLARY1.best_alpha(summary)))
 
     if summary.tau == 0.0:
         verdicts.append(check_corollary2(summary))
 
-    a_star2 = optimal_alpha(tau_bar(summary), summary.delta)
-    verdicts.append(check_theorem2(summary, a_star2))
-    verdicts.append(check_theorem2_remark(summary, a_star2))
+    verdicts += [test.check(summary, test.best_alpha(summary)) for test in (THEOREM2, THEOREM2_REMARK)]
     verdicts.extend(check_corollary5(summary))
 
     integrals = IntegralsOfB(spec)  # one table of the integral of b for both estimates
-    if isummary is None:
-        try:
-            isummary = integral_summary(spec, integrals)
-        except (SummaryError, QuadratureError) as exc:
-            verdicts.append(theorem3_not_applicable(spec, str(exc), None))
-    if isummary is not None:
-        a_star3 = optimal_alpha(isummary.tilde_tau0, isummary.tilde_delta)
-        if a_star3 > 0.0:
-            verdicts.append(check_theorem3(isummary, a_star3))
+    verdicts.append(theorem3_verdict(spec, None, isummary, integrals))
 
     const_delays = _delays_constant(spec)
-    if summary.limsup_int_b is not None:
-        limsup = summary.limsup_int_b
-    else:
-        try:
+    limsup = summary.limsup_int_b
+    try:
+        if limsup is None:
             limsup = estimate_limsup_int_b(spec, summary.tau, integrals) if summary.tau > 0.0 else 0.0
-        except ValueError:
-            limsup = None
-    if limsup is not None:
+    except QuadratureError as exc:
+        cert = _cert(summary, _BASELINE_FIELDS)
+        verdicts += [_not_applicable(c, str(exc), ASYMPTOTIC, cert) for c in ("prop_yu", "prop_tang_zou")]
+    else:
         verdicts.append(check_prop_yu(summary, limsup, const_delays))
         verdicts.append(check_prop_tang_zou(summary, limsup, const_delays))
 

@@ -83,7 +83,7 @@ def _band(summary: ParameterSummary, alpha: float) -> tuple[float, float]:
     one_minus = 1.0 - summary.norm_a
     shape = summary.norm_b  # family is stored at unit amplitude
     denom = summary.tau + summary.sigma * summary.norm_a * (1.0 - summary.inf_a) / (one_minus * one_minus)
-    upper = criteria._rhs(one_minus, alpha) / (shape * denom) if denom else math.inf
+    upper = criteria.THEOREM1.rhs(summary, alpha) / (shape * denom) if denom else math.inf
     if alpha == 0.0:
         return 0.0, upper
     if summary.delta <= 0.0:
@@ -194,7 +194,7 @@ EXAMPLE_IDS = ("ex1", "ex2", "ex3", "ex4", "ex5")
 _Q = QuantityCheck
 
 
-def _report_ex1(spec, summary, sim, sim_note):
+def _report_ex1(spec, summary):
     interval = criteria.alpha_interval_theorem1(summary)
     c3 = {a: criteria.check_corollary3(summary, a) for a in (0.0, 0.5, 1.0)}
     yu = criteria.check_prop_yu(summary, summary.limsup_int_b, constant_delays=False)
@@ -215,7 +215,7 @@ def _report_ex1(spec, summary, sim, sim_note):
     return quantities, claims, verdicts, ()
 
 
-def _report_ex2(spec, summary, sim, sim_note):
+def _report_ex2(spec, summary):
     rows = {a: sweep_alpha_r(spec, [a], summary=summary)[0] for a in (0.0, 0.5, 1.0)}
     s15 = summarize(scale_b(spec, 0.15), 4096)
     s20 = summarize(scale_b(spec, 0.20), 4096)
@@ -236,7 +236,7 @@ def _report_ex2(spec, summary, sim, sim_note):
     return quantities, claims, verdicts, ()
 
 
-def _report_ex3(spec, summary, sim, sim_note):
+def _report_ex3(spec, summary):
     # ex3's family is stored at unit amplitude, so these are the sweep bands
     _, r_b_upper = _band(summary, 0.0)                              # alpha = 0 bound
     r_a_lower, r_a_upper = _band(summary, 1.0)                      # alpha = 1 gate and bound
@@ -269,11 +269,11 @@ def _report_ex3(spec, summary, sim, sim_note):
     return quantities, claims, verdicts, notes
 
 
-def _report_ex4(spec, summary, sim, sim_note):
+def _report_ex4(spec, summary):
     tb = criteria.tau_bar(summary)
-    lhs = criteria._lhs_split(summary)
+    lhs = criteria.THEOREM2.lhs(summary)
     alpha_thr = math.e * (lhs - (1.0 - summary.norm_a)) / (1.0 - summary.norm_a_plus)
-    rhs_045 = 1.0 - summary.norm_a + 0.45 * (1.0 - summary.norm_a_plus) / math.e
+    rhs_045 = criteria.THEOREM2.rhs(summary, 0.45)
     t2 = criteria.check_theorem2(summary, 0.45)
     t1 = criteria.check_theorem1(summary, 0.45)
     c5a, c5b = criteria.check_corollary5(summary)
@@ -296,10 +296,10 @@ def _report_ex4(spec, summary, sim, sim_note):
     return quantities, claims, verdicts, ()
 
 
-def _report_ex5(spec, summary, sim, sim_note):
+def _report_ex5(spec, summary):
     isummary = integral_summary(spec)
-    lhs = criteria.theorem3_lhs(isummary)
-    rhs_1 = criteria._rhs(1.0 - isummary.norm_a, 1.0)
+    lhs = criteria.THEOREM3.lhs(isummary)
+    rhs_1 = criteria.THEOREM3.rhs(isummary, 1.0)
     t3 = {a: criteria.check_theorem3(isummary, a) for a in (1.0, 0.36, 0.30)}
     quantities = (
         _Q("tilde_sigma", 0.25 * math.log(3.0), isummary.tilde_sigma, 1e-8, "quadrature"),
@@ -367,7 +367,7 @@ def reproduce_examples(
             sim_note = (f"representative point (amplitude {rep_r:g}), constant history, "
                         f"span {sim_span:g}, step {sim_step:g}")
 
-        quantities, claims, verdicts, notes = builder(spec, summary, sim, sim_note)
+        quantities, claims, verdicts, notes = builder(spec, summary)
         out.append(ExampleReport(
             example_id=ex_id, name=spec.name,
             quantities=quantities, claims=claims, verdicts=verdicts,

@@ -151,6 +151,40 @@ def test_check_refutes_an_override_below_the_sampled_supremum(tmp_path, capsys):
     assert run(["check", str(p)]) == 0
 
 
+def test_check_theorem3_passes_its_gate_at_its_own_optimum(tmp_path, capsys):
+    # tilde_delta / tilde_tau0 rounds up past the gate alpha*tilde_tau0 <= tilde_delta,
+    # which rejected theorem 3 at the alpha chosen to pass it
+    a = 0.5921365739418385
+    spec = {"a": ["const", a], "b": ["/", ["const", 0.06508031818335504], ["t"]],
+            "g": ["/", ["t"], ["const", 3.3384874904171378]],
+            "h": ["/", ["t"], ["const", 2.1224942160000912]], "t0": 1.0, "horizon": 400.0,
+            "overrides": {"norm_a": a, "inf_a": a, "norm_a_plus": a, "norm_a_minus": 0.0,
+                          "tilde_tau": 0.04897892123258726, "tilde_delta": 0.04897892123258726,
+                          "tilde_sigma": 0.0784554857250167}}
+    p = tmp_path / "pantograph.json"
+    p.write_text(json.dumps(spec))
+    assert run(["check", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "stability certified by theorem3 (asymptotic)" in out
+    assert "theorem3           satisfied " in out and "[asymptotic, certified]" in out
+
+
+def test_check_reports_every_test_it_cannot_run(tmp_path, capsys):
+    # tau = 12 > horizon - t0 (no limsup window) and delta = 0 (theorem 3's gate
+    # admits only alpha = 0): both used to drop their verdicts without a line
+    p = tmp_path / "long_lag.json"
+    p.write_text(json.dumps({
+        "a": ["const", 0.1], "b": ["const", 0.05], "g": ["+", ["t"], ["const", -0.1]],
+        "h": ["+", ["t"], ["scale", -12.0, ["abs", ["sin", ["t"]]]]], "t0": 0.0, "horizon": 10.0}))
+    assert run(["check", str(p)]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert "not applicable  alpha=0  [asymptotic" in lines["theorem3"]
+    assert "admits no alpha > 0" in lines["theorem3"]
+    for name in ("prop_yu", "prop_tang_zou"):
+        assert lines[name].endswith("(window longer than the analysis horizon)")
+        assert "not applicable" in lines[name]
+
+
 def test_check_missing_file_exits_2(capsys):
     assert run(["check", "missing.json"]) == 2
     assert "missing.json" in capsys.readouterr().err
@@ -320,6 +354,20 @@ def test_corpus_outputs_match_bench_references(tmp_path, capsys, monkeypatch):
         compare("sweep", ex_id, ["sweep", corpus_path(ex_id), "--out", out], out)
     compare("examples_nosim", "corpus", ["examples", "--no-simulation", "--json"])
     assert problems == []
+
+
+@pytest.mark.parametrize("name", [*(f"{command}_ex{i}" for command in ("check", "compare")
+                                      for i in range(1, 6)), "examples_no_simulation"])
+def test_corpus_text_outputs_match_golden_files(capsys, name):
+    # the text outputs, reasons and notes included, byte for byte; the
+    # reference comparison above reads numbers and flags only
+    command, arg = name.split("_", 1)
+    argv = ["examples", "--no-simulation"] if command == "examples" else [command, corpus_path(arg)]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if command == "check":
+        out = out.split("\n", 1)[1]  # the header line prints the spec path
+    assert out == (DATA / f"{name}.txt").read_text()
 
 
 def test_compare_table(capsys):

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_summary
+from conftest import bare, random_summary
 from ndstab import criteria
 from ndstab.criteria import (
     MissingLimit,
@@ -349,3 +350,215 @@ def test_verdict_json_shape(ex1):
     d = best_verdict(ex1)[0].to_dict()
     assert set(d) == {"criterion", "applicable", "satisfied", "margin",
                       "alpha", "kind", "certification", "notes"}
+
+
+# -- the optimal alpha passes its own gate --------------------------------------------
+
+RECORDS = (criteria.THEOREM1, criteria.COROLLARY1, criteria.THEOREM2,
+           criteria.THEOREM2_REMARK, criteria.THEOREM3)
+
+
+def test_theorem3_best_alpha_passes_its_gate_where_cap_over_scale_rounds_up():
+    a = 0.5921365739418385
+    isum = IntegralSummary(tilde_delta=0.04897892123258726, tilde_tau=0.04897892123258726,
+                           tilde_sigma=0.0784554857250167, tilde_tau0=0.15004456925254636,
+                           norm_a=a, inf_a=a)
+    cap_over_scale = isum.tilde_delta / isum.tilde_tau0
+    assert cap_over_scale == 0.3264291501956913
+    assert cap_over_scale * isum.tilde_tau0 > isum.tilde_delta  # the old optimum fails its gate
+    alpha = criteria.THEOREM3.best_alpha(isum)
+    assert alpha == math.nextafter(cap_over_scale, 0.0)
+    v = check_theorem3(isum, alpha)
+    assert v.applicable and v.satisfied
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 0.99), st.floats(0.0, 1.0), st.floats(1e-3, 10.0), st.floats(0.0, 3.0),
+       st.floats(0.0, 3.0))
+def test_best_alpha_passes_its_own_gate(norm_a, plus_share, norm_b, delta, tilde_delta):
+    s = ParameterSummary(norm_a=norm_a, inf_a=norm_a, norm_a_plus=norm_a * plus_share,
+                         norm_a_minus=0.0, norm_b=norm_b, inf_b=norm_b, sigma=0.5,
+                         tau=delta, delta=delta)
+    isum = IntegralSummary(tilde_delta=tilde_delta, tilde_tau=tilde_delta, tilde_sigma=0.5,
+                           tilde_tau0=(1.0 - norm_a) / math.e, norm_a=norm_a, inf_a=norm_a)
+    for test in RECORDS:
+        summary = isum if test is criteria.THEOREM3 else s
+        scale, cap = test.gate(summary)
+        alpha = test.best_alpha(summary)
+        assert 0.0 <= alpha <= 1.0 and alpha * scale <= cap
+        # lowered from the gate optimum only while it failed the gate
+        optimum = min(1.0, cap / scale)
+        assert alpha == optimum or (alpha < optimum and math.nextafter(alpha, 2.0) * scale > cap)
+        assert not test.check(summary, alpha).reason.startswith("gate")
+
+
+# -- the hand-written checks the AlphaTest records replaced, kept as the reference ---------
+
+def _ref_cert(s, fields):
+    return "certified" if s.certified(fields) else "numerically-supported"
+
+
+def _ref_na(criterion, reason, kind, cert, alpha, notes=()):
+    return criteria.CriterionVerdict(criterion, False, reason, False, math.nan, alpha, kind, cert, notes)
+
+
+def _ref_decide(criterion, margin, kind, cert, alpha, notes=()):
+    return criteria.CriterionVerdict(criterion, True, "", margin > 0.0, margin, alpha, kind, cert, notes)
+
+
+def _ref_unit(alpha):
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
+def _ref_rhs(one_minus, alpha):
+    return one_minus * (1.0 + alpha / math.e)
+
+
+_REF_T1 = ("norm_a", "inf_a", "norm_b", "sigma", "tau", "delta")
+_REF_T2 = ("norm_a", "norm_a_plus", "norm_a_minus", "norm_b", "sigma", "tau", "delta")
+_REF_T3 = ("tilde_tau", "tilde_delta", "tilde_sigma", "norm_a", "inf_a")
+_REF_T3_NOTES = ("hypotheses assumed, not verified numerically: int b = inf, b != 0 almost everywhere",)
+_UE = "uniform-exponential"
+
+
+def ref_theorem1(summary, alpha, criterion="theorem1"):
+    _ref_unit(alpha)
+    cert = _ref_cert(summary, _REF_T1)
+    if summary.inf_a <= 0.0:
+        return _ref_na(criterion, "a(t) >= a0 > 0 fails", _UE, cert, alpha)
+    if alpha * tau0(summary) > summary.delta:
+        return _ref_na(
+            criterion, f"gate alpha*tau0 <= delta fails ({alpha * tau0(summary):.6g} > {summary.delta:.6g})",
+            _UE, cert, alpha)
+    one_minus = 1.0 - summary.norm_a
+    sigma_term = summary.sigma * summary.norm_a * summary.norm_b * (1.0 - summary.inf_a) / (one_minus * one_minus)
+    return _ref_decide(criterion, _ref_rhs(one_minus, alpha) - (summary.tau * summary.norm_b + sigma_term),
+                       _UE, cert, alpha)
+
+
+def ref_corollary1(summary, alpha):
+    _ref_unit(alpha)
+    if summary.norm_a != summary.inf_a:
+        raise NotConstant(
+            f"constant neutral coefficient required (norm_a={summary.norm_a}, inf_a={summary.inf_a})")
+    a = summary.norm_a
+    cert = _ref_cert(summary, _REF_T1)
+    gate = summary.delta * math.e * summary.norm_b / (1.0 - summary.norm_a)
+    if alpha > gate:
+        return _ref_na("corollary1", f"gate alpha <= delta*e*||b||/(1-a) fails ({alpha:.6g} > {gate:.6g})",
+                       _UE, cert, alpha)
+    lhs = summary.tau * summary.norm_b + summary.sigma * a * summary.norm_b / (1.0 - a)
+    return _ref_decide("corollary1", _ref_rhs(1.0 - a, alpha) - lhs, _UE, cert, alpha)
+
+
+def ref_theorem2(summary, alpha, criterion="theorem2", strict_gate=False):
+    _ref_unit(alpha)
+    cert = _ref_cert(summary, _REF_T2)
+    tb = tau_bar(summary)
+    gate_ok = alpha * tb < summary.delta if strict_gate else alpha * tb <= summary.delta
+    if not gate_ok:
+        op = "<" if strict_gate else "<="
+        return _ref_na(
+            criterion, f"gate alpha*tau_bar {op} delta fails ({alpha * tb:.6g} vs {summary.delta:.6g})",
+            _UE, cert, alpha)
+    rhs = 1.0 - summary.norm_a + alpha * (1.0 - summary.norm_a_plus) / math.e
+    one_minus_p = 1.0 - summary.norm_a_plus
+    lhs = (summary.tau * summary.norm_b
+           + summary.sigma * summary.norm_a_plus * summary.norm_b / (one_minus_p * one_minus_p)
+           + summary.norm_a_minus * summary.norm_b / one_minus_p)
+    return _ref_decide(criterion, rhs - lhs, _UE, cert, alpha)
+
+
+def ref_theorem2_remark(summary, alpha):
+    _ref_unit(alpha)
+    cert = _ref_cert(summary, _REF_T2)
+    if summary.norm_a != summary.norm_a_plus:
+        return _ref_na("theorem2_remark", "needs sup a >= sup(-a) (||a|| = ||a+||)", _UE, cert, alpha)
+    tb = tau_bar(summary)
+    if alpha * tb > summary.delta:
+        return _ref_na(
+            "theorem2_remark", f"gate alpha*tau_bar <= delta fails ({alpha * tb:.6g} > {summary.delta:.6g})",
+            _UE, cert, alpha)
+    a = summary.norm_a
+    lhs = (summary.tau * summary.norm_b
+           + summary.sigma * a * summary.norm_b / (1.0 - a) ** 2
+           + summary.norm_a_minus * summary.norm_b / (1.0 - a))
+    return _ref_decide("theorem2_remark", _ref_rhs(1.0 - a, alpha) - lhs, _UE, cert, alpha)
+
+
+def ref_theorem3(isummary, alpha):
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    cert = _ref_cert(isummary, _REF_T3)
+    if isummary.inf_a <= 0.0:
+        return _ref_na("theorem3", "a(t) >= a0 > 0 fails", "asymptotic", cert, alpha, _REF_T3_NOTES)
+    if alpha * isummary.tilde_tau0 > isummary.tilde_delta:
+        return _ref_na(
+            "theorem3",
+            f"gate alpha*tilde_tau0 <= tilde_delta fails "
+            f"({alpha * isummary.tilde_tau0:.6g} > {isummary.tilde_delta:.6g})",
+            "asymptotic", cert, alpha, _REF_T3_NOTES)
+    one_minus = 1.0 - isummary.norm_a
+    lhs = isummary.tilde_tau + isummary.tilde_sigma * isummary.norm_a * (1.0 - isummary.inf_a) / (one_minus * one_minus)
+    return _ref_decide("theorem3", _ref_rhs(one_minus, alpha) - lhs, "asymptotic", cert, alpha, _REF_T3_NOTES)
+
+
+def _outcome(check, *args):
+    try:
+        return repr(check(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_PAIRS = (
+    (ref_theorem1, check_theorem1),
+    (ref_corollary1, check_corollary1),
+    (ref_theorem2, check_theorem2),
+    (ref_theorem2_remark, criteria.check_theorem2_remark),
+    (lambda s, a: (ref_theorem1(s, 1.0, "corollary_main_a"), ref_theorem1(s, 0.0, "corollary_main_b")),
+     lambda s, a: check_corollary_main(s)),
+    (lambda s, a: (ref_theorem2(s, 1.0, "corollary5_a", strict_gate=True),
+                   ref_theorem2(s, 0.0, "corollary5_b")),
+     lambda s, a: check_corollary5(s)),
+)
+
+
+def _assert_records_match_reference(s, isum, rng):
+    # 0, 1, a random alpha and each gate's cap / scale (the parent's optimum)
+    alphas = [0.0, 1.0, float(rng.uniform()), min(1.0, s.delta / tau0(s)), min(1.0, s.delta / tau_bar(s)),
+              min(1.0, s.delta * math.e * s.norm_b / (1.0 - s.norm_a))]
+    for alpha in alphas:
+        for ref, record in _PAIRS:
+            assert _outcome(record, s, alpha) == _outcome(ref, s, alpha), (s, alpha)
+    for alpha in (0.0, 1.0, float(rng.uniform()), min(1.0, isum.tilde_delta / isum.tilde_tau0)):
+        assert _outcome(check_theorem3, isum, alpha) == _outcome(ref_theorem3, isum, alpha), (isum, alpha)
+
+
+def _random_provenance(rng, fields):
+    return {f: "analytic-override" for f in fields if rng.uniform() < 0.7}
+
+
+def test_records_match_the_reference_on_random_summaries():
+    rng = np.random.default_rng(20240611)
+    for _ in range(2000):
+        s = random_summary(rng)
+        if rng.uniform() < 0.2:  # constant a
+            s = replace(s, inf_a=s.norm_a, norm_a_plus=s.norm_a, norm_a_minus=0.0)
+        if rng.uniform() < 0.1:  # h(t) = t
+            s = replace(s, tau=0.0, delta=0.0)
+        s = replace(s, provenance=_random_provenance(rng, _REF_T2 + ("inf_a",)))
+        tilde_tau = rng.uniform(0.0, 2.0)
+        isum = IntegralSummary(
+            tilde_delta=rng.uniform(0.0, tilde_tau), tilde_tau=tilde_tau,
+            tilde_sigma=rng.uniform(0.0, 2.0), tilde_tau0=(1.0 - s.norm_a) / math.e,
+            norm_a=s.norm_a, inf_a=s.inf_a, provenance=_random_provenance(rng, _REF_T3))
+        _assert_records_match_reference(s, isum, rng)
+
+
+def test_records_match_the_reference_on_the_corpus(corpus):
+    from ndstab.params import integral_summary
+    rng = np.random.default_rng(5)
+    for spec in corpus.values():
+        for variant in (spec, bare(spec)):
+            _assert_records_match_reference(summarize(variant, 20001), integral_summary(variant), rng)
