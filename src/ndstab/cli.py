@@ -13,6 +13,7 @@ override values or coefficients that the analysis rejects.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -84,6 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``run``, built once per process: parsing leaves no state
+    in it, and building it costs far more than a parse."""
+    return build_parser()
 
 
 def _load_validated(path, grid: int = 100_000):
@@ -276,7 +284,7 @@ def _cmd_fundamental(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "check":

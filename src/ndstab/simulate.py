@@ -12,9 +12,18 @@ retarded lag stays above a few steps, whole blocks of steps reduce to a
 quadrature accumulation and are evaluated vectorized; otherwise a scalar
 loop runs, interpolating y linearly inside the current step for lookups
 that land past the last accepted node (this makes the scheme collapse to
-plain RK4 on ordinary equations).  The scalar loop runs on Python floats:
-x is one list (a neutral lookup can reach anywhere back); the other inputs
-are read, and x and y written back, in blocks of steps.
+plain RK4 on ordinary equations).
+
+Both loops evaluate their inputs per block of steps: the node times, a and
+g at the nodes, b, h and the forcing at the stages, and the history where
+a delayed argument reaches before t0.  Only x and y are kept for the whole
+run, since a neutral lookup can reach anywhere back, so memory is x and y
+plus a few blocks.  A first pass over the stage grid, also in blocks, finds
+the smallest retarded lag, which picks the path; a run of one block keeps
+h from it.  The scalar loop runs on Python floats, one block at a time: it
+reads lists of the block's inputs and of its x and y, writes x and y back
+at the end of the block, and reads a lookup that reaches before the block
+from the array.
 
 On the vectorized path, a node whose neutral argument g(t) lies past the
 start of its block is recovered by wavefront: the longest run of such
@@ -52,6 +61,11 @@ _CSV_BLOCK_ROWS = 4096
 # Steps per block of the scalar loop, which reads its inputs as Python lists
 # (numpy scalar indexing costs more than the arithmetic) one block at a time.
 _SCALAR_BLOCK_STEPS = 4096
+
+# Steps per block of the first pass over the stage grid and, rounded up to
+# whole chunks, of the vectorized loop's inputs: a run of at most this many
+# steps evaluates each input once.
+_BLOCK_STEPS = 8192
 
 
 class FixedPointDivergence(RuntimeError):
@@ -111,10 +125,10 @@ class Trajectory:
 
     def write_csv(self, fh) -> None:
         fh.write("t,x,y\r\n")
-        ts = self.times()
         for lo in range(0, self.n, _CSV_BLOCK_ROWS):
-            hi = lo + _CSV_BLOCK_ROWS
-            block = np.column_stack((ts[lo:hi], self.x[lo:hi], self.y[lo:hi]))
+            hi = min(lo + _CSV_BLOCK_ROWS, self.n)
+            ts = self.t0 + self.step * np.arange(lo, hi)  # times()[lo:hi]
+            block = np.column_stack((ts, self.x[lo:hi], self.y[lo:hi]))
             fh.write("%.12g,%.12g,%.12g\r\n" * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -180,6 +194,79 @@ def _forcing_arrays(forcing, ts):
     return np.array([float(forcing(t)) for t in ts])
 
 
+def _history_at(q, below, hist_array):
+    """The history at q where ``below`` holds, zero elsewhere."""
+    phi = np.zeros(len(q))
+    if np.any(below):
+        phi[below] = hist_array(q[below])
+    return phi
+
+
+class _Inputs:
+    """The equation's inputs on blocks of the node grid t0 + step*i and of
+    the stage grid t0 + 0.5*step*k.  Every input is elementwise in its grid
+    time, so a block holds the values the whole grid would.
+
+    Construction scans the stage grid in blocks for the smallest retarded
+    lag; a run of one block keeps that block's times and h.
+    """
+
+    def __init__(self, spec, forcing, t0, step, n_steps):
+        self.spec, self.forcing, self.t0, self.step = spec, forcing, t0, step
+        lag_min = math.inf
+        for lo in range(0, n_steps, _BLOCK_STEPS):
+            ts, h = self._stage_h(lo, min(lo + _BLOCK_STEPS, n_steps))
+            lag_min = np.minimum(lag_min, np.min(ts - h))  # NaN if any lag is
+        self.lag_min = float(lag_min)
+        self._whole = (ts, h) if n_steps <= _BLOCK_STEPS else None
+
+    def _stage_h(self, lo, hi):
+        ts = self.t0 + 0.5 * self.step * np.arange(2 * lo, 2 * hi + 1)
+        return ts, self.spec.h.eval_array(ts)
+
+    def nodes(self, lo, hi):
+        """Times, a and g at nodes lo to hi."""
+        tn = self.t0 + self.step * np.arange(lo, hi + 1)
+        return tn, self.spec.a.eval_array(tn), self.spec.g.eval_array(tn)
+
+    def stages(self, lo, hi):
+        """b, h and the forcing at the stages of steps lo to hi - 1 (stages
+        2*lo to 2*hi)."""
+        if self._whole is None:
+            ts, h = self._stage_h(lo, hi)
+        else:
+            ts, h = (v[2 * lo:2 * hi + 1] for v in self._whole)
+        return self.spec.b.eval_array(ts), h, _forcing_arrays(self.forcing, ts)
+
+
+def _set_y0(x, y, a0, g0, t0, hist_scalar):
+    """y at t0, from x(t0) = x[0] and a and g at t0."""
+    x0 = float(x[0])
+    xg0 = x0 if t0 - g0 < _DEGENERATE_LAG else float(hist_scalar(g0))
+    y[0] = x0 - a0 * xg0
+
+
+def _evaluate_whole_run(spec, hist_scalar, hist_array, forcing, initial_value,
+                        t0, step, n_steps):
+    """Evaluate every input over the whole run, in the order a, g, b, h,
+    forcing, history at h and at g, x(t0), x(g(t0)).  A failing run reports
+    the first error of this order, whatever the order of its blocks."""
+    tn = t0 + step * np.arange(n_steps + 1)
+    ts = t0 + 0.5 * step * np.arange(2 * n_steps + 1)
+    spec.a.eval_array(tn)
+    g_n = spec.g.eval_array(tn)
+    spec.b.eval_array(ts)
+    h_s = spec.h.eval_array(ts)
+    _forcing_arrays(forcing, ts)
+    for q in (h_s, g_n):
+        _history_at(q, q < t0, hist_array)
+    if initial_value is None:
+        hist_scalar(t0)
+    g0 = float(g_n[0])
+    if not t0 - g0 < _DEGENERATE_LAG:
+        hist_scalar(g0)
+
+
 def integrate(
     spec: EquationSpec,
     history,
@@ -204,55 +291,30 @@ def integrate(
         raise ValueError("t_end must exceed t0")
     t0 = spec.t0
     n_steps = max(1, int(math.ceil((t_end - t0) / step - 1e-9)))
-
-    tn = t0 + step * np.arange(n_steps + 1)
-    ts = t0 + 0.5 * step * np.arange(2 * n_steps + 1)
-    a_n = spec.a.eval_array(tn)
-    g_n = spec.g.eval_array(tn)
-    b_s = spec.b.eval_array(ts)
-    h_s = spec.h.eval_array(ts)
-    f_s = _forcing_arrays(forcing, ts)
-
     hist_scalar, hist_array = _history_fns(history)
 
-    # History values are needed exactly where the delayed arguments dip to
-    # or below t0; precompute them aligned with the stage/node grids.
-    phi_h = np.zeros(len(ts))
-    below_h = h_s < t0
-    if np.any(below_h):
-        phi_h[below_h] = hist_array(h_s[below_h])
-    phi_g = np.zeros(len(tn))
-    below_g = g_n < t0
-    if np.any(below_g):
-        phi_g[below_g] = hist_array(g_n[below_g])
-
-    # zeros, not empty: a stage lookup at exactly t0 from the first chunk
-    # reads the last node with weight 0, which must not be NaN garbage
-    x = np.zeros(n_steps + 1)
-    y = np.empty(n_steps + 1)
-    x0 = float(hist_scalar(t0)) if initial_value is None else float(initial_value)
-    g0 = float(g_n[0])
-    if t0 - g0 < _DEGENERATE_LAG:
-        xg0 = x0
-    else:
-        xg0 = float(hist_scalar(g0))
-    x[0] = x0
-    y[0] = x0 - float(a_n[0]) * xg0
-
-    lag_min = float(np.min(ts - h_s))
-    k_chunk = int(lag_min / step + 1e-12)
-
-    stats = _Stats()
-    if k_chunk >= 8:
-        path = "chunked"
-        _advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
-                         t0, step, n_steps, min(k_chunk, 4096),
-                         fp_tol, fp_max_iter, stats)
-    else:
-        path = "scalar"
-        _advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
-                        hist_scalar, t0, step, n_steps,
-                        fp_tol, fp_max_iter, stats)
+    try:
+        inputs = _Inputs(spec, forcing, t0, step, n_steps)
+        k_chunk = int(inputs.lag_min / step + 1e-12)
+        # zeros, not empty: a stage lookup at exactly t0 from the first chunk
+        # or step reads the last node with weight 0, which must not be NaN
+        # garbage
+        x = np.zeros(n_steps + 1)
+        y = np.empty(n_steps + 1)
+        x[0] = float(hist_scalar(t0)) if initial_value is None else float(initial_value)
+        stats = _Stats()
+        if k_chunk >= 8:
+            path = "chunked"
+            _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps,
+                             min(k_chunk, 4096), fp_tol, fp_max_iter, stats)
+        else:
+            path = "scalar"
+            _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
+                            fp_tol, fp_max_iter, stats)
+    except (ValueError, FixedPointDivergence):
+        _evaluate_whole_run(spec, hist_scalar, hist_array, forcing, initial_value,
+                            t0, step, n_steps)
+        raise
 
     return Trajectory(t0=t0, step=step, x=x, y=y,
                       history=history, forcing=forcing,
@@ -300,59 +362,70 @@ def _fixed_point(i, j, frac, x, yi, ai, t_i, fp_tol, fp_max_iter, stats):
     raise _divergence(t_i)
 
 
-def _advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
-                     t0, step, n_steps, k_chunk, fp_tol, fp_max_iter, stats):
+def _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps, k_chunk,
+                     fp_tol, fp_max_iter, stats):
     # All stage lookups inside a chunk land at or before the chunk start,
     # so a whole chunk of y-updates is a pure quadrature accumulation.
-    # Per-chunk work arrays keep memory at the size of one chunk.
-    hist_h = np.flatnonzero(h_s < t0)
-    last_hist_h = int(hist_h[-1]) if len(hist_h) else -1
-    pos = 0
-    while pos < n_steps:
-        end = min(pos + k_chunk, n_steps)
-        j0, j1 = 2 * pos, 2 * end + 1
-        qs = h_s[j0:j1]
-        jq, fq = _interp_index(qs, t0, step, pos - 1)
-        xq = x[jq] * (1.0 - fq) + x[jq + 1] * fq
-        if j0 <= last_hist_h:
-            hist = qs < t0
-            xq[hist] = phi_h[j0:j1][hist]
-        F = -b_s[j0:j1] * xq + f_s[j0:j1]
-        dy = (step / 6.0) * (F[:-2:2] + 4.0 * F[1::2] + F[2::2])
-        y[pos + 1:end + 1] = y[pos] + np.cumsum(dy)
+    # Inputs are evaluated per block of whole chunks, work arrays per chunk.
+    block = k_chunk * -(-_BLOCK_STEPS // k_chunk)
+    for lo in range(0, n_steps, block):
+        hi = min(lo + block, n_steps)
+        tn, a_n, g_n = inputs.nodes(lo, hi)
+        b_s, h_s, f_s = inputs.stages(lo, hi)
+        if lo == 0:
+            _set_y0(x, y, float(a_n[0]), float(g_n[0]), t0, hist_scalar)
+        phi_g = _history_at(g_n, g_n < t0, hist_array)
+        below_h = h_s < t0
+        hist_h = np.flatnonzero(below_h)
+        last_hist_h = int(hist_h[-1]) if len(hist_h) else -1
+        phi_h = _history_at(h_s, below_h, hist_array)
+        # chunk [pos, end) of the run is [p, e) of the block
+        for pos in range(lo, hi, k_chunk):
+            end = min(pos + k_chunk, hi)
+            p, e = pos - lo, end - lo
+            j0, j1 = 2 * p, 2 * e + 1
+            qs = h_s[j0:j1]
+            jq, fq = _interp_index(qs, t0, step, pos - 1)
+            xq = x[jq] * (1.0 - fq) + x[jq + 1] * fq
+            if j0 <= last_hist_h:
+                hist = qs < t0
+                xq[hist] = phi_h[j0:j1][hist]
+            F = -b_s[j0:j1] * xq + f_s[j0:j1]
+            dy = (step / 6.0) * (F[:-2:2] + 4.0 * F[1::2] + F[2::2])
+            y[pos + 1:end + 1] = y[pos] + np.cumsum(dy)
 
-        idx = np.arange(pos + 1, end + 1)
-        qg = g_n[pos + 1:end + 1]
-        near = tn[pos + 1:end + 1] - qg < _DEGENERATE_LAG
-        below = ~near & (qg < t0)
-        easy = ~near & ~below & (qg <= tn[pos])
-        hard = ~(near | below | easy)
+            idx = np.arange(pos + 1, end + 1)
+            qg, an = g_n[p + 1:e + 1], a_n[p + 1:e + 1]
+            near = tn[p + 1:e + 1] - qg < _DEGENERATE_LAG
+            below = ~near & (qg < t0)
+            easy = ~near & ~below & (qg <= tn[p])
+            hard = ~(near | below | easy)
 
-        ii = idx[near]
-        if len(ii):
-            x[ii] = y[ii] / (1.0 - a_n[ii])
-            stats.near += len(ii)
-        ii = idx[below]
-        if len(ii):
-            x[ii] = y[ii] + a_n[ii] * phi_g[ii]
-            stats.below += len(ii)
-        ii = idx[easy]
-        if len(ii):
-            je, fe = _interp_index(qg[easy], t0, step, pos - 1)
-            x[ii] = y[ii] + a_n[ii] * (x[je] * (1.0 - fe) + x[je + 1] * fe)
-            stats.easy += len(ii)
-        ii = idx[hard]
-        if len(ii):
-            _wavefront(ii, *_interp_index(qg[hard], t0, step, ii - 1), x, y, a_n,
-                       t0, step, fp_tol, fp_max_iter, stats)
-        pos = end
+            ii = idx[near]
+            if len(ii):
+                x[ii] = y[ii] / (1.0 - an[near])
+                stats.near += len(ii)
+            ii = idx[below]
+            if len(ii):
+                x[ii] = y[ii] + an[below] * phi_g[p + 1:e + 1][below]
+                stats.below += len(ii)
+            ii = idx[easy]
+            if len(ii):
+                je, fe = _interp_index(qg[easy], t0, step, pos - 1)
+                x[ii] = y[ii] + an[easy] * (x[je] * (1.0 - fe) + x[je + 1] * fe)
+                stats.easy += len(ii)
+            ii = idx[hard]
+            if len(ii):
+                _wavefront(ii, *_interp_index(qg[hard], t0, step, ii - 1), x, y, an[hard],
+                           t0, step, fp_tol, fp_max_iter, stats)
 
 
-def _wavefront(nodes, jn, fn, x, y, a_n, t0, step, fp_tol, fp_max_iter, stats):
+def _wavefront(nodes, jn, fn, x, y, an, t0, step, fp_tol, fp_max_iter, stats):
     """Recover x at the hard nodes of one chunk (ascending, g past the chunk
-    start), bit-for-bit as the node-by-node iteration would, in rounds: p is
-    the first unresolved node, and every node before the first whose
-    interpolation reaches p or beyond reads only final values."""
+    start; ``an`` holds a at them), bit-for-bit as the node-by-node iteration
+    would, in rounds: p is the first unresolved node, and every node before
+    the first whose interpolation reaches p or beyond reads only final
+    values."""
     jn1 = jn + 1
     self_ref = (jn1 == nodes).tolist()
     n_self = sum(self_ref)
@@ -368,7 +441,7 @@ def _wavefront(nodes, jn, fn, x, y, a_n, t0, step, fp_tol, fp_max_iter, stats):
     while k < n:
         p = int(nodes[k])
         if self_ref[k]:
-            _fixed_point(p, int(jn[k]), float(fn[k]), x, y[p], a_n[p], t0 + step * p,
+            _fixed_point(p, int(jn[k]), float(fn[k]), x, y[p], an[k], t0 + step * p,
                          fp_tol, fp_max_iter, stats)
             k += 1
             continue
@@ -380,7 +453,7 @@ def _wavefront(nodes, jn, fn, x, y, a_n, t0, step, fp_tol, fp_max_iter, stats):
                 stop = k + 1 + m
         ii, jj = nodes[k:stop], jn[k:stop]
         xj = x[jj]
-        new = y[ii] + a_n[ii] * (xj + fn[k:stop] * (x[jn1[k:stop]] - xj))
+        new = y[ii] + an[k:stop] * (xj + fn[k:stop] * (x[jn1[k:stop]] - xj))
         x[ii] = new
         r1 = np.abs(new - x[ii - 1])
         k = stop
@@ -399,10 +472,10 @@ def _wavefront(nodes, jn, fn, x, y, a_n, t0, step, fp_tol, fp_max_iter, stats):
             stats.resid_max = max(stats.resid_max, float(r1[r1 < fp_tol].max()))
 
 
-def _advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
-                    hist_scalar, t0, step, n_steps, fp_tol, fp_max_iter, stats):
+def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
+                    fp_tol, fp_max_iter, stats):
+    # xb and yb are x and y at the nodes lo to hi of the current block.
     a_at, g_at = spec.a.evaluate, spec.g.evaluate
-    xl = x.tolist()
     inv_step = 1.0 / step
 
     def lookup_committed(q):
@@ -411,7 +484,11 @@ def _advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
         pos = (q - t0) * inv_step
         j = min(int(pos), n - 1)
         frac = pos - j
-        return xl[j] + frac * (xl[j + 1] - xl[j])
+        k = j - lo
+        if k < 0:  # before the block, final in x
+            xj = x.item(j)
+            return xj + frac * (x.item(j + 1) - xj)
+        return xb[k] + frac * (xb[k + 1] - xb[k])
 
     def x_in_step(q, s, y_s, depth=0):
         # Lookup past the last accepted node t_n: interpolate y linearly on
@@ -440,8 +517,11 @@ def _advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
     near = below = self_ref = 0
     for lo in range(0, n_steps, _SCALAR_BLOCK_STEPS):
         hi = min(lo + _SCALAR_BLOCK_STEPS, n_steps)
-        tb, ab, gb, yb = (v[lo:hi + 1].tolist() for v in (tn, a_n, g_n, y))
-        bs, hs, fs = (v[2 * lo:2 * hi + 1].tolist() for v in (b_s, h_s, f_s))
+        tb, ab, gb = (v.tolist() for v in inputs.nodes(lo, hi))
+        bs, hs, fs = (v.tolist() for v in inputs.stages(lo, hi))
+        if lo == 0:
+            _set_y0(x, y, ab[0], gb[0], t0, hist_scalar)
+        xb, yb = x[lo:hi + 1].tolist(), y[lo:hi + 1].tolist()
         for m in range(hi - lo):
             n, t_n, yn = lo + m, tb[m], yb[m]
             k = 2 * m
@@ -450,21 +530,30 @@ def _advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
             k3 = f_stage(k + 1, t_n + half, yn + half * k2)
             k4 = f_stage(k + 2, t_n + step, yn + step * k3)
             yi = yb[m + 1] = yn + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # recover x at node i = n + 1 from y
-            i, ai, q, t_i = n + 1, ab[m + 1], gb[m + 1], tb[m + 1]
+            # recover x at node n + 1 from y
+            ai, q, t_i = ab[m + 1], gb[m + 1], tb[m + 1]
             if t_i - q < _DEGENERATE_LAG:
                 near += 1
-                xl[i] = yi / d if (d := 1.0 - ai) else np.float64(yi) / d
+                xb[m + 1] = yi / d if (d := 1.0 - ai) else np.float64(yi) / d
             elif q < t0:
                 below += 1
-                xl[i] = yi + ai * float(hist_scalar(q))
+                xb[m + 1] = yi + ai * float(hist_scalar(q))
             else:
                 pos = (q - t0) / step
                 j = min(int(pos), n)
                 self_ref += j == n
-                _fixed_point(i, j, pos - j, xl, yi, ai, t_i, fp_tol, fp_max_iter, stats)
+                if j >= lo:
+                    _fixed_point(m + 1, j - lo, pos - j, xb, yi, ai, t_i,
+                                 fp_tol, fp_max_iter, stats)
+                else:
+                    # x[j] and x[j + 1] precede the block and are final:
+                    # iterate on them and x[n] in a list of their own
+                    far = [x.item(j), x.item(j + 1), xb[m], 0.0]
+                    _fixed_point(3, 0, pos - j, far, yi, ai, t_i, fp_tol, fp_max_iter, stats)
+                    xb[m + 1] = far[3]
         y[lo:hi + 1] = yb
-        x[lo:hi + 1] = xl[lo:hi + 1]
+        x[lo:hi + 1] = xb
+        del tb, ab, gb, bs, hs, fs, xb, yb  # free them before the next block's
     stats.near, stats.below, stats.self_ref = near, below, self_ref
     stats.hard = n_steps - near - below - self_ref
 

@@ -51,11 +51,7 @@ def test_module_entry_point_prints_help():
     import subprocess
     import sys
 
-    import ndstab
-    src = str(Path(ndstab.__file__).parents[1])
-    env = dict(os.environ, COLUMNS="80",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "ndstab.cli", "--help"], env=env,
+    proc = subprocess.run([sys.executable, "-m", "ndstab.cli", "--help"], env=_fresh_process_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == (DATA / "cli_help.txt").read_text()
@@ -65,6 +61,40 @@ def test_unknown_flag_is_an_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["check", corpus_path("ex1"), "--frobnicate"])
     assert exc.value.code == 2
+
+
+def _fresh_process_env():
+    import ndstab
+    src = str(Path(ndstab.__file__).parents[1])
+    return dict(os.environ, COLUMNS="80",
+                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_in_process_runs_match_fresh_processes(tmp_path, capsys):
+    # run reuses one parser: a flag or a seed given to one call must not
+    # become the default of the next
+    import subprocess
+    import sys
+
+    ex1, ex2 = corpus_path("ex1"), corpus_path("ex2")
+    calls = [["check", ex2, "--alpha", "0.5", "--grid", "2000"],
+             ["check", ex2, "--grid", "2000"],
+             ["--seed", "7", "simulate", ex1, "--t-end", "0.2", "--step", "0.01",
+              "--history", "seeded"],
+             ["simulate", ex1, "--t-end", "0.2", "--step", "0.01", "--history", "seeded"],
+             ["check", str(tmp_path / "missing.json")]]
+    fresh = [subprocess.Popen([sys.executable, "-m", "ndstab.cli", *argv],
+                              env=_fresh_process_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) for argv in calls]
+    in_process = []
+    for argv in calls:
+        code = run(argv)
+        in_process.append((code, *capsys.readouterr()))
+    for proc, got in zip(fresh, in_process):
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out.decode(), err.decode()) == got
+    assert in_process[0][1] != in_process[1][1] and in_process[2][1] != in_process[3][1]
+    assert in_process[4][0] == 2
 
 
 # -- check ------------------------------------------------------------------------

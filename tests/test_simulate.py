@@ -1,12 +1,13 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ndstab import simulate
 from ndstab.eqspec import EquationSpec
-from ndstab.expr import absval, add, const, div, scale, sin, tvar
+from ndstab.expr import DomainError, absval, add, const, cos, div, scale, sin, tvar
 from ndstab.simulate import (
     FixedPointDivergence,
     SeededHistory,
@@ -175,12 +176,8 @@ def _reference_advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
         pos = end
 
 
-def _integrate_both(monkeypatch, spec, t_end):
-    new = integrate(spec, 1.0, t_end, 1e-3)
-    with monkeypatch.context() as m:
-        m.setattr(simulate, "_advance_chunked", _reference_advance_chunked)
-        ref = integrate(spec, 1.0, t_end, 1e-3)
-    return new, ref
+def _integrate_both(*args):
+    return integrate(*args), _reference_integrate(*args)
 
 
 # neutral lag 0.003 |sin t| dips below one step near multiples of pi
@@ -199,10 +196,10 @@ STILL = spec_of(const(0.5), const(1e-10), add(T, const(-0.05)), add(T, const(-0.
 @pytest.mark.parametrize("name, t_end", [("ex4", 30.0), ("ex1", 30.0),
                                          ("lag_under_step", 10.0), ("pantograph", 20.0),
                                          ("slow_drift", 10.0), ("still", 5.0)])
-def test_wavefront_recovery_matches_sequential_loop(monkeypatch, corpus, name, t_end):
+def test_wavefront_recovery_matches_sequential_loop(corpus, name, t_end):
     spec = {"lag_under_step": LAG_UNDER_STEP, "pantograph": PANTOGRAPH_SHORT_NEUTRAL,
             "slow_drift": SLOW_DRIFT, "still": STILL}.get(name) or corpus.get(name)
-    new, ref = _integrate_both(monkeypatch, spec, t_end)
+    new, ref = _integrate_both(spec, 1.0, t_end, 1e-3)
     assert new.path == "chunked" and new.nodes_hard > 0
     assert np.array_equal(new.x, ref.x)
     assert np.array_equal(new.y, ref.y)
@@ -219,20 +216,25 @@ def test_wavefront_recovery_matches_sequential_loop(monkeypatch, corpus, name, t
 
 
 @pytest.mark.parametrize("case", ["expanding", "one_iteration_allowed"])
-def test_wavefront_divergence_reports_the_sequential_node(monkeypatch, ex4, case):
+def test_wavefront_divergence_reports_the_sequential_node(ex4, case):
     if case == "expanding":
         spec = spec_of(const(1.5), const(1.0), add(T, const(-0.003)), add(T, const(-0.02)))
         args = (spec, 1.0, 6.0, 1e-3)
     else:
         args = (ex4, 1.0, 5.0, 1e-3, None, None, 1e-12, 1)
+    new, ref = _divergence_messages(*args)
+    assert new == ref
+
+
+def _divergence_messages(*args):
+    """The FixedPointDivergence messages of integrate and of its reference."""
     messages = []
-    for advance in (simulate._advance_chunked, _reference_advance_chunked):
-        monkeypatch.setattr(simulate, "_advance_chunked", advance)
+    for run in (integrate, _reference_integrate):
         with pytest.raises(FixedPointDivergence) as exc, \
                 np.errstate(over="ignore", invalid="ignore"):
-            integrate(*args)
+            run(*args)
         messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    return messages
 
 
 def test_recovery_branch_counts_add_up_to_steps(ex4):
@@ -356,12 +358,67 @@ def _reference_advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
                                 fp_max_iter, stats)
 
 
-def _scalar_both(monkeypatch, run, *args):
-    new = run(*args)
-    with monkeypatch.context() as m:
-        m.setattr(simulate, "_advance_scalar", _reference_advance_scalar)
-        ref = run(*args)
-    return new, ref
+def _reference_integrate(spec, history, t_end, step, forcing=None, initial_value=None,
+                         fp_tol=1e-12, fp_max_iter=100):
+    """integrate with every input evaluated over the whole run up front, in
+    the order a, g, b, h, forcing, history, and the reference advance loops."""
+    t0 = spec.t0
+    n_steps = max(1, int(math.ceil((t_end - t0) / step - 1e-9)))
+
+    tn = t0 + step * np.arange(n_steps + 1)
+    ts = t0 + 0.5 * step * np.arange(2 * n_steps + 1)
+    a_n = spec.a.eval_array(tn)
+    g_n = spec.g.eval_array(tn)
+    b_s = spec.b.eval_array(ts)
+    h_s = spec.h.eval_array(ts)
+    f_s = simulate._forcing_arrays(forcing, ts)
+
+    hist_scalar, hist_array = simulate._history_fns(history)
+    phi_h = np.zeros(len(ts))
+    below_h = h_s < t0
+    if np.any(below_h):
+        phi_h[below_h] = hist_array(h_s[below_h])
+    phi_g = np.zeros(len(tn))
+    below_g = g_n < t0
+    if np.any(below_g):
+        phi_g[below_g] = hist_array(g_n[below_g])
+
+    x = np.zeros(n_steps + 1)
+    y = np.empty(n_steps + 1)
+    x0 = float(hist_scalar(t0)) if initial_value is None else float(initial_value)
+    g0 = float(g_n[0])
+    if t0 - g0 < 1e-14:
+        xg0 = x0
+    else:
+        xg0 = float(hist_scalar(g0))
+    x[0] = x0
+    y[0] = x0 - float(a_n[0]) * xg0
+
+    lag_min = float(np.min(ts - h_s))
+    k_chunk = int(lag_min / step + 1e-12)
+
+    stats = simulate._Stats()
+    if k_chunk >= 8:
+        path = "chunked"
+        _reference_advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
+                                   t0, step, n_steps, min(k_chunk, 4096),
+                                   fp_tol, fp_max_iter, stats)
+    else:
+        path = "scalar"
+        _reference_advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
+                                  hist_scalar, t0, step, n_steps,
+                                  fp_tol, fp_max_iter, stats)
+    return Trajectory(t0=t0, step=step, x=x, y=y, history=history, forcing=forcing,
+                      fp_iterations_max=stats.iters_max,
+                      fp_residual_max=float(stats.resid_max),
+                      path=path, nodes_near=stats.near, nodes_below=stats.below,
+                      nodes_easy=stats.easy, nodes_hard=stats.hard,
+                      nodes_self=stats.self_ref)
+
+
+def _reference_fundamental(b, h, s, t_end, step):
+    spec = EquationSpec(a=const(0.0), b=b, g=T, h=h, t0=float(s), horizon=float(t_end))
+    return _reference_integrate(spec, 0.0, t_end, step, initial_value=1.0)
 
 
 B = simulate._SCALAR_BLOCK_STEPS
@@ -390,9 +447,9 @@ SCALAR_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_CASES))
-def test_scalar_loop_matches_numpy_scalar_loop(monkeypatch, name):
+def test_scalar_loop_matches_numpy_scalar_loop(name):
     spec, history, t_end, *forcing = SCALAR_CASES[name]
-    new, ref = _scalar_both(monkeypatch, integrate, spec, history, t_end, 1e-3, *forcing)
+    new, ref = _integrate_both(spec, history, t_end, 1e-3, *forcing)
     assert new.path == "scalar"
     assert np.array_equal(new.x, ref.x)
     assert np.array_equal(new.y, ref.y)
@@ -410,40 +467,134 @@ def test_scalar_loop_matches_numpy_scalar_loop(monkeypatch, name):
         assert new.nodes_below > 0 and new.nodes_hard > 0
 
 
-def test_scalar_loop_singular_near_node_matches_numpy(monkeypatch):
+def test_scalar_loop_singular_near_node_matches_numpy():
     # a = 1 with g(t) = t: x = y / 0 gives numpy's inf and nan, as before,
     # not a ZeroDivisionError, at the nodes and inside the step
     spec = spec_of(const(1.0), const(1.0), T, add(T, const(-5e-4)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        new, ref = _scalar_both(monkeypatch, integrate, spec, 1.0, 0.05, 1e-3)
+        new, ref = _integrate_both(spec, 1.0, 0.05, 1e-3)
     assert new.path == "scalar" and not np.isfinite(new.x[1:]).any()
     assert np.array_equal(new.x, ref.x, equal_nan=True)
     assert np.array_equal(new.y, ref.y, equal_nan=True)
 
 
-def test_fundamental_matches_numpy_scalar_loop(monkeypatch):
+def test_fundamental_matches_numpy_scalar_loop():
     # g(t) = t: every node takes the closed-form branch
-    new, ref = _scalar_both(monkeypatch, fundamental, const(0.3), add(T, const(-2e-3)),
-                            0.5, 3.0, 1e-3)
+    args = (const(0.3), add(T, const(-2e-3)), 0.5, 3.0, 1e-3)
+    new, ref = fundamental(*args), _reference_fundamental(*args)
     assert new.path == "scalar" and new.nodes_near == new.n - 1
     assert np.array_equal(new.x, ref.x) and np.array_equal(new.y, ref.y)
 
 
 @pytest.mark.parametrize("case", ["expanding", "one_iteration_allowed"])
-def test_scalar_divergence_reports_the_same_node(monkeypatch, case):
+def test_scalar_divergence_reports_the_same_node(case):
     if case == "expanding":
         args = (spec_of(const(1.5), const(1.0), add(T, const(-1e-4)), add(T, const(-2e-3))),
                 1.0, 0.5, 1e-3)
     else:
         args = (LONG_NEUTRAL, 1.0, 1.5, 1e-3, None, None, 1e-12, 1)
+    new, ref = _divergence_messages(*args)
+    assert new == ref
+
+
+# -- inputs per block against the whole-run reference --------------------------------
+
+# retarded lag 50.5 steps and neutral lag 30: chunks of 50 steps, which do not
+# divide _BLOCK_STEPS, so a block is rounded up to whole chunks
+K50 = spec_of(scale(0.4, sin(T)), add(const(0.8), scale(0.2, cos(T))), add(T, const(-0.03)),
+              add(T, const(-0.0505)))
+CB = 50 * -(-simulate._BLOCK_STEPS // 50)
+# lags of 9 and 10.3: x(g) and x(h) read the history into the second block
+LONG_LAGS = spec_of(scale(0.3, sin(T)), const(0.5), add(T, const(-9.0)), add(T, const(-10.3)))
+CHUNKED_CASES = {
+    "block_minus_one": (K50, 1.0, (CB - 1) * 1e-3),
+    "block": (K50, 1.0, CB * 1e-3),
+    "block_plus_one": (K50, SeededHistory(3, -1.0, 0.0), (CB + 1) * 1e-3),
+    "seeded_history": (LONG_LAGS, SeededHistory(5, -10.3, 0.0), 12.0),
+    "expr_history": (LONG_LAGS, sin(scale(3.0, T)), 12.0),
+    "callable_history": (LONG_LAGS, lambda t: math.cos(3.0 * t) - t, 12.0),
+    "expr_forcing": (K50, 0.0, (CB + 1) * 1e-3, sin(scale(2.0, T))),
+    "callable_forcing": (LONG_LAGS, 1.0, 12.0, lambda t: 1.0 if t >= 9.5 else 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_CASES))
+def test_chunked_blocks_match_whole_run_inputs(name):
+    spec, history, t_end, *forcing = CHUNKED_CASES[name]
+    new, ref = _integrate_both(spec, history, t_end, 1e-3, *forcing)
+    assert new.path == "chunked"
+    assert np.array_equal(new.x, ref.x)
+    assert np.array_equal(new.y, ref.y)
+    assert (new.fp_iterations_max, new.fp_residual_max) == (ref.fp_iterations_max,
+                                                            ref.fp_residual_max)
+    # the reference loop counts no branches
+    assert (new.nodes_near + new.nodes_below + new.nodes_easy + new.nodes_hard
+            + new.nodes_self == new.n - 1)
+    if spec is K50:
+        assert new.nodes_hard > 0
+    if name.startswith("block"):
+        assert new.n - 1 == {"block_minus_one": CB - 1, "block": CB,
+                             "block_plus_one": CB + 1}[name]
+    if spec is LONG_LAGS:
+        assert new.n - 1 > 10.3e3 > simulate._BLOCK_STEPS and new.nodes_below > 0
+
+
+# step 2^-10 puts the poles on the node and stage grids
+POLE_STEP = 2.0 ** -10
+# b's pole at t = 20 comes first in time, a's at t = 30 first in the order
+# a, g, b, h; both lie past the horizon
+TWO_POLES = EquationSpec(a=div(const(0.5), add(T, const(-30.0))),
+                         b=div(const(1.0), add(T, const(-20.0))),
+                         g=add(T, const(-0.5)), h=add(T, const(-1.0)), t0=0.0, horizon=10.0)
+# a fixed-point divergence from t = 0 and b's pole at t = 30
+EXPANDING_POLE = spec_of(const(1.5), div(const(1.0), add(T, const(-30.0))),
+                         add(T, const(-0.003)), add(T, const(-0.02)), horizon=10.0)
+# b's pole at 5, h's at 3: the first pass over the stages evaluates h first
+FUNDAMENTAL_POLES = (div(const(1.0), add(T, const(-5.0))),
+                     add(T, const(-1.0), div(const(0.01), add(T, const(-3.0)))),
+                     0.0, 8.0, POLE_STEP)
+POLE_CASES = {
+    "integrate": (integrate, _reference_integrate, (TWO_POLES, 1.0, 40.0, POLE_STEP), 30.0),
+    "divergence": (integrate, _reference_integrate, (EXPANDING_POLE, 1.0, 40.0, POLE_STEP),
+                   30.0),
+    "fundamental": (fundamental, _reference_fundamental, FUNDAMENTAL_POLES, 5.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLE_CASES))
+def test_first_error_is_that_of_the_whole_run_order(name):
+    run, reference, args, pole = POLE_CASES[name]
     messages = []
-    for advance in (simulate._advance_scalar, _reference_advance_scalar):
-        monkeypatch.setattr(simulate, "_advance_scalar", advance)
-        with pytest.raises(FixedPointDivergence) as exc, \
-                np.errstate(over="ignore", invalid="ignore"):
-            integrate(*args)
+    for f in (run, reference):
+        with pytest.raises(DomainError) as exc, np.errstate(all="ignore"):
+            f(*args)
         messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    assert messages == [f"division by zero at t={pole}"] * 2
+
+
+# Memory beyond x and y: one block of inputs, and on the scalar path the
+# block's lists of Python floats; about 1.6 MB on either path.  Every input
+# evaluated over the whole run would cost 8 bytes a step per array, and a
+# list of the run's length 32.
+BLOCK_BUDGET = 2_500_000
+
+
+@pytest.mark.parametrize("path, spec, lengths", [("chunked", K50, (20_000, 60_000)),
+                                                 ("scalar", SELF_NODES, (4097, 12289))])
+def test_memory_is_x_and_y_plus_a_block_budget(path, spec, lengths):
+    extra = []
+    for n in lengths:
+        tracemalloc.start()
+        try:
+            traj = integrate(spec, 1.0, n * 1e-3, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.path == path and traj.n == n + 1
+        extra.append(peak - traj.x.nbytes - traj.y.nbytes)
+    assert max(extra) <= BLOCK_BUDGET, extra
+    # one more array of the run's length would add 8 bytes a step
+    assert extra[1] - extra[0] < 4 * (lengths[1] - lengths[0]), extra
 
 
 # -- fundamental function -----------------------------------------------------------
