@@ -241,34 +241,54 @@ _SAMPLED_CHECKS = (
 _COMBINE = (np.max, np.min, np.max, np.max, np.max, np.min, np.max, np.max, np.min)
 
 
+def _a_norms(av, top, bottom):
+    """sup |a|, sup a+ and sup a- over one block, from its max and min when
+    both are nonzero numbers: each is then exactly one of them or 0.0.
+    With a zero or a NaN they come from the whole block, as a max of
+    signed zeros or of NaNs need not pick the same one."""
+    if top != 0.0 and bottom != 0.0 and not (math.isnan(top) or math.isnan(bottom)):
+        return max(abs(top), abs(bottom)), max(top, 0.0), max(-bottom, 0.0)
+    return np.max(np.abs(av)), np.max(np.maximum(av, 0.0)), np.max(np.maximum(-av, 0.0))
+
+
 def _sample(spec: EquationSpec, points: int) -> tuple[GridExtrema, dict[str, AssumptionCheck]]:
     """One pass over the grid in blocks: the grid extrema, and the checks of
-    _SAMPLED_CHECKS by id.  Per-block extrema combine exactly, so the values
-    equal those of whole-grid reductions."""
+    _SAMPLED_CHECKS by id.  Per block it takes the max and min of a, b,
+    t - g and t - h, and builds a check's witness mask only where these
+    show a possible violation or a non-finite value.  Per-block extrema
+    combine exactly, so the values equal those of whole-grid reductions."""
     rows = []
     wit = {cid: _Witnesses() for cid, _ in _SAMPLED_CHECKS}
     for ts in grid_blocks(spec, points):
         try:
             av = spec.a.eval_array(ts)
             bv = spec.b.eval_array(ts)
-            gv = spec.g.eval_array(ts)
-            hv = spec.h.eval_array(ts)
+            lag_g = spec.g.eval_array(ts)
+            lag_h = spec.h.eval_array(ts)
         except DomainError:
             # raise what whole-grid evaluation in the order a, b, g, h raises
             for e in (spec.a, spec.b, spec.g, spec.h):
                 e.eval_array(spec.grid(points))
             raise
-        abs_a = np.abs(av)
-        lag_g = ts - gv
-        lag_h = ts - hv
-        rows.append((np.max(abs_a), np.min(av), np.max(np.maximum(av, 0.0)),
-                     np.max(np.maximum(-av, 0.0)), np.max(bv), np.min(bv),
-                     np.max(lag_g), np.max(lag_h), np.min(lag_h)))
-        wit["a1_a"].add(ts, abs_a >= 1.0)
-        wit["a1_b"].add(ts, bv <= 0.0)
-        wit["a3_g"].add(ts, lag_g < 0.0)
-        wit["a3_h"].add(ts, lag_h < 0.0)
-        wit["a4"].add(ts, ~np.isfinite(lag_g) | ~np.isfinite(lag_h))
+        np.subtract(ts, lag_g, out=lag_g)
+        np.subtract(ts, lag_h, out=lag_h)
+        a_top, a_bottom = av.max(), av.min()
+        b_top, b_bottom = bv.max(), bv.min()
+        g_top, g_bottom = lag_g.max(), lag_g.min()
+        h_top, h_bottom = lag_h.max(), lag_h.min()
+        norm_a, a_plus, a_minus = _a_norms(av, a_top, a_bottom)
+        rows.append((norm_a, a_bottom, a_plus, a_minus, b_top, b_bottom, g_top, h_top, h_bottom))
+        # each test fails on NaN, so NaN blocks are searched as well
+        if not norm_a < 1.0:
+            wit["a1_a"].add(ts, np.abs(av) >= 1.0)
+        if not b_bottom > 0.0:
+            wit["a1_b"].add(ts, bv <= 0.0)
+        if not g_bottom >= 0.0:
+            wit["a3_g"].add(ts, lag_g < 0.0)
+        if not h_bottom >= 0.0:
+            wit["a3_h"].add(ts, lag_h < 0.0)
+        if not (-math.inf < g_bottom and g_top < math.inf and -math.inf < h_bottom and h_top < math.inf):
+            wit["a4"].add(ts, ~np.isfinite(lag_g) | ~np.isfinite(lag_h))
     per_block = np.array(rows)
     extrema = GridExtrema(*(float(f(per_block[:, i])) for i, f in enumerate(_COMBINE)),
                           grid_points=points)
@@ -284,11 +304,20 @@ def grid_extrema(spec: EquationSpec, grid_points: int) -> GridExtrema:
 
 def _domain_check(label, den, spec, points) -> AssumptionCheck:
     """Zero, non-finite, or a sign change between adjacent samples (across
-    block boundaries too) of one quotient denominator."""
+    block boundaries too) of one quotient denominator.  A block that is
+    finite and of one strict sign can hold none of these except at its
+    first point, against the last sign of the block before."""
     wit = _Witnesses()
     last_sign = 0.0
     for ts in grid_blocks(spec, points):
         dv = den.eval_array(ts)
+        bottom, top = dv.min(), dv.max()
+        if 0.0 < bottom and top < math.inf or -math.inf < bottom and top < 0.0:
+            sign = 1.0 if bottom > 0.0 else -1.0
+            if sign * last_sign < 0:
+                wit.add(ts[:1], [True])
+            last_sign = sign
+            continue
         sign = np.sign(dv)
         sign_change = np.empty(len(ts), dtype=bool)
         sign_change[0] = sign[0] * last_sign < 0

@@ -15,7 +15,11 @@ and the mapping is lossless in both directions.
 Scalar evaluation compiles each tree once: the first ``e.evaluate`` builds
 one Python function of t doing a tree walk's operations in its order, and
 caches it on the node.  Hot loops bind ``e.evaluate`` once.  ``eval_array``
-walks the tree with one numpy ufunc per node.
+evaluates a tree into one fresh array: each node's ufunc writes into it in
+place, constants stay Python floats that numpy broadcasts, ``t`` is read
+where it lies, and a second array is made only for a node with two
+operands that are not leaves.  Its values are bit for bit those of one
+ufunc per node on full arrays.
 """
 
 from __future__ import annotations
@@ -85,36 +89,17 @@ class Expr:
         # the compiled function is rebuilt on demand, and cannot be pickled
         return {k: v for k, v in self.__dict__.items() if k != "evaluate"}
 
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on a numpy array of times."""
-        k = self.kind
-        if k == "const":
-            return np.full_like(ts, self.value, dtype=float)
-        if k == "t":
-            return np.asarray(ts, dtype=float).copy()
-        if k == "add":
-            out = self.args[0].eval_array(ts)
-            for c in self.args[1:]:
-                out = out + c.eval_array(ts)
-            return out
-        if k == "mul":
-            out = self.args[0].eval_array(ts)
-            for c in self.args[1:]:
-                out = out * c.eval_array(ts)
-            return out
-        if k == "div":
-            den = self.args[1].eval_array(ts)
-            bad = np.nonzero(den == 0.0)[0]
-            if bad.size:
-                raise DomainError(f"division by zero at t={float(np.asarray(ts)[bad[0]])}")
-            return self.args[0].eval_array(ts) / den
-        if k == "sin":
-            return np.sin(self.args[0].eval_array(ts))
-        if k == "cos":
-            return np.cos(self.args[0].eval_array(ts))
-        if k == "abs":
-            return np.abs(self.args[0].eval_array(ts))
-        return self.value * self.args[0].eval_array(ts)
+    def eval_array(self, ts) -> np.ndarray:
+        """Vectorized evaluation at an array of times (or anything
+        ``np.asarray`` takes): a fresh float array of its shape, bit for bit
+        what one numpy ufunc per node on full arrays gives.  Raises
+        DomainError at the first time where a quotient's denominator is
+        zero, denominators before numerators and children left to right.
+        ``ts`` is never written."""
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty(ts.shape)
+        _into(self, ts, out)
+        return out
 
     # -- structure ----------------------------------------------------------
 
@@ -135,6 +120,70 @@ class Expr:
         if k == "scale":
             return ["scale", self.value, self.args[0].to_json()]
         return [_JSON_TAGS[k]] + [c.to_json() for c in self.args]
+
+
+# -- array evaluation ---------------------------------------------------------
+
+_UFUNCS = {"add": np.add, "mul": np.multiply, "sin": np.sin, "cos": np.cos, "abs": np.abs}
+
+
+def _leaf(e: Expr) -> bool:
+    """True for the time variable and for constants other than NaN, the
+    operands that are used as they are.  A NaN constant is a full array:
+    when both operands of a sum or product are NaNs, which one's payload
+    comes out differs between numpy's array-scalar and array-array loops."""
+    return e.kind == "t" or e.kind == "const" and not math.isnan(e.value)
+
+
+def _operand(e: Expr, ts: np.ndarray, buf: np.ndarray):
+    """``e``'s value as a ufunc operand: a leaf constant as its Python
+    float, which numpy broadcasts, the time variable as ``ts`` itself, and
+    any other node written into ``buf``, which is returned."""
+    if not _leaf(e):
+        _into(e, ts, buf)
+        return buf
+    return ts if e.kind == "t" else e.value
+
+
+def _into(e: Expr, ts: np.ndarray, out: np.ndarray) -> None:
+    """Write ``e``'s value at ``ts`` into ``out``.  Every node computes its
+    ufunc in place in ``out``; a second buffer is made only where a sum,
+    product or quotient has two operands that are not leaves."""
+    k = e.kind
+    if k == "const":
+        out.fill(e.value)
+    elif k == "t":
+        np.copyto(out, ts)
+    elif k in ("add", "mul"):
+        op = _UFUNCS[k]
+        acc = _operand(e.args[0], ts, out)
+        spare = None
+        for c in e.args[1:]:
+            buf = out
+            if acc is out and not _leaf(c):
+                if spare is None:
+                    spare = np.empty_like(out)
+                buf = spare
+            op(acc, _operand(c, ts, buf), out=out)
+            acc = out
+        if acc is not out:  # a lone leaf child
+            np.copyto(out, acc)
+    elif k == "div":
+        den = _operand(e.args[1], ts, out)
+        zero = np.broadcast_to(den == 0.0, ts.shape)
+        if zero.any():
+            raise DomainError(f"division by zero at t={float(ts.flat[np.argmax(zero)])}")
+        num = e.args[0]
+        buf = np.empty_like(out) if den is out and not _leaf(num) else out
+        np.divide(_operand(num, ts, buf), den, out=out)
+    elif k == "scale":
+        np.multiply(e.value, _operand(e.args[0], ts, out), out=out)
+    else:  # sin, cos, abs; a constant argument is a full array too, since
+        # numpy's kernels need not round as math.sin does
+        arg = e.args[0]
+        if arg.kind != "t":
+            _into(arg, ts, out)
+        _UFUNCS[k](ts if arg.kind == "t" else out, out=out)
 
 
 # -- compilation --------------------------------------------------------------

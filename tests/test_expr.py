@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndstab.expr import (
     DomainError,
@@ -203,3 +205,88 @@ def test_compiled_evaluate_is_cached_and_pickles():
     assert f.evaluate(3.0) != g.evaluate(3.0) == e.evaluate(3.0)
     again = pickle.loads(pickle.dumps(e))
     assert again == e and again.evaluate(3.0) == e.evaluate(3.0)
+
+
+# -- eval_array against one numpy ufunc per node on full arrays --------------------
+
+def _walk_array(e, ts):
+    """Array evaluation with a fresh full array per node: the reference."""
+    k = e.kind
+    if k == "const":
+        return np.full_like(ts, e.value, dtype=float)
+    if k == "t":
+        return np.asarray(ts, dtype=float).copy()
+    if k in ("add", "mul"):
+        out = _walk_array(e.args[0], ts)
+        for c in e.args[1:]:
+            out = out + _walk_array(c, ts) if k == "add" else out * _walk_array(c, ts)
+        return out
+    if k == "div":
+        den = _walk_array(e.args[1], ts)
+        bad = np.nonzero(den == 0.0)[0]
+        if bad.size:
+            raise DomainError(f"division by zero at t={float(np.asarray(ts)[bad[0]])}")
+        return _walk_array(e.args[0], ts) / den
+    if k in ("sin", "cos", "abs"):
+        return {"sin": np.sin, "cos": np.cos, "abs": np.abs}[k](_walk_array(e.args[0], ts))
+    return e.value * _walk_array(e.args[0], ts)
+
+
+_VALUES = st.sampled_from(SPECIAL + [-math.nan, 2.0 ** -1074, -1.0]) | st.floats()
+_CONSTS = st.builds(const, _VALUES)
+
+
+def _nodes(children):
+    some = st.lists(children, min_size=1, max_size=3)
+    return st.one_of(
+        st.builds(lambda xs: add(*xs), some),
+        st.builds(lambda xs: mul(*xs), some),
+        st.builds(div, children, children),
+        st.builds(div, children, _CONSTS),
+        st.builds(sin, children), st.builds(cos, children), st.builds(absval, children),
+        st.builds(scale, _VALUES, children),
+        st.builds(lambda v, w, c: scale(v, scale(w, c)), _VALUES, _VALUES, children),
+        st.builds(lambda c: add(c, c), children),           # a repeated subtree
+        st.builds(lambda c: mul(c, sin(c), c), children),
+    )
+
+
+_CONST_TREES = st.recursive(_CONSTS, _nodes, max_leaves=4)
+_TREES = st.recursive(st.one_of(_CONSTS, st.just(T), _CONST_TREES), _nodes, max_leaves=10)
+_FLOATS = st.lists(st.sampled_from(SPECIAL) | st.floats(), max_size=40)
+_TIMES = st.one_of(
+    _FLOATS.map(lambda xs: np.array(xs, dtype=float)),
+    _FLOATS,                                                 # a list
+    st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=40).map(lambda xs: np.array(xs, dtype=np.int64)),
+    st.integers(0, 300).map(lambda n: np.linspace(-7.0, 7.0, n)),  # past the SIMD widths
+)
+
+
+def _array_outcome(fn, e, ts):
+    """The result and, for comparison, its dtype, shape and bits (NaN
+    payloads and signed zeros count), or None and the error."""
+    try:
+        v = fn(e, ts)
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+    return v, (v.dtype, v.shape, v.view(np.int64).tolist())
+
+
+@settings(max_examples=400, deadline=None)
+@given(e=_TREES, ts=_TIMES)
+def test_eval_array_matches_one_ufunc_per_node(e, ts):
+    before = np.array(ts).tobytes()
+    with np.errstate(all="ignore"):
+        got, outcome = _array_outcome(lambda e, ts: e.eval_array(ts), e, ts)
+        assert outcome == _array_outcome(_walk_array, e, ts)[1], e.to_json()
+    assert np.array(ts).tobytes() == before
+    assert got is None or not np.shares_memory(got, ts)
+
+
+def test_eval_array_of_a_leaf_is_a_fresh_array():
+    ts = np.linspace(0.0, 1.0, 5)
+    for e, want in ((T, ts), (add(T), ts), (mul(T), ts), (const(0.5), np.full(5, 0.5))):
+        out = e.eval_array(ts)
+        assert np.array_equal(out, want) and not np.shares_memory(out, ts)
+        out[:] = 9.0
+    assert np.array_equal(ts, np.linspace(0.0, 1.0, 5))

@@ -6,9 +6,10 @@ import pytest
 from conftest import bare
 from ndstab import criteria, params
 from ndstab.eqspec import EquationSpec
-from ndstab.expr import DomainError, add, const, div, scale, sin, tvar
+from ndstab.expr import DomainError, add, const, div, mul, scale, sin, tvar
 from ndstab.params import (
     ANALYTIC,
+    DEFAULT_PANELS,
     GRID_ESTIMATE,
     IntegralsOfB,
     SummaryError,
@@ -136,6 +137,38 @@ def test_array_simpson_raises_the_first_scalar_failure():
     two_poles = add(div(const(1.0), add(T, const(-7.0))), div(const(1.0), add(T, const(-3.0))))
     err = first_error(two_poles, [2.0, 6.0], [4.0, 8.0])
     assert "t=3.0" in str(err)
+
+
+def _one_row(expr, lo, hi, panels=DEFAULT_PANELS):
+    """The scalar call's outcome and its one-row array call's, each as the
+    bits of a float or the type and message of the error."""
+    def outcome(lo, hi):
+        try:
+            v = simpson(expr, lo, hi, panels)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return type(v), np.asarray(v, dtype=float).reshape(-1).view(np.int64).tolist()
+    got = outcome(lo, hi)
+    want = outcome(np.array([lo], dtype=float), np.array([hi], dtype=float))
+    if want[0] is np.ndarray:
+        want = (float, want[1])
+    return got, want
+
+
+def test_scalar_simpson_equals_its_one_row_array_call(corpus):
+    for spec in corpus.values():
+        for lo, hi in ((spec.t0, spec.t0 + 1.7), (spec.t0 + 0.3, spec.horizon), (spec.t0 + 2, spec.t0 + 2)):
+            for panels in (2, 7, 64, DEFAULT_PANELS):
+                got, want = _one_row(spec.b, lo, hi, panels)
+                assert got == want and got[0] is float, (spec.name, lo, hi, panels)
+    quotient = div(const(1.0), add(T, const(-5.0)))
+    got, want = _one_row(quotient, 1.0, 0.0)  # reversed
+    assert got == want == (ValueError, "empty or reversed integration range")
+    got, want = _one_row(quotient, 4.0, 6.0)  # t = 5 is a node
+    assert got == want and got[0] is DomainError and "t=5.0" in got[1]
+    with np.errstate(over="ignore"):  # int limit; t * t overflows to inf
+        got, want = _one_row(mul(T, T), 3, 1.0e300)
+    assert got == want and got[0] is float
 
 
 def test_limsup_estimate_matches_per_point_loop(ex4):

@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ndstab import criteria
+from ndstab.eqspec import EquationSpec
+from ndstab.expr import absval, add, const, cos, div, scale, sin, tvar
 from ndstab.params import summarize
 from ndstab.report import (
     compare_baselines,
@@ -16,6 +20,8 @@ from ndstab.report import (
     unwaived_mismatches,
     write_sweep_csv,
 )
+
+T = tvar()
 
 
 def test_sweep_closed_form_spot_values(ex2):
@@ -29,6 +35,36 @@ def test_sweep_closed_form_spot_values(ex2):
     assert all(r.feasible for r in rows.values())
 
 
+def _lagged(rng, lag0, lag1, fn):
+    """t - lag0 - lag1 |fn(omega t)|, as the generated specs write a lag."""
+    parts = [T, const(-lag0)]
+    if lag1:
+        parts.append(scale(-lag1, absval(fn(scale(rng.uniform(0.5, 2.0), T)))))
+    return add(*parts)
+
+
+def _spec_like_generated(rng, i):
+    """A unit-amplitude b family shaped like the generated `analyze` specs:
+    constant, oscillating or sign-changing a, and constant, varying or
+    pantograph lags."""
+    if i % 5 == 4:
+        return EquationSpec(a=const(rng.uniform(0.1, 0.6)), b=div(const(1.0), T),
+                            g=div(T, const(rng.uniform(1.5, 4.0))), h=div(T, const(rng.uniform(1.5, 4.0))),
+                            t0=1.0, horizon=rng.choice((200.0, 400.0)))
+    a = (const(rng.uniform(0.1, 0.7)),
+         add(const(rng.uniform(0.25, 0.6)), scale(rng.uniform(0.02, 0.2), cos(T))),
+         scale(rng.uniform(0.2, 0.7), sin(T)))[i % 3]
+    b1 = rng.uniform(0.05, 0.3)
+    b = const(1.0) if i % 2 else add(const(1.0 - b1), scale(b1, sin(T)))
+    tau0 = rng.uniform(0.1, 2.0)
+    varying = (i // 2) % 2
+    tau1 = varying * rng.uniform(0.1, 0.5) * tau0
+    sigma0 = rng.uniform(0.2, 0.6) * tau0 if (i // 3) % 2 else rng.uniform(1.5, 3.0) * (tau0 + tau1)
+    sigma1 = varying * rng.uniform(0.1, 0.5) * sigma0
+    return EquationSpec(a=a, b=b, g=_lagged(rng, sigma0, sigma1, cos), h=_lagged(rng, tau0, tau1, sin),
+                        t0=0.0, horizon=rng.choice((200.0, 300.0, 400.0)))
+
+
 def test_sweep_cells_match_main_test(ex2):
     # 1000 random (alpha, r) cells agree with the direct test membership
     rng = np.random.default_rng(42)
@@ -38,6 +74,19 @@ def test_sweep_cells_match_main_test(ex2):
         for r in rs:
             v = criteria.check_theorem1(summarize(scale_b(ex2, r), 101), row.alpha)
             assert (row.r_lower <= r < row.r_upper) == (v.applicable and v.satisfied), (row.alpha, r)
+    # and on 50 random summaries, 1000 cells each; b enters the summary as
+    # norm_b and inf_b, which scale by r exactly as sampling r * b does
+    pyrng = random.Random(42)
+    for i in range(50):
+        spec = _spec_like_generated(pyrng, i)
+        s = summarize(spec, 1001)
+        alphas = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 38)))
+        rs = rng.uniform(0.001, 1.0, 25)
+        assert summarize(scale_b(spec, rs[0]), 1001) == replace(s, norm_b=rs[0] * s.norm_b, inf_b=rs[0] * s.inf_b)
+        for row in sweep_alpha_r(spec, alphas, summary=s):
+            for r in rs:
+                v = criteria.check_theorem1(replace(s, norm_b=r * s.norm_b, inf_b=r * s.inf_b), row.alpha)
+                assert (row.r_lower <= r < row.r_upper) == (v.applicable and v.satisfied), (i, row.alpha, r)
 
 
 def test_sweep_csv_deterministic(ex2):

@@ -8,6 +8,7 @@ writes floats by ``repr``), and so must any error raised.
 """
 
 import json
+import math
 import random
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from conftest import bare
 from ndstab.eqspec import SAMPLE_BLOCK, EquationSpec, grid_blocks, grid_extrema, validate
-from ndstab.expr import absval, add, const, cos, div, scale, sin, tvar
+from ndstab.expr import absval, add, const, cos, div, mul, scale, sin, tvar
 from ndstab.params import ANALYTIC, GRID_ESTIMATE, ParameterSummary, SummaryError, summarize
 from test_expr import _random_tree
 
@@ -68,20 +69,25 @@ def reference_validate(spec, grid_points):
             "estimates": est, "grid_points": grid_points}
 
 
-def reference_summarize(spec, grid_points):
-    """The summary without overrides (their refutation is not in the reference)."""
+def reference_extrema(spec, grid_points):
+    """The nine grid extrema, without overrides."""
     ts = spec.grid(grid_points)
     av = spec.a.eval_array(ts)
     bv = spec.b.eval_array(ts)
     lag_g = ts - spec.g.eval_array(ts)
     lag_h = ts - spec.h.eval_array(ts)
-    out = {
+    return {
         "norm_a": float(np.max(np.abs(av))), "inf_a": float(np.min(av)),
         "norm_a_plus": float(np.max(np.maximum(av, 0.0))),
         "norm_a_minus": float(np.max(np.maximum(-av, 0.0))),
         "norm_b": float(np.max(bv)), "inf_b": float(np.min(bv)),
         "sigma": float(np.max(lag_g)), "tau": float(np.max(lag_h)), "delta": float(np.min(lag_h)),
     }
+
+
+def reference_summarize(spec, grid_points):
+    """The summary without overrides (their refutation is not in the reference)."""
+    out = reference_extrema(spec, grid_points)
     if out["inf_b"] <= 0.0:
         raise SummaryError(f"b must stay positive on the window; estimated inf b = {out['inf_b']}")
     return _fields(ParameterSummary(**out))
@@ -106,7 +112,15 @@ def _summary_fields(spec, grid_points):
     return _fields(s)
 
 
+def _extrema_fields(spec, grid_points):
+    out = vars(grid_extrema(spec, grid_points)).copy()
+    del out["grid_points"]
+    return out
+
+
 def assert_matches_reference(spec, grid_points):
+    got = _outcome(_extrema_fields, spec, grid_points)
+    assert got == _outcome(reference_extrema, spec, grid_points), (spec, grid_points)
     got = _outcome(lambda: validate(spec, grid_points).to_dict())
     assert got == _outcome(reference_validate, spec, grid_points), (spec, grid_points)
     got = _outcome(_summary_fields, spec, grid_points)
@@ -178,6 +192,78 @@ def test_denominator_sign_change_at_a_block_boundary(offset):
     rep = validate(spec, n)
     assert [c.witnesses for c in rep.failures()] == [(float(SAMPLE_BLOCK),)]
     assert_matches_reference(spec, n)
+
+
+_N = 2 * SAMPLE_BLOCK + 5  # the grid of _unit_step_spec: t = 0, 1, ..., _N - 1
+_HUGE = scale(1e308, scale(1e308, sin(T)))  # -inf or inf, and 0.0 at t = 0
+_INF_TIMES_SIN = mul(const(math.inf), sin(T))  # NaN at t = 0, -inf or inf elsewhere
+_NAN_AT_0 = div(const(1.0), add(const(1.0), absval(mul(T, const(math.inf)))))  # 0.0 but NaN at t = 0
+
+
+def _ramp(c):
+    """2 max(t - c, 0), as |t - c| + (t - c)."""
+    x = add(T, const(-c))
+    return add(absval(x), x)
+
+
+# Cases where the max and min of a block do not settle the fields and
+# checks alone: zeros of either sign, |a| = 1 exactly, non-finite values,
+# violations in the last, partial block only, and denominators that touch
+# zero at a block boundary.
+DEGENERATE = {
+    "a = 0.0": dict(a=const(0.0)),
+    "a = -0.0": dict(a=const(-0.0)),
+    "a <= 0 with a -0.0": dict(a=scale(-0.5, absval(sin(T)))),
+    "a >= 0 with a 0.0": dict(a=mul(sin(T), sin(T))),
+    "a = cos t, 1 at t = 0": dict(a=cos(T)),
+    "a = -1": dict(a=const(-1.0)),
+    "a = 1 at the last point only": dict(a=div(T, const(_N - 1.0))),
+    "a overflows to inf": dict(a=_HUGE),
+    "a is NaN at t = 0": dict(a=_INF_TIMES_SIN),
+    "a is 0.3 but NaN at t = 0": dict(a=add(const(0.3), _NAN_AT_0)),
+    "b overflows to inf": dict(b=add(const(1.0), absval(_HUGE))),
+    "b is NaN at t = 0": dict(b=add(const(1.0), absval(_INF_TIMES_SIN))),
+    "b is 1 but NaN at t = 0": dict(b=add(const(1.0), _NAN_AT_0)),
+    "b <= 0 in the last block only": dict(b=add(const(_N - 2.5), scale(-1.0, T))),
+    "t - g is -inf": dict(g=add(T, absval(_HUGE))),
+    "t - h is inf": dict(h=add(T, scale(-1.0, absval(_HUGE)))),
+    "t - h is NaN at t = 0": dict(h=add(T, _INF_TIMES_SIN)),
+    "t - g is 1 but NaN at t = 0": dict(g=add(T, const(-1.0), _NAN_AT_0)),
+    "h > t in the last block only": dict(h=add(T, const(-1.0), _ramp(_N - 2.5))),
+    "g > t in the last block only": dict(g=add(T, const(-1.0), _ramp(_N - 3.5))),
+    "denominator touches 0 at the first point of block 2":
+        dict(a=div(const(0.1), absval(add(T, const(-SAMPLE_BLOCK))))),
+    "denominator touches 0 at the last point of block 1":
+        dict(b=div(const(1.0), absval(add(T, const(1.0 - SAMPLE_BLOCK))))),
+    "denominator touches -0.0 at the last point":
+        dict(g=div(T, scale(-1.0, absval(add(T, const(1.0 - _N)))))),
+    "denominator is inf": dict(h=div(T, add(const(2.0), absval(_HUGE)))),
+    "denominator is NaN at t = 0": dict(a=div(const(0.1), add(const(2.0), absval(_INF_TIMES_SIN)))),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DEGENERATE))
+def test_degenerate_blocks_match_whole_grid_reference(label):
+    spec, n = _unit_step_spec(**DEGENERATE[label])
+    with np.errstate(all="ignore"):
+        for points in (n, SAMPLE_BLOCK + 1, 3, 100_000):
+            assert_matches_reference(spec, points)
+
+
+def test_degenerate_witnesses():
+    def witnesses(label, check_id):
+        spec, n = _unit_step_spec(**DEGENERATE[label])
+        with np.errstate(all="ignore"):
+            return next(c.witnesses for c in validate(spec, n).checks if c.check_id == check_id)
+
+    assert witnesses("a = 1 at the last point only", "a1_a") == (_N - 1.0,)
+    assert witnesses("b <= 0 in the last block only", "a1_b") == (_N - 2.0, _N - 1.0)
+    assert witnesses("h > t in the last block only", "a3_h") == (_N - 1.0,)
+    assert witnesses("g > t in the last block only", "a3_g") == (_N - 2.0, _N - 1.0)
+    assert witnesses("t - h is NaN at t = 0", "a4")[0] == 0.0
+    assert witnesses("denominator touches 0 at the first point of block 2", "domain_a") == (float(SAMPLE_BLOCK),)
+    assert witnesses("denominator touches 0 at the last point of block 1", "domain_b") == (SAMPLE_BLOCK - 1.0,)
+    assert witnesses("denominator touches -0.0 at the last point", "domain_g") == (_N - 1.0,)
 
 
 def test_summarize_error_names_the_first_singular_coefficient():
