@@ -232,7 +232,7 @@ def _walk_array(e, ts):
     return e.value * _walk_array(e.args[0], ts)
 
 
-_VALUES = st.sampled_from(SPECIAL + [-math.nan, 2.0 ** -1074, -1.0]) | st.floats()
+_VALUES = st.sampled_from(SPECIAL + [-math.nan]) | st.floats()  # and a NaN with its sign bit set
 _CONSTS = st.builds(const, _VALUES)
 
 
