@@ -243,10 +243,10 @@ _COMBINE = (np.max, np.min, np.max, np.max, np.max, np.min, np.max, np.max, np.m
 
 def _a_norms(av, top, bottom):
     """sup |a|, sup a+ and sup a- over one block, from its max and min when
-    both are nonzero numbers: each is then exactly one of them or 0.0.
-    With a zero or a NaN they come from the whole block, as a max of
-    signed zeros or of NaNs need not pick the same one."""
-    if top != 0.0 and bottom != 0.0 and not (math.isnan(top) or math.isnan(bottom)):
+    both are nonzero: each is then one of them, 0.0, or a NaN where the
+    block holds one.  With a zero they come from the whole block, as a
+    max of signed zeros need not pick the same one."""
+    if top != 0.0 and bottom != 0.0:
         return max(abs(top), abs(bottom)), max(top, 0.0), max(-bottom, 0.0)
     return np.max(np.abs(av)), np.max(np.maximum(av, 0.0)), np.max(np.maximum(-av, 0.0))
 

@@ -127,28 +127,24 @@ class Expr:
 _UFUNCS = {"add": np.add, "mul": np.multiply, "sin": np.sin, "cos": np.cos, "abs": np.abs}
 
 
-def _leaf(e: Expr) -> bool:
-    """True for the time variable and for constants other than NaN, the
-    operands that are used as they are.  A NaN constant is a full array:
-    when both operands of a sum or product are NaNs, which one's payload
-    comes out differs between numpy's array-scalar and array-array loops."""
-    return e.kind == "t" or e.kind == "const" and not math.isnan(e.value)
-
-
-def _operand(e: Expr, ts: np.ndarray, buf: np.ndarray):
-    """``e``'s value as a ufunc operand: a leaf constant as its Python
-    float, which numpy broadcasts, the time variable as ``ts`` itself, and
-    any other node written into ``buf``, which is returned."""
-    if not _leaf(e):
-        _into(e, ts, buf)
-        return buf
-    return ts if e.kind == "t" else e.value
+def _leaf_value(e: Expr, ts: np.ndarray):
+    """``e``'s value as a ufunc operand if ``e`` is a leaf, else None: the
+    time variable as ``ts`` itself and a constant as its Python float, which
+    numpy broadcasts.  A NaN constant is not a leaf: when both operands of a
+    sum or product are NaNs, which one's payload comes out differs between
+    numpy's array-scalar and array-array loops."""
+    if e.kind == "t":
+        return ts
+    if e.kind == "const" and not math.isnan(e.value):
+        return e.value
+    return None
 
 
 def _into(e: Expr, ts: np.ndarray, out: np.ndarray) -> None:
-    """Write ``e``'s value at ``ts`` into ``out``.  Every node computes its
-    ufunc in place in ``out``; a second buffer is made only where a sum,
-    product or quotient has two operands that are not leaves."""
+    """Write ``e``'s value at ``ts`` into ``out``, one Python frame per tree
+    level.  Every node computes its ufunc in place in ``out``; a second
+    buffer is made only where a sum, product or quotient has two operands
+    that are not leaves."""
     k = e.kind
     if k == "const":
         out.fill(e.value)
@@ -156,28 +152,39 @@ def _into(e: Expr, ts: np.ndarray, out: np.ndarray) -> None:
         np.copyto(out, ts)
     elif k in ("add", "mul"):
         op = _UFUNCS[k]
-        acc = _operand(e.args[0], ts, out)
-        spare = None
-        for c in e.args[1:]:
-            buf = out
-            if acc is out and not _leaf(c):
-                if spare is None:
-                    spare = np.empty_like(out)
-                buf = spare
-            op(acc, _operand(c, ts, buf), out=out)
-            acc = out
+        acc = spare = None
+        for c in e.args:
+            x = _leaf_value(c, ts)
+            if x is None:
+                if acc is out:
+                    if spare is None:
+                        spare = np.empty_like(out)
+                    x = spare
+                else:
+                    x = out
+                _into(c, ts, x)
+            acc = x if acc is None else op(acc, x, out=out)
         if acc is not out:  # a lone leaf child
             np.copyto(out, acc)
     elif k == "div":
-        den = _operand(e.args[1], ts, out)
+        den = _leaf_value(e.args[1], ts)
+        if den is None:
+            _into(e.args[1], ts, out)
+            den = out
         zero = np.broadcast_to(den == 0.0, ts.shape)
         if zero.any():
             raise DomainError(f"division by zero at t={float(ts.flat[np.argmax(zero)])}")
-        num = e.args[0]
-        buf = np.empty_like(out) if den is out and not _leaf(num) else out
-        np.divide(_operand(num, ts, buf), den, out=out)
+        num = _leaf_value(e.args[0], ts)
+        if num is None:
+            num = np.empty_like(out) if den is out else out
+            _into(e.args[0], ts, num)
+        np.divide(num, den, out=out)
     elif k == "scale":
-        np.multiply(e.value, _operand(e.args[0], ts, out), out=out)
+        x = _leaf_value(e.args[0], ts)
+        if x is None:
+            _into(e.args[0], ts, out)
+            x = out
+        np.multiply(e.value, x, out=out)
     else:  # sin, cos, abs; a constant argument is a full array too, since
         # numpy's kernels need not round as math.sin does
         arg = e.args[0]

@@ -220,23 +220,15 @@ def simpson(expr, lo, hi, panels: int = DEFAULT_PANELS):
     with one integral per entry, each bit-identical to the scalar call,
     because the nodes come from the same ``linspace`` formula and the sum
     over each row is numpy's pairwise reduction, as for a 1-D array.
-    Scalar limits give a float, from one 1-D ``linspace``, with the bits
-    of the one-row array call.  ``panels`` counts subintervals (rounded
+    Scalar limits give a float.  ``panels`` counts subintervals (rounded
     up to even).  Errors are those of the first failing entry in order.
     """
+    lo_v = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi_v = np.atleast_1d(np.asarray(hi, dtype=float))
     n = panels + (panels % 2)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        lo, hi = float(lo), float(hi)
-        if hi < lo:
-            raise ValueError("empty or reversed integration range")
-        if hi == lo:
-            return 0.0
-        return float((hi - lo) / (3.0 * n) * np.sum(w * expr.eval_array(np.linspace(lo, hi, n + 1))))
-    lo_v = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi_v = np.atleast_1d(np.asarray(hi, dtype=float))
     out = np.zeros(lo_v.shape)
     reversed_rows = np.flatnonzero(hi_v < lo_v)
     stop = reversed_rows[0] if reversed_rows.size else len(out)
@@ -248,7 +240,7 @@ def simpson(expr, lo, hi, panels: int = DEFAULT_PANELS):
         out[r] = _simpson_rows(expr, lo_v[r], hi_v[r], n, w)
     if reversed_rows.size:
         raise ValueError("empty or reversed integration range")
-    return out
+    return float(out[0]) if np.ndim(lo) == 0 and np.ndim(hi) == 0 else out
 
 
 def _simpson_rows(expr, lo, hi, n, w):

@@ -283,6 +283,17 @@ def test_eval_array_matches_one_ufunc_per_node(e, ts):
     assert got is None or not np.shares_memory(got, ts)
 
 
+def test_eval_array_of_deep_chains_matches_one_ufunc_per_node():
+    # one Python frame per tree level, as the parser and the compiler use
+    ts = np.linspace(-3.0, 3.0, 11)
+    for wrap in (lambda e: scale(0.999, e), lambda e: add(e, const(0.5)),
+                 lambda e: mul(const(1.001), e), lambda e: div(e, const(1.5))):
+        deep = T
+        for _ in range(600):
+            deep = wrap(deep)
+        assert deep.eval_array(ts).view(np.int64).tolist() == _walk_array(deep, ts).view(np.int64).tolist()
+
+
 def test_eval_array_of_a_leaf_is_a_fresh_array():
     ts = np.linspace(0.0, 1.0, 5)
     for e, want in ((T, ts), (add(T), ts), (mul(T), ts), (const(0.5), np.full(5, 0.5))):
