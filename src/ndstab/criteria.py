@@ -8,7 +8,9 @@ kind.  Margins are reported only for applicable verdicts; inapplicable
 ones carry NaN so that "satisfied iff margin > 0" holds unconditionally.
 
 The alpha-parameterized tests are AlphaTest records of one shape,
-"lhs < rhs(alpha), admissible when alpha * scale <= cap".  The main test
+"lhs < rhs(alpha), admissible when alpha * scale <= cap", and their alpha
+intervals and amplitude bands come from the same records, each edge at the
+float where the check flips.  The main test
 (THEOREM1) gates alpha by the lag scale tau0 = (1 - ||a||) / (e ||b||)
 against delta and compares tau ||b|| + sigma ||a|| ||b|| (1 - a0) /
 (1 - ||a||)^2 against (1 - ||a||) (1 + alpha/e).  The sign-split variant
@@ -21,6 +23,7 @@ constant-delay baselines are included for comparison.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -117,11 +120,6 @@ def _decide(criterion, margin, kind, cert, alpha=None, notes=()):
     return CriterionVerdict(criterion, True, "", margin > 0.0, margin, alpha, kind, cert, tuple(notes))
 
 
-def _check_alpha_unit(alpha: float) -> None:
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-
-
 # -- characteristic lag scales ------------------------------------------------
 
 def tau0(summary: ParameterSummary) -> float:
@@ -146,38 +144,50 @@ def _rhs(s: ParameterSummary | IntegralSummary, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class AlphaTest:
-    """One alpha-parameterized test: ``lhs(s) < rhs(s, alpha)``, admissible
-    when ``alpha * scale <= cap`` for ``(scale, cap) = gate(s)`` (``<`` when
-    ``strict``).  ``requires(s)`` returns the reason another hypothesis
-    fails, or raises when the test cannot be posed; ``gate_message`` formats
-    a failed gate from ``op``, ``x = alpha * scale`` and ``cap``.
+    """One alpha-parameterized test: ``lhs(s) < rhs(s, alpha)`` (and ``0 <
+    lower(s, alpha)`` if given), admissible when ``alpha * scale <= cap`` for
+    ``(scale, cap) = gate(s)`` (``<`` when ``strict``).  ``requires(s)``
+    returns the reason another hypothesis fails, or raises when the test
+    cannot be posed; ``gate_message`` formats a failed gate from ``op``,
+    ``x = alpha * scale`` and ``cap``.  ``rhs`` rises and ``lower`` falls,
+    affinely, in alpha.
     """
 
     name: str
     kind: str
     fields: tuple[str, ...]
     lhs: Callable[..., float]
-    gate: Callable[..., tuple[float, float]]
-    gate_message: str
+    gate: Callable[..., tuple[float, float]] = lambda s: (0.0, 0.0)
+    gate_message: str = ""
     rhs: Callable[..., float] = _rhs
+    lower: Callable[..., float] | None = None
     requires: Callable[..., str | None] = lambda s: None
     strict: bool = False
     notes: tuple[str, ...] = ()
 
+    def _gate_fails(self, summary, alpha: float) -> bool:
+        scale, cap = self.gate(summary)
+        return alpha * scale >= cap if self.strict else alpha * scale > cap
+
+    def _outside(self, summary, alpha: float) -> bool:  # true from some alpha up
+        return self._gate_fails(summary, alpha) or (
+            self.lower is not None and not self.lower(summary, alpha) > 0.0)
+
     def check(self, summary: ParameterSummary | IntegralSummary, alpha: float) -> CriterionVerdict:
         """The verdict at a fixed alpha in [0, 1]."""
-        _check_alpha_unit(alpha)
+        if not (0.0 <= alpha <= 1.0):
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
         reason = self.requires(summary)
         cert = _cert(summary, self.fields)
-        if reason is None:
+        if reason is None and self._gate_fails(summary, alpha):
             scale, cap = self.gate(summary)
-            if alpha * scale >= cap if self.strict else alpha * scale > cap:
-                op = "<" if self.strict else "<="
-                reason = self.gate_message.format(op=op, x=alpha * scale, cap=cap)
+            reason = self.gate_message.format(op="<" if self.strict else "<=", x=alpha * scale, cap=cap)
         if reason is not None:
             return _not_applicable(self.name, reason, self.kind, cert, alpha, self.notes)
-        return _decide(self.name, self.rhs(summary, alpha) - self.lhs(summary),
-                       self.kind, cert, alpha, self.notes)
+        margin = self.rhs(summary, alpha) - self.lhs(summary)
+        if self.lower is not None:
+            margin = min(self.lower(summary, alpha), margin)
+        return _decide(self.name, margin, self.kind, cert, alpha, self.notes)
 
     def best_alpha(self, summary: ParameterSummary | IntegralSummary) -> float:
         """min(1, cap / scale), where the margin (increasing in alpha) is
@@ -191,6 +201,83 @@ class AlphaTest:
             alpha = math.nextafter(alpha, 0.0)
         return alpha
 
+    def alpha_interval(self, summary: ParameterSummary | IntegralSummary) -> AlphaInterval:
+        """The alphas in [0, 1] at which ``check`` is applicable and
+        satisfied, with each edge where ``check`` flips.  A strict
+        inequality's edge is open, at the nearest alpha outside; the
+        non-strict gate's edge, and one clipped at 0 or 1, is closed."""
+        if self.requires(summary) is not None:
+            return _EMPTY_INTERVAL
+        lhs, (scale, cap) = self.lhs(summary), self.gate(summary)
+        r0, r1 = self.rhs(summary, 0.0), self.rhs(summary, 1.0)
+
+        def holds(alpha):  # the decisive inequality, true from some alpha up
+            return self.rhs(summary, alpha) - lhs > 0.0
+
+        if not holds(1.0) or self._outside(summary, 0.0):
+            return _EMPTY_INTERVAL
+        lower, lower_open = 0.0, False
+        if not holds(0.0):
+            edge = _edge(holds, min(1.0, max(0.0, (lhs - r0) / (r1 - r0))))
+            lower, lower_open = math.nextafter(edge, 0.0), True
+        upper, upper_open = 1.0, False
+        if self._outside(summary, 1.0):
+            guess = cap / scale if scale > 0.0 else 1.0
+            if self.lower is not None:
+                l0 = self.lower(summary, 0.0)
+                guess = min(guess, l0 / (l0 - self.lower(summary, 1.0)))
+            upper = _edge(lambda alpha: self._outside(summary, alpha), min(1.0, max(0.0, guess)))
+            upper_open = self.strict or not self._gate_fails(summary, upper)
+            if not upper_open:
+                upper = math.nextafter(upper, 0.0)
+        if lower > upper or (lower == upper and (lower_open or upper_open)):
+            return _EMPTY_INTERVAL
+        return AlphaInterval(lower, upper, lower_open, upper_open, False)
+
+    def r_band(self, summary: ParameterSummary, alpha: float) -> tuple[float, float]:
+        """The band [r_lower, r_upper) of r at which ``check(summary.scale_b(r),
+        alpha)`` holds, for a test without ``lower`` whose ``lhs`` is linear in
+        b and whose scale / cap varies as 1 / b: the least r whose gate passes
+        and the least r at which the decisive inequality fails."""
+        if self.requires(summary) is not None:
+            return math.inf, -math.inf
+        scale, cap = self.gate(summary)
+        if alpha * scale > 0.0 and cap > 0.0:
+            r_lower = _edge(lambda r: not self._gate_fails(summary.scale_b(r), alpha), alpha * scale / cap)
+        else:
+            r_lower = math.inf if self._gate_fails(summary, alpha) else 0.0
+
+        def fails(r):  # the decisive inequality, from some r up
+            s = summary.scale_b(r)
+            return not self.rhs(s, alpha) - self.lhs(s) > 0.0
+
+        lhs = self.lhs(summary)
+        return r_lower, _edge(fails, self.rhs(summary, alpha) / lhs) if lhs else math.inf
+
+
+_F64, _I64 = struct.Struct("d"), struct.Struct("q")
+_INF_KEY = _I64.unpack(_F64.pack(math.inf))[0]
+
+
+def _edge(flips: Callable[[float], bool], x: float) -> float:
+    """The least float in (0, inf] at which ``flips``, false at 0 and true at
+    inf, turns true.  From the guess ``x`` it steps one float (one bit
+    pattern) at a time, doubling the stride until ``flips`` changes, then
+    bisects, so a guess a few floats off costs a few calls."""
+    at = lambda k: flips(_F64.unpack(_I64.pack(k))[0])
+    lo = hi = _I64.unpack(_F64.pack(x))[0]
+    stride = 1
+    if at(hi):
+        while (lo := max(hi - stride, 0)) and at(lo):
+            hi, stride = lo, 2 * stride
+    else:
+        while (hi := min(lo + stride, _INF_KEY)) < _INF_KEY and not at(hi):
+            lo, stride = hi, 2 * stride
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if at(mid) else (mid, hi)
+    return _F64.unpack(_I64.pack(hi))[0]
+
 
 def _positive_a(s: ParameterSummary | IntegralSummary) -> str | None:
     return "a(t) >= a0 > 0 fails" if s.inf_a <= 0.0 else None
@@ -199,17 +286,6 @@ def _positive_a(s: ParameterSummary | IntegralSummary) -> str | None:
 def _sigma_term(s: ParameterSummary) -> float:
     one_minus = 1.0 - s.norm_a
     return s.sigma * s.norm_a * s.norm_b * (1.0 - s.inf_a) / (one_minus * one_minus)
-
-
-def _clipped_interval(lower: float, upper: float, lower_open: bool, upper_open: bool) -> AlphaInterval:
-    """Intersect an alpha range with [0, 1]; a clipped endpoint is closed."""
-    if lower < 0.0:
-        lower, lower_open = 0.0, False
-    if upper > 1.0:
-        upper, upper_open = 1.0, False
-    if lower > upper or (lower == upper and (lower_open or upper_open)):
-        return _EMPTY_INTERVAL
-    return AlphaInterval(lower, upper, lower_open, upper_open, False)
 
 
 def _cert(s: ParameterSummary | IntegralSummary, fields) -> str:
@@ -227,21 +303,9 @@ THEOREM1 = AlphaTest(
     gate=lambda s: (tau0(s), s.delta), requires=_positive_a,
     gate_message="gate alpha*tau0 {op} delta fails ({x:.6g} > {cap:.6g})")
 check_theorem1 = THEOREM1.check
+alpha_interval_theorem1 = THEOREM1.alpha_interval
 COROLLARY_MAIN_A = replace(THEOREM1, name="corollary_main_a")
 COROLLARY_MAIN_B = replace(THEOREM1, name="corollary_main_b")
-
-
-def alpha_interval_theorem1(summary: ParameterSummary) -> AlphaInterval:
-    """Closed-form alpha range on which check_theorem1 is applicable and satisfied.
-
-    The lower endpoint comes from the strict decisive inequality (open
-    unless it clips at 0), the upper endpoint from the non-strict gate
-    (closed unless it clips at 1); the range is intersected with [0, 1].
-    """
-    if summary.inf_a <= 0.0:
-        return _EMPTY_INTERVAL
-    lower = math.e * (THEOREM1.lhs(summary) / (1.0 - summary.norm_a) - 1.0)
-    return _clipped_interval(lower, summary.delta / tau0(summary), True, False)
 
 
 def check_corollary_main(summary: ParameterSummary) -> tuple[CriterionVerdict, CriterionVerdict]:
@@ -250,26 +314,22 @@ def check_corollary_main(summary: ParameterSummary) -> tuple[CriterionVerdict, C
     return COROLLARY_MAIN_A.check(summary, 1.0), COROLLARY_MAIN_B.check(summary, 0.0)
 
 
-def check_corollary3(summary: ParameterSummary, alpha: float) -> CriterionVerdict:
-    """Two-sided test for delays with a limiting lag.
-
-    Requires the analytic limit of t - h(t) (never grid-estimated).  Both
-    inequalities are strict as printed:
-    alpha (1-||a||)/e < tau ||b|| < (1-||a||)(1+alpha/e) - sigma-term.
-    """
-    _check_alpha_unit(alpha)
-    if summary.limit_tau is None:
+def _limiting_lag(s: ParameterSummary) -> str | None:
+    if s.limit_tau is None:
         raise MissingLimit("corollary3 needs the analytic limit of t - h(t) (limit_tau override)")
-    fields = ("norm_a", "inf_a", "norm_b", "sigma", "limit_tau")
-    cert = _cert(summary, fields)
-    if summary.inf_a <= 0.0:
-        return _not_applicable("corollary3", "a(t) >= a0 > 0 fails", UNIFORM_EXPONENTIAL, cert, alpha)
-    one_minus = 1.0 - summary.norm_a
-    tb = summary.limit_tau * summary.norm_b
-    lower_margin = tb - alpha * one_minus / math.e
-    upper_margin = _rhs(summary, alpha) - _sigma_term(summary) - tb
-    return _decide("corollary3", min(lower_margin, upper_margin),
-                   UNIFORM_EXPONENTIAL, cert, alpha)
+    return _positive_a(s)
+
+
+# Two-sided test for delays with a limiting lag, strict on both sides as printed:
+# alpha (1-||a||)/e < tau ||b|| < (1-||a||)(1+alpha/e) - sigma-term, with tau
+# the analytic limit of t - h(t) (never grid-estimated).
+COROLLARY3 = AlphaTest(
+    "corollary3", UNIFORM_EXPONENTIAL, ("norm_a", "inf_a", "norm_b", "sigma", "limit_tau"),
+    lhs=lambda s: s.limit_tau * s.norm_b,
+    rhs=lambda s, alpha: _rhs(s, alpha) - _sigma_term(s),
+    lower=lambda s, alpha: s.limit_tau * s.norm_b - alpha * (1.0 - s.norm_a) / math.e,
+    requires=_limiting_lag)
+check_corollary3 = COROLLARY3.check
 
 
 def _constant_a(s: ParameterSummary) -> None:
@@ -449,16 +509,6 @@ def _delays_constant(spec: EquationSpec, samples: int = 2001, rel_tol: float = 1
             and float(lag_h.max() - lag_h.min()) <= rel_tol * span)
 
 
-def corollary3_alpha_interval(summary: ParameterSummary) -> AlphaInterval:
-    """Open alpha range on which the two-sided limiting-lag test holds."""
-    if summary.inf_a <= 0.0 or summary.limit_tau is None:
-        return _EMPTY_INTERVAL
-    one_minus = 1.0 - summary.norm_a
-    tb = summary.limit_tau * summary.norm_b
-    lower = math.e * ((tb + _sigma_term(summary)) / one_minus - 1.0)
-    return _clipped_interval(lower, tb * math.e / one_minus, True, True)
-
-
 def best_verdict(
     spec: EquationSpec,
     summary: ParameterSummary | None = None,
@@ -479,9 +529,8 @@ def best_verdict(
     verdicts.extend(check_corollary_main(summary))
 
     if summary.limit_tau is not None:
-        iv = corollary3_alpha_interval(summary)
-        alpha3 = iv.midpoint if not iv.empty else a_star
-        verdicts.append(check_corollary3(summary, alpha3))
+        iv = COROLLARY3.alpha_interval(summary)
+        verdicts.append(COROLLARY3.check(summary, iv.midpoint if not iv.empty else a_star))
 
     if summary.norm_a == summary.inf_a:
         verdicts.append(COROLLARY1.check(summary, COROLLARY1.best_alpha(summary)))

@@ -102,6 +102,13 @@ class ParameterSummary:
     def certified(self, fields: tuple[str, ...]) -> bool:
         return all(self.provenance.get(f) == ANALYTIC for f in fields)
 
+    def scale_b(self, r: float) -> ParameterSummary:
+        """The summary with r * b for b (built directly: ``dataclasses.replace`` costs twice as much)."""
+        return ParameterSummary(
+            self.norm_a, self.inf_a, self.norm_a_plus, self.norm_a_minus, r * self.norm_b, r * self.inf_b,
+            self.sigma, self.tau, self.delta, self.limit_tau,
+            None if self.limsup_int_b is None else r * self.limsup_int_b, self.provenance)
+
     def to_dict(self) -> dict:
         out = {
             "norm_a": self.norm_a,

@@ -73,24 +73,6 @@ class SweepRow:
     feasible: bool
 
 
-def _band(summary: ParameterSummary, alpha: float) -> tuple[float, float]:
-    """Closed-form feasibility band for b = r * (unit shape) at fixed alpha.
-
-    The gate alpha * tau0 <= delta inverts to r >= alpha (1-||a||)/(e delta
-    ||shape||); the decisive inequality gives the upper bound, which is
-    infinite when tau = sigma = 0 (the left-hand side vanishes).
-    """
-    one_minus = 1.0 - summary.norm_a
-    shape = summary.norm_b  # family is stored at unit amplitude
-    denom = summary.tau + summary.sigma * summary.norm_a * (1.0 - summary.inf_a) / (one_minus * one_minus)
-    upper = criteria.THEOREM1.rhs(summary, alpha) / (shape * denom) if denom else math.inf
-    if alpha == 0.0:
-        return 0.0, upper
-    if summary.delta <= 0.0:
-        return math.inf, upper  # gate unsatisfiable for alpha > 0
-    return alpha * one_minus / (math.e * summary.delta * shape), upper
-
-
 def sweep_alpha_r(
     spec: EquationSpec,
     alpha_grid,
@@ -106,7 +88,7 @@ def sweep_alpha_r(
     rows: list[SweepRow] = []
     for a in alpha_grid:
         a = float(a)
-        lo, hi = _band(summary, a) if summary.inf_a > 0.0 else (math.inf, -math.inf)
+        lo, hi = criteria.THEOREM1.r_band(summary, a)
         rows.append(SweepRow(a, lo, hi, lo < hi))
     return rows
 
@@ -217,8 +199,6 @@ def _report_ex1(spec, summary):
 
 def _report_ex2(spec, summary):
     rows = {a: sweep_alpha_r(spec, [a], summary=summary)[0] for a in (0.0, 0.5, 1.0)}
-    s15 = summarize(scale_b(spec, 0.15), 4096)
-    s20 = summarize(scale_b(spec, 0.20), 4096)
     grid = _grid(spec)
     quantities = (
         _Q("r_upper_alpha_1", 0.168, rows[1.0].r_upper, 5e-4, "closed-form"),
@@ -228,9 +208,9 @@ def _report_ex2(spec, summary):
     claims = (
         ClaimCheck("band_nonempty_for_every_alpha", all(r.feasible for r in rows.values())),
         ClaimCheck("main_test_holds_at_r_0.15_alpha_1",
-                   criteria.check_theorem1(s15, 1.0).satisfied),
+                   criteria.check_theorem1(summary.scale_b(0.15), 1.0).satisfied),
         ClaimCheck("main_test_fails_at_r_0.20_alpha_1",
-                   not criteria.check_theorem1(s20, 1.0).satisfied),
+                   not criteria.check_theorem1(summary.scale_b(0.20), 1.0).satisfied),
     )
     verdicts = tuple(criteria.best_verdict(scale_b(spec, 0.15)))
     return quantities, claims, verdicts, ()
@@ -238,8 +218,8 @@ def _report_ex2(spec, summary):
 
 def _report_ex3(spec, summary):
     # ex3's family is stored at unit amplitude, so these are the sweep bands
-    _, r_b_upper = _band(summary, 0.0)                              # alpha = 0 bound
-    r_a_lower, r_a_upper = _band(summary, 1.0)                      # alpha = 1 gate and bound
+    _, r_b_upper = criteria.THEOREM1.r_band(summary, 0.0)           # alpha = 0 bound
+    r_a_lower, r_a_upper = criteria.THEOREM1.r_band(summary, 1.0)   # alpha = 1 gate and bound
     yu_thr = criteria.yu_threshold(summary.norm_a)
     tz_thr = criteria.tang_zou_threshold(summary.norm_a)
     grid = _grid(spec)
@@ -257,7 +237,7 @@ def _report_ex3(spec, summary):
     )
     claims = (
         ClaimCheck("part_b_holds_below_its_bound",
-                   criteria.check_theorem1(_with_b(summary, 0.9 * r_b_upper), 0.0).satisfied),
+                   criteria.check_theorem1(summary.scale_b(0.9 * r_b_upper), 0.0).satisfied),
         ClaimCheck("sharper_than_baselines", r_b_upper * (summary.limsup_int_b or 0.0) > tz_thr),
     )
     notes = (
@@ -272,7 +252,7 @@ def _report_ex3(spec, summary):
 def _report_ex4(spec, summary):
     tb = criteria.tau_bar(summary)
     lhs = criteria.THEOREM2.lhs(summary)
-    alpha_thr = math.e * (lhs - (1.0 - summary.norm_a)) / (1.0 - summary.norm_a_plus)
+    alpha_thr = criteria.THEOREM2.alpha_interval(summary).lower
     rhs_045 = criteria.THEOREM2.rhs(summary, 0.45)
     t2 = criteria.check_theorem2(summary, 0.45)
     t1 = criteria.check_theorem1(summary, 0.45)
@@ -335,13 +315,6 @@ def _grid(spec: EquationSpec) -> ParameterSummary:
     return summarize(replace(spec, overrides={}), 20001)
 
 
-def _with_b(summary: ParameterSummary, norm_b: float) -> ParameterSummary:
-    ratio = norm_b / summary.norm_b
-    return replace(
-        summary, norm_b=norm_b, inf_b=summary.inf_b * ratio,
-        limsup_int_b=None if summary.limsup_int_b is None else summary.limsup_int_b * ratio)
-
-
 def reproduce_examples(
     ids=None,
     directory: Path | None = None,
@@ -392,7 +365,6 @@ def compare_baselines(spec: EquationSpec, summary: ParameterSummary | None = Non
     limsup of the b-integral is available)."""
     if summary is None:
         summary = summarize(spec)
-    one_minus = 1.0 - summary.norm_a
     rows: list[dict] = []
 
     def row(criterion, unit, threshold, note):
@@ -407,24 +379,21 @@ def compare_baselines(spec: EquationSpec, summary: ParameterSummary | None = Non
         "" if tz_thr is not None else f"A0={summary.norm_a:g} >= 1/2 out of range")
 
     if summary.inf_a > 0.0:
-        # _band's left-hand side, but with one_minus ** 2, which can differ
-        # from one_minus * one_minus in the last bit
-        denom = summary.tau + summary.sigma * summary.norm_a * (1.0 - summary.inf_a) / one_minus ** 2
-        if not denom:
+        _, b_upper = criteria.THEOREM1.r_band(summary, 0.0)
+        r_gate, a_upper = criteria.THEOREM1.r_band(summary, 1.0)
+        if b_upper == math.inf:
             # tau = sigma = 0: the left-hand side vanishes, and so does delta
             row("corollary_main_b", "sup b", None,
                 "no finite threshold: tau = sigma = 0 (holds for every sup b)")
             row("corollary_main_a", "sup b", None,
                 "no finite threshold: tau = sigma = 0; gate requires delta > 0")
             return rows
-        b_upper = one_minus / denom
-        factor = None
-        if summary.limsup_int_b is not None and summary.norm_b > 0.0:
-            factor = summary.limsup_int_b / summary.norm_b
-        row("corollary_main_b", "sup b", b_upper,
-            "" if factor is None else f"equivalent limsup-int-b threshold {b_upper * factor:.6g}")
-        row("corollary_main_a", "sup b", b_upper * (1.0 + 1.0 / math.e),
-            f"requires sup b >= {one_minus / (math.e * summary.delta):.6g} (lag-scale gate)"
+        # the bands are in amplitudes r of b, the thresholds in sup b = r ||b||
+        limsup = summary.limsup_int_b
+        row("corollary_main_b", "sup b", b_upper * summary.norm_b,
+            "" if limsup is None else f"equivalent limsup-int-b threshold {b_upper * limsup:.6g}")
+        row("corollary_main_a", "sup b", a_upper * summary.norm_b,
+            f"requires sup b >= {r_gate * summary.norm_b:.6g} (lag-scale gate)"
             if summary.delta > 0.0 else "gate requires delta > 0")
     else:
         row("corollary_main_b", "sup b", None, "a(t) >= a0 > 0 fails")

@@ -387,11 +387,17 @@ def test_corpus_outputs_match_bench_references(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name", [*(f"{command}_ex{i}" for command in ("check", "compare")
-                                      for i in range(1, 6)), "examples_no_simulation"])
-def test_corpus_text_outputs_match_golden_files(capsys, name):
+                                      for i in range(1, 6)), "examples_no_simulation",
+                                    "sweep_ex2", "sweep_ex3"])
+def test_corpus_text_outputs_match_golden_files(capsys, tmp_path, name):
     # the text outputs, reasons and notes included, byte for byte; the
     # reference comparison above reads numbers and flags only
     command, arg = name.split("_", 1)
+    if command == "sweep":  # CSV with CRLF line ends, compared as bytes
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", corpus_path(arg), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{name}.csv").read_bytes()
+        return
     argv = ["examples", "--no-simulation"] if command == "examples" else [command, corpus_path(arg)]
     assert run(argv) == 0
     out = capsys.readouterr().out

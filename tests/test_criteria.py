@@ -115,6 +115,53 @@ def test_alpha_interval_entire_unit_interval():
     assert not iv.lower_open and not iv.upper_open
 
 
+@pytest.mark.parametrize("guess", [1e-300, 1e-9 * (1.0 - 1e-7), 1e-9, 1e-9 * (1.0 + 1e-7), 0.9, math.inf])
+def test_edge_reaches_a_far_edge_in_few_calls(guess):
+    # 1e-9 (1 -+ 1e-7) lie about 4e8 floats from 1e-9: one float per step
+    # would take that many calls, a doubling stride takes under 200
+    calls = []
+
+    def flips(x):
+        calls.append(x)
+        assert len(calls) < 200
+        return x >= 1e-9
+
+    assert criteria._edge(flips, guess) == 1e-9
+    assert criteria._edge(lambda x: False, guess) == math.inf  # never true: the sentinel
+
+
+def test_alpha_interval_edge_far_from_its_guess():
+    # the floats are dense near 0: this lower edge, at alpha = 1e-9, lies
+    # about 1e9 floats from the root of the affine inequality
+    tau = 0.7 * (1.0 + 1e-9 / math.e)
+    s = mk(0.3, 0.3, 1.0, 0.0, tau, tau)
+    iv = alpha_interval_theorem1(s)
+    assert iv.lower == pytest.approx(1e-9, rel=1e-6) and iv.lower_open
+    assert not check_theorem1(s, iv.lower).satisfied
+    assert check_theorem1(s, math.nextafter(iv.lower, 1.0)).satisfied
+
+
+def test_alpha_interval_edges_match_the_check():
+    # every edge, and the floats on either side of it, lies on the side of
+    # the interval that check puts it (0 and 1 are checked as well)
+    rng = np.random.default_rng(3)
+    cells = 0
+    for _ in range(3000):
+        s = random_summary(rng)
+        s = replace(s, limit_tau=rng.uniform(s.delta, s.tau))
+        constant_a = replace(s, inf_a=s.norm_a, norm_a_plus=s.norm_a, norm_a_minus=0.0)
+        for test in (criteria.THEOREM1, criteria.THEOREM2, criteria.COROLLARY1, criteria.COROLLARY3):
+            summary = constant_a if test is criteria.COROLLARY1 else s
+            iv = test.alpha_interval(summary)
+            edges = [] if iv.empty else [iv.lower, iv.upper]
+            for alpha in (0.0, 1.0, *edges, *(math.nextafter(e, d) for e in edges for d in (0.0, 1.0))):
+                if 0.0 <= alpha <= 1.0:
+                    v = test.check(summary, alpha)
+                    assert iv.contains(alpha) == (v.applicable and v.satisfied), (test.name, summary, alpha)
+                    cells += 1
+    assert cells > 3000 * 4 * 2
+
+
 # -- endpoint corollaries ------------------------------------------------------------
 
 def test_corollary_main_near_critical_bound():
@@ -145,6 +192,9 @@ def test_corollary3_ex1_alpha_dependence():
     assert check_corollary3(EX1, 0.5).satisfied
     assert not check_corollary3(EX1, 0.0).satisfied
     assert not check_corollary3(EX1, 1.0).satisfied  # lower bound fails: 0.4/e > 0.14
+    iv = criteria.COROLLARY3.alpha_interval(EX1)
+    assert iv.lower_open and iv.upper_open  # both inequalities are strict
+    assert iv.contains(0.5) and iv.upper == pytest.approx(0.14 * math.e / 0.4, abs=1e-12)
 
 
 def test_corollary3_needs_limit():
@@ -504,6 +554,22 @@ def ref_theorem3(isummary, alpha):
     return _ref_decide("theorem3", _ref_rhs(one_minus, alpha) - lhs, "asymptotic", cert, alpha, _REF_T3_NOTES)
 
 
+def ref_corollary3(summary, alpha):
+    _ref_unit(alpha)
+    if summary.limit_tau is None:
+        raise MissingLimit("corollary3 needs the analytic limit of t - h(t) (limit_tau override)")
+    fields = ("norm_a", "inf_a", "norm_b", "sigma", "limit_tau")
+    cert = _ref_cert(summary, fields)
+    if summary.inf_a <= 0.0:
+        return _ref_na("corollary3", "a(t) >= a0 > 0 fails", _UE, cert, alpha)
+    one_minus = 1.0 - summary.norm_a
+    tb = summary.limit_tau * summary.norm_b
+    sigma_term = summary.sigma * summary.norm_a * summary.norm_b * (1.0 - summary.inf_a) / (one_minus * one_minus)
+    lower_margin = tb - alpha * one_minus / math.e
+    upper_margin = _ref_rhs(one_minus, alpha) - sigma_term - tb
+    return _ref_decide("corollary3", min(lower_margin, upper_margin), _UE, cert, alpha)
+
+
 def _outcome(check, *args):
     try:
         return repr(check(*args))
@@ -516,6 +582,7 @@ _PAIRS = (
     (ref_corollary1, check_corollary1),
     (ref_theorem2, check_theorem2),
     (ref_theorem2_remark, criteria.check_theorem2_remark),
+    (ref_corollary3, check_corollary3),
     (lambda s, a: (ref_theorem1(s, 1.0, "corollary_main_a"), ref_theorem1(s, 0.0, "corollary_main_b")),
      lambda s, a: check_corollary_main(s)),
     (lambda s, a: (ref_theorem2(s, 1.0, "corollary5_a", strict_gate=True),
@@ -547,7 +614,9 @@ def test_records_match_the_reference_on_random_summaries():
             s = replace(s, inf_a=s.norm_a, norm_a_plus=s.norm_a, norm_a_minus=0.0)
         if rng.uniform() < 0.1:  # h(t) = t
             s = replace(s, tau=0.0, delta=0.0)
-        s = replace(s, provenance=_random_provenance(rng, _REF_T2 + ("inf_a",)))
+        if rng.uniform() < 0.8:  # a limiting lag
+            s = replace(s, limit_tau=rng.uniform(s.delta, s.tau))
+        s = replace(s, provenance=_random_provenance(rng, _REF_T2 + ("inf_a", "limit_tau")))
         tilde_tau = rng.uniform(0.0, 2.0)
         isum = IntegralSummary(
             tilde_delta=rng.uniform(0.0, tilde_tau), tilde_tau=tilde_tau,
@@ -561,4 +630,7 @@ def test_records_match_the_reference_on_the_corpus(corpus):
     rng = np.random.default_rng(5)
     for spec in corpus.values():
         for variant in (spec, bare(spec)):
-            _assert_records_match_reference(summarize(variant, 20001), integral_summary(variant), rng)
+            s = summarize(variant, 20001)
+            if s.limit_tau is None:  # a limiting lag, so that corollary3 is decided
+                s = replace(s, limit_tau=0.5 * (s.delta + s.tau))
+            _assert_records_match_reference(s, integral_summary(variant), rng)

@@ -2,7 +2,6 @@ import io
 import json
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,18 +73,20 @@ def test_sweep_cells_match_main_test(ex2):
         for r in rs:
             v = criteria.check_theorem1(summarize(scale_b(ex2, r), 101), row.alpha)
             assert (row.r_lower <= r < row.r_upper) == (v.applicable and v.satisfied), (row.alpha, r)
-    # and on 50 random summaries, 1000 cells each; b enters the summary as
-    # norm_b and inf_b, which scale by r exactly as sampling r * b does
+    # and on 50 random summaries, 1000 cells each, plus each row's edges and
+    # their neighbours; b enters the summary as norm_b and inf_b, which scale
+    # by r exactly as sampling r * b does
     pyrng = random.Random(42)
     for i in range(50):
         spec = _spec_like_generated(pyrng, i)
         s = summarize(spec, 1001)
         alphas = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 38)))
         rs = rng.uniform(0.001, 1.0, 25)
-        assert summarize(scale_b(spec, rs[0]), 1001) == replace(s, norm_b=rs[0] * s.norm_b, inf_b=rs[0] * s.inf_b)
+        assert summarize(scale_b(spec, rs[0]), 1001) == s.scale_b(rs[0])
         for row in sweep_alpha_r(spec, alphas, summary=s):
-            for r in rs:
-                v = criteria.check_theorem1(replace(s, norm_b=r * s.norm_b, inf_b=r * s.inf_b), row.alpha)
+            edges = [e for e in (row.r_lower, row.r_upper) if 0.0 < e < math.inf]
+            for r in [*rs, *edges, *(math.nextafter(e, d) for e in edges for d in (0.0, math.inf))]:
+                v = criteria.check_theorem1(s.scale_b(r), row.alpha)
                 assert (row.r_lower <= r < row.r_upper) == (v.applicable and v.satisfied), (i, row.alpha, r)
 
 
