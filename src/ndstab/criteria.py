@@ -26,6 +26,7 @@ import math
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 from .eqspec import EquationSpec
 from .params import (
@@ -238,17 +239,25 @@ class AlphaTest:
         """The band [r_lower, r_upper) of r at which ``check(summary.scale_b(r),
         alpha)`` holds, for a test without ``lower`` whose ``lhs`` is linear in
         b and whose scale / cap varies as 1 / b: the least r whose gate passes
-        and the least r at which the decisive inequality fails."""
+        and the least r at which the decisive inequality fails.  A probe at r
+        writes r * b into one copy of the summary, not a new summary."""
         if self.requires(summary) is not None:
             return math.inf, -math.inf
+        probe = SimpleNamespace(**vars(summary))
+
+        def at(r):  # summary.scale_b(r) to callables that read b as norm_b and inf_b
+            probe.norm_b, probe.inf_b = r * summary.norm_b, r * summary.inf_b
+            ParameterSummary.__post_init__(probe)  # raises where scale_b(r) does
+            return probe
+
         scale, cap = self.gate(summary)
         if alpha * scale > 0.0 and cap > 0.0:
-            r_lower = _edge(lambda r: not self._gate_fails(summary.scale_b(r), alpha), alpha * scale / cap)
+            r_lower = _edge(lambda r: not self._gate_fails(at(r), alpha), alpha * scale / cap)
         else:
             r_lower = math.inf if self._gate_fails(summary, alpha) else 0.0
 
         def fails(r):  # the decisive inequality, from some r up
-            s = summary.scale_b(r)
+            s = at(r)
             return not self.rhs(s, alpha) - self.lhs(s) > 0.0
 
         lhs = self.lhs(summary)

@@ -73,15 +73,19 @@ class SampledFunction:
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
+        inside, j, frac = self._weights(ts)
+        out = np.zeros(ts.shape)
+        out[inside] = self.values[j] * (1.0 - frac) + self.values[j + 1] * frac
+        return out
+
+    def _weights(self, ts: np.ndarray):
+        """The queries at or above t0, and their interpolation indices and weights."""
         if np.any(ts > self.t1 + 1e-9 * self.step):
             raise ValueError("query above the sampled domain")
-        out = np.zeros(ts.shape)
         inside = ts >= self.t0
         pos = (ts[inside] - self.t0) / self.step
         j = np.clip(np.floor(pos).astype(np.int64), 0, len(self.values) - 2)
-        frac = pos - j
-        out[inside] = self.values[j] * (1.0 - frac) + self.values[j + 1] * frac
-        return out
+        return inside, j, pos - j
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -158,10 +162,18 @@ def neumann_inverse(
     scale = y.sup_norm()
     terms = _terms_for(norm_a, scale, tol)
     total = y.values.copy()
-    term = y
+    term = y.values
+    if terms > 1:  # apply_S on y's grid, with g, a and the weights computed once
+        ts = y.times()
+        gv, av = spec.g.eval_array(ts), spec.a.eval_array(ts)
+        keep = gv >= spec.t0
+        a_keep, (inside, j, frac) = av[keep], y._weights(gv[keep])
     for _ in range(terms - 1):
-        term = apply_S(spec, term)
-        total += term.values
+        at_g = np.zeros(len(a_keep))
+        at_g[inside] = term[j] * (1.0 - frac) + term[j + 1] * frac
+        term = np.zeros_like(av)
+        term[keep] = a_keep * at_g
+        total += term
     out = SampledFunction(y.t0, y.step, total)
     tail = _tail(norm_a, scale, terms)
     bound = scale / (1.0 - norm_a) + tol

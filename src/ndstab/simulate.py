@@ -25,14 +25,14 @@ reads lists of the block's inputs and of its x and y, writes x and y back
 at the end of the block, and reads a lookup that reaches before the block
 from the array.
 
-On the vectorized path, a node whose neutral argument g(t) lies past the
-start of its block is recovered by wavefront: the longest run of such
-nodes whose interpolation nodes all precede the first of them is solved in
-one array expression, with the same floating-point operations in the same
-order as the node-by-node iteration, so the results and the iteration
-statistics are bit-for-bit those of the sequential loop.  Only a node
-whose neutral lag is under one step refers to itself and is iterated on
-its own.
+A node whose interpolation nodes are final is recovered in closed form on
+both paths: its second iterate repeats its first, so the node-by-node
+iteration takes one iteration or two, and the results and the iteration
+statistics are bit-for-bit that loop's.  The vectorized path solves the
+longest run of such nodes past the start of a block, whose interpolation
+nodes all precede the first of them, in one array expression (wavefront).
+Only a node whose neutral lag is under one step refers to itself and is
+iterated on its own.
 
 Derivative jumps emitted at t0 and propagated along the delays are handled
 by small fixed steps and linear interpolation, not breakpoint tracking:
@@ -510,15 +510,23 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
 
     def f_stage(k, s, y_s):
         q = hs[k]
+        if q <= t_n and 0 <= (j := js[k]) < m:  # lookup_committed's read of xb
+            return -bs[k] * (xb[j] + fracs[k] * (xb[j + 1] - xb[j])) + fs[k]
         xq = lookup_committed(q) if q <= t_n else x_in_step(q, s, y_s)
         return -bs[k] * xq + fs[k]
 
     half, sixth = 0.5 * step, step / 6.0
-    near = below = self_ref = 0
+    one_ok, two_ok = fp_max_iter >= 1, fp_max_iter >= 2 and 0.0 < fp_tol  # as in _wavefront
+    near, below, self_ref, iters, resid = 0, 0, 0, 1, 0.0
     for lo in range(0, n_steps, _SCALAR_BLOCK_STEPS):
         hi = min(lo + _SCALAR_BLOCK_STEPS, n_steps)
         tb, ab, gb = (v.tolist() for v in inputs.nodes(lo, hi))
-        bs, hs, fs = (v.tolist() for v in inputs.stages(lo, hi))
+        bs, hs, fs = inputs.stages(lo, hi)
+        # lookup_committed's weight and index (from lo; -1 for the history) at every stage
+        pos = (hs - t0) * inv_step
+        fracs = (pos - np.floor(pos)).tolist()
+        js = np.where(hs < t0, -1, np.minimum(np.floor(pos), hi) - lo).astype(np.int64).tolist()
+        bs, hs, fs = bs.tolist(), hs.tolist(), fs.tolist()
         if lo == 0:
             _set_y0(x, y, ab[0], gb[0], t0, hist_scalar)
         xb, yb = x[lo:hi + 1].tolist(), y[lo:hi + 1].tolist()
@@ -527,7 +535,8 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
             k = 2 * m
             k1 = f_stage(k, t_n, yn)
             k2 = f_stage(k + 1, t_n + half, yn + half * k1)
-            k3 = f_stage(k + 1, t_n + half, yn + half * k2)
+            # a committed lookup does not depend on the stage's y
+            k3 = k2 if hs[k + 1] <= t_n else f_stage(k + 1, t_n + half, yn + half * k2)
             k4 = f_stage(k + 2, t_n + step, yn + step * k3)
             yi = yb[m + 1] = yn + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # recover x at node n + 1 from y
@@ -538,22 +547,22 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
             elif q < t0:
                 below += 1
                 xb[m + 1] = yi + ai * float(hist_scalar(q))
-            else:
-                pos = (q - t0) / step
-                j = min(int(pos), n)
-                self_ref += j == n
-                if j >= lo:
-                    _fixed_point(m + 1, j - lo, pos - j, xb, yi, ai, t_i,
-                                 fp_tol, fp_max_iter, stats)
+            elif (j := min(int(pos := (q - t0) / step), n)) == n:
+                self_ref += 1
+                _fixed_point(m + 1, m, pos - j, xb, yi, ai, t_i, fp_tol, fp_max_iter, stats)
+            else:  # x[j] and x[j + 1] are final: the closed form of _fixed_point
+                xj, xj1 = (xb[j - lo], xb[j - lo + 1]) if j >= lo else (x.item(j), x.item(j + 1))
+                new = xb[m + 1] = yi + ai * (xj + (pos - j) * (xj1 - xj))
+                if one_ok and (r1 := abs(new - xb[m])) < fp_tol:
+                    resid = max(resid, r1)
+                elif two_ok and new - new == 0.0:  # the second residual, 0 unless new is inf or nan
+                    iters = 2
                 else:
-                    # x[j] and x[j + 1] precede the block and are final:
-                    # iterate on them and x[n] in a list of their own
-                    far = [x.item(j), x.item(j + 1), xb[m], 0.0]
-                    _fixed_point(3, 0, pos - j, far, yi, ai, t_i, fp_tol, fp_max_iter, stats)
-                    xb[m + 1] = far[3]
+                    raise _divergence(t_i)
         y[lo:hi + 1] = yb
         x[lo:hi + 1] = xb
-        del tb, ab, gb, bs, hs, fs, xb, yb  # free them before the next block's
+        del tb, ab, gb, bs, hs, fs, js, fracs, xb, yb  # free them before the next block's
+    stats.iters_max, stats.resid_max = max(stats.iters_max, iters), max(stats.resid_max, resid)
     stats.near, stats.below, stats.self_ref = near, below, self_ref
     stats.hard = n_steps - near - below - self_ref
 

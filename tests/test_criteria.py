@@ -27,7 +27,7 @@ from ndstab.criteria import (
     tau0,
     tau_bar,
 )
-from ndstab.params import IntegralSummary, ParameterSummary, summarize
+from ndstab.params import IntegralSummary, ParameterSummary, SummaryError, summarize
 
 
 def mk(norm_a, inf_a, norm_b, sigma, tau, delta, inf_b=None, plus=None, minus=None,
@@ -128,6 +128,18 @@ def test_edge_reaches_a_far_edge_in_few_calls(guess):
 
     assert criteria._edge(flips, guess) == 1e-9
     assert criteria._edge(lambda x: False, guess) == math.inf  # never true: the sentinel
+
+
+def test_r_band_probe_raises_where_scale_b_does():
+    # at alpha = 1e-30 the gate edge is first probed near r = 5e-31, where
+    # r * inf_b underflows to 0, so scale_b(r) is no summary
+    s = mk(0.3, 0.2, 1.0, 0.5, 1.0, 0.5, inf_b=1e-300)
+    message = "need 0 < inf_b <= norm_b, got 0.0, 5.15"
+    with pytest.raises(SummaryError, match=message):
+        s.scale_b(5.15e-31)
+    with pytest.raises(SummaryError, match=message):
+        criteria.THEOREM1.r_band(s, 1e-30)
+    assert criteria.THEOREM1.r_band(s, 0.5) == (0.2575156088200096, 0.6657234822309874)
 
 
 def test_alpha_interval_edge_far_from_its_guess():

@@ -159,6 +159,46 @@ def test_tail_certificate_soundness():
     assert float(np.max(np.abs(total - out.values))) < cert.tail_bound
 
 
+def _reference_neumann(spec, y, terms):
+    """neumann_inverse's sum of the given number of terms, one apply_S per term."""
+    total, term = y.values.copy(), y
+    for _ in range(terms - 1):
+        term = apply_S(spec, term)
+        total += term.values
+    return total
+
+
+@pytest.mark.parametrize("case", ["corpus", "sign_changing_a", "grid_after_t0", "one_term"])
+def test_neumann_inverse_matches_one_apply_S_per_term(corpus, case):
+    # on a grid that starts after t0, g(t) lies between them at some points
+    if case == "corpus":
+        for spec in corpus.values():
+            ts = spec.t0 + 0.01 * np.arange(2001)
+            y = SampledFunction(spec.t0, 0.01, np.cos(ts))
+            out, cert = neumann_inverse(spec, y)
+            assert np.array_equal(out.values, _reference_neumann(spec, y, cert.terms))
+        return
+    spec = EquationSpec(a=scale(0.6, sin(T)), b=const(1.0), g=add(T, const(-0.7)), h=T,
+                        t0=0.0, horizon=50.0)
+    y = sampled(lambda t: math.cos(3.0 * t) - 0.5, 2.0 if case == "grid_after_t0" else 0.0, 20.0, 1001)
+    out, cert = neumann_inverse(spec, y, 10.0 if case == "one_term" else 1e-12)
+    assert (cert.terms == 1) == (case == "one_term")
+    assert np.array_equal(out.values, _reference_neumann(spec, y, cert.terms))
+
+
+def test_neumann_inverse_query_above_the_grid_raises_from_the_second_term():
+    # g(t) = t + 1 reads past the grid's end: apply_S raises, and so does
+    # neumann_inverse, but only when it builds a second term
+    spec = const_spec(a=0.5, g=add(T, const(1.0)))
+    y = sampled(lambda t: 1.0, 0.0, 10.0)
+    with pytest.raises(ValueError, match="query above the sampled domain"):
+        apply_S(spec, y)
+    with pytest.raises(ValueError, match="query above the sampled domain"):
+        neumann_inverse(spec, y, tol=1e-10)
+    out, cert = neumann_inverse(spec, y, tol=10.0)
+    assert cert.terms == 1 and np.array_equal(out.values, y.values)
+
+
 # -- series coefficient -----------------------------------------------------------
 
 def test_big_B_geometric():

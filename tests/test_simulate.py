@@ -1,5 +1,6 @@
 import io
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -433,9 +434,12 @@ LONG_NEUTRAL = spec_of(scale(0.5, sin(T)), add(const(1.0), scale(0.3, sin(T))),
                        add(T, const(-0.05)), add(T, const(-5e-3)), t0=0.5)
 # both lags exactly half a step: some stage lookups land on t_n itself
 HALF_STEP = spec_of(const(0.4), const(1.0), add(T, const(-5e-4)), add(T, const(-5e-4)))
+# x moves by about 1e-13 per step: every node takes one iteration
+STILL_SCALAR = spec_of(const(0.5), const(1e-10), add(T, const(-5e-3)), add(T, const(-2e-3)))
 SCALAR_CASES = {
     "half_step": (HALF_STEP, 1.0, 2.0),
     "self_nodes": (SELF_NODES, 1.0, 2.0),
+    "still": (STILL_SCALAR, 1.0, 0.5),
     "in_step": (IN_STEP, 1.0, 2.0),
     "expr_history": (LONG_NEUTRAL, sin(scale(3.0, T)), 1.5),
     "callable_history": (LONG_NEUTRAL, lambda t: math.cos(3.0 * t) - t, 1.5),
@@ -463,6 +467,8 @@ def test_scalar_loop_matches_numpy_scalar_loop(name):
                              "block_plus_one": 2 * B + 1}[name]
     if name == "self_nodes":
         assert new.nodes_self > 0
+    if name == "still":
+        assert new.fp_iterations_max == 1 and new.fp_residual_max > 0.0 and new.nodes_hard > 0
     if name.endswith("history"):
         assert new.nodes_below > 0 and new.nodes_hard > 0
 
@@ -495,6 +501,91 @@ def test_scalar_divergence_reports_the_same_node(case):
         args = (LONG_NEUTRAL, 1.0, 1.5, 1e-3, None, None, 1e-12, 1)
     new, ref = _divergence_messages(*args)
     assert new == ref
+
+
+# the fixed-point parameters on both paths: every accept and reject branch of
+# the closed form and of _fixed_point, against the node-by-node reference
+# (the tests above run the defaults, fp_tol = 1e-12 and fp_max_iter = 100)
+FP_PARAMS = [(1e-12, 1), (1e-12, 0), (0.0, 100), (1.0, 2), (1e-15, 3), (-1.0, 5), (math.inf, 1),
+             (math.nan, 4)]
+
+
+def _outcome(run, args):
+    """run(*args), or the message of its FixedPointDivergence."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(*args)
+    except FixedPointDivergence as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(args, counts=True):
+    """integrate(*args) and its reference give the same trajectory, statistics
+    and (unless not ``counts``) node counts, or the same divergence message."""
+    new, ref = _outcome(integrate, args), _outcome(_reference_integrate, args)
+    if isinstance(new, str) or isinstance(ref, str):
+        assert new == ref
+        return new
+    assert np.array_equal(new.x, ref.x) and np.array_equal(new.y, ref.y)
+    assert (new.fp_iterations_max, new.fp_residual_max) == (ref.fp_iterations_max,
+                                                            ref.fp_residual_max)
+    if counts:
+        both = [(t.nodes_near, t.nodes_below, t.nodes_easy, t.nodes_hard, t.nodes_self)
+                for t in (new, ref)]
+        assert both[0] == both[1]
+    return new
+
+
+@pytest.mark.parametrize("fp_tol, fp_max_iter", FP_PARAMS)
+@pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+def test_scalar_loop_fixed_point_parameters(name, fp_tol, fp_max_iter):
+    spec, history, t_end, forcing = (*SCALAR_CASES[name], None)[:4]
+    _assert_same_outcome((spec, history, t_end, 1e-3, forcing, None, fp_tol, fp_max_iter))
+
+
+def test_scalar_divergence_on_a_non_self_node():
+    # neutral lag 2.5 steps and a = 1.5: x grows until it overflows, and the
+    # closed form rejects the first node whose x is not finite
+    spec = spec_of(const(1.5), const(1.0), add(T, const(-2.5e-3)), add(T, const(-2e-3)))
+    traj = integrate(spec, 1.0, 0.5, 1e-3)
+    assert traj.path == "scalar" and traj.nodes_self == 0 and traj.nodes_hard > 0
+    new, ref = _divergence_messages(spec, 1.0, 10.0, 1e-3)
+    assert new == ref
+
+
+def _scalar_spec_like_generated(rng, i):
+    """A spec shaped like the `scalar` bench specs: retarded lag under 8
+    steps of 1e-3 (under one step for a third), neutral lag shorter or
+    longer, constant or varying lags, and constant, oscillating or
+    sign-changing a."""
+    tau0 = rng.uniform(3e-4, 8e-4) if i % 3 == 0 else rng.uniform(1.5e-3, 5e-3)
+    tau1 = 0.0 if i < 6 else rng.uniform(0.1, 0.5) * tau0
+    shorter = (i // 3) % 2 == 0
+    sigma0 = rng.uniform(0.2, 0.6) * tau0 if shorter else rng.uniform(1.5, 3.0) * (tau0 + tau1)
+    sigma1 = 0.0 if i < 6 else rng.uniform(0.1, 0.5) * sigma0
+    omega = rng.uniform(0.5, 2.0)
+    a = (const(rng.uniform(0.1, 0.7)),
+         add(const(rng.uniform(0.25, 0.6)), scale(rng.uniform(0.02, 0.2), cos(T))),
+         scale(rng.uniform(0.2, 0.7), sin(T)))[(i // 2) % 3]
+    b1 = rng.uniform(0.05, 0.3)
+    b = scale(rng.uniform(0.2, 1.5), const(1.0) if i % 2 else add(const(1.0 - b1), scale(b1, sin(T))))
+    g = add(T, const(-sigma0), scale(-sigma1, absval(cos(scale(omega, T)))))
+    h = add(T, const(-tau0), scale(-tau1, absval(sin(scale(omega, T)))))
+    return spec_of(a, b, g, h)
+
+
+def test_seeded_scalar_specs_match_numpy_scalar_loop():
+    # 12 specs over a block and a bit, so that neutral lookups reach back
+    # across the block boundary; constant, expression and seeded histories
+    rng = random.Random(12)
+    counts = np.zeros(2, dtype=int)
+    for i in range(12):
+        spec = _scalar_spec_like_generated(rng, i)
+        history = (1.0, sin(scale(3.0, T)), SeededHistory(rng.randrange(1, 10_000), -1.0, 0.0))[i // 4]
+        new = _assert_same_outcome((spec, history, (B + 400) * 1e-3, 1e-3))
+        assert new.path == "scalar", i
+        counts += (new.nodes_hard > 0, new.nodes_self > 0)
+    assert min(counts) > 0, counts
 
 
 # -- inputs per block against the whole-run reference --------------------------------
@@ -539,6 +630,15 @@ def test_chunked_blocks_match_whole_run_inputs(name):
         assert new.n - 1 > 10.3e3 > simulate._BLOCK_STEPS and new.nodes_below > 0
 
 
+@pytest.mark.parametrize("fp_tol, fp_max_iter", FP_PARAMS)
+@pytest.mark.parametrize("name", sorted(CHUNKED_CASES))
+def test_chunked_fixed_point_parameters(name, fp_tol, fp_max_iter):
+    # the reference loop counts no branches
+    spec, history, t_end, forcing = (*CHUNKED_CASES[name], None)[:4]
+    _assert_same_outcome((spec, history, t_end, 1e-3, forcing, None, fp_tol, fp_max_iter),
+                         counts=False)
+
+
 # step 2^-10 puts the poles on the node and stage grids
 POLE_STEP = 2.0 ** -10
 # b's pole at t = 20 comes first in time, a's at t = 30 first in the order
@@ -573,7 +673,8 @@ def test_first_error_is_that_of_the_whole_run_order(name):
 
 
 # Memory beyond x and y: one block of inputs, and on the scalar path the
-# block's lists of Python floats; about 1.6 MB on either path.  Every input
+# block's lists of Python floats and of each stage's lookup index and weight;
+# about 1.6 MB on the vectorized path and 2.2 MB on the scalar path.  Every input
 # evaluated over the whole run would cost 8 bytes a step per array, and a
 # list of the run's length 32.
 BLOCK_BUDGET = 2_500_000
