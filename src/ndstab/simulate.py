@@ -28,11 +28,12 @@ from the array.
 A node whose interpolation nodes are final is recovered in closed form on
 both paths: its second iterate repeats its first, so the node-by-node
 iteration takes one iteration or two, and the results and the iteration
-statistics are bit-for-bit that loop's.  The vectorized path solves the
-longest run of such nodes past the start of a block, whose interpolation
-nodes all precede the first of them, in one array expression (wavefront).
-Only a node whose neutral lag is under one step refers to itself and is
-iterated on its own.
+statistics are bit-for-bit that loop's.  The vectorized path classifies the
+nodes and indexes every lookup once per block, and a chunk only gathers,
+sums and writes.  Its nodes past the chunk start go in rounds (wavefront),
+each the longest run whose interpolation nodes precede its first, all found
+from one running max.  Only a node whose neutral lag is under one step
+refers to itself and is iterated on its own, on Python floats.
 
 Derivative jumps emitted at t0 and propagated along the delays are handled
 by small fixed steps and linear interpolation, not breakpoint tracking:
@@ -334,42 +335,43 @@ class _Stats:
         self.near = self.below = self.easy = self.hard = self.self_ref = 0
 
 
-def _interp_index(q, t0, step, last):
-    """Grid index j (clamped to [0, last]) and weight of the linear
-    interpolation of x at q."""
-    pos = (q - t0) / step
-    j = np.minimum(np.maximum(np.floor(pos).astype(np.int64), 0), last)
-    return j, pos - j
-
-
 def _divergence(t_i):
     return FixedPointDivergence(
         f"x-recovery did not contract at t={t_i} (|a| >= 1 or broken spec?)")
 
 
-def _fixed_point(i, j, frac, x, yi, ai, t_i, fp_tol, fp_max_iter, stats):
-    """Scalar fixed-point recovery of x[i] = yi + ai (x[j] + frac (x[j+1] - x[j]))."""
-    x[i] = x[i - 1]
+def _fixed_point(i, frac, x, yi, ai, t_i, fp_tol, fp_max_iter, stats):
+    """Fixed-point recovery of x[i] = yi + ai (x[i-1] + frac (x[i] - x[i-1])), on
+    Python floats from x[i] = x[i-1]; x[i] is written once, also on divergence."""
+    xj = cur = float(x[i - 1])
     for it in range(1, fp_max_iter + 1):
-        xq = x[j] + frac * (x[j + 1] - x[j])
-        new = yi + ai * xq
-        resid = abs(new - x[i])
-        x[i] = new
+        new = yi + ai * (xj + frac * (cur - xj))
+        resid = abs(new - cur)
+        cur = new
         if resid < fp_tol:
+            x[i] = cur
             stats.iters_max = max(stats.iters_max, it)
             stats.resid_max = max(stats.resid_max, resid)
             return
+    x[i] = cur
     raise _divergence(t_i)
 
 
 def _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps, k_chunk,
                      fp_tol, fp_max_iter, stats):
     # All stage lookups inside a chunk land at or before the chunk start,
-    # so a whole chunk of y-updates is a pure quadrature accumulation.
-    # Inputs are evaluated per block of whole chunks, work arrays per chunk.
+    # so a whole chunk of y-updates is a pure quadrature accumulation.  A
+    # block of whole chunks fills buffers that every block reuses with the
+    # lookups' indices and weights and the nodes' recovery classes; a chunk
+    # gathers, sums and writes.
     block = k_chunk * -(-_BLOCK_STEPS // k_chunk)
+    m_max = min(block, n_steps)
+    sj_buf, sw_buf = np.empty(2 * m_max + 1, np.int64), np.empty(2 * m_max + 1)
+    (nodes_buf, jn_buf), (an_buf, fn_buf) = np.empty((2, m_max), np.int64), np.empty((2, m_max))
+    x1 = x[1:]  # x1[j] is x[j + 1] for j >= 0
     for lo in range(0, n_steps, block):
         hi = min(lo + block, n_steps)
+        m = hi - lo
         tn, a_n, g_n = inputs.nodes(lo, hi)
         b_s, h_s, f_s = inputs.stages(lo, hi)
         if lo == 0:
@@ -379,97 +381,124 @@ def _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps, k
         hist_h = np.flatnonzero(below_h)
         last_hist_h = int(hist_h[-1]) if len(hist_h) else -1
         phi_h = _history_at(h_s, below_h, hist_array)
-        # chunk [pos, end) of the run is [p, e) of the block
-        for pos in range(lo, hi, k_chunk):
+        nb = np.negative(b_s, out=b_s)
+        # Index max(floor(p), 0), which is trunc(max(p, 0)), and weight of
+        # each stage's lookup.  The chunk [pos, end) clamps the index to
+        # pos - 1, which binds only at the stage of end (the retarded lag
+        # spans the chunk), when it lands on pos: `clamped` chunks redo it.
+        sj, sw = sj_buf[:2 * m + 1], sw_buf[:2 * m + 1]
+        np.divide(np.subtract(h_s, t0, out=sw), step, out=sw)
+        np.maximum(sw, 0.0, out=sj, casting="unsafe")
+        np.subtract(sw, sj, out=sw)
+        ends, starts = sj[2 * k_chunk::2 * k_chunk], np.arange(lo, hi, k_chunk)
+        clamped = set(starts[:len(ends)][ends >= starts[:len(ends)]].tolist())
+        # Node lo + 1 + i, in the chunk that starts at lo + i // k_chunk *
+        # k_chunk, by class (near, below, easy, hard) and in order: 1 - a,
+        # a phi(g) or a, and the index and weight of x at g, clamped to the
+        # chunk start - 1 (easy) or to the node - 1 (hard).
+        qg = g_n[1:]
+        cls = np.full(m, 3, np.int8)
+        cls[qg <= np.repeat(tn[:-1:k_chunk], k_chunk)[:m]] = 2
+        cls[qg < t0] = 1
+        cls[tn[1:] - qg < _DEGENERATE_LAG] = 0
+        order = np.argsort(cls, kind="stable")
+        c0, c1, c2 = np.cumsum(np.bincount(cls, minlength=4)[:3]).tolist()
+        nodes, an, jn, fn = nodes_buf[:m], an_buf[:m], jn_buf[:m], fn_buf[:m]
+        np.add(order, lo + 1, out=nodes)
+        np.take(a_n[1:], order, out=an)
+        np.subtract(1.0, an[:c0], out=an[:c0])
+        an[c0:c1] *= phi_g[1:][order[c0:c1]]
+        last = order[c1:] + lo
+        last[:c2 - c1] = order[c1:c2] // k_chunk * k_chunk + (lo - 1)
+        q = (qg[order[c1:]] - t0) / step
+        jn[c1:] = np.minimum(np.maximum(np.floor(q).astype(np.int64), 0), last)
+        fn[c1:] = q - jn[c1:]
+        edges = np.arange(0, m + k_chunk, k_chunk)
+        bounds = np.stack([np.searchsorted(order[i:j], edges) + i  # per chunk and class
+                           for i, j in ((0, c0), (c0, c1), (c1, c2), (c2, m))], axis=1).tolist()
+        stats.near, stats.below, stats.easy = (stats.near + c0, stats.below + c1 - c0,
+                                               stats.easy + c2 - c1)
+        del tn, a_n, g_n, phi_g, qg, cls, order, last, q
+        for c, pos in enumerate(range(lo, hi, k_chunk)):
             end = min(pos + k_chunk, hi)
-            p, e = pos - lo, end - lo
-            j0, j1 = 2 * p, 2 * e + 1
-            qs = h_s[j0:j1]
-            jq, fq = _interp_index(qs, t0, step, pos - 1)
-            xq = x[jq] * (1.0 - fq) + x[jq + 1] * fq
+            j0, j1 = 2 * (pos - lo), 2 * (end - lo) + 1
+            js, w = sj[j0:j1], sw[j0:j1]
+            xq = x[js] * (1.0 - w) + x1[js] * w
+            if pos in clamped:
+                f = (h_s.item(j1 - 1) - t0) / step - (pos - 1)
+                xq[-1] = x.item(pos - 1) * (1.0 - f) + x.item(pos) * f
             if j0 <= last_hist_h:
-                hist = qs < t0
-                xq[hist] = phi_h[j0:j1][hist]
-            F = -b_s[j0:j1] * xq + f_s[j0:j1]
+                np.copyto(xq, phi_h[j0:j1], where=below_h[j0:j1])
+            F = nb[j0:j1] * xq + f_s[j0:j1]
             dy = (step / 6.0) * (F[:-2:2] + 4.0 * F[1::2] + F[2::2])
             y[pos + 1:end + 1] = y[pos] + np.cumsum(dy)
 
-            idx = np.arange(pos + 1, end + 1)
-            qg, an = g_n[p + 1:e + 1], a_n[p + 1:e + 1]
-            near = tn[p + 1:e + 1] - qg < _DEGENERATE_LAG
-            below = ~near & (qg < t0)
-            easy = ~near & ~below & (qg <= tn[p])
-            hard = ~(near | below | easy)
-
-            ii = idx[near]
-            if len(ii):
-                x[ii] = y[ii] / (1.0 - an[near])
-                stats.near += len(ii)
-            ii = idx[below]
-            if len(ii):
-                x[ii] = y[ii] + an[below] * phi_g[p + 1:e + 1][below]
-                stats.below += len(ii)
-            ii = idx[easy]
-            if len(ii):
-                je, fe = _interp_index(qg[easy], t0, step, pos - 1)
-                x[ii] = y[ii] + an[easy] * (x[je] * (1.0 - fe) + x[je + 1] * fe)
-                stats.easy += len(ii)
-            ii = idx[hard]
-            if len(ii):
-                _wavefront(ii, *_interp_index(qg[hard], t0, step, ii - 1), x, y, an[hard],
+            (i0, i1, i2, i3), (e0, e1, e2, e3) = bounds[c:c + 2]
+            if i0 < e0:
+                x[nodes[i0:e0]] = y[nodes[i0:e0]] / an[i0:e0]
+            if i1 < e1:
+                x[nodes[i1:e1]] = y[nodes[i1:e1]] + an[i1:e1]
+            if i2 < e2:
+                ii, jj, w = nodes[i2:e2], jn[i2:e2], fn[i2:e2]
+                x[ii] = y[ii] + an[i2:e2] * (x[jj] * (1.0 - w) + x[jj + 1] * w)
+            if i3 < e3:
+                _wavefront(nodes[i3:e3], jn[i3:e3], fn[i3:e3], an[i3:e3], x, y,
                            t0, step, fp_tol, fp_max_iter, stats)
 
 
-def _wavefront(nodes, jn, fn, x, y, an, t0, step, fp_tol, fp_max_iter, stats):
+def _wavefront(nodes, jn, fn, an, x, y, t0, step, fp_tol, fp_max_iter, stats):
     """Recover x at the hard nodes of one chunk (ascending, g past the chunk
-    start; ``an`` holds a at them), bit-for-bit as the node-by-node iteration
-    would, in rounds: p is the first unresolved node, and every node before
-    the first whose interpolation reaches p or beyond reads only final
-    values."""
-    jn1 = jn + 1
-    self_ref = (jn1 == nodes).tolist()
-    n_self = sum(self_ref)
-    stats.self_ref += n_self
-    stats.hard += len(nodes) - n_self
-    # Without a self-reference the second iterate repeats the first, so the
-    # node-by-node loop takes one iteration when |x_i - x_{i-1}| < fp_tol and
-    # two (the second with residual 0) otherwise, and fails on non-finite x_i.
-    one_ok = fp_max_iter >= 1
-    two_ok = fp_max_iter >= 2 and 0.0 < fp_tol
-    n = len(nodes)
-    k = 0
-    while k < n:
-        p = int(nodes[k])
-        if self_ref[k]:
-            _fixed_point(p, int(jn[k]), float(fn[k]), x, y[p], an[k], t0 + step * p,
+    start, x at g indexed jn and weighted fn, a = an there) bit-for-bit as
+    the node-by-node iteration would, in rounds: from the first unresolved
+    node p = nodes[k] up to the first node whose interpolation reaches p,
+    which is stops[k] as jn + 1 <= node.  stops[k] == k marks a node that
+    refers to itself, which is iterated; the rounds before it are accepted
+    first, so the first divergence is the loop's."""
+    x1 = x[1:]
+    yh = y[nodes]
+    stops = np.searchsorted(np.maximum.accumulate(jn + 1), nodes).tolist()
+    stats.hard += len(nodes)
+    k = checked = 0
+    while k < len(nodes):
+        stop = stops[k]
+        if stop == k:
+            _accept(nodes[checked:k], x, t0, step, fp_tol, fp_max_iter, stats)
+            p = int(nodes[k])
+            _fixed_point(p, float(fn[k]), x, float(yh[k]), float(an[k]), t0 + step * p,
                          fp_tol, fp_max_iter, stats)
-            k += 1
+            stats.hard, stats.self_ref = stats.hard - 1, stats.self_ref + 1
+            k = checked = k + 1
             continue
-        stop = n
-        if k + 1 < n:
-            blocked = jn1[k + 1:] >= p
-            m = int(blocked.argmax())
-            if blocked[m]:
-                stop = k + 1 + m
-        ii, jj = nodes[k:stop], jn[k:stop]
+        jj = jn[k:stop]
         xj = x[jj]
-        new = y[ii] + an[k:stop] * (xj + fn[k:stop] * (x[jn1[k:stop]] - xj))
-        x[ii] = new
-        r1 = np.abs(new - x[ii - 1])
+        x[nodes[k:stop]] = yh[k:stop] + an[k:stop] * (xj + fn[k:stop] * (x1[jj] - xj))
         k = stop
-        r_hi = np.maximum.reduce(r1)  # NaN if any r1 is
-        if not (two_ok and r_hi < math.inf):
-            ok = np.isfinite(new)
-            if not two_ok:
-                ok &= (r1 < fp_tol) & one_ok
-            if not ok.all():
-                raise _divergence(t0 + step * int(ii[ok.argmin()]))
-        if r_hi < fp_tol:
-            stats.resid_max = max(stats.resid_max, float(r_hi))
-            continue
-        stats.iters_max = max(stats.iters_max, 2)
-        if np.fmin.reduce(r1) < fp_tol:  # fmin skips NaN
-            stats.resid_max = max(stats.resid_max, float(r1[r1 < fp_tol].max()))
+    _accept(nodes[checked:], x, t0, step, fp_tol, fp_max_iter, stats)
+
+
+def _accept(ii, x, t0, step, fp_tol, fp_max_iter, stats):
+    """The node-by-node loop's outcome at hard nodes ii whose x holds the
+    closed form: from final interpolation nodes the second iterate repeats
+    the first, so the loop takes one iteration when |x_i - x_{i-1}| < fp_tol
+    and two (the second with residual 0) otherwise, and fails on non-finite x_i."""
+    if not len(ii):
+        return
+    new = x[ii]
+    r1 = np.abs(new - x[ii - 1])
+    two_ok = fp_max_iter >= 2 and 0.0 < fp_tol
+    r_hi = np.maximum.reduce(r1)  # NaN if any r1 is
+    if not (two_ok and r_hi < math.inf):
+        ok = np.isfinite(new)
+        if not two_ok:
+            ok &= (r1 < fp_tol) & (fp_max_iter >= 1)
+        if not ok.all():
+            raise _divergence(t0 + step * int(ii[ok.argmin()]))
+    if r_hi < fp_tol:
+        stats.resid_max = max(stats.resid_max, float(r_hi))
+        return
+    stats.iters_max = max(stats.iters_max, 2)
+    if np.fmin.reduce(r1) < fp_tol:  # fmin skips NaN
+        stats.resid_max = max(stats.resid_max, float(r1[r1 < fp_tol].max()))
 
 
 def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
@@ -516,7 +545,7 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
         return -bs[k] * xq + fs[k]
 
     half, sixth = 0.5 * step, step / 6.0
-    one_ok, two_ok = fp_max_iter >= 1, fp_max_iter >= 2 and 0.0 < fp_tol  # as in _wavefront
+    one_ok, two_ok = fp_max_iter >= 1, fp_max_iter >= 2 and 0.0 < fp_tol  # as in _accept
     near, below, self_ref, iters, resid = 0, 0, 0, 1, 0.0
     for lo in range(0, n_steps, _SCALAR_BLOCK_STEPS):
         hi = min(lo + _SCALAR_BLOCK_STEPS, n_steps)
@@ -549,7 +578,7 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
                 xb[m + 1] = yi + ai * float(hist_scalar(q))
             elif (j := min(int(pos := (q - t0) / step), n)) == n:
                 self_ref += 1
-                _fixed_point(m + 1, m, pos - j, xb, yi, ai, t_i, fp_tol, fp_max_iter, stats)
+                _fixed_point(m + 1, pos - j, xb, yi, ai, t_i, fp_tol, fp_max_iter, stats)
             else:  # x[j] and x[j + 1] are final: the closed form of _fixed_point
                 xj, xj1 = (xb[j - lo], xb[j - lo + 1]) if j >= lo else (x.item(j), x.item(j + 1))
                 new = xb[m + 1] = yi + ai * (xj + (pos - j) * (xj1 - xj))

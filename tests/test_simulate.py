@@ -192,14 +192,19 @@ PANTOGRAPH_SHORT_NEUTRAL = spec_of(const(0.5), div(const(0.2), T), div(T, const(
 SLOW_DRIFT = spec_of(const(0.5), scale(2e-9, absval(sin(T))), add(T, const(-0.05)),
                      add(T, const(-0.2)))
 STILL = spec_of(const(0.5), const(1e-10), add(T, const(-0.05)), add(T, const(-0.2)))
+# g = t - 0.02 - 0.015 |sin 100 t| goes back and forth, so the interpolation
+# index of a later hard node can fall below an earlier one's
+WIGGLY = spec_of(const(0.5), const(1.0), add(T, const(-0.02), scale(-0.015, absval(sin(scale(100.0, T))))),
+                 add(T, const(-0.1)))
 
 
 @pytest.mark.parametrize("name, t_end", [("ex4", 30.0), ("ex1", 30.0),
                                          ("lag_under_step", 10.0), ("pantograph", 20.0),
-                                         ("slow_drift", 10.0), ("still", 5.0)])
+                                         ("slow_drift", 10.0), ("still", 5.0),
+                                         ("wiggly", 5.0)])
 def test_wavefront_recovery_matches_sequential_loop(corpus, name, t_end):
     spec = {"lag_under_step": LAG_UNDER_STEP, "pantograph": PANTOGRAPH_SHORT_NEUTRAL,
-            "slow_drift": SLOW_DRIFT, "still": STILL}.get(name) or corpus.get(name)
+            "slow_drift": SLOW_DRIFT, "still": STILL, "wiggly": WIGGLY}.get(name) or corpus.get(name)
     new, ref = _integrate_both(spec, 1.0, t_end, 1e-3)
     assert new.path == "chunked" and new.nodes_hard > 0
     assert np.array_equal(new.x, ref.x)
@@ -639,6 +644,93 @@ def test_chunked_fixed_point_parameters(name, fp_tol, fp_max_iter):
                          counts=False)
 
 
+def _chunked_spec_like_generated(rng, i):
+    """A spec shaped like the `simulate` bench specs: retarded lag of 50 to
+    1000 steps of 1e-3 and the neutral lag shorter (so that hard nodes need
+    the wavefront) or longer, constant or varying lags, and constant,
+    oscillating or sign-changing a; every fifth spec is a pantograph
+    g = t/p, h = t/q with b = c/t."""
+    shorter = i % 2 == 0
+    a = (const(rng.uniform(0.1, 0.7)),
+         add(const(rng.uniform(0.25, 0.6)), scale(rng.uniform(0.02, 0.2), cos(T))),
+         scale(rng.uniform(0.2, 0.7), sin(T)))[(i // 2) % 3]
+    if i % 5 == 4:
+        q = rng.uniform(1.5, 4.0)
+        p = rng.uniform(1.1, 0.5 * (1.0 + q)) if shorter else rng.uniform(q + 0.5, q + 3.0)
+        return spec_of(a, div(const(rng.uniform(0.05, 0.3)), T), div(T, const(p)),
+                       div(T, const(q)), t0=1.0)
+    tau0 = rng.uniform(0.05, 1.0)
+    tau1 = 0.0 if (i // 2) % 2 else rng.uniform(0.1, 0.5) * tau0
+    sigma0 = rng.uniform(0.2, 0.6) * tau0 if shorter else rng.uniform(1.5, 3.0) * (tau0 + tau1)
+    sigma1 = 0.0 if (i // 2) % 2 else rng.uniform(0.1, 0.5) * sigma0
+    omega = rng.uniform(0.5, 2.0)
+    b1 = rng.uniform(0.05, 0.3)
+    b = scale(rng.uniform(0.2, 1.5), const(1.0) if i % 4 < 2 else add(const(1.0 - b1), scale(b1, sin(T))))
+    g = add(T, const(-sigma0), scale(-sigma1, absval(cos(scale(omega, T)))))
+    h = add(T, const(-tau0), scale(-tau1, absval(sin(scale(omega, T)))))
+    return spec_of(a, b, g, h)
+
+
+def test_seeded_chunked_specs_match_sequential_loop():
+    # 20 specs over 3 time units, so that lookups reach across chunks;
+    # constant, expression and seeded histories
+    rng = random.Random(13)
+    counts = np.zeros(3, dtype=int)
+    for i in range(20):
+        spec = _chunked_spec_like_generated(rng, i)
+        history = (1.0, sin(scale(3.0, T)),
+                   SeededHistory(rng.randrange(1, 10_000), spec.t0 - 4.0, spec.t0))[i % 3]
+        new = _assert_same_outcome((spec, history, spec.t0 + 3.0, 1e-3), counts=False)
+        assert new.path == "chunked", i
+        counts += (new.nodes_below > 0, new.nodes_easy > 0, new.nodes_hard > 0)
+    assert min(counts) > 0, counts
+
+
+# step 2^-10 and lags of 8 and 16 steps, exact: the last stage of each chunk
+# of 16 steps looks x up exactly at the chunk start, and a node halfway
+# through a chunk has g exactly there, so both lookups are clamped to the
+# chunk start - 1 (at t0, to index -1 with weight 0).  With the retarded lag
+# 2^-50 short of 16 steps the chunks keep 16 steps, and the clamped lookup
+# extrapolates by 2^-40 of a step, which the unclamped one would not.
+EXACT_STEP = 2.0 ** -10
+
+
+@pytest.mark.parametrize("short", [0.0, 2.0 ** -50])
+@pytest.mark.parametrize("history", [1.0, sin(scale(3.0, T))])
+def test_lookups_landing_on_a_chunk_start_match_sequential_loop(monkeypatch, history, short):
+    spec = spec_of(add(const(0.3), scale(0.2, sin(T))), add(const(1.0), scale(0.5, cos(T))),
+                   add(T, const(-8 * EXACT_STEP)), add(T, const(short - 16 * EXACT_STEP)))
+    chunks = []
+    advance = simulate._advance_chunked
+    monkeypatch.setattr(simulate, "_advance_chunked",
+                        lambda *args: chunks.append(args[8]) or advance(*args))
+    new, ref = _integrate_both(spec, history, 2.0, EXACT_STEP)
+    assert chunks == [16] and new.path == "chunked" and new.nodes_easy > 0
+    assert np.array_equal(new.x, ref.x)
+    assert np.array_equal(new.y, ref.y)
+    assert (new.fp_iterations_max, new.fp_residual_max) == (ref.fp_iterations_max,
+                                                            ref.fp_residual_max)
+
+
+# neutral lag |t - 0.1245| / 2, under one step at nodes 123 to 126 (which
+# refer to themselves) and over it at the hard nodes around them, all in the
+# chunk [100, 150); the forcing turns NaN from node `first` on, so x there is
+# not finite
+V_LAG = spec_of(const(0.5), const(1.0), add(T, scale(-0.5, absval(add(T, const(-0.1245))))),
+                add(T, const(-0.05)))
+
+
+@pytest.mark.parametrize("first", [120, 123], ids=["hard_first", "self_first"])
+def test_first_divergence_in_a_chunk_with_self_nodes_is_the_loops(first):
+    still = integrate(V_LAG, 1.0, 0.2, 1e-3)
+    assert still.path == "chunked" and still.nodes_self >= 4
+    # a non-finite round before a diverging self node, or the reverse
+    forcing = lambda t, cut=(first - 0.3) * 1e-3: math.nan if t > cut else 0.0  # noqa: E731
+    new, ref = _divergence_messages(V_LAG, 1.0, 0.2, 1e-3, forcing)
+    assert new == ref == f"x-recovery did not contract at t={1e-3 * first} " \
+                         "(|a| >= 1 or broken spec?)"
+
+
 # step 2^-10 puts the poles on the node and stage grids
 POLE_STEP = 2.0 ** -10
 # b's pole at t = 20 comes first in time, a's at t = 30 first in the order
@@ -674,7 +766,7 @@ def test_first_error_is_that_of_the_whole_run_order(name):
 
 # Memory beyond x and y: one block of inputs, and on the scalar path the
 # block's lists of Python floats and of each stage's lookup index and weight;
-# about 1.6 MB on the vectorized path and 2.2 MB on the scalar path.  Every input
+# about 1.8 MB on the vectorized path and 2.2 MB on the scalar path.  Every input
 # evaluated over the whole run would cost 8 bytes a step per array, and a
 # list of the run's length 32.
 BLOCK_BUDGET = 2_500_000
