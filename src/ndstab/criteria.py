@@ -272,11 +272,24 @@ def _edge(flips: Callable[[float], bool], x: float) -> float:
     """The least float in (0, inf] at which ``flips``, false at 0 and true at
     inf, turns true.  From the guess ``x`` it steps one float (one bit
     pattern) at a time, doubling the stride until ``flips`` changes, then
-    bisects, so a guess a few floats off costs a few calls."""
+    bisects, so a guess a few floats off costs a few calls.  From a guess
+    >= 0 the first step is ``math.nextafter``, so a guess at the edge or one
+    float off it costs two calls and no bit-pattern round trip."""
     at = lambda k: flips(_F64.unpack(_I64.pack(k))[0])
-    lo = hi = _I64.unpack(_F64.pack(x))[0]
-    stride = 1
-    if at(hi):
+    if not x >= 0.0:
+        lo = hi = _I64.unpack(_F64.pack(x))[0]
+        stride, down = 1, at(hi)
+    elif flips(x):
+        below = math.nextafter(x, 0.0)
+        if not below or not flips(below):
+            return x
+        hi, stride, down = _I64.unpack(_F64.pack(below))[0], 2, True
+    else:
+        above = math.nextafter(x, math.inf)
+        if above == math.inf or flips(above):
+            return above
+        lo, stride, down = _I64.unpack(_F64.pack(above))[0], 2, False
+    if down:
         while (lo := max(hi - stride, 0)) and at(lo):
             hi, stride = lo, 2 * stride
     else:

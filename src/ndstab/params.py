@@ -32,9 +32,16 @@ _INTEGRAL_SAMPLES = 513  # sample times t of integral_summary
 _LIMSUP_SAMPLES = 257    # sample times t of estimate_limsup_int_b
 _SIMPSON_BLOCK = 16      # integrals per Simpson block; bounds its node arrays to 16 x (panels + 1)
 
-# Cumulative table of the integral of b: 6-node Gauss-Legendre on cells of
-# width TABLE_CELL from t0, evaluated SAMPLE_BLOCK // 6 cells at a time.
+# Cumulative table of the integral of b: 6-node Gauss-Legendre on cells of one
+# width from t0, evaluated SAMPLE_BLOCK // 6 cells at a time.  The width is the
+# first of _TABLE_WIDTHS, coarsest first, whose cells pass the check of
+# IntegralsOfB._cells; the last, TABLE_CELL, is taken unchecked.
 TABLE_CELL = 0.01
+_TABLE_WIDTHS = (0.08, 0.04, 0.02, TABLE_CELL)
+# A width passes when the rule over each pair of adjacent cells agrees with its
+# sum over the two cells to within this, relative.  The rule's error is
+# O(width^13), so the cells' own error is then about 2^-13 of that gap.
+_TABLE_AGREE = 1e-13
 _TABLE_BLOCK = SAMPLE_BLOCK // 6
 # Longest table, in cells (2 MiB per array; a window of about 2,600).  Its
 # 1.6 million evaluations of b are about what Simpson spends on the 1,026
@@ -271,12 +278,14 @@ class IntegralsOfB:
 
     Each integral is B(hi) - B(lo), where B(x) = int_{t0}^x b is read from
     one cumulative table: 6-node Gauss-Legendre on the cells
-    [t0 + k H, t0 + (k + 1) H] of width H = TABLE_CELL, built on first use,
-    plus the same rule on the partial cell up to x.  Two cases take
-    composite Simpson per interval (``simpson``) instead: a b containing
-    ``abs``, whose kinks cost the rule its order, and a window of more than
-    _MAX_TABLE_CELLS cells.  One object serves every integral of one
-    request; nothing is kept between requests.
+    [t0 + k H, t0 + (k + 1) H] of width H = ``cell``, built on first use,
+    plus the same rule on the partial cell up to x.  H is the coarsest of
+    0.08, 0.04, 0.02 at which the rule over each pair of adjacent cells
+    agrees with its sum over the two to 1e-13, relative, else TABLE_CELL.
+    Two cases take composite Simpson per interval (``simpson``) instead: a
+    b containing ``abs``, whose kinks cost the rule its order, and a window
+    longer than _MAX_TABLE_CELLS * TABLE_CELL.  One object serves every
+    integral of one request; nothing is kept between requests.
     """
 
     def __init__(self, spec: EquationSpec):
@@ -285,6 +294,11 @@ class IntegralsOfB:
         self.horizon = spec.horizon
         self.tabulated = (not _has_abs(spec.b)
                           and spec.horizon - spec.t0 <= _MAX_TABLE_CELLS * TABLE_CELL)
+
+    @property
+    def cell(self) -> float:
+        """The table's cell width H (the table is built on first use)."""
+        return self._table[0]
 
     def over(self, lo, hi) -> np.ndarray:
         """int_lo^hi b for arrays of limits, one integral per entry."""
@@ -296,27 +310,25 @@ class IntegralsOfB:
             raise ValueError("empty or reversed integration range")
         n = len(lo)
         x = np.concatenate((lo, hi))
-        big, small = self._table
-        k = np.clip(np.floor((x - self.t0) / TABLE_CELL), 0, len(big) - 1).astype(np.intp)
-        left = k * TABLE_CELL + self.t0
+        cell, big, small = self._table
+        k = np.clip(np.floor((x - self.t0) / cell), 0, len(big) - 1).astype(np.intp)
+        left = k * cell + self.t0
         partial = self._gauss(left, x - left)
         big, small = big[k], small[k]
         return (big[n:] - big[:n]) + (small[n:] - small[:n]) + (partial[n:] - partial[:n])
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """B at the cell edges t0 + k H, k = 0 .. (number of full cells), as
-        the sum of two arrays: the running sum of the cell integrals, and the
-        running sum of its rounding errors (each step's error is exact, by
-        Knuth's two-sum), so a difference of B over many cells keeps the
-        accuracy of the cells instead of losing one rounding of B per cell."""
-        cells = int((self.horizon - self.t0) / TABLE_CELL)
-        c = np.empty(cells + 1)
-        c[0] = 0.0
-        for k in range(0, cells, _TABLE_BLOCK):
-            # the rounded edges, as over() computes them, so the cells tile [t0, x]
-            edges = np.arange(k, min(k + _TABLE_BLOCK, cells) + 1) * TABLE_CELL + self.t0
-            c[k + 1:k + len(edges)] = self._gauss(edges[:-1], np.diff(edges))
+    def _table(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """The cell width H, and B at the cell edges t0 + k H, k = 0 ..
+        (number of full cells), as the sum of two arrays: the running sum of
+        the cell integrals, and the running sum of its rounding errors (each
+        step's error is exact, by Knuth's two-sum), so a difference of B over
+        many cells keeps the accuracy of the cells instead of losing one
+        rounding of B per cell."""
+        for width in _TABLE_WIDTHS:
+            c = self._cells(width, checked=width != _TABLE_WIDTHS[-1])
+            if c is not None:
+                break
         big = np.cumsum(c)
         # two-sum error of big[k] = big[k-1] + c[k]: (big[k-1] - (big[k] - step))
         # + (c[k] - step), with step = big[k] - big[k-1]; in place, so the
@@ -326,7 +338,41 @@ class IntegralsOfB:
         step -= big[1:]
         step += big[:-1]
         c[1:] += step
-        return big, np.cumsum(c, out=c)
+        return width, big, np.cumsum(c, out=c)
+
+    def _cells(self, width: float, checked: bool) -> np.ndarray | None:
+        """0 and the rule over each full cell of ``width`` from t0.  If
+        ``checked``, None as soon as a block of cells, or the partial cell
+        from the last edge to the horizon, fails ``_agrees``."""
+        cells = int((self.horizon - self.t0) / width)
+        c = np.empty(cells + 1)
+        c[0] = 0.0
+        for k in range(0, cells, _TABLE_BLOCK):
+            # the rounded edges, as over() computes them, so the cells tile [t0, x]
+            edges = np.arange(k, min(k + _TABLE_BLOCK, cells) + 1) * width + self.t0
+            c[k + 1:k + len(edges)] = block = self._gauss(edges[:-1], np.diff(edges))
+            if checked and not self._agrees(edges, block):
+                return None
+        if checked:
+            tail = np.array([cells * width + self.t0, self.horizon])
+            if not self._agrees(tail, self._gauss(tail[:1], np.diff(tail))):
+                return None
+        return c
+
+    def _agrees(self, edges: np.ndarray, cells: np.ndarray) -> bool:
+        """Whether the rule over each pair of adjacent cells (an odd last
+        one paired with its left neighbour) agrees with the sum of the rule
+        over the two to _TABLE_AGREE, relative; a single cell is checked
+        against its two halves.  A NaN fails."""
+        if len(cells) == 1:
+            mid = 0.5 * (edges[0] + edges[1])
+            whole = cells
+            parts = np.sum(self._gauss(np.array([edges[0], mid]), np.array([mid - edges[0], edges[1] - mid])))
+        else:
+            j = np.minimum(np.arange(0, len(cells), 2), len(cells) - 2)
+            whole = self._gauss(edges[j], edges[j + 2] - edges[j])
+            parts = cells[j] + cells[j + 1]
+        return bool(np.all(np.abs(whole - parts) <= _TABLE_AGREE * np.abs(whole)))
 
     def _gauss(self, left: np.ndarray, width: np.ndarray) -> np.ndarray:
         """The Gauss-Legendre rule over [left, left + width], per entry."""

@@ -1,4 +1,6 @@
 import math
+import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +130,43 @@ def test_edge_reaches_a_far_edge_in_few_calls(guess):
 
     assert criteria._edge(flips, guess) == 1e-9
     assert criteria._edge(lambda x: False, guess) == math.inf  # never true: the sentinel
+
+
+def _edge_on_bit_patterns(flips, x):
+    """_edge with every probe taken through the float's bit pattern."""
+    f64, i64 = struct.Struct("d"), struct.Struct("q")
+    inf_key = i64.unpack(f64.pack(math.inf))[0]
+    at = lambda k: flips(f64.unpack(i64.pack(k))[0])
+    lo = hi = i64.unpack(f64.pack(x))[0]
+    stride = 1
+    if at(hi):
+        while (lo := max(hi - stride, 0)) and at(lo):
+            hi, stride = lo, 2 * stride
+    else:
+        while (hi := min(lo + stride, inf_key)) < inf_key and not at(hi):
+            lo, stride = hi, 2 * stride
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if at(mid) else (mid, hi)
+    return f64.unpack(i64.pack(hi))[0]
+
+
+def test_edge_equals_the_bit_pattern_search():
+    # same edge, from at most as many calls, for guesses at the edge, a
+    # few floats off it, far off, at 0 and at inf, and for negative guesses
+    def steps(x, n):
+        for _ in range(abs(n)):
+            x = math.nextafter(x, math.inf if n > 0 else 0.0)
+        return x
+
+    for edge in (5e-324, 1e-300, 1e-9, 0.3, 1.0, 7.5e300, sys.float_info.max, math.inf):
+        guesses = [steps(edge, n) for n in (-5, -2, -1, 0, 1, 2, 5)]
+        guesses += [0.0, 1e-310, 0.5 * edge, 2.0 * edge, math.inf, -1.0]
+        for x in guesses:
+            calls = [[], []]
+            got = criteria._edge(lambda r: calls[0].append(r) or r >= edge, x)
+            want = _edge_on_bit_patterns(lambda r: calls[1].append(r) or r >= edge, x)
+            assert got == want == edge and len(calls[0]) <= len(calls[1]), (edge, x)
 
 
 def test_r_band_probe_raises_where_scale_b_does():

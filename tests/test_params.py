@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,25 +223,99 @@ def test_table_rule_is_six_point_gauss_legendre():
     np.testing.assert_allclose(params._GL_WEIGHTS, weights, rtol=0, atol=1e-15)
 
 
-def test_table_matches_closed_forms():
+def _wave(omega):
+    return add(const(0.9), scale(0.1, sin(scale(omega, T))))
+
+
+def test_table_matches_closed_forms(monkeypatch):
     rng = np.random.default_rng(6)
     hi = np.concatenate((rng.uniform(2.0, 400.0, 500), [2.0, 400.0]))
     lo = hi - rng.uniform(0.0, 2.0, hi.size)
     lo[-1] = 0.0
-    wave = add(const(0.9), scale(0.1, sin(T)))
-    for b, exact in ((const(0.7), 0.7 * (hi - lo)),
-                     (wave, 0.9 * (hi - lo) - 0.1 * (np.cos(hi) - np.cos(lo)))):
-        integrals = _integrals(b)
-        assert integrals.tabulated
-        np.testing.assert_allclose(integrals.over(lo, hi), exact, rtol=0, atol=1e-14)
     # pantograph: int_{t/q}^t c/s ds = c ln q, from t0 = 1 to the horizon
+    t = np.concatenate([np.linspace(q, 400.0, 513) for q in (1.5, 2.0, 4.0)])
+    q = np.repeat([1.5, 2.0, 4.0], 513)
+    cases = {"const": (const(0.7), 0.0, lo, hi, 0.7 * (hi - lo)),
+             "sin t": (_wave(1.0), 0.0, lo, hi, 0.9 * (hi - lo) - 0.1 * (np.cos(hi) - np.cos(lo))),
+             "sin 20t": (_wave(20.0), 0.0, lo, hi, 0.9 * (hi - lo) - 0.005 * (np.cos(20.0 * hi) - np.cos(20.0 * lo))),
+             "c/t": (div(const(0.3), T), 1.0, t / q, t, 0.3 * np.log(q))}
+    for name, (b, t0, a, z, exact) in cases.items():  # the width the table picks
+        integrals = _integrals(b, t0=t0)
+        assert integrals.tabulated
+        np.testing.assert_allclose(integrals.over(a, z), exact, rtol=0, atol=1e-14, err_msg=name)
+    rejected = {}
+    for width in params._TABLE_WIDTHS:
+        monkeypatch.setattr(params, "_TABLE_WIDTHS", (width,))  # that width, unchecked
+        for name, (b, t0, a, z, exact) in cases.items():
+            integrals = _integrals(b, t0=t0)
+            error = np.max(np.abs(integrals.over(a, z) - exact))
+            if width != params.TABLE_CELL and integrals._cells(width, checked=True) is None:
+                rejected[name, width] = error
+            else:
+                assert integrals.cell == width and error <= 1e-14, (name, width, error)
+    # the one width the check turns down here would miss the bound
+    assert list(rejected) == [("sin 20t", 0.08)] and rejected["sin 20t", 0.08] > 1e-14
     integrals = _integrals(div(const(0.3), T), t0=1.0)
-    for q in (1.5, 2.0, 4.0):
-        t = np.linspace(q, 400.0, 513)
-        np.testing.assert_allclose(integrals.over(t / q, t), 0.3 * math.log(q), rtol=0, atol=1e-14)
     assert np.array_equal(integrals.over([5.0, 7.5], [5.0, 7.5]), [0.0, 0.0])
     with pytest.raises(ValueError, match="empty or reversed"):
         integrals.over([2.0], [1.0])
+
+
+def test_table_takes_the_coarsest_width_that_passes(corpus):
+    coarsest = params._TABLE_WIDTHS[0]
+    assert coarsest == 0.08
+    for ex_id in ("ex1", "ex2", "ex3", "ex5"):
+        assert IntegralsOfB(corpus[ex_id]).cell == coarsest, ex_id
+    # b of a generated bounded-lag spec: amp * (1 - b1 + b1 sin t)
+    assert _integrals(scale(0.8, add(const(0.85), scale(0.15, sin(T))))).cell == coarsest
+    assert _integrals(_wave(50.0)).cell == params.TABLE_CELL
+    assert _integrals(div(const(0.3), T), t0=0.05).cell < coarsest  # steep near t0
+
+
+    class NaNOn:
+        """A b that is NaN on [lo, hi] and 1 elsewhere."""
+        kind, args = "nan-on", ()
+
+        def __init__(self, lo, hi):
+            self.lo, self.hi = lo, hi
+
+        def eval_array(self, ts):
+            ts = np.asarray(ts, dtype=float)
+            return np.where((ts >= self.lo) & (ts <= self.hi), np.nan, 1.0)
+
+    # each interval holds nodes at every width: inside the window; in the
+    # last cell of the first block of _TABLE_BLOCK cells (1365, an odd count);
+    # past the last full cell, with a horizon of 400.05
+    for lo, hi, horizon in ((5.0, 5.1, 400.0), (109.15, 109.19, 400.0), (400.01, 400.05, 400.05)):
+        spec = SimpleNamespace(b=NaNOn(lo, hi), t0=0.0, horizon=horizon)
+        assert IntegralsOfB(spec).cell == params.TABLE_CELL, (lo, hi)
+
+
+def _reference_table(integrals):
+    """B on cells of TABLE_CELL with no check: the rule per cell in blocks
+    of _TABLE_BLOCK cells, then the running sum and its two-sum error."""
+    h = params.TABLE_CELL
+    cells = int((integrals.horizon - integrals.t0) / h)
+    c = np.zeros(cells + 1)
+    for k in range(0, cells, params._TABLE_BLOCK):
+        edges = np.arange(k, min(k + params._TABLE_BLOCK, cells) + 1) * h + integrals.t0
+        c[k + 1:k + len(edges)] = integrals._gauss(edges[:-1], np.diff(edges))
+    big = np.cumsum(c)
+    step = big[1:] - big[:-1]
+    err = np.zeros_like(c)
+    err[1:] = (big[:-1] - (big[1:] - step)) + (c[1:] - step)
+    return big, np.cumsum(err)
+
+
+def test_finest_width_is_the_unchecked_table(ex2, monkeypatch):
+    tables = [_integrals(_wave(50.0))]  # fails every coarser width
+    monkeypatch.setattr(params, "_TABLE_WIDTHS", (params.TABLE_CELL,))
+    tables += [IntegralsOfB(ex2), _integrals(div(const(0.3), T), t0=1.0, horizon=37.005)]
+    for integrals in tables:
+        cell, big, small = integrals._table
+        want_big, want_small = _reference_table(integrals)
+        assert cell == params.TABLE_CELL
+        assert np.array_equal(big, want_big) and np.array_equal(small, want_small)
 
 
 def test_kinked_b_and_long_windows_keep_simpson(ex4):
