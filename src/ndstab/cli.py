@@ -13,6 +13,7 @@ override values or coefficients that the analysis rejects.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -47,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=100_000,
                    help="validation/summary grid points (default 100000)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("simulate", help="integrate a spec and write a trajectory CSV")
     p.add_argument("spec")
@@ -55,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default="const:1",
                    help="const:<v> | sin | seeded[:<seed>] (default const:1)")
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
+    p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="feasibility bands of the swept coefficient over alpha")
     p.add_argument("spec", help="spec with the swept coefficient at unit amplitude")
@@ -63,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid", default="0:1:0.01", metavar="A:B:S",
                    help="start:stop:step for alpha (default 0:1:0.01)")
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("examples", help="reproduce the bundled benchmark corpus")
     group = p.add_mutually_exclusive_group()
@@ -72,10 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-simulation", action="store_true",
                    help="skip the cross-validating integration")
     p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(handler=_cmd_examples)
 
     p = sub.add_parser("compare", help="baseline threshold table for a spec")
     p.add_argument("spec")
     p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("fundamental", help="fundamental-function trajectory CSV")
     p.add_argument("spec", help="spec supplying b and h (the neutral part is ignored)")
@@ -83,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
+    p.set_defaults(handler=_cmd_fundamental)
 
     return parser
 
@@ -110,11 +117,23 @@ def _load_validated(path, grid: int = 100_000):
 
 def _parse_history(text: str, spec, seed: int):
     if text.startswith("const:"):
-        return float(text.split(":", 1)[1])
+        try:
+            value = float(text.split(":", 1)[1])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise SpecError(f"--history const:<v> needs a finite number, got {text!r}")
+        return value
     if text == "sin":
         return sin(tvar())
     if text == "seeded" or text.startswith("seeded:"):
-        n = int(text.split(":", 1)[1]) if ":" in text else seed
+        raw = text.split(":", 1)[1] if ":" in text else str(seed)
+        try:
+            n = int(raw)
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise SpecError(f"the history seed must be a non-negative integer, got {raw!r}")
         probe = np.linspace(spec.t0, spec.horizon, 1024)
         reach = min(float(np.min(spec.g.eval_array(probe))),
                     float(np.min(spec.h.eval_array(probe))))
@@ -123,10 +142,14 @@ def _parse_history(text: str, spec, seed: int):
     raise SpecError(f"unknown history {text!r} (use const:<v>, sin, or seeded[:<seed>])")
 
 
-def _open_out(path: str):
+@contextlib.contextmanager
+def _output(path: str):
+    """Stdout for '-', else the file at ``path``, closed on exit."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _parse_alpha_grid(text: str) -> list[float]:
@@ -134,10 +157,16 @@ def _parse_alpha_grid(text: str) -> list[float]:
         a, b, s = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise SpecError(f"bad alpha grid {text!r}, expected start:stop:step") from exc
+    if not all(map(math.isfinite, (a, b, s))):
+        raise SpecError(f"bad alpha grid {text!r}: start, stop and step must be finite")
     if s <= 0 or b < a:
         raise SpecError(f"bad alpha grid {text!r}: need step > 0 and stop >= start")
     n = int(round((b - a) / s))
-    return [a + i * s for i in range(n + 1)]
+    alphas = [a + i * s for i in range(n + 1)]
+    if alphas[0] < 0.0 or alphas[-1] > 1.0:
+        raise SpecError(f"bad alpha grid {text!r}: every alpha must lie in [0, 1], "
+                        f"got {alphas[0]:g} to {alphas[-1]:g}")
+    return alphas
 
 
 def _parse_alpha(text: str) -> float | None:
@@ -198,17 +227,13 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_simulate(args, seed: int) -> int:
+def _cmd_simulate(args) -> int:
     spec, _ = _load_validated(args.spec)
     _check_window(spec.t0, args.t_end, args.step)
-    history = _parse_history(args.history, spec, seed)
-    traj = integrate(spec, history, args.t_end, args.step)
-    fh, close = _open_out(args.out)
-    try:
+    history = _parse_history(args.history, spec, args.seed)
+    traj = integrate(spec, history, args.t_end, args.step, forcing=spec.f)
+    with _output(args.out) as fh:
         traj.write_csv(fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -216,12 +241,8 @@ def _cmd_sweep(args) -> int:
     spec, rep = _load_validated(args.spec)
     alphas = _parse_alpha_grid(args.alpha_grid)
     rows = report.sweep_alpha_r(spec, alphas, summary=summarize(spec, extrema=rep))
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         report.write_sweep_csv(rows, fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -274,36 +295,18 @@ def _cmd_fundamental(args) -> int:
     spec, _ = _load_validated(args.spec)
     _check_window(args.s, args.t_end, args.step)
     traj = fundamental(spec.b, spec.h, args.s, args.t_end, args.step)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         traj.write_csv(fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def run(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args, args.seed)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "examples":
-            return _cmd_examples(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "fundamental":
-            return _cmd_fundamental(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (SpecError, SummaryError, QuadratureError, MissingLimit, DomainError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main() -> None:

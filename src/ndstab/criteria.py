@@ -522,20 +522,19 @@ def check_prop_tang_zou(summary: ParameterSummary, limsup_int_b: float,
 
 # -- orchestration --------------------------------------------------------------
 
-def _delays_constant(spec: EquationSpec, samples: int = 2001, rel_tol: float = 1e-9) -> bool:
-    ts = spec.grid(samples)
+def _delays_constant(spec: EquationSpec) -> bool:
+    ts = spec.grid(2001)
     lag_g = ts - spec.g.eval_array(ts)
     lag_h = ts - spec.h.eval_array(ts)
-    span = max(1.0, spec.horizon - spec.t0)
-    return (float(lag_g.max() - lag_g.min()) <= rel_tol * span
-            and float(lag_h.max() - lag_h.min()) <= rel_tol * span)
+    tol = 1e-9 * max(1.0, spec.horizon - spec.t0)
+    return (float(lag_g.max() - lag_g.min()) <= tol
+            and float(lag_h.max() - lag_h.min()) <= tol)
 
 
 def best_verdict(
     spec: EquationSpec,
     summary: ParameterSummary | None = None,
     isummary: IntegralSummary | None = None,
-    grid_points: int | None = None,
 ) -> list[CriterionVerdict]:
     """Run every applicable test, optimizing alpha where parameterized.
 
@@ -543,7 +542,7 @@ def best_verdict(
     unsatisfied, larger margin first).
     """
     if summary is None:
-        summary = summarize(spec, grid_points or 100_000)
+        summary = summarize(spec)
     verdicts: list[CriterionVerdict] = []
 
     a_star = THEOREM1.best_alpha(summary)

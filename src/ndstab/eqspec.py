@@ -30,6 +30,9 @@ OVERRIDE_KEYS = frozenset({
 })
 
 
+_SPEC_KEYS = frozenset({"a", "b", "g", "h", "t0", "horizon", "f", "overrides", "name"})
+
+
 class SpecError(ValueError):
     """Malformed specification file or inconsistent window."""
 
@@ -83,6 +86,9 @@ class EquationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EquationSpec":
+        unknown = set(d) - _SPEC_KEYS
+        if unknown:
+            raise SpecError(f"unknown specification keys: {sorted(unknown)}")
         raw = d.get("overrides", {})
         if not isinstance(raw, dict):
             raise SpecError(f"overrides must be a JSON object, got {json.dumps(raw)}")

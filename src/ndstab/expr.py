@@ -163,8 +163,9 @@ def _into(e: Expr, ts: np.ndarray, out: np.ndarray) -> None:
                 else:
                     x = out
                 _into(c, ts, x)
-            acc = x if acc is None else op(acc, x, out=out)
-        if acc is not out:  # a lone leaf child
+            # in place on one element, numpy's sum of two NaNs keeps x's, not acc's
+            acc = x if acc is None else op(acc, x, out=out if out.size > 1 else None)
+        if acc is not out:  # a lone leaf child, or one element
             np.copyto(out, acc)
     elif k == "div":
         den = _leaf_value(e.args[1], ts)

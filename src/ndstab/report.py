@@ -37,14 +37,12 @@ def corpus_dir() -> Path:
     return Path(__file__).parent / "corpus"
 
 
-def load_corpus_spec(example_id: str, directory: Path | None = None) -> EquationSpec:
-    d = directory if directory is not None else corpus_dir()
-    return load_spec(d / f"{example_id}.json")
+def load_corpus_spec(example_id: str) -> EquationSpec:
+    return load_spec(corpus_dir() / f"{example_id}.json")
 
 
-def load_waivers(directory: Path | None = None) -> set[str]:
-    d = directory if directory is not None else corpus_dir()
-    path = d / "waivers.json"
+def load_waivers() -> set[str]:
+    path = corpus_dir() / "waivers.json"
     if not path.exists():
         return set()
     data = json.loads(path.read_text())
@@ -315,19 +313,17 @@ def _grid(spec: EquationSpec) -> ParameterSummary:
     return summarize(replace(spec, overrides={}), 20001)
 
 
-def reproduce_examples(
-    ids=None,
-    directory: Path | None = None,
-    with_simulation: bool = True,
-    sim_span: float = 300.0,
-    sim_step: float = 1e-3,
-) -> list[ExampleReport]:
+_SIM_SPAN = 300.0
+_SIM_STEP = 1e-3
+
+
+def reproduce_examples(ids=None, with_simulation: bool = True) -> list[ExampleReport]:
     """Build one reproduction report per bundled benchmark equation."""
     out = []
     for ex_id in ids or EXAMPLE_IDS:
         if ex_id not in _BUILDERS:
             raise ValueError(f"unknown example id {ex_id!r} (have {', '.join(EXAMPLE_IDS)})")
-        spec = load_corpus_spec(ex_id, directory)
+        spec = load_corpus_spec(ex_id)
         summary = summarize(spec)
         builder, rep_r = _BUILDERS[ex_id]
 
@@ -335,10 +331,10 @@ def reproduce_examples(
         sim_note = "simulation skipped"
         if with_simulation:
             sim_spec = scale_b(spec, rep_r) if rep_r != 1.0 else spec
-            traj = integrate(sim_spec, 1.0, spec.t0 + sim_span, sim_step)
-            sim = decay_rate(traj, warmup=0.0, window=sim_span / 10.0)
+            traj = integrate(sim_spec, 1.0, spec.t0 + _SIM_SPAN, _SIM_STEP)
+            sim = decay_rate(traj, warmup=0.0, window=_SIM_SPAN / 10.0)
             sim_note = (f"representative point (amplitude {rep_r:g}), constant history, "
-                        f"span {sim_span:g}, step {sim_step:g}")
+                        f"span {_SIM_SPAN:g}, step {_SIM_STEP:g}")
 
         quantities, claims, verdicts, notes = builder(spec, summary)
         out.append(ExampleReport(

@@ -125,18 +125,26 @@ def delay_chain_bounds(
     return value, (lo, hi)
 
 
-def apply_S(spec: EquationSpec, y: SampledFunction, t0: float | None = None) -> SampledFunction:
-    """One application of the neutral shift-and-scale operator on y's grid."""
-    if t0 is None:
-        t0 = spec.t0
+def _shift(spec: EquationSpec, y: SampledFunction):
+    """v -> S v for values v on y's grid, with g, a and the interpolation
+    weights at g computed once."""
     ts = y.times()
-    gv = spec.g.eval_array(ts)
-    av = spec.a.eval_array(ts)
-    vals = np.zeros_like(av)
-    keep = gv >= t0
-    if np.any(keep):
-        vals[keep] = av[keep] * y.eval_array(gv[keep])
-    return SampledFunction(y.t0, y.step, vals)
+    gv, av = spec.g.eval_array(ts), spec.a.eval_array(ts)
+    keep = gv >= spec.t0
+    a_keep, (inside, j, frac) = av[keep], y._weights(gv[keep])
+
+    def shift(v: np.ndarray) -> np.ndarray:
+        at_g = np.zeros(len(a_keep))
+        at_g[inside] = v[j] * (1.0 - frac) + v[j + 1] * frac
+        out = np.zeros_like(av)
+        out[keep] = a_keep * at_g
+        return out
+    return shift
+
+
+def apply_S(spec: EquationSpec, y: SampledFunction) -> SampledFunction:
+    """One application of the neutral shift-and-scale operator on y's grid."""
+    return SampledFunction(y.t0, y.step, _shift(spec, y)(y.values))
 
 
 def neumann_inverse(
@@ -163,16 +171,10 @@ def neumann_inverse(
     terms = _terms_for(norm_a, scale, tol)
     total = y.values.copy()
     term = y.values
-    if terms > 1:  # apply_S on y's grid, with g, a and the weights computed once
-        ts = y.times()
-        gv, av = spec.g.eval_array(ts), spec.a.eval_array(ts)
-        keep = gv >= spec.t0
-        a_keep, (inside, j, frac) = av[keep], y._weights(gv[keep])
+    if terms > 1:
+        shift = _shift(spec, y)
     for _ in range(terms - 1):
-        at_g = np.zeros(len(a_keep))
-        at_g[inside] = term[j] * (1.0 - frac) + term[j + 1] * frac
-        term = np.zeros_like(av)
-        term[keep] = a_keep * at_g
+        term = shift(term)
         total += term
     out = SampledFunction(y.t0, y.step, total)
     tail = _tail(norm_a, scale, terms)

@@ -96,8 +96,6 @@ class Trajectory:
     step: float
     x: np.ndarray
     y: np.ndarray
-    history: object
-    forcing: object
     fp_iterations_max: int
     fp_residual_max: float
     path: str = ""
@@ -156,15 +154,15 @@ class DecayEstimate:
 class SeededHistory:
     """Reproducible piecewise-linear history on [lo, hi], clamped outside.
 
-    Node values are drawn uniformly from [-1, 1] with a fixed seed.
+    Its 33 node values are drawn uniformly from [-1, 1] with a fixed seed.
     """
 
-    def __init__(self, seed: int, lo: float, hi: float, nodes: int = 33):
+    def __init__(self, seed: int, lo: float, hi: float):
         if hi <= lo:
             raise ValueError("need lo < hi")
         self.seed = int(seed)
-        self.nodes_t = np.linspace(lo, hi, nodes)
-        self.nodes_v = np.random.default_rng(self.seed).uniform(-1.0, 1.0, nodes)
+        self.nodes_t = np.linspace(lo, hi, 33)
+        self.nodes_v = np.random.default_rng(self.seed).uniform(-1.0, 1.0, len(self.nodes_t))
 
     def __call__(self, t):
         return np.interp(t, self.nodes_t, self.nodes_v)
@@ -318,7 +316,6 @@ def integrate(
         raise
 
     return Trajectory(t0=t0, step=step, x=x, y=y,
-                      history=history, forcing=forcing,
                       fp_iterations_max=stats.iters_max,
                       fp_residual_max=float(stats.resid_max),
                       path=path, nodes_near=stats.near, nodes_below=stats.below,

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 from pathlib import Path
@@ -6,7 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 from ndstab.cli import build_parser, run
+from ndstab.eqspec import load_spec
 from ndstab.report import corpus_dir
+from ndstab.simulate import integrate
 
 DATA = Path(__file__).parent / "data"
 
@@ -265,12 +268,42 @@ def test_non_object_overrides_exit_2(tmp_path, capsys, overrides):
     (["simulate", "ex1", "--t-end", "-1"], "--t-end must be finite and exceed the start time 0, got -1"),
     (["fundamental", "ex1", "--s", "0", "--t-end", "1", "--step", "0"],
      "--step must be positive and finite, got 0"),
-], ids=["alpha_range", "alpha_text", "grid", "step", "t_end_at_t0", "t_end_before_t0", "fundamental_step"])
+    *((["simulate", "ex1", "--t-end", "1", "--history", h],
+      f"--history const:<v> needs a finite number, got {h!r}")
+      for h in ("const:abc", "const:nan", "const:inf")),
+    *((["simulate", "ex1", "--t-end", "1", "--history", f"seeded:{n}"],
+      f"the history seed must be a non-negative integer, got {n!r}") for n in ("x", "-3")),
+    (["--seed", "-3", "simulate", "ex1", "--t-end", "1", "--history", "seeded"],
+     "the history seed must be a non-negative integer, got '-3'"),
+    *((["sweep", "ex2", f"--alpha-grid={g}"],
+      f"bad alpha grid {g!r}: start, stop and step must be finite")
+      for g in ("0:nan:0.1", "0:inf:0.5", "0:1:inf")),
+    (["sweep", "ex2", "--alpha-grid=-1:2:0.5"],
+     "bad alpha grid '-1:2:0.5': every alpha must lie in [0, 1], got -1 to 2"),
+    (["sweep", "ex2", "--alpha-grid=0:1:0.6"],
+     "bad alpha grid '0:1:0.6': every alpha must lie in [0, 1], got 0 to 1.2"),
+], ids=["alpha_range", "alpha_text", "grid", "step", "t_end_at_t0", "t_end_before_t0", "fundamental_step",
+        "history_const_text", "history_const_nan", "history_const_inf", "history_seed_text",
+        "history_seed_negative", "seed_flag_negative", "alpha_grid_nan_stop", "alpha_grid_inf_stop",
+        "alpha_grid_inf_step", "alpha_grid_below_0", "alpha_grid_above_1"])
 def test_out_of_range_numbers_exit_2(capsys, argv, message):
-    argv = [corpus_path(a) if a == "ex1" else a for a in argv]
+    argv = [corpus_path(a) if a in ("ex1", "ex2") else a for a in argv]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"ndstab: {message}\n"
+    assert captured.out == ""
+
+
+def test_unknown_spec_keys_exit_2(tmp_path, capsys):
+    # a misspelt "overrides" used to be dropped, and check ran without them
+    spec = json.loads((corpus_dir() / "ex1.json").read_text())
+    spec["overides"] = spec.pop("overrides")
+    spec["forcing"] = ["const", 1.0]
+    p = tmp_path / "typo.json"
+    p.write_text(json.dumps(spec))
+    assert run(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ndstab: unknown specification keys: ['forcing', 'overides']\n"
     assert captured.out == ""
 
 
@@ -284,6 +317,21 @@ def test_simulate_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x,y"
     assert len(lines) == 202
+
+
+def test_simulate_applies_the_spec_forcing(tmp_path, capsys):
+    spec = json.loads((corpus_dir() / "ex1.json").read_text())
+    spec["f"] = ["const", 5.0]
+    p = tmp_path / "forced.json"
+    p.write_text(json.dumps(spec))
+    outs = []
+    for path in (corpus_path("ex1"), str(p)):
+        assert run(["simulate", path, "--t-end", "2.0", "--step", "0.01"]) == 0
+        outs.append(capsys.readouterr().out)
+    forced = load_spec(p)
+    want = io.StringIO()
+    integrate(forced, 1.0, 2.0, 0.01, forcing=forced.f).write_csv(want)
+    assert outs[1] == want.getvalue() != outs[0]
 
 
 def test_simulate_histories(tmp_path):

@@ -436,7 +436,7 @@ def test_best_verdict_trivial_nondelayed():
     from ndstab.expr import const, tvar
     spec = EquationSpec(a=const(0.0), b=const(1.0), g=tvar(), h=tvar(),
                         t0=0.0, horizon=10.0)
-    verdicts = {v.criterion: v for v in best_verdict(spec, grid_points=2001)}
+    verdicts = {v.criterion: v for v in best_verdict(spec, summarize(spec, 2001))}
     assert verdicts["corollary2"].satisfied
     assert verdicts["corollary2"].margin == 1.0
 

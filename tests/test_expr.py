@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndstab.expr import (
@@ -274,6 +274,9 @@ def _array_outcome(fn, e, ts):
 
 @settings(max_examples=400, deadline=None)
 @given(e=_TREES, ts=_TIMES)
+# a sum of two NaNs of opposite sign on one element
+@example(e=parse_expr(["+", ["/", ["t"], ["const", -math.nan]], ["/", ["t"], ["+", ["const", math.nan]]]]),
+         ts=np.array([0.0]))
 def test_eval_array_matches_one_ufunc_per_node(e, ts):
     before = np.array(ts).tobytes()
     with np.errstate(all="ignore"):

@@ -159,11 +159,22 @@ def test_tail_certificate_soundness():
     assert float(np.max(np.abs(total - out.values))) < cert.tail_bound
 
 
+def _reference_apply_S(spec, y):
+    """S y, evaluating g and a and interpolating y at g on every call."""
+    ts = y.times()
+    gv, av = spec.g.eval_array(ts), spec.a.eval_array(ts)
+    vals = np.zeros_like(av)
+    keep = gv >= spec.t0
+    if np.any(keep):
+        vals[keep] = av[keep] * y.eval_array(gv[keep])
+    return SampledFunction(y.t0, y.step, vals)
+
+
 def _reference_neumann(spec, y, terms):
-    """neumann_inverse's sum of the given number of terms, one apply_S per term."""
+    """neumann_inverse's sum of the given number of terms, one S y per term."""
     total, term = y.values.copy(), y
     for _ in range(terms - 1):
-        term = apply_S(spec, term)
+        term = _reference_apply_S(spec, term)
         total += term.values
     return total
 
@@ -177,6 +188,7 @@ def test_neumann_inverse_matches_one_apply_S_per_term(corpus, case):
             y = SampledFunction(spec.t0, 0.01, np.cos(ts))
             out, cert = neumann_inverse(spec, y)
             assert np.array_equal(out.values, _reference_neumann(spec, y, cert.terms))
+            assert np.array_equal(apply_S(spec, y).values, _reference_apply_S(spec, y).values)
         return
     spec = EquationSpec(a=scale(0.6, sin(T)), b=const(1.0), g=add(T, const(-0.7)), h=T,
                         t0=0.0, horizon=50.0)
