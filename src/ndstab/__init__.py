@@ -8,7 +8,6 @@ and cross-validates every verdict with a direct method-of-steps integrator.
 from .eqspec import AssumptionCheck, EquationSpec, SpecError, ValidationReport, load_spec, save_spec, validate
 from .expr import DomainError, Expr, parse_expr
 from .params import (
-    IntegralSummary,
     ParameterSummary,
     QuadratureError,
     SummaryError,
@@ -73,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaInterval", "AssumptionCheck", "CriterionVerdict", "DecayEstimate",
     "DomainError", "EquationSpec", "ExampleReport", "Expr",
-    "FixedPointDivergence", "IntegralSummary", "MissingLimit", "NotConstant",
+    "FixedPointDivergence", "MissingLimit", "NotConstant",
     "NotNonDelayed", "ParameterSummary", "PositivityViolation",
     "QuadratureError", "SampledFunction", "SeededHistory", "SpecError",
     "SummaryError", "SweepRow", "Trajectory", "TruncationCert",

@@ -29,6 +29,7 @@ from .params import QuadratureError, SummaryError, summarize
 from .simulate import SeededHistory, fundamental, integrate
 
 PROG = "ndstab"
+MAX_ALPHA_POINTS = 100_001  # the most alphas an --alpha-grid may hold (0:1:1e-5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,9 +148,13 @@ def _output(path: str):
     """Stdout for '-', else the file at ``path``, closed on exit."""
     if path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise SpecError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
+    with fh:
+        yield fh
 
 
 def _parse_alpha_grid(text: str) -> list[float]:
@@ -161,8 +166,10 @@ def _parse_alpha_grid(text: str) -> list[float]:
         raise SpecError(f"bad alpha grid {text!r}: start, stop and step must be finite")
     if s <= 0 or b < a:
         raise SpecError(f"bad alpha grid {text!r}: need step > 0 and stop >= start")
-    n = int(round((b - a) / s))
-    alphas = [a + i * s for i in range(n + 1)]
+    n = (b - a) / s  # checked before any list is built; may be inf
+    if not n < MAX_ALPHA_POINTS or round(n) >= MAX_ALPHA_POINTS:
+        raise SpecError(f"bad alpha grid {text!r}: {n + 1:.4g} points, over the bound of {MAX_ALPHA_POINTS:,}")
+    alphas = [a + i * s for i in range(round(n) + 1)]
     if alphas[0] < 0.0 or alphas[-1] > 1.0:
         raise SpecError(f"bad alpha grid {text!r}: every alpha must lie in [0, 1], "
                         f"got {alphas[0]:g} to {alphas[-1]:g}")
@@ -210,7 +217,7 @@ def _cmd_check(args) -> int:
         if summary.limit_tau is not None:
             verdicts.append(criteria.check_corollary3(summary, alpha))
         verdicts.append(criteria.check_theorem2(summary, alpha))
-        verdicts.append(criteria.theorem3_verdict(spec, alpha))
+        verdicts.append(criteria.theorem3_verdict(spec, summary, alpha))
     if args.json:
         print(json.dumps([v.to_dict() for v in verdicts], indent=2))
     else:

@@ -31,7 +31,6 @@ from types import SimpleNamespace
 from .eqspec import EquationSpec
 from .params import (
     IntegralsOfB,
-    IntegralSummary,
     ParameterSummary,
     QuadratureError,
     SummaryError,
@@ -139,7 +138,7 @@ def tau_bar(summary: ParameterSummary) -> float:
 
 # -- the alpha-parameterized tests ---------------------------------------------
 
-def _rhs(s: ParameterSummary | IntegralSummary, alpha: float) -> float:
+def _rhs(s: ParameterSummary, alpha: float) -> float:
     return (1.0 - s.norm_a) * (1.0 + alpha / math.e)
 
 
@@ -174,7 +173,7 @@ class AlphaTest:
         return self._gate_fails(summary, alpha) or (
             self.lower is not None and not self.lower(summary, alpha) > 0.0)
 
-    def check(self, summary: ParameterSummary | IntegralSummary, alpha: float) -> CriterionVerdict:
+    def check(self, summary: ParameterSummary, alpha: float) -> CriterionVerdict:
         """The verdict at a fixed alpha in [0, 1]."""
         if not (0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -190,7 +189,7 @@ class AlphaTest:
             margin = min(self.lower(summary, alpha), margin)
         return _decide(self.name, margin, self.kind, cert, alpha, self.notes)
 
-    def best_alpha(self, summary: ParameterSummary | IntegralSummary) -> float:
+    def best_alpha(self, summary: ParameterSummary) -> float:
         """min(1, cap / scale), where the margin (increasing in alpha) is
         largest under the non-strict gate.  cap / scale can round up past
         the gate, so it steps down to the first alpha that passes."""
@@ -202,7 +201,7 @@ class AlphaTest:
             alpha = math.nextafter(alpha, 0.0)
         return alpha
 
-    def alpha_interval(self, summary: ParameterSummary | IntegralSummary) -> AlphaInterval:
+    def alpha_interval(self, summary: ParameterSummary) -> AlphaInterval:
         """The alphas in [0, 1] at which ``check`` is applicable and
         satisfied, with each edge where ``check`` flips.  A strict
         inequality's edge is open, at the nearest alpha outside; the
@@ -301,7 +300,7 @@ def _edge(flips: Callable[[float], bool], x: float) -> float:
     return _F64.unpack(_I64.pack(hi))[0]
 
 
-def _positive_a(s: ParameterSummary | IntegralSummary) -> str | None:
+def _positive_a(s: ParameterSummary) -> str | None:
     return "a(t) >= a0 > 0 fails" if s.inf_a <= 0.0 else None
 
 
@@ -310,7 +309,7 @@ def _sigma_term(s: ParameterSummary) -> float:
     return s.sigma * s.norm_a * s.norm_b * (1.0 - s.inf_a) / (one_minus * one_minus)
 
 
-def _cert(s: ParameterSummary | IntegralSummary, fields) -> str:
+def _cert(s: ParameterSummary, fields) -> str:
     return CERTIFIED if s.certified(fields) else NUMERIC
 
 
@@ -437,33 +436,34 @@ THEOREM3 = AlphaTest(
 theorem3_lhs = THEOREM3.lhs
 
 
-def check_theorem3(isummary: IntegralSummary, alpha: float) -> CriterionVerdict:
-    """THEOREM3 at a fixed alpha in (0, 1]."""
+def check_theorem3(summary: ParameterSummary, alpha: float) -> CriterionVerdict:
+    """THEOREM3 at a fixed alpha in (0, 1], on a summary with its integral bounds."""
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return THEOREM3.check(isummary, alpha)
+    return THEOREM3.check(summary, alpha)
 
 
-def theorem3_verdict(spec: EquationSpec, alpha: float | None = None,
-                     isummary: IntegralSummary | None = None,
+def theorem3_verdict(spec: EquationSpec, summary: ParameterSummary, alpha: float | None = None,
                      integrals: IntegralsOfB | None = None) -> CriterionVerdict:
-    """THEOREM3 at ``alpha``, or at its best alpha when None; not applicable,
-    with the reason, when alpha is 0 or there is no integral summary."""
+    """THEOREM3 at ``alpha``, or at its best alpha when None, on ``summary``
+    with its integral bounds (filled in by ``integral_summary`` when it has
+    none); not applicable, with the reason, when alpha is 0 or the bounds
+    cannot be built."""
     if alpha is not None and alpha <= 0.0:
         reason = "alpha must be positive"
     else:
         try:
-            if isummary is None:
-                isummary = integral_summary(spec, integrals)
+            if summary.tilde_tau is None:
+                summary = integral_summary(spec, summary, integrals)
         except (SummaryError, QuadratureError) as exc:
             reason = str(exc)
         else:
             if alpha is None:
-                alpha = THEOREM3.best_alpha(isummary)
+                alpha = THEOREM3.best_alpha(summary)
             if alpha > 0.0:
-                return THEOREM3.check(isummary, alpha)
-            reason = f"gate alpha*tilde_tau0 <= tilde_delta = {isummary.tilde_delta:.6g} admits no alpha > 0"
-    # the overrides are what would make an integral summary certified
+                return THEOREM3.check(summary, alpha)
+            reason = f"gate alpha*tilde_tau0 <= tilde_delta = {summary.tilde_delta:.6g} admits no alpha > 0"
+    # the overrides are what would make the integral bounds certified
     cert = CERTIFIED if set(THEOREM3.fields) <= spec.overrides.keys() else NUMERIC
     return _not_applicable("theorem3", reason, ASYMPTOTIC, cert, alpha, THEOREM3.notes)
 
@@ -531,12 +531,10 @@ def _delays_constant(spec: EquationSpec) -> bool:
             and float(lag_h.max() - lag_h.min()) <= tol)
 
 
-def best_verdict(
-    spec: EquationSpec,
-    summary: ParameterSummary | None = None,
-    isummary: IntegralSummary | None = None,
-) -> list[CriterionVerdict]:
-    """Run every applicable test, optimizing alpha where parameterized.
+def best_verdict(spec: EquationSpec, summary: ParameterSummary | None = None) -> list[CriterionVerdict]:
+    """Run every applicable test, optimizing alpha where parameterized, on
+    ``summary`` (``summarize(spec)`` when None; theorem 3 takes its integral
+    bounds as they are, and fills them in when it has none).
 
     Returns all verdicts for audit, sorted best first (satisfied before
     unsatisfied, larger margin first).
@@ -563,7 +561,7 @@ def best_verdict(
     verdicts.extend(check_corollary5(summary))
 
     integrals = IntegralsOfB(spec)  # one table of the integral of b for both estimates
-    verdicts.append(theorem3_verdict(spec, None, isummary, integrals))
+    verdicts.append(theorem3_verdict(spec, summary, None, integrals))
 
     const_delays = _delays_constant(spec)
     limsup = summary.limsup_int_b

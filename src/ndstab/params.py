@@ -2,11 +2,11 @@
 
 ``summarize`` extracts sup/inf norms of the coefficients, the sign-split
 norms of the neutral coefficient, and the delay bounds; ``integral_summary``
-bounds the integrals of b over the delay intervals (the quantities used by
-the unbounded-delay test).  Every field is either an analytic override taken
-from the spec file or a grid estimate, and the provenance is recorded so
-that downstream verdicts can be labeled "certified" vs "numerically
-supported".
+adds to that summary the bounds on the integrals of b over the delay
+intervals (the quantities used by the unbounded-delay test).  Every field
+is either an analytic override taken from the spec file or a grid
+estimate, and the provenance is recorded so that downstream verdicts can
+be labeled "certified" vs "numerically supported".
 
 Sign convention: for any u, u+ = max(u, 0) and u- = max(-u, 0), so that
 u = u+ - u- pointwise.
@@ -15,7 +15,7 @@ u = u+ - u- pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -73,14 +73,21 @@ class QuadratureError(ValueError):
     """No admissible sample points for an integral bound."""
 
 
+# the fields that scale with b: r * b for b multiplies each by r
+B_LINEAR = ("norm_b", "inf_b", "limsup_int_b", "tilde_tau", "tilde_delta", "tilde_sigma")
+
+
 @dataclass(frozen=True)
 class ParameterSummary:
-    """Norms, infima and delay bounds over the analysis window.
+    """Norms, infima, delay bounds and integral bounds over the analysis window.
 
     ``provenance`` maps each field name to "analytic-override" or
     "grid-estimate".  ``limit_tau`` (the limit of t - h(t), when it exists)
     is never grid-estimated: a limit cannot be confirmed by finite sampling,
-    so it is populated only from an analytic override.
+    so it is populated only from an analytic override.  The bounds on the
+    integrals of b, tilde_delta <= int_{h(t)}^t b <= tilde_tau and
+    int_{g(t)}^t b <= tilde_sigma, are None until ``integral_summary`` fills
+    them in; ``notes`` then names the samples it skipped.
     """
 
     norm_a: float
@@ -94,7 +101,11 @@ class ParameterSummary:
     delta: float
     limit_tau: float | None = None
     limsup_int_b: float | None = None
+    tilde_tau: float | None = None
+    tilde_delta: float | None = None
+    tilde_sigma: float | None = None
     provenance: dict = field(default_factory=dict)
+    notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not (0.0 <= self.norm_a < 1.0):
@@ -105,75 +116,30 @@ class ParameterSummary:
             raise SummaryError(f"need 0 <= delta <= tau, got {self.delta}, {self.tau}")
         if self.sigma < 0.0:
             raise SummaryError(f"sigma must be >= 0, got {self.sigma}")
+        if self.tilde_tau is not None and not (0.0 <= self.tilde_delta <= self.tilde_tau):
+            raise SummaryError(
+                f"need 0 <= tilde_delta <= tilde_tau, got {self.tilde_delta}, {self.tilde_tau}")
+        if self.tilde_sigma is not None and self.tilde_sigma < 0.0:
+            raise SummaryError(f"tilde_sigma must be >= 0, got {self.tilde_sigma}")
+
+    @property
+    def tilde_tau0(self) -> float:
+        """The integral lag scale (1 - ||a||) / e."""
+        return (1.0 - self.norm_a) / math.e
 
     def certified(self, fields: tuple[str, ...]) -> bool:
         return all(self.provenance.get(f) == ANALYTIC for f in fields)
 
     def scale_b(self, r: float) -> ParameterSummary:
-        """The summary with r * b for b (built directly: ``dataclasses.replace`` costs twice as much)."""
-        return ParameterSummary(
-            self.norm_a, self.inf_a, self.norm_a_plus, self.norm_a_minus, r * self.norm_b, r * self.inf_b,
-            self.sigma, self.tau, self.delta, self.limit_tau,
-            None if self.limsup_int_b is None else r * self.limsup_int_b, self.provenance)
+        """The summary with r * b for b."""
+        return replace(self, **{f: None if (v := getattr(self, f)) is None else r * v for f in B_LINEAR})
 
     def to_dict(self) -> dict:
-        out = {
-            "norm_a": self.norm_a,
-            "inf_a": self.inf_a,
-            "norm_a_plus": self.norm_a_plus,
-            "norm_a_minus": self.norm_a_minus,
-            "norm_b": self.norm_b,
-            "inf_b": self.inf_b,
-            "sigma": self.sigma,
-            "tau": self.tau,
-            "delta": self.delta,
-            "limit_tau": self.limit_tau,
-            "limsup_int_b": self.limsup_int_b,
-            "provenance": dict(self.provenance),
-            # reading of the sign-split definition; see module docstring
-            "sign_split_convention": "u- = max(-u, 0)",
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(provenance=dict(self.provenance), notes=list(self.notes),
+                   # reading of the sign-split definition; see module docstring
+                   sign_split_convention="u- = max(-u, 0)")
         return out
-
-
-@dataclass(frozen=True)
-class IntegralSummary:
-    """Bounds on the integrals of b over the delay intervals.
-
-    tilde_delta <= int_{h(t)}^t b <= tilde_tau and int_{g(t)}^t b <=
-    tilde_sigma on the sampled window; tilde_tau0 = (1 - norm_a)/e exactly.
-    """
-
-    tilde_delta: float
-    tilde_tau: float
-    tilde_sigma: float
-    tilde_tau0: float
-    norm_a: float
-    inf_a: float
-    provenance: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not (0.0 <= self.tilde_delta <= self.tilde_tau):
-            raise SummaryError(
-                f"need 0 <= tilde_delta <= tilde_tau, got {self.tilde_delta}, {self.tilde_tau}")
-        if self.tilde_sigma < 0.0:
-            raise SummaryError(f"tilde_sigma must be >= 0, got {self.tilde_sigma}")
-
-    def certified(self, fields: tuple[str, ...]) -> bool:
-        return all(self.provenance.get(f) == ANALYTIC for f in fields)
-
-    def to_dict(self) -> dict:
-        return {
-            "tilde_delta": self.tilde_delta,
-            "tilde_tau": self.tilde_tau,
-            "tilde_sigma": self.tilde_sigma,
-            "tilde_tau0": self.tilde_tau0,
-            "norm_a": self.norm_a,
-            "inf_a": self.inf_a,
-            "provenance": dict(self.provenance),
-            "notes": list(self.notes),
-        }
 
 
 def _pick(ov: dict, prov: dict, name: str, estimate=None):
@@ -394,8 +360,10 @@ def _delay_integrals(spec: EquationSpec, ts, lower, family: str, notes: list,
     return integrals.over(lower[mask], ts[mask]).tolist()
 
 
-def integral_summary(spec: EquationSpec, integrals: IntegralsOfB | None = None) -> IntegralSummary:
-    """Bound int_{h(t)}^t b and int_{g(t)}^t b over a grid of t.
+def integral_summary(spec: EquationSpec, summary: ParameterSummary,
+                     integrals: IntegralsOfB | None = None) -> ParameterSummary:
+    """``summary`` with the bounds on int_{h(t)}^t b and int_{g(t)}^t b over a
+    grid of t filled in.
 
     Sample points whose delay argument falls before t0 (no b there) are
     skipped and noted.  Analytic overrides win over quadrature estimates.
@@ -408,24 +376,14 @@ def integral_summary(spec: EquationSpec, integrals: IntegralsOfB | None = None) 
     gv = spec.g.eval_array(ts)
 
     ov = spec.overrides
-    prov: dict[str, str] = {}
+    prov = dict(summary.provenance)
     notes: list[str] = []
     int_h = [] if {"tilde_tau", "tilde_delta"} <= ov.keys() else _delay_integrals(spec, ts, hv, "h", notes, integrals)
     int_g = [] if "tilde_sigma" in ov else _delay_integrals(spec, ts, gv, "g", notes, integrals)
-    tilde_tau = _pick(ov, prov, "tilde_tau", lambda: max(int_h))
-    tilde_delta = _pick(ov, prov, "tilde_delta", lambda: min(int_h))
-    tilde_sigma = _pick(ov, prov, "tilde_sigma", lambda: max(int_g))
-
-    av = None if {"norm_a", "inf_a"} <= ov.keys() else spec.a.eval_array(ts)
-    norm_a = _pick(ov, prov, "norm_a", lambda: np.max(np.abs(av)))
-    inf_a = _pick(ov, prov, "inf_a", lambda: np.min(av))
-    prov["tilde_tau0"] = prov["norm_a"]
-
-    return IntegralSummary(
-        tilde_delta=tilde_delta, tilde_tau=tilde_tau, tilde_sigma=tilde_sigma,
-        tilde_tau0=(1.0 - norm_a) / math.e, norm_a=norm_a, inf_a=inf_a,
-        provenance=prov, notes=tuple(notes),
-    )
+    return replace(summary, tilde_tau=_pick(ov, prov, "tilde_tau", lambda: max(int_h)),
+                   tilde_delta=_pick(ov, prov, "tilde_delta", lambda: min(int_h)),
+                   tilde_sigma=_pick(ov, prov, "tilde_sigma", lambda: max(int_g)),
+                   provenance=prov, notes=tuple(notes))
 
 
 def estimate_limsup_int_b(spec: EquationSpec, window: float,

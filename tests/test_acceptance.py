@@ -3,6 +3,7 @@ PASS/FAIL line (run with -s to see them inline)."""
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ndstab.criteria import (
     tau_bar,
 )
 from ndstab.eqspec import EquationSpec
-from ndstab.params import IntegralSummary, ParameterSummary, integral_summary, summarize
+from ndstab.params import ParameterSummary, integral_summary, summarize
 from ndstab.report import scale_b, sweep_alpha_r
 from ndstab.series import SampledFunction, neumann_inverse
 from ndstab.simulate import (
@@ -94,7 +95,7 @@ def test_criterion_03_sign_split_example(ex4):
 
 
 def test_criterion_04_integral_test(ex5):
-    isum = integral_summary(ex5)
+    isum = integral_summary(ex5, summarize(ex5))
     lhs = criteria.theorem3_lhs(isum)
     v1 = check_theorem3(isum, 1.0)
     v36 = check_theorem3(isum, 0.36)
@@ -196,9 +197,7 @@ def test_criterion_09_reduction_identities():
             norm_a=s.norm_a, inf_a=s.inf_a, norm_a_plus=s.norm_a_plus,
             norm_a_minus=s.norm_a_minus, norm_b=c, inf_b=c,
             sigma=s.sigma, tau=s.tau, delta=s.delta)
-        isum = IntegralSummary(
-            tilde_delta=c * s.delta, tilde_tau=c * s.tau, tilde_sigma=c * s.sigma,
-            tilde_tau0=(1 - s.norm_a) / E, norm_a=s.norm_a, inf_a=s.inf_a)
+        isum = replace(s_const, tilde_delta=c * s.delta, tilde_tau=c * s.tau, tilde_sigma=c * s.sigma)
         alpha = rng.uniform(0.01, 1.0)
         v1 = check_theorem1(s_const, alpha)
         v3 = check_theorem3(isum, alpha)

@@ -6,8 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from ndstab.cli import build_parser, run
-from ndstab.eqspec import load_spec
+from ndstab.cli import MAX_ALPHA_POINTS, _parse_alpha_grid, build_parser, run
+from ndstab.eqspec import SpecError, load_spec
 from ndstab.report import corpus_dir
 from ndstab.simulate import integrate
 
@@ -151,6 +151,23 @@ def test_check_best_verdict_reports_theorem3_without_integral_summary(tmp_path, 
     assert "theorem3           not applicable  [asymptotic" in capsys.readouterr().out
 
 
+def test_check_theorem3_reads_the_summary_inf_a(tmp_path, capsys):
+    # a = 0.2 + 0.3 cos(8.0425 t) aliases on integral_summary's 513 sample
+    # times, where it looks constant at 0.1438; the 100,000-point summary
+    # finds inf a = -0.1, so theorem 3 is not applicable like theorem 1
+    p = tmp_path / "aliased_a.json"
+    p.write_text(json.dumps({
+        "a": ["+", ["const", 0.2], ["scale", 0.3, ["cos", ["scale", 8.0425, ["t"]]]]],
+        "b": ["/", ["const", 0.2], ["t"]], "g": ["/", ["t"], ["const", 2.0]],
+        "h": ["/", ["t"], ["const", 3.0]], "t0": 1.0, "horizon": 401.0}))
+    assert run(["check", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    t1, t3 = (next(ln for ln in lines if ln.startswith(name)) for name in ("theorem1 ", "theorem3 "))
+    assert t1.startswith("theorem1           not applicable") and t1.endswith("(a(t) >= a0 > 0 fails)")
+    assert t3.startswith("theorem3           not applicable") and t3.endswith("(a(t) >= a0 > 0 fails)")
+    assert lines[-1] == "no test satisfied (stability undecided by these criteria)"
+
+
 def test_zero_lags_sweep_and_compare_exit_0(tmp_path, capsys):
     # tau = sigma = 0: the main test holds at every amplitude
     p = tmp_path / "zero_lags.json"
@@ -291,6 +308,29 @@ def test_out_of_range_numbers_exit_2(capsys, argv, message):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"ndstab: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["simulate", "ex1", "--t-end", "0.1"], ["sweep", "ex2"],
+                                  ["fundamental", "ex1", "--s", "0", "--t-end", "0.1"]],
+                         ids=["simulate", "sweep", "fundamental"])
+def test_out_to_a_path_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.csv"
+    argv = [corpus_path(a) if a in ("ex1", "ex2") else a for a in argv]
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ndstab: cannot write --out {str(out)!r}: No such file or directory\n"
+    assert captured.out == "" and not out.parent.exists()
+
+
+def test_alpha_grid_points_are_bounded_before_the_list_is_built(capsys):
+    assert len(_parse_alpha_grid(f"0:1:{1 / (MAX_ALPHA_POINTS - 1)}")) == MAX_ALPHA_POINTS
+    for grid in (f"0:1:{1 / MAX_ALPHA_POINTS}", "0:1:5e-324"):  # one point over; inf points
+        with pytest.raises(SpecError, match=f"over the bound of {MAX_ALPHA_POINTS:,}$"):
+            _parse_alpha_grid(grid)
+    assert run(["sweep", corpus_path("ex2"), "--alpha-grid", "0:1:1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ndstab: bad alpha grid '0:1:1e-9': 1e+09 points, over the bound of 100,001\n"
     assert captured.out == ""
 
 

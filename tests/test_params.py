@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -179,7 +180,7 @@ def test_limsup_estimate_matches_per_point_loop(ex4):
 
 
 def test_integral_summary_pantograph(ex5):
-    isum = integral_summary(ex5)
+    isum = integral_summary(ex5, summarize(ex5))
     assert isum.tilde_tau == pytest.approx(0.25 * math.log(2.0), abs=1e-10)
     assert isum.tilde_delta == pytest.approx(0.25 * math.log(2.0), abs=1e-10)
     assert isum.tilde_sigma == pytest.approx(0.25 * math.log(3.0), abs=1e-10)
@@ -194,14 +195,24 @@ def test_integral_summary_constant_b_matches_delay_bounds():
                         g=add(T, const(-0.4)), h=add(T, const(-lag)),
                         t0=0.0, horizon=50.0)
     s = summarize(spec, 10_001)
-    isum = integral_summary(spec)
+    isum = integral_summary(spec, s)
     assert isum.tilde_tau == pytest.approx(c * s.tau, abs=1e-10)
     assert isum.tilde_delta == pytest.approx(c * s.delta, abs=1e-10)
     assert isum.tilde_sigma == pytest.approx(c * s.sigma, abs=1e-10)
 
 
+def test_integral_summary_reads_no_a():
+    # a is singular at one of the 513 sample times: the bounds come from b,
+    # g and h, and A0 and a0 stay those of the summary passed in
+    good = EquationSpec(a=const(0.2), b=const(0.7), g=add(T, const(-0.4)), h=add(T, const(-1.3)),
+                        t0=0.0, horizon=50.0)
+    bad = replace(good, a=div(const(0.2), add(T, const(-float(good.grid(513)[7])))))
+    s = summarize(good, 10_001)
+    assert integral_summary(bad, s) == integral_summary(good, s)
+
+
 def test_integral_summary_tilde_tau0_formula(ex5):
-    isum = integral_summary(ex5)
+    isum = integral_summary(ex5, summarize(ex5))
     assert isum.tilde_tau0 == pytest.approx(0.165545748527149, abs=1e-12)
 
 
@@ -320,7 +331,7 @@ def test_finest_width_is_the_unchecked_table(ex2, monkeypatch):
 
 def test_kinked_b_and_long_windows_keep_simpson(ex4):
     # ex4's b contains abs: integral_summary takes Simpson's values bit for bit
-    isum = integral_summary(ex4)
+    isum = integral_summary(ex4, summarize(ex4))
     ts = ex4.grid(513)
     lower = ex4.h.eval_array(ts)
     int_h = simpson(ex4.b, lower[lower >= ex4.t0], ts[lower >= ex4.t0]).tolist()

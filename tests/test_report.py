@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from ndstab import criteria
 from ndstab.eqspec import EquationSpec
 from ndstab.expr import absval, add, const, cos, div, scale, sin, tvar
-from ndstab.params import summarize
+from ndstab.params import ParameterSummary, summarize
 from ndstab.report import (
     compare_baselines,
     load_waivers,
@@ -88,6 +89,16 @@ def test_sweep_cells_match_main_test(ex2):
             for r in [*rs, *edges, *(math.nextafter(e, d) for e in edges for d in (0.0, math.inf))]:
                 v = criteria.check_theorem1(s.scale_b(r), row.alpha)
                 assert (row.r_lower <= r < row.r_upper) == (v.applicable and v.satisfied), (i, row.alpha, r)
+
+
+@pytest.mark.parametrize("name, r", [("ex2", 0.15), ("ex3", 0.05), ("generated", 0.37)])
+def test_scaled_summary_is_the_summary_of_the_scaled_spec(corpus, name, r):
+    # reproduce_examples scales ex2's and ex3's summaries instead of
+    # summarizing their scaled specs again
+    spec = corpus[name] if name in corpus else _spec_like_generated(random.Random(3), 0)
+    want, got = summarize(scale_b(spec, r)), summarize(spec).scale_b(r)
+    for f in fields(ParameterSummary):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
 
 
 def test_sweep_csv_deterministic(ex2):
