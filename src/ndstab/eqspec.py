@@ -3,10 +3,13 @@
 An EquationSpec bundles the four coefficient/delay expressions, an optional
 forcing term, the analysis window [t0, horizon] standing in for the right
 half-line, and optional analytic overrides for the scalar bounds that the
-stability tests consume.  ``validate`` checks the structural assumptions on
-a dense uniform grid and reports witnesses for every violation, together
-with the grid extrema that ``params.summarize`` turns into scalar bounds;
-one pass over the grid, in blocks, computes both.
+stability tests consume.  ``validate`` checks the structural assumptions:
+first by an interval enclosure of every tree, and where that proves them
+all, without sampling; else on a dense uniform grid, with witnesses for
+every violation.  Its report carries the grid extrema that
+``params.summarize`` turns into scalar bounds, sampled in blocks in the
+same pass as the checks on the grid route, and per tree when
+``summarize`` asks for them on the enclosure route.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import DomainError, Expr, parse_expr
+from .expr import DomainError, Expr, lag_enclosure, parse_expr
 
 # Override keys accepted in spec files.  The tilde_* entries bound the
 # integrals of b over the delay intervals; limsup_int_b feeds the classical
@@ -142,29 +145,124 @@ class AssumptionCheck:
     witnesses: tuple[float, ...] = ()
 
 
+TREES = ("a", "b", "g", "h")
+
+# each tree's grid extrema, in sampling order, and how each combines over blocks:
+# sup |a|, inf a, sup a+, sup a-, sup b, inf b, sup (t - g(t)), and sup and inf of t - h(t)
+_TREE_FIELDS = {
+    "a": (("norm_a", np.max), ("inf_a", np.min), ("norm_a_plus", np.max), ("norm_a_minus", np.max)),
+    "b": (("norm_b", np.max), ("inf_b", np.min)),
+    "g": (("sigma", np.max),),
+    "h": (("tau", np.max), ("delta", np.min)),
+}
+# the tree of each grid extremum, in _TREE_FIELDS order, and the infima among them
+FIELD_TREE = {name: tree for tree, fields in _TREE_FIELDS.items() for name, _ in fields}
+INFIMA = ("inf_a", "inf_b", "delta")
+
+
+ENCLOSURE_CELLS = 1024
+
+
 @dataclass(frozen=True)
-class GridExtrema:
-    """Grid extrema of the coefficients and lags over ``grid_points``
-    uniform samples of the window: sup |a|, inf a, sup a+, sup a-, sup b,
-    inf b, sup (t - g(t)), and sup and inf of t - h(t)."""
+class Enclosure:
+    """Bounds that no grid sample can pass, from the interval extension of
+    each tree on ENCLOSURE_CELLS equal cells of the window (``Expr.enclose``
+    and ``lag_enclosure``).  ``bounds`` holds, for each grid extremum of
+    _TREE_FIELDS, an upper bound of a supremum or a lower bound of an
+    infimum; ``lag_g_inf`` is a lower bound of t - g(t), and
+    ``denominators`` whether every quotient denominator is proven finite
+    and of one strict sign.  A NaN bound is unproven.  Every grid node lies
+    in a cell, and a cell's bounds hold the float value at each of its
+    points, so what the bounds prove holds on every grid."""
 
-    norm_a: float
-    inf_a: float
-    norm_a_plus: float
-    norm_a_minus: float
-    norm_b: float
-    inf_b: float
-    sigma: float
-    tau: float
-    delta: float
-    grid_points: int
+    bounds: dict
+    lag_g_inf: float
+    denominators: bool
+
+    @property
+    def proves_checks(self) -> bool:
+        """Whether no grid can fail the domain checks, a1_a, a1_b, a3_g,
+        a3_h or a4: every margin holds, and both lags are finite."""
+        b = self.bounds
+        return (self.denominators and b["norm_a"] < 1.0 and b["inf_b"] > 0.0
+                and self.lag_g_inf >= 0.0 and b["sigma"] < math.inf
+                and b["delta"] >= 0.0 and b["tau"] < math.inf)
+
+    def clears(self, name: str, override: float, slack: float) -> bool:
+        """Whether no grid value of field ``name`` can refute an override of
+        it: the bound exceeds a supremum's override, or falls below an
+        infimum's, by at most ``slack``, in the float test that refutes."""
+        bound = self.bounds[name]
+        return (override - bound if name in INFIMA else bound - override) <= slack
 
 
-@dataclass(frozen=True)
-class ValidationReport(GridExtrema):
-    """Per-assumption verdicts plus the grid extrema they were sampled with."""
+def enclose(spec: EquationSpec) -> Enclosure:
+    """The enclosure of a, b, t - g, t - h and every quotient denominator
+    of ``spec`` on ENCLOSURE_CELLS cells, edges ``linspace(t0, horizon)``."""
+    edges = np.linspace(spec.t0, spec.horizon, ENCLOSURE_CELLS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    with np.errstate(all="ignore"):
+        (a_lo, a_hi), (b_lo, b_hi), (g_lo, g_hi), (h_lo, h_hi) = (
+            (float(x[0].min()), float(x[1].max())) for x in
+            (spec.a.enclose(lo, hi), spec.b.enclose(lo, hi),
+             lag_enclosure(spec.g, lo, hi), lag_enclosure(spec.h, lo, hi)))
+        dens = [den.enclose(lo, hi) for tree in TREES for den in getattr(spec, tree).denominators()]
+    bounds = dict(norm_a=float(np.maximum(abs(a_lo), abs(a_hi))), inf_a=a_lo,
+                  norm_a_plus=float(np.maximum(a_hi, 0.0)), norm_a_minus=float(np.maximum(-a_lo, 0.0)),
+                  norm_b=b_hi, inf_b=b_lo, sigma=g_hi, tau=h_hi, delta=h_lo)
+    one_sign = all(np.all((d_lo > 0.0) & (d_hi < math.inf)) or np.all((d_hi < 0.0) & (d_lo > -math.inf))
+                   for d_lo, d_hi in dens)
+    return Enclosure(bounds, g_lo, bool(one_sign))
 
-    checks: tuple[AssumptionCheck, ...] = ()
+
+class Extrema:
+    """The grid extrema of one spec on ``grid_points`` points (the fields
+    of _TREE_FIELDS), sampled one tree at a time.  ``sample`` samples the
+    given trees (a, b, g or h) not known yet, in blocks, in one pass;
+    ``values`` maps each field of the trees known to its grid extremum,
+    and ``sampled`` lists the trees sampled here, in order.  ``enclosure``
+    is the spec's Enclosure, computed on first use."""
+
+    def __init__(self, spec: EquationSpec, grid_points: int, values: dict | None = None,
+                 enclosure: Enclosure | None = None):
+        self.spec = spec
+        self.grid_points = grid_points
+        self.values = {} if values is None else dict(values)  # field -> grid extremum
+        self.sampled: list[str] = []
+        self._enclosure = enclosure
+
+    @property
+    def enclosure(self) -> Enclosure:
+        if self._enclosure is None:
+            self._enclosure = enclose(self.spec)
+        return self._enclosure
+
+    def sample(self, trees) -> None:
+        """Sample those of ``trees`` not known yet, in one pass."""
+        known = {FIELD_TREE[name] for name in self.values}
+        todo = [t for t in TREES if t in trees and t not in known]
+        if todo:
+            self.values.update(_sample(self.spec, self.grid_points, todo)[0])
+            self.sampled += todo
+
+
+class ValidationReport(Extrema):
+    """Per-assumption verdicts, how they were reached, and the grid extrema.
+
+    ``route`` is "enclosure" when the enclosure on ``cells`` cells proved
+    every check but ``a3_reach_*``: no grid point was evaluated, and no
+    tree is known until ``sample`` is called.  It is "grid" when the checks were
+    sampled on the grid, in one pass that also took the extrema of every
+    tree (NaN when a denominator check failed: the trees cannot then be
+    sampled)."""
+
+    def __init__(self, spec: EquationSpec, grid_points: int, checks, route: str,
+                 values: dict | None, enclosure: Enclosure):
+        super().__init__(spec, grid_points, values, enclosure)
+        self.checks: tuple[AssumptionCheck, ...] = tuple(checks)
+        self.route = route
+
+    cells = ENCLOSURE_CELLS
 
     @property
     def passed(self) -> bool:
@@ -174,6 +272,7 @@ class ValidationReport(GridExtrema):
         return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
+        self.sample(TREES)
         return {
             "passed": self.passed,
             "checks": [
@@ -185,14 +284,7 @@ class ValidationReport(GridExtrema):
                 }
                 for c in self.checks
             ],
-            "estimates": {
-                "norm_a": self.norm_a,
-                "inf_b": self.inf_b,
-                "norm_b": self.norm_b,
-                "sigma": self.sigma,
-                "tau": self.tau,
-                "delta": self.delta,
-            },
+            "estimates": {name: self.values[name] for name in ("norm_a", "inf_b", "norm_b", "sigma", "tau", "delta")},
             "grid_points": self.grid_points,
         }
 
@@ -241,10 +333,7 @@ _SAMPLED_CHECKS = (
     ("a3_h", "h(t) <= t"),
     ("a4", "0 <= t-g(t) and 0 <= t-h(t) with finite bounds"),
 )
-
-
-# how each field of GridExtrema combines over blocks, in field order
-_COMBINE = (np.max, np.min, np.max, np.max, np.max, np.min, np.max, np.max, np.min)
+_DOMAIN = "quotient denominator in {}(t) bounded away from zero"
 
 
 def _a_norms(av, top, bottom):
@@ -257,55 +346,57 @@ def _a_norms(av, top, bottom):
     return np.max(np.abs(av)), np.max(np.maximum(av, 0.0)), np.max(np.maximum(-av, 0.0))
 
 
-def _sample(spec: EquationSpec, points: int) -> tuple[GridExtrema, dict[str, AssumptionCheck]]:
-    """One pass over the grid in blocks: the grid extrema, and the checks of
-    _SAMPLED_CHECKS by id.  Per block it takes the max and min of a, b,
-    t - g and t - h, and builds a check's witness mask only where these
-    show a possible violation or a non-finite value.  Per-block extrema
-    combine exactly, so the values equal those of whole-grid reductions."""
+def _sample(spec: EquationSpec, points: int, trees) -> tuple[dict, dict[str, AssumptionCheck]]:
+    """One pass over the grid in blocks for ``trees`` (in TREES order): their
+    grid extrema by field, and the checks of _SAMPLED_CHECKS by id (each
+    settled only when its trees are sampled; a4 needs g and h).  Per block
+    it takes the max and min of a, b, t - g and t - h, and builds a check's
+    witness mask only where these show a possible violation or a non-finite
+    value.  Per-block extrema combine exactly, so the values equal those of
+    whole-grid reductions, whichever trees are sampled together."""
     rows = []
     wit = {cid: _Witnesses() for cid, _ in _SAMPLED_CHECKS}
     for ts in grid_blocks(spec, points):
         try:
-            av = spec.a.eval_array(ts)
-            bv = spec.b.eval_array(ts)
-            lag_g = spec.g.eval_array(ts)
-            lag_h = spec.h.eval_array(ts)
+            v = {tree: getattr(spec, tree).eval_array(ts) for tree in trees}
         except DomainError:
             # raise what whole-grid evaluation in the order a, b, g, h raises
             for e in (spec.a, spec.b, spec.g, spec.h):
                 e.eval_array(spec.grid(points))
             raise
-        np.subtract(ts, lag_g, out=lag_g)
-        np.subtract(ts, lag_h, out=lag_h)
-        a_top, a_bottom = av.max(), av.min()
-        b_top, b_bottom = bv.max(), bv.min()
-        g_top, g_bottom = lag_g.max(), lag_g.min()
-        h_top, h_bottom = lag_h.max(), lag_h.min()
-        norm_a, a_plus, a_minus = _a_norms(av, a_top, a_bottom)
-        rows.append((norm_a, a_bottom, a_plus, a_minus, b_top, b_bottom, g_top, h_top, h_bottom))
-        # each test fails on NaN, so NaN blocks are searched as well
-        if not norm_a < 1.0:
-            wit["a1_a"].add(ts, np.abs(av) >= 1.0)
-        if not b_bottom > 0.0:
-            wit["a1_b"].add(ts, bv <= 0.0)
-        if not g_bottom >= 0.0:
-            wit["a3_g"].add(ts, lag_g < 0.0)
-        if not h_bottom >= 0.0:
-            wit["a3_h"].add(ts, lag_h < 0.0)
-        if not (-math.inf < g_bottom and g_top < math.inf and -math.inf < h_bottom and h_top < math.inf):
-            wit["a4"].add(ts, ~np.isfinite(lag_g) | ~np.isfinite(lag_h))
+        row = []
+        if "a" in v:
+            av = v["a"]
+            top, bottom = av.max(), av.min()
+            norm_a, a_plus, a_minus = _a_norms(av, top, bottom)
+            row += (norm_a, bottom, a_plus, a_minus)
+            # each test fails on NaN, so NaN blocks are searched as well
+            if not norm_a < 1.0:
+                wit["a1_a"].add(ts, np.abs(av) >= 1.0)
+        if "b" in v:
+            bv = v["b"]
+            top, bottom = bv.max(), bv.min()
+            row += (top, bottom)
+            if not bottom > 0.0:
+                wit["a1_b"].add(ts, bv <= 0.0)
+        lags = {}
+        for tree in ("g", "h"):
+            if tree in v:
+                lag = np.subtract(ts, v[tree], out=v[tree])
+                top, bottom = lag.max(), lag.min()
+                lags[tree] = lag, top, bottom
+                row += (top,) if tree == "g" else (top, bottom)
+                if not bottom >= 0.0:
+                    wit[f"a3_{tree}"].add(ts, lag < 0.0)
+        if len(lags) == 2:
+            (lag_g, g_top, g_bottom), (lag_h, h_top, h_bottom) = lags["g"], lags["h"]
+            if not (-math.inf < g_bottom and g_top < math.inf and -math.inf < h_bottom and h_top < math.inf):
+                wit["a4"].add(ts, ~np.isfinite(lag_g) | ~np.isfinite(lag_h))
+        rows.append(row)
     per_block = np.array(rows)
-    extrema = GridExtrema(*(float(f(per_block[:, i])) for i, f in enumerate(_COMBINE)),
-                          grid_points=points)
-    return extrema, {cid: wit[cid].check(cid, description) for cid, description in _SAMPLED_CHECKS}
-
-
-def grid_extrema(spec: EquationSpec, grid_points: int) -> GridExtrema:
-    """The grid extrema alone, without the structural checks."""
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    return _sample(spec, grid_points)[0]
+    fields = [field for tree in trees for field in _TREE_FIELDS[tree]]
+    values = {name: float(combine(per_block[:, i])) for i, (name, combine) in enumerate(fields)}
+    return values, {cid: wit[cid].check(cid, description) for cid, description in _SAMPLED_CHECKS}
 
 
 def _domain_check(label, den, spec, points) -> AssumptionCheck:
@@ -330,7 +421,7 @@ def _domain_check(label, den, spec, points) -> AssumptionCheck:
         sign_change[1:] = sign[1:] * sign[:-1] < 0
         wit.add(ts, (dv == 0.0) | ~np.isfinite(dv) | sign_change)
         last_sign = sign[-1]
-    return wit.check(f"domain_{label}", f"quotient denominator in {label}(t) bounded away from zero")
+    return wit.check(f"domain_{label}", _DOMAIN.format(label))
 
 
 def validate(spec: EquationSpec, grid_points: int = 100_000) -> ValidationReport:
@@ -341,22 +432,34 @@ def validate(spec: EquationSpec, grid_points: int = 100_000) -> ValidationReport
     sign; |a| stays below 1 and b stays positive and bounded; g(t) <= t and
     h(t) <= t; the delays reach past t0 by the end of the window (finite-
     horizon proxy for the delays being unbounded above); the lags
-    t - g(t) and t - h(t) are nonnegative with finite bounds.  The report
-    carries the grid extrema, sampled in the same pass as the checks.
+    t - g(t) and t - h(t) are nonnegative with finite bounds.
+
+    The spec's Enclosure comes first.  When it proves every check but the
+    reach checks, no grid can fail them, and the grid is not sampled: the
+    report's route is "enclosure", and its extrema are sampled on request.
+    Otherwise the route is "grid": every check is sampled on the grid, and
+    the grid extrema with them in one pass.  The reach checks evaluate g and
+    h at the horizon on either route.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    # Quotient denominators first, over the whole grid: a zero denominator
-    # would raise from the evaluation of a, b, g or h.
-    checks = [_domain_check(label, den, spec, grid_points)
-              for label, e in (("a", spec.a), ("b", spec.b), ("g", spec.g), ("h", spec.h))
-              for den in e.denominators()]
-    if any(not c.passed for c in checks):
-        # a singular coefficient cannot be sampled further; the domain
-        # entries already carry witnesses
-        return ValidationReport(*(float("nan"),) * len(_COMBINE), grid_points, tuple(checks))
-
-    extrema, sampled = _sample(spec, grid_points)
+    enclosure = enclose(spec)
+    dens = [(label, den) for label in TREES for den in getattr(spec, label).denominators()]
+    if enclosure.proves_checks:
+        checks = [AssumptionCheck(f"domain_{label}", _DOMAIN.format(label), True) for label, _ in dens]
+        sampled = {cid: AssumptionCheck(cid, description, True) for cid, description in _SAMPLED_CHECKS}
+        values, route = None, "enclosure"
+    else:
+        # Quotient denominators first, over the whole grid: a zero
+        # denominator would raise from the evaluation of a, b, g or h.
+        checks = [_domain_check(label, den, spec, grid_points) for label, den in dens]
+        if any(not c.passed for c in checks):
+            # a singular coefficient cannot be sampled further; the domain
+            # entries already carry witnesses
+            return ValidationReport(spec, grid_points, checks, "grid",
+                                    dict.fromkeys(FIELD_TREE, math.nan), enclosure)
+        values, sampled = _sample(spec, grid_points, TREES)
+        route = "grid"
     checks += [sampled[cid] for cid in ("a1_a", "a1_b", "a3_g", "a3_h")]
     # Finite-horizon proxy: on [t0, horizon] we can only check that the delay
     # arguments eventually exceed t0; unboundedness above is out of reach.
@@ -366,4 +469,4 @@ def validate(spec: EquationSpec, grid_points: int = 100_000) -> ValidationReport
             f"a3_reach_{label}", f"{label}(horizon) > t0 (finite-horizon proxy for {label} -> inf)",
             bool(reached), () if reached else (float(spec.horizon),)))
     checks.append(sampled["a4"])
-    return ValidationReport(**vars(extrema), checks=tuple(checks))
+    return ValidationReport(spec, grid_points, checks, route, values, enclosure)

@@ -20,6 +20,10 @@ place, constants stay Python floats that numpy broadcasts, ``t`` is read
 where it lies, and a second array is made only for a node with two
 operands that are not leaves.  Its values are bit for bit those of one
 ufunc per node on full arrays.
+
+``Expr.enclose`` bounds what ``eval_array`` computes at every float time of
+each cell of a partition, by the grammar's interval extension, and
+``lag_enclosure`` bounds the lag t - g(t) with t cancelled.
 """
 
 from __future__ import annotations
@@ -100,6 +104,13 @@ class Expr:
         out = np.empty(ts.shape)
         _into(self, ts, out)
         return out
+
+    def enclose(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds on ``eval_array``'s value at every float t in each cell
+        [lo[k], hi[k]], by the interval extension of the grammar (see
+        "Interval extension" below).  A NaN bound means unproven; nothing
+        raises, and numpy's floating-point warnings are left to the caller."""
+        return _enclose(self, lo, hi)
 
     # -- structure ----------------------------------------------------------
 
@@ -192,6 +203,151 @@ def _into(e: Expr, ts: np.ndarray, out: np.ndarray) -> None:
         if arg.kind != "t":
             _into(arg, ts, out)
         _UFUNCS[k](ts if arg.kind == "t" else out, out=out)
+
+
+# -- interval extension ---------------------------------------------------------
+#
+# Each node maps per-cell bounds of its operands to bounds of its own float
+# value.  +, *, / and scale apply the same float operation to the endpoints
+# (a sum or product folded in _into's left-to-right order), which encloses
+# every float result because IEEE rounding is monotone; abs is exact.  A
+# denominator whose bounds reach 0 gives NaN bounds, and so do bounds of
+# -inf and inf, as inf - inf or 0 * inf may lie between them.  sin and cos
+# take the float value at each endpoint, or +-1 when a peak or trough lies
+# in the cell, and widen both bounds by TRIG_ALLOWANCE.
+
+# Absolute widening of sin and cos bounds.  It covers the error of numpy's
+# float64 sin and cos kernels (a few ulps of 1, about 2.2e-16 each, in
+# numpy 2.0 through 2.4) twice, at an endpoint and at the sample, with
+# room to spare, and the second-order miss of a peak that rounding puts
+# just outside the cell.
+TRIG_ALLOWANCE = 1e-14
+# Beyond this argument magnitude sin and cos are only known to lie in
+# [-1, 1], widened as above.
+TRIG_MAX_ARG = 2.0 ** 20
+# A lag t - g(t) cancelled symbolically (see lag_enclosure) is widened by
+# LAG_ROUNDING * n * M for g a sum of n operands, M a bound on |t| plus
+# the other operands' magnitudes: g's fold rounds n - 1 times, the fold of
+# their bounds n - 2 times and t - g once, each by at most eps / 2 times M.
+LAG_ROUNDING = float(np.finfo(float).eps)
+
+
+def _unproven(mask, bottom, top):
+    """The bounds, NaN in the cells of ``mask``."""
+    unknown = np.where(mask, math.nan, 0.0)
+    return bottom + unknown, top + unknown
+
+
+def _known(bottom, top):
+    """The bounds, or NaN bounds in a cell where they are -inf and inf."""
+    if bottom.min() > -math.inf:
+        return bottom, top
+    return _unproven((bottom == -math.inf) & (top == math.inf), bottom, top)
+
+
+def _corners(op, x, y):
+    """Bounds of ``op`` over the box of two intervals, from its four corners."""
+    p = (op(x[0], y[0]), op(x[0], y[1]), op(x[1], y[0]), op(x[1], y[1]))
+    return (np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3])),
+            np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3])))
+
+
+def _has_point(p: float, lo, hi):
+    """Whether some p + 2 k pi lies in [lo, hi], per cell."""
+    return np.floor((hi - p) / (2.0 * math.pi)) >= np.ceil((lo - p) / (2.0 * math.pi))
+
+
+def _trig(kind: str, lo, hi):
+    f = np.sin if kind == "sin" else np.cos
+    peak = 0.5 * math.pi if kind == "sin" else 0.0
+    y0, y1 = f(lo), f(hi)
+    bottom, top = np.minimum(y0, y1), np.maximum(y0, y1)
+    np.copyto(bottom, -1.0, where=_has_point(peak + math.pi, lo, hi))
+    np.copyto(top, 1.0, where=_has_point(peak, lo, hi))
+    bottom -= TRIG_ALLOWANCE
+    top += TRIG_ALLOWANCE
+    if lo.min() >= -TRIG_MAX_ARG and hi.max() <= TRIG_MAX_ARG:  # the argument is finite and small
+        return bottom, top
+    wide = ~(np.maximum(np.abs(lo), np.abs(hi)) <= TRIG_MAX_ARG)
+    np.copyto(bottom, -1.0 - TRIG_ALLOWANCE, where=wide)
+    np.copyto(top, 1.0 + TRIG_ALLOWANCE, where=wide)
+    # an argument that may be infinite or NaN may give NaN
+    return _unproven(~(np.isfinite(lo) & np.isfinite(hi)), bottom, top)
+
+
+def _enclose(e: Expr, lo, hi):
+    k = e.kind
+    if k == "t":
+        return lo, hi
+    if k == "const":
+        v = np.full(lo.shape, e.value)
+        return v, v
+    if k == "add" or k == "mul":
+        acc = None
+        for c in e.args:
+            x = _enclose(c, lo, hi)
+            if acc is None:
+                acc = x
+            elif k == "add":
+                acc = _known(acc[0] + x[0], acc[1] + x[1])
+            else:
+                acc = _known(*_corners(np.multiply, acc, x))
+        return acc
+    if k == "div":
+        den = _enclose(e.args[1], lo, hi)
+        quotient = _corners(np.divide, _enclose(e.args[0], lo, hi), den)
+        return _unproven(~((den[0] > 0.0) | (den[1] < 0.0)), *quotient)
+    x = _enclose(e.args[0], lo, hi)
+    if k == "scale":
+        ends = e.value * x[0], e.value * x[1]
+        return _known(np.minimum(*ends), np.maximum(*ends))
+    if k == "abs":
+        size = np.abs(x[0]), np.abs(x[1])
+        straddles = (x[0] < 0.0) & (x[1] > 0.0)
+        return np.where(straddles, 0.0, np.minimum(*size)), np.maximum(*size)
+    return _trig(k, *x)
+
+
+def lag_enclosure(g: Expr, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the float lag ``t - g.eval_array(t)`` at every float t in
+    each cell [lo[k], hi[k]]; a NaN bound means unproven.
+
+    Bounding t and g(t) apart would widen the lag by the cell width, so t
+    cancels symbolically in three shapes of g:
+    - ``t``: the lag is 0.0 exactly;
+    - a sum with one operand ``t``: the lag is minus the sum of the others,
+      widened by LAG_ROUNDING * n * M for a sum of n operands.  When every
+      other operand is <= 0, each partial sum of the fold stays <= t, so
+      the float lag is >= 0 exactly;
+    - ``t / c`` for a nonzero constant c: the lag is (1 - 1/c) t, widened
+      by LAG_ROUNDING * 4 * M with M = |t| (1 + 1/|c|).
+    Any other g gives fl(t - g) over [lo, hi] and g's bounds.
+    """
+    t_size = np.maximum(np.abs(lo), np.abs(hi))
+    zero = np.zeros(lo.shape)
+    if g.kind == "t":
+        return zero, zero
+    if g.kind == "add" and sum(c.kind == "t" for c in g.args) == 1:
+        bottom, top, size = zero, zero, t_size
+        nonpositive = np.ones(lo.shape, dtype=bool)
+        for c in g.args:
+            if c.kind != "t":
+                x = _enclose(c, lo, hi)
+                bottom, top = bottom + x[0], top + x[1]
+                size = size + np.maximum(np.abs(x[0]), np.abs(x[1]))
+                nonpositive &= x[1] <= 0.0
+        slack = LAG_ROUNDING * len(g.args) * size
+        slack[~np.isfinite(slack)] = math.nan  # an operand may be infinite: inf - inf may be NaN
+        lag_lo = -top - slack
+        return np.where(nonpositive, np.maximum(lag_lo, 0.0), lag_lo), slack - bottom
+    if g.kind == "div" and g.args[0].kind == "t" and g.args[1].kind == "const" and g.args[1].value != 0.0:
+        c = g.args[1].value
+        rate = 1.0 - 1.0 / c
+        slack = LAG_ROUNDING * 4.0 * t_size * (1.0 + 1.0 / abs(c))
+        ends = rate * lo, rate * hi
+        return np.minimum(*ends) - slack, np.maximum(*ends) + slack
+    bottom, top = _enclose(g, lo, hi)
+    return lo - top, hi - bottom
 
 
 # -- compilation --------------------------------------------------------------

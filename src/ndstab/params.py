@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .eqspec import SAMPLE_BLOCK, EquationSpec, GridExtrema, grid_extrema
+from .eqspec import FIELD_TREE, INFIMA, SAMPLE_BLOCK, EquationSpec, Extrema
 from .expr import DomainError, Expr
 
 GRID_ESTIMATE = "grid-estimate"
@@ -60,9 +60,8 @@ _GL_WEIGHTS = np.array([0.171324492379170345040296, 0.360761573048138607569834,
 # Evaluation rounding stays far below it (lags are t - g(t) at t up to the
 # horizon).
 REFUTE_SLACK = 1e-12
-# the fields estimated by grid extrema, in ParameterSummary order, and the infima among them
-_SAMPLED = ("norm_a", "inf_a", "norm_a_plus", "norm_a_minus", "norm_b", "inf_b", "sigma", "tau", "delta")
-_INFIMA = ("inf_a", "inf_b", "delta")
+# the fields estimated by grid extrema, in ParameterSummary order
+_SAMPLED = tuple(FIELD_TREE)
 
 
 class SummaryError(ValueError):
@@ -87,7 +86,9 @@ class ParameterSummary:
     so it is populated only from an analytic override.  The bounds on the
     integrals of b, tilde_delta <= int_{h(t)}^t b <= tilde_tau and
     int_{g(t)}^t b <= tilde_sigma, are None until ``integral_summary`` fills
-    them in; ``notes`` then names the samples it skipped.
+    them in; ``notes`` then names the samples it skipped.  ``sampled``
+    names the trees (a, b, g, h) whose grid ``summarize`` sampled itself;
+    it is left out of comparisons, ``repr`` and ``to_dict``.
     """
 
     norm_a: float
@@ -106,6 +107,7 @@ class ParameterSummary:
     tilde_sigma: float | None = None
     provenance: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
+    sampled: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.norm_a < 1.0):
@@ -135,7 +137,7 @@ class ParameterSummary:
         return replace(self, **{f: None if (v := getattr(self, f)) is None else r * v for f in B_LINEAR})
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         out.update(provenance=dict(self.provenance), notes=list(self.notes),
                    # reading of the sign-split definition; see module docstring
                    sign_split_convention="u- = max(-u, 0)")
@@ -155,29 +157,37 @@ def _pick(ov: dict, prov: dict, name: str, estimate=None):
 
 
 def summarize(spec: EquationSpec, grid_points: int = DEFAULT_GRID,
-              extrema: GridExtrema | None = None) -> ParameterSummary:
+              extrema: Extrema | None = None) -> ParameterSummary:
     """Extract the scalar bounds, preferring analytic overrides.
 
     Grid extrema can under-estimate suprema and over-estimate infima; the
     per-field provenance lets callers distinguish certified bounds from
     sampled ones.  ``extrema`` are the spec's grid extrema on
-    ``grid_points`` points, as ``validate`` reports them; they are sampled
-    here when None.  An override that the grid extrema refute (see
-    REFUTE_SLACK) raises SummaryError.
+    ``grid_points`` points, as ``validate`` reports them; a new Extrema
+    when None.  A tree (a, b, g or h) is sampled only when it has a field
+    without an override, or an override that the spec's enclosure does not
+    clear (``Enclosure.clears``: then no grid value can refute it).  Fields
+    come from overrides and the grid only, never from the enclosure, so
+    the summary is the one that sampling every tree gives.  An override
+    that the grid extrema refute (see REFUTE_SLACK) raises SummaryError.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     if extrema is None:
-        extrema = grid_extrema(spec, grid_points)
+        extrema = Extrema(spec, grid_points)
     elif extrema.grid_points != grid_points:
         raise ValueError(f"extrema sampled on {extrema.grid_points} points, not {grid_points}")
 
     ov = spec.overrides
     slack = REFUTE_SLACK * max(1.0, abs(spec.t0), abs(spec.horizon))
+    known = extrema.values
+    before = len(extrema.sampled)
+    extrema.sample({FIELD_TREE[name] for name in _SAMPLED if name not in known
+                    and (name not in ov or not extrema.enclosure.clears(name, ov[name], slack))})
     for name in _SAMPLED:
-        if name in ov:
-            sampled = getattr(extrema, name)
-            sup = name not in _INFIMA
+        if name in ov and name in known:
+            sampled = known[name]
+            sup = name not in INFIMA
             if (sampled - ov[name] if sup else ov[name] - sampled) > slack:
                 raise SummaryError(
                     f"override {name} = {ov[name]:.12g} is refuted: it lies "
@@ -185,12 +195,12 @@ def summarize(spec: EquationSpec, grid_points: int = DEFAULT_GRID,
                     f"{sampled:.12g} ({grid_points} points)")
 
     prov: dict[str, str] = {}
-    summary = {name: _pick(ov, prov, name, lambda: getattr(extrema, name)) for name in _SAMPLED}
+    summary = {name: _pick(ov, prov, name, lambda: known[name]) for name in _SAMPLED}
     summary["limit_tau"] = _pick(ov, prov, "limit_tau")
     summary["limsup_int_b"] = _pick(ov, prov, "limsup_int_b")
     if summary["inf_b"] <= 0.0:
         raise SummaryError(f"b must stay positive on the window; estimated inf b = {summary['inf_b']}")
-    return ParameterSummary(**summary, provenance=prov)
+    return ParameterSummary(**summary, provenance=prov, sampled=tuple(extrema.sampled[before:]))
 
 
 def simpson(expr, lo, hi, panels: int = DEFAULT_PANELS):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import bare
-from ndstab.eqspec import EquationSpec, SpecError, load_spec, save_spec, validate
+from ndstab.eqspec import TREES, EquationSpec, SpecError, load_spec, save_spec, validate
 from ndstab.expr import add, const, tvar
 
 T = tvar()
@@ -12,11 +12,13 @@ T = tvar()
 def test_validate_ex1_passes_with_expected_estimates(ex1):
     rep = validate(bare(ex1), 10_000)
     assert rep.passed
-    assert rep.norm_a == pytest.approx(0.6, abs=1e-12)
-    assert rep.sigma == pytest.approx(0.2, abs=1e-4)
-    assert rep.tau == pytest.approx(0.14, abs=1e-12)
-    assert rep.delta == pytest.approx(0.14, abs=1e-12)
-    assert rep.norm_b == 1.0 and rep.inf_b == 1.0
+    rep.sample(TREES)
+    est = rep.values
+    assert est["norm_a"] == pytest.approx(0.6, abs=1e-12)
+    assert est["sigma"] == pytest.approx(0.2, abs=1e-4)
+    assert est["tau"] == pytest.approx(0.14, abs=1e-12)
+    assert est["delta"] == pytest.approx(0.14, abs=1e-12)
+    assert est["norm_b"] == 1.0 and est["inf_b"] == 1.0
 
 
 def test_validate_fails_for_unit_neutral_coefficient():
@@ -66,8 +68,10 @@ def test_refinement_never_flips_fail_to_pass(points):
     fine = validate(spec, 2 * points - 1)
     for c_coarse, c_fine in zip(coarse.checks, fine.checks):
         assert not (not c_coarse.passed and c_fine.passed)
-    assert fine.norm_a >= coarse.norm_a
-    assert fine.inf_b <= coarse.inf_b
+    for rep in (coarse, fine):
+        rep.sample(("a", "b"))
+    assert fine.values["norm_a"] >= coarse.values["norm_a"]
+    assert fine.values["inf_b"] <= coarse.values["inf_b"]
 
 
 def test_spec_roundtrip(tmp_path, ex3):

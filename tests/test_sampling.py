@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import bare
-from ndstab.eqspec import SAMPLE_BLOCK, EquationSpec, grid_blocks, grid_extrema, validate
+from ndstab.eqspec import SAMPLE_BLOCK, TREES, EquationSpec, Extrema, grid_blocks, validate
 from ndstab.expr import absval, add, const, cos, div, mul, scale, sin, tvar
 from ndstab.params import ANALYTIC, GRID_ESTIMATE, ParameterSummary, SummaryError, summarize
 from test_expr import _random_tree
@@ -112,14 +112,14 @@ def _summary_fields(spec, grid_points):
     return _fields(s)
 
 
-def _extrema_fields(spec, grid_points):
-    out = vars(grid_extrema(spec, grid_points)).copy()
-    del out["grid_points"]
-    return out
+def _grid_extrema(spec, grid_points):
+    extrema = Extrema(spec, grid_points)
+    extrema.sample(TREES)
+    return extrema.values
 
 
 def assert_matches_reference(spec, grid_points):
-    got = _outcome(_extrema_fields, spec, grid_points)
+    got = _outcome(_grid_extrema, spec, grid_points)
     assert got == _outcome(reference_extrema, spec, grid_points), (spec, grid_points)
     got = _outcome(lambda: validate(spec, grid_points).to_dict())
     assert got == _outcome(reference_validate, spec, grid_points), (spec, grid_points)
@@ -287,9 +287,7 @@ def test_overrides_refuted_by_the_grid():
     spec = EquationSpec(a=add(const(0.3), scale(0.2, sin(T))), b=add(const(1.0), scale(0.5, sin(T))),
                         g=add(T, const(-0.2), scale(-0.1, absval(sin(T)))),
                         h=add(T, const(-0.14), scale(-0.05, sin(T))), t0=0.0, horizon=50.0)
-    grid = grid_extrema(spec, 1001)
-    names = ("norm_a", "inf_a", "norm_a_plus", "norm_a_minus", "norm_b", "inf_b", "sigma", "tau", "delta")
-    exact = {name: getattr(grid, name) for name in names}
+    exact = _grid_extrema(spec, 1001)
     s = summarize(EquationSpec(**{**vars(spec), "overrides": exact}), 1001)
     assert set(s.provenance.values()) == {ANALYTIC}
     slack = 1e-12 * 50.0
