@@ -30,6 +30,10 @@ from .simulate import SeededHistory, fundamental, integrate
 
 PROG = "ndstab"
 MAX_ALPHA_POINTS = 100_001  # the most alphas an --alpha-grid may hold (0:1:1e-5)
+# The most steps that simulate and fundamental may take: 300 time units at
+# step 3e-5, 33 times the 300,000 of the longest bundled run.  The
+# trajectory holds about 24 bytes a step.
+MAX_STEPS = 10_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,6 +198,10 @@ def _check_window(t_start: float, t_end: float, step: float) -> None:
         raise SpecError(f"--step must be positive and finite, got {step:g}")
     if not t_start < t_end < math.inf:
         raise SpecError(f"--t-end must be finite and exceed the start time {t_start:g}, got {t_end:g}")
+    n = (t_end - t_start) / step  # as integrate counts steps, before anything is built; may be inf
+    if not n - 1e-9 <= MAX_STEPS:
+        raise SpecError(f"--step {step:g} from {t_start:g} to --t-end {t_end:g} takes {n:.4g} steps, "
+                        f"over the bound of {MAX_STEPS:,}")
 
 
 def _fmt_verdict(v) -> str:

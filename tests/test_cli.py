@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -5,8 +6,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ndstab.cli import MAX_ALPHA_POINTS, _parse_alpha_grid, build_parser, run
+from ndstab.cli import MAX_ALPHA_POINTS, MAX_STEPS, _check_window, _parse_alpha_grid, build_parser, run
 from ndstab.eqspec import SpecError, load_spec
 from ndstab.report import corpus_dir
 from ndstab.simulate import integrate
@@ -334,6 +337,21 @@ def test_alpha_grid_points_are_bounded_before_the_list_is_built(capsys):
     assert captured.out == ""
 
 
+def test_step_count_is_bounded_before_anything_is_built(capsys):
+    _check_window(0.0, float(MAX_STEPS), 1.0)
+    _check_window(2.0, 2.0 + MAX_STEPS / 4, 0.25)
+    for start, end, step in ((0.0, MAX_STEPS + 1.0, 1.0), (2.0, 2.0 + MAX_STEPS / 4 + 0.25, 0.25),
+                             (0.0, 1e300, 5e-324)):  # one step over; inf steps
+        with pytest.raises(SpecError, match=f"over the bound of {MAX_STEPS:,}$"):
+            _check_window(start, end, step)
+    for argv, window in ((["simulate", "--t-end", "300"], "from 0 to --t-end 300"),
+                         (["fundamental", "--s", "1", "--t-end", "301"], "from 1 to --t-end 301")):
+        assert run([argv[0], corpus_path("ex1"), *argv[1:], "--step", "1e-12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"ndstab: --step 1e-12 {window} takes 3e+14 steps, over the bound of 10,000,000\n"
+        assert captured.out == ""
+
+
 def test_unknown_spec_keys_exit_2(tmp_path, capsys):
     # a misspelt "overrides" used to be dropped, and check ran without them
     spec = json.loads((corpus_dir() / "ex1.json").read_text())
@@ -500,3 +518,102 @@ def test_compare_table(capsys):
     rows = {r["criterion"]: r for r in json.loads(capsys.readouterr().out)}
     assert rows["baseline_sqrt"]["threshold"] == pytest.approx(0.063246, abs=1e-6)
     assert rows["baseline_3_2"]["threshold"] == pytest.approx(0.002002, abs=1e-9)
+
+
+# -- junk option values ------------------------------------------------------------------
+
+# Every option of every subcommand (None: the top-level parser), with a cheap
+# valid value: "spec" is the positional argument, and a flag is present
+# (True) or not (False).
+_CHEAP = {
+    (None, "--seed"): "42",
+    ("check", "spec"): "ex1", ("check", "--alpha"): "auto", ("check", "--grid"): "4001",
+    ("check", "--json"): False,
+    ("simulate", "spec"): "ex1", ("simulate", "--t-end"): "0.1", ("simulate", "--step"): "1e-3",
+    ("simulate", "--history"): "seeded", ("simulate", "--out"): "sim.csv",
+    ("sweep", "spec"): "ex2", ("sweep", "--param"): "r", ("sweep", "--alpha-grid"): "0:1:0.25",
+    ("sweep", "--out"): "sweep.csv",
+    ("examples", "--all"): False, ("examples", "--id"): "1", ("examples", "--no-simulation"): True,
+    ("examples", "--json"): False,
+    ("compare", "spec"): "ex1", ("compare", "--json"): False,
+    ("fundamental", "spec"): "ex1", ("fundamental", "--s"): "0", ("fundamental", "--t-end"): "0.1",
+    ("fundamental", "--step"): "1e-3", ("fundamental", "--out"): "fund.csv",
+}
+# junk for every option: non-numbers, NaN, infinities, zeros, negatives, extremes
+_JUNK = ("", "x", "1:2", "nan", "-nan", "inf", "-inf", "1e400", "0", "-0.0", "-1", "-0.5",
+         "1e308", "-1e308", "5e-324", "0x10", "1_0")
+# values just over each bound (ex1 and ex2 start at t0 = 0, and --t-end is 0.1)
+_OVER = {
+    "--seed": ("-1", "3.5"),
+    "spec": ("missing.json", ".", "list.json", "truncated.json", "failing.json"),
+    "--alpha": ("1.0000000000000002", "-5e-324", "auto "),
+    "--grid": ("1", "2.0"),
+    "--t-end": ("0.0",),
+    "--step": (repr(0.1 / (MAX_STEPS + 1)),),
+    "--history": ("const:nan", "const:", "seeded:-1", "seeded:x", "seeded:1.5",
+                  "seeded:99999999999999999999", "cos"),
+    "--out": ("missing/x.csv", "."),
+    "--param": ("R",),
+    "--alpha-grid": (f"0:1:{1 / MAX_ALPHA_POINTS}", "0:1.0000000000000002:0.5", "-5e-324:1:0.5",
+                     "0:1", "0:1:0.5:1", "1:0:0.5", "0:1:0"),
+    "--id": ("6",),
+    "--s": ("0.1",),
+}
+
+
+def _parser_options():
+    import argparse
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {(None, a.option_strings[0]) for a in parser._actions
+               if a.option_strings and a.dest != "help"}
+    for name, sub in subs.choices.items():
+        options |= {(name, a.option_strings[0] if a.option_strings else a.dest)
+                    for a in sub._actions if a.dest != "help"}
+    return options
+
+
+def test_junk_table_covers_every_option():
+    assert set(_CHEAP) == _parser_options()
+    assert set(_OVER) == {opt for (_, opt), cheap in _CHEAP.items() if not isinstance(cheap, bool)}
+
+
+def _junk_argv(tmp_path, command, option, value):
+    """The cheap arguments of ``command``, with ``option`` set to ``value``.
+    Paths but the corpus specs lie under ``tmp_path``; a flag given junk
+    gets it as its value."""
+    argv = []
+    for (cmd, opt), cheap in _CHEAP.items():
+        if cmd != command:
+            continue
+        v = value if opt == option else cheap
+        if isinstance(cheap, bool):
+            argv += [f"{opt}={v}"] if opt == option else [opt] * cheap
+        elif opt == "spec":
+            argv.append(corpus_path(v) if v in ("ex1", "ex2") else str(tmp_path / v))
+        else:
+            argv.append(f"{opt}={tmp_path / v if opt == '--out' else v}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_junk_option_values_exit_0_or_2(tmp_path, data):
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "truncated.json").write_text('{"a": ["const", 0.5]')
+    ex1 = json.loads((corpus_dir() / "ex1.json").read_text())
+    (tmp_path / "failing.json").write_text(json.dumps({**ex1, "a": ["const", 1.5]}))
+    command, option = data.draw(st.sampled_from(sorted(_CHEAP, key=str)))
+    value = data.draw(st.sampled_from(_JUNK + _OVER.get(option, ())))
+    if command is None:
+        argv = [f"{option}={value}", "simulate", *_junk_argv(tmp_path, "simulate", None, None)]
+    else:
+        argv = [command, *_junk_argv(tmp_path, command, option, value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,10 +1,11 @@
-"""The blocked sampling pass against whole-grid references.
+"""The blocked sampling pass and the pruned search against whole-grid references.
 
 ``validate`` and ``summarize`` sample the grid in blocks of SAMPLE_BLOCK
-points; the references below evaluate every coefficient on the whole grid
-at once, as the two functions did before.  Outputs must be identical,
-NaN and signed zeros included (compared through ``json.dumps``, which
-writes floats by ``repr``), and so must any error raised.
+points, or evaluate only the enclosure cells that can hold each extremum;
+the references below evaluate every coefficient on the whole grid at once,
+as the two functions did before.  Outputs must be identical, NaN and
+signed zeros included (compared through ``json.dumps``, which writes
+floats by ``repr``), and so must any error raised.
 """
 
 import json
@@ -15,13 +16,23 @@ import numpy as np
 import pytest
 
 from conftest import bare
-from ndstab.eqspec import SAMPLE_BLOCK, TREES, EquationSpec, Extrema, grid_blocks, validate
+from ndstab import eqspec
+from ndstab.eqspec import (ENCLOSURE_CELLS, FIELD_TREE, SAMPLE_BLOCK, TREES, Enclosure, EquationSpec, Extrema,
+                           enclose, grid_blocks, validate)
 from ndstab.expr import absval, add, const, cos, div, mul, scale, sin, tvar
 from ndstab.params import ANALYTIC, GRID_ESTIMATE, ParameterSummary, SummaryError, summarize
 from test_expr import _random_tree
 
 T = tvar()
 SIZES = (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2, 100_000)
+
+
+@pytest.fixture(autouse=True)
+def _search_every_grid(monkeypatch):
+    """Search grids of any size, not only those of _MIN_CELL_NODES nodes a
+    cell or more, so that the references below check the search on small
+    grids too."""
+    monkeypatch.setattr(eqspec, "_MIN_CELL_NODES", 0)
 
 
 # -- whole-grid references ------------------------------------------------------------
@@ -113,7 +124,11 @@ def _summary_fields(spec, grid_points):
 
 
 def _grid_extrema(spec, grid_points):
-    extrema = Extrema(spec, grid_points)
+    """The extrema by branch and bound over the spec's enclosure cells,
+    where its bounds allow (``summarize`` without a report takes the block
+    pass)."""
+    with np.errstate(all="ignore"):
+        extrema = Extrema(spec, grid_points, enclosure=enclose(spec))
     extrema.sample(TREES)
     return extrema.values
 
@@ -140,6 +155,89 @@ def test_grid_blocks_reproduce_the_grid(ex5, points):
 def test_corpus_matches_whole_grid_reference(corpus, points):
     for spec in corpus.values():
         assert_matches_reference(bare(spec), points)
+
+
+def _bench_lag(lag0, lag1, fn, omega):
+    """t - lag0 - lag1 |fn(omega t)|, as the benchmark's varying lags."""
+    return add(T, const(-lag0), scale(-lag1, absval(fn(scale(omega, T)))))
+
+
+# cos(c t) peaks every 16 enclosure cells, on a cell edge; the grids of
+# 1,025 and 4,097 points hold every edge as a node.
+_C = 2.0 * math.pi / (16 * 400.0 / ENCLOSURE_CELLS)
+PRUNED = {
+    "peaks on cell edges": EquationSpec(
+        a=scale(0.5, cos(scale(_C, T))), b=add(const(1.0), scale(0.5, cos(scale(_C, T)))),
+        g=add(T, const(-1.0), scale(-0.5, absval(cos(scale(_C, T))))),
+        h=add(T, const(-0.5), scale(-0.25, cos(scale(_C, T)))), t0=0.0, horizon=400.0),
+    "t0 > 0 and a horizon that is not round": EquationSpec(
+        a=add(scale(0.4, sin(scale(1.7, T))), scale(0.1, cos(scale(0.3, T)))),
+        b=add(const(0.8), scale(0.3, sin(T))), g=_bench_lag(0.9, 0.2, cos, 1.3),
+        h=add(T, const(-0.3), scale(-0.1, sin(scale(2.1, T)))), t0=3.7, horizon=257.3141592),
+    "bench-shaped lags": EquationSpec(
+        a=add(const(0.4), scale(0.15, cos(T))), b=scale(0.8, add(const(0.8), scale(0.2, sin(T)))),
+        g=_bench_lag(0.9, 0.2, cos, 1.3), h=_bench_lag(0.3, 0.1, sin, 1.3), t0=0.0, horizon=60.0),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PRUNED))
+def test_pruned_search_matches_whole_grid_reference(label):
+    spec = PRUNED[label]
+    for points in SIZES + (ENCLOSURE_CELLS + 1, 4 * ENCLOSURE_CELLS + 1):
+        assert_matches_reference(spec, points)
+    extrema = Extrema(spec, 100_000, enclosure=enclose(spec))
+    extrema.sample(TREES)
+    assert all(n < 5_000 for n in extrema.evaluated.values()), extrema.evaluated
+
+
+def test_search_reaches_a_cell_that_beats_by_less_than_1e_12():
+    # The tightest sound bounds: each cell's own grid max and min.  A decoy
+    # cell, bounded one ulp past the grid max, is searched first; the cell
+    # that holds the max beats what the decoy holds by less than 1e-12.
+    spec = EquationSpec(a=add(const(0.5), scale(2e-7, sin(T))), b=const(1.0), g=T, h=T,
+                        t0=0.0, horizon=400.0)
+    ts, edges = spec.grid(100_000), np.linspace(0.0, 400.0, ENCLOSURE_CELLS + 1)
+    av = spec.a.eval_array(ts)
+    lo, hi = np.full(ENCLOSURE_CELLS, math.inf), np.full(ENCLOSURE_CELLS, -math.inf)
+    for side in ("left", "right"):
+        cell = np.clip(np.searchsorted(edges, ts, side) - 1, 0, ENCLOSURE_CELLS - 1)
+        np.minimum.at(lo, cell, av)
+        np.maximum.at(hi, cell, av)
+    for bound, top, outward in ((hi, av.max(), math.inf), (lo, av.min(), -math.inf)):
+        runner_up = np.argmax(np.where(bound != top, np.abs(bound - 0.5), -1.0))
+        assert 0.0 < abs(top - bound[runner_up]) < 1e-12
+        bound[runner_up] = np.nextafter(top, outward)
+    enclosure = Enclosure(dict.fromkeys(FIELD_TREE, math.nan), math.nan, False, {"a": (lo, hi)}, edges)
+    extrema = Extrema(spec, 100_000, enclosure=enclosure)
+    extrema.sample(("a",))
+    assert extrema.evaluated["a"] < 5_000
+    assert extrema.values == {k: v for k, v in reference_extrema(spec, 100_000).items() if FIELD_TREE[k] == "a"}
+
+
+# The trees that each corpus spec prunes.  The others, the constant lags,
+# take the block pass: t - (t - c) rounds differently at each node, while
+# the bounds tie in every cell.  ex1's g prunes: sigma reads only the max
+# of its lag 0.2 |sin t|, not its min of 0.0.
+CORPUS_PRUNED = {"ex1": "abg", "ex2": "abg", "ex3": "ab", "ex4": "abg", "ex5": "abgh"}
+
+
+def test_corpus_pruning_routes(corpus, monkeypatch):
+    monkeypatch.undo()  # the rule of the program, not _search_every_grid's
+    for name, spec in corpus.items():
+        rep = validate(spec, 100_000)
+        rep.sample(TREES)
+        assert rep.route == "enclosure" and rep.sampled == list(TREES), name
+        pruned = "".join(t for t in TREES if rep.evaluated[t] < 5_000)
+        assert pruned == CORPUS_PRUNED[name], (name, rep.evaluated)
+        assert all(rep.evaluated[t] >= 100_000 for t in TREES if t not in pruned), (name, rep.evaluated)
+    extrema = Extrema(corpus["ex2"], 100_000)  # no enclosure computed: the block pass
+    extrema.sample(TREES)
+    assert extrema.evaluated == dict.fromkeys(TREES, 100_000)
+    points = 32 * ENCLOSURE_CELLS  # the smallest grid searched, and one node fewer
+    for n, pruned in ((points, "abg"), (points - 1, "")):
+        extrema = Extrema(corpus["ex2"], n, enclosure=enclose(corpus["ex2"]))
+        extrema.sample(TREES)
+        assert "".join(t for t in TREES if extrema.evaluated[t] < n) == pruned, (n, extrema.evaluated)
 
 
 def _random_spec(rng, wrapped):
