@@ -34,6 +34,8 @@ MAX_ALPHA_POINTS = 100_001  # the most alphas an --alpha-grid may hold (0:1:1e-5
 # step 3e-5, 33 times the 300,000 of the longest bundled run.  The
 # trajectory holds about 24 bytes a step.
 MAX_STEPS = 10_000_000
+# The most points that check --grid may sample: 100 times the default.
+MAX_GRID_POINTS = 10_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,6 +218,8 @@ def _cmd_check(args) -> int:
     alpha = _parse_alpha(args.alpha)
     if args.grid < 2:
         raise SpecError(f"--grid must be at least 2, got {args.grid}")
+    if args.grid > MAX_GRID_POINTS:
+        raise SpecError(f"--grid {args.grid} is over the bound of {MAX_GRID_POINTS:,}")
     spec, rep = _load_validated(args.spec, args.grid)
     summary = summarize(spec, args.grid, extrema=rep)
     if alpha is None:
@@ -318,7 +322,8 @@ def _cmd_fundamental(args) -> int:
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with np.errstate(all="ignore"):  # NaN and overflow show in the verdicts, not as warnings
+            return args.handler(args)
     except (SpecError, SummaryError, QuadratureError, MissingLimit, DomainError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
+import numpy as np
+
 from .eqspec import EquationSpec
+from .expr import lag_enclosure
 from .params import (
     IntegralsOfB,
     ParameterSummary,
@@ -523,12 +526,13 @@ def check_prop_tang_zou(summary: ParameterSummary, limsup_int_b: float,
 # -- orchestration --------------------------------------------------------------
 
 def _delays_constant(spec: EquationSpec) -> bool:
-    ts = spec.grid(2001)
-    lag_g = ts - spec.g.eval_array(ts)
-    lag_h = ts - spec.h.eval_array(ts)
+    """Whether both lags t - g(t) and t - h(t) stay within 1e-9 max(1,
+    window) of a constant, by their enclosures on the whole window: no
+    varying lag hides between samples, and a NaN bound is not constant."""
+    lo, hi = np.array([spec.t0]), np.array([spec.horizon])
     tol = 1e-9 * max(1.0, spec.horizon - spec.t0)
-    return (float(lag_g.max() - lag_g.min()) <= tol
-            and float(lag_h.max() - lag_h.min()) <= tol)
+    with np.errstate(all="ignore"):
+        return all(float(np.ptp(lag_enclosure(e, lo, hi))) <= tol for e in (spec.g, spec.h))
 
 
 def best_verdict(spec: EquationSpec, summary: ParameterSummary | None = None) -> list[CriterionVerdict]:

@@ -166,25 +166,23 @@ ENCLOSURE_CELLS = 1024
 @dataclass(frozen=True)
 class Enclosure:
     """Bounds that no grid sample can pass, from the interval extension of
-    each tree on ENCLOSURE_CELLS equal cells of the window (``Expr.enclose``
-    and ``lag_enclosure``).  ``bounds`` holds, for each grid extremum of
-    _TREE_FIELDS, an upper bound of a supremum or a lower bound of an
-    infimum; ``lag_g_inf`` is a lower bound of t - g(t), and
+    each tree on the ENCLOSURE_CELLS cells of one grid (``_cells``;
+    ``Expr.enclose`` and ``lag_enclosure``).  ``bounds`` holds, for each
+    grid extremum of _TREE_FIELDS, an upper bound of a supremum or a lower
+    bound of an infimum; ``lag_g_inf`` is a lower bound of t - g(t), and
     ``denominators`` whether every quotient denominator is proven finite
-    and of one strict sign.  A NaN bound is unproven.  Every grid node lies
-    in a cell, and a cell's bounds hold the float value at each of its
+    and of one strict sign.  A NaN bound is unproven.  The cells cover the
+    window, and a cell's bounds hold the float value at each of its
     points, so what the bounds prove holds on every grid.
 
     ``cells`` maps each tree (a, b, and g and h for their lags t - g(t)
-    and t - h(t)) to its lower and upper bounds per cell, and ``edges``
-    holds the cell edges; ``Extrema.sample`` prunes the grid with them.
-    Both stay out of ``==``."""
+    and t - h(t)) to its lower and upper bounds per cell, with which
+    ``Extrema.sample`` prunes that grid; it stays out of ``==``."""
 
     bounds: dict
     lag_g_inf: float
     denominators: bool
-    cells: dict = field(default_factory=dict, compare=False, repr=False)
-    edges: np.ndarray | None = field(default=None, compare=False, repr=False)
+    cells: dict = field(compare=False, repr=False)
 
     @property
     def proves_checks(self) -> bool:
@@ -203,11 +201,10 @@ class Enclosure:
         return (override - bound if name in INFIMA else bound - override) <= slack
 
 
-def enclose(spec: EquationSpec) -> Enclosure:
+def enclose(spec: EquationSpec, points: int) -> Enclosure:
     """The enclosure of a, b, t - g, t - h and every quotient denominator
-    of ``spec`` on ENCLOSURE_CELLS cells, edges ``linspace(t0, horizon)``."""
-    edges = np.linspace(spec.t0, spec.horizon, ENCLOSURE_CELLS + 1)
-    lo, hi = edges[:-1], edges[1:]
+    of ``spec`` on the cells of its grid of ``points`` points."""
+    lo, hi = _spans(spec, points, *_cells(points))
     with np.errstate(all="ignore"):
         cells = {tree: _tree_bounds(spec, tree, lo, hi) for tree in TREES}
         (a_lo, a_hi), (b_lo, b_hi), (g_lo, g_hi), (h_lo, h_hi) = (
@@ -218,7 +215,7 @@ def enclose(spec: EquationSpec) -> Enclosure:
                   norm_b=b_hi, inf_b=b_lo, sigma=g_hi, tau=h_hi, delta=h_lo)
     one_sign = all(np.all((d_lo > 0.0) & (d_hi < math.inf)) or np.all((d_hi < 0.0) & (d_lo > -math.inf))
                    for d_lo, d_hi in dens)
-    return Enclosure(bounds, g_lo, bool(one_sign), cells, edges)
+    return Enclosure(bounds, g_lo, bool(one_sign), cells)
 
 
 class Extrema:
@@ -229,7 +226,7 @@ class Extrema:
     sampled here, in order, and ``evaluated`` maps each of them to the
     grid nodes evaluated for it (``grid_points`` on the block pass, plus
     the nodes of a search that gave up).  ``enclosure`` is the spec's
-    Enclosure, computed on first use."""
+    Enclosure on this grid, computed on first use."""
 
     def __init__(self, spec: EquationSpec, grid_points: int, values: dict | None = None,
                  enclosure: Enclosure | None = None):
@@ -243,24 +240,24 @@ class Extrema:
     @property
     def enclosure(self) -> Enclosure:
         if self._enclosure is None:
-            self._enclosure = enclose(self.spec)
+            self._enclosure = enclose(self.spec, self.grid_points)
         return self._enclosure
 
     def sample(self, trees) -> None:
-        """Sample those of ``trees`` not known yet.  Where the enclosure has
-        been computed, each tree's max and min come from the cells that can
-        hold them (``_prune``); the other trees take one block pass
-        (``_sample``).  Both give the same bits."""
+        """Sample those of ``trees`` not known yet.  On grids of _MIN_CELL_NODES
+        to SAMPLE_BLOCK nodes a cell, each tree's max and min come from the
+        cells that can hold them (``_prune``), else from one block pass
+        (``_sample``), which gives the same bits."""
         known = {FIELD_TREE[name] for name in self.values}
         todo = [t for t in TREES if t in trees and t not in known]
         if not todo:
             return
-        enc, points = self._enclosure, self.grid_points
-        ranges = None if enc is None or not enc.cells else _node_ranges(self.spec, points, enc.edges)
+        points = self.grid_points
+        search = _MIN_CELL_NODES * ENCLOSURE_CELLS <= points <= SAMPLE_BLOCK * ENCLOSURE_CELLS
         rows = {}
         for tree in todo:
-            extremes, self.evaluated[tree] = (None, 0) if ranges is None else _prune(
-                self.spec, points, tree, enc.cells[tree], *ranges)
+            extremes, self.evaluated[tree] = (
+                _prune(self.spec, points, tree, self.enclosure.cells[tree]) if search else (None, 0))
             if extremes is not None:
                 rows[tree] = _tree_row(tree, None, *extremes)
         rest = [t for t in todo if t not in rows]
@@ -327,16 +324,9 @@ SAMPLE_BLOCK = 8192
 
 def grid_blocks(spec: EquationSpec, points: int):
     """``spec.grid(points)`` in consecutive blocks of at most SAMPLE_BLOCK
-    points, bit for bit: each node is i * step + t0 and the last is the
-    horizon, as numpy's ``linspace`` computes them."""
-    step = (spec.horizon - spec.t0) / (points - 1)
+    points, bit for bit (``_nodes``)."""
     for start in range(0, points, SAMPLE_BLOCK):
-        ts = np.arange(start, min(start + SAMPLE_BLOCK, points), dtype=float)
-        ts *= step
-        ts += spec.t0
-        if start + SAMPLE_BLOCK >= points:
-            ts[-1] = spec.horizon
-        yield ts
+        yield _nodes(spec, points, np.arange(start, min(start + SAMPLE_BLOCK, points), dtype=float))
 
 
 # The search of _prune.  It costs about 0.1-0.3 ms a tree whatever the
@@ -359,38 +349,32 @@ _RUN = 16
 
 
 def _nodes(spec: EquationSpec, points: int, idx: np.ndarray) -> np.ndarray:
-    """The grid nodes of indices ``idx``, bit for bit as grid_blocks
-    computes them."""
-    ts = idx.astype(float)
-    ts *= (spec.horizon - spec.t0) / (points - 1)
+    """The grid nodes of the non-decreasing indices ``idx``, bit for bit as
+    ``linspace`` computes them: node i is i * step + t0, the last the horizon."""
+    ts = idx * ((spec.horizon - spec.t0) / (points - 1))
     ts += spec.t0
-    ts[idx == points - 1] = spec.horizon
+    if idx[-1] == points - 1:
+        ts[idx == points - 1] = spec.horizon
     return ts
 
 
-def _node_ranges(spec: EquationSpec, points: int, edges: np.ndarray):
-    """The first and last index of the grid nodes that each cell
-    [edges[k], edges[k + 1]] can hold, widened by one node on each side.
-    None (no search: the block pass) when the cells hold fewer than
-    _MIN_CELL_NODES nodes or more than SAMPLE_BLOCK (which keeps the
-    search's index arrays small), or unless the node just outside each
-    range lies outside its cell and the last but one node lies in the
-    window.  The nodes before the last never decrease, so no node of a
-    cell is then missed, and the nodes of a run first..last all lie in
-    [node first, node last]."""
-    if not _MIN_CELL_NODES * (len(edges) - 1) <= points <= SAMPLE_BLOCK * (len(edges) - 1):
-        return None
-    with np.errstate(all="ignore"):
-        pos = (edges - spec.t0) / ((spec.horizon - spec.t0) / (points - 1))
-    if not np.isfinite(pos).all():
-        return None
-    first = np.clip(np.ceil(pos[:-1]) - 1.0, 0, points - 1).astype(np.intp)
-    last = np.clip(np.floor(pos[1:]) + 1.0, 0, points - 1).astype(np.intp)
-    last[-1] = points - 1
-    outside = (((first == 0) | (_nodes(spec, points, first - 1) < edges[:-1]))
-               & ((last == points - 1) | (_nodes(spec, points, last + 1) > edges[1:])))
-    in_window = _nodes(spec, points, np.array([max(points - 2, 0)]))[0] <= spec.horizon
-    return (first, last) if outside.all() and in_window else None
+def _cells(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last node index of each of the ENCLOSURE_CELLS cells of
+    a grid: neighbours share the node k (points - 1) // ENCLOSURE_CELLS, and
+    on fewer than ENCLOSURE_CELLS + 1 points some cells hold a single node."""
+    ends = np.arange(ENCLOSURE_CELLS + 1) * (points - 1) // ENCLOSURE_CELLS
+    return ends[:-1], ends[1:]
+
+
+def _spans(spec: EquationSpec, points: int, first: np.ndarray, last: np.ndarray):
+    """The times [node first[k], node last[k]], which hold the nodes
+    first[k]..last[k] as the nodes before the last never decrease; a run
+    that ends at the horizon spans node points - 2, which can pass it."""
+    lo, hi = _nodes(spec, points, first), _nodes(spec, points, last)
+    end = last == points - 1
+    lo[end] = np.minimum(lo[end], spec.horizon)
+    hi[end] = max(_nodes(spec, points, np.array([points - 2]))[0], spec.horizon)
+    return lo, hi
 
 
 def _range_nodes(first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -441,7 +425,7 @@ def _excess(goals, best) -> np.ndarray:
         return excess if len(goals) == 1 else np.fmax(excess, goals[1] - best[1])
 
 
-def _prune(spec: EquationSpec, points: int, tree: str, bounds, first, last):
+def _prune(spec: EquationSpec, points: int, tree: str, bounds):
     """The grid max and min of one tree's values (``_tree_values``; the max
     alone for g), by branch and bound, and the nodes evaluated.
 
@@ -459,6 +443,7 @@ def _prune(spec: EquationSpec, points: int, tree: str, bounds, first, last):
     goals = _goals(tree, bounds)
     if any(np.isnan(goal).any() for goal in goals):
         return None, 0
+    first, last = _cells(points)
     probe = np.array(sorted({int(np.argmax(goal)) for goal in goals}))
     idx = _range_nodes(first[probe], last[probe])
     best, evaluated = _maxima(spec, points, tree, idx, len(goals)), idx.size
@@ -469,7 +454,7 @@ def _prune(spec: EquationSpec, points: int, tree: str, bounds, first, last):
     if open_cells.any():
         starts, ends = _runs(first[open_cells], last[open_cells])
         with np.errstate(all="ignore"):
-            goals = _goals(tree, _tree_bounds(spec, tree, _nodes(spec, points, starts), _nodes(spec, points, ends)))
+            goals = _goals(tree, _tree_bounds(spec, tree, *_spans(spec, points, starts, ends)))
         if any(np.isnan(goal).any() for goal in goals):
             return None, evaluated
         open_runs = np.ones(len(starts), dtype=bool)
@@ -482,7 +467,7 @@ def _prune(spec: EquationSpec, points: int, tree: str, bounds, first, last):
             if sizes[-1] > SAMPLE_BLOCK:
                 runs = runs[np.argsort(-excess[runs], kind="stable")]
                 sizes = np.cumsum(ends[runs] - starts[runs] + 1)
-            batch = runs[:max(1, int(np.searchsorted(sizes, SAMPLE_BLOCK, "right")))]
+            batch = np.sort(runs[:max(1, int(np.searchsorted(sizes, SAMPLE_BLOCK, "right")))])
             open_runs[batch] = False
             idx = _range_nodes(starts[batch], ends[batch])
             best = np.maximum(best, _maxima(spec, points, tree, idx, len(goals)))
@@ -565,15 +550,15 @@ def _sample(spec: EquationSpec, points: int, trees) -> tuple[dict, dict[str, Ass
             av = v["a"]
             a_row = _tree_row("a", av, av.max(), av.min())
             row += a_row
-            # each test fails on NaN, so NaN blocks are searched as well
+            # each test and mask fails on NaN, so NaN values are witnesses
             if not a_row[0] < 1.0:
-                wit["a1_a"].add(ts, np.abs(av) >= 1.0)
+                wit["a1_a"].add(ts, ~(np.abs(av) < 1.0))
         if "b" in v:
             bv = v["b"]
             top, bottom = bv.max(), bv.min()
             row += _tree_row("b", bv, top, bottom)
             if not bottom > 0.0:
-                wit["a1_b"].add(ts, bv <= 0.0)
+                wit["a1_b"].add(ts, ~(bv > 0.0))
         lags = {}
         for tree in ("g", "h"):
             if tree in v:
@@ -638,7 +623,7 @@ def validate(spec: EquationSpec, grid_points: int = 100_000) -> ValidationReport
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    enclosure = enclose(spec)
+    enclosure = enclose(spec, grid_points)
     dens = [(label, den) for label in TREES for den in getattr(spec, label).denominators()]
     if enclosure.proves_checks:
         checks = [AssumptionCheck(f"domain_{label}", _DOMAIN.format(label), True) for label, _ in dens]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ndstab.cli import MAX_ALPHA_POINTS, MAX_STEPS, _check_window, _parse_alpha_grid, build_parser, run
+from ndstab import cli
+from ndstab.cli import (MAX_ALPHA_POINTS, MAX_GRID_POINTS, MAX_STEPS, _check_window, _parse_alpha_grid,
+                        build_parser, run)
 from ndstab.eqspec import SpecError, load_spec
 from ndstab.report import corpus_dir
 from ndstab.simulate import integrate
@@ -352,6 +355,30 @@ def test_step_count_is_bounded_before_anything_is_built(capsys):
         assert captured.out == ""
 
 
+def test_grid_points_are_bounded_before_anything_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_spec", None)  # a call would raise TypeError
+    for grid in (MAX_GRID_POINTS + 1, 99999999999999999999):  # one point over; far over
+        assert run(["check", corpus_path("ex2"), "--grid", str(grid)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"ndstab: --grid {grid} is over the bound of {MAX_GRID_POINTS:,}\n"
+        assert captured.out == ""
+
+
+def test_nan_coefficient_exits_2_with_witnesses_and_no_warning(tmp_path, capsys):
+    # a = 0.5 sin(1e308 t^2) is NaN past t = 1.3408, where the argument overflows
+    ex1 = json.loads((corpus_dir() / "ex1.json").read_text())
+    a = ["scale", 0.5, ["sin", ["scale", 1e308, ["*", ["t"], ["t"]]]]]
+    path = tmp_path / "nan_a.json"
+    path.write_text(json.dumps({**ex1, "a": a, "overrides": {}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["check", str(path)]) == 2
+    assert caught == []  # numpy's overflow and invalid-value warnings stay off stderr
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"ndstab: {path}: structural validation failed\n  [a1_a] ")
+    assert captured.out == ""
+
+
 def test_unknown_spec_keys_exit_2(tmp_path, capsys):
     # a misspelt "overrides" used to be dropped, and check ran without them
     spec = json.loads((corpus_dir() / "ex1.json").read_text())
@@ -547,7 +574,7 @@ _OVER = {
     "--seed": ("-1", "3.5"),
     "spec": ("missing.json", ".", "list.json", "truncated.json", "failing.json"),
     "--alpha": ("1.0000000000000002", "-5e-324", "auto "),
-    "--grid": ("1", "2.0"),
+    "--grid": ("1", "2.0", str(MAX_GRID_POINTS + 1)),
     "--t-end": ("0.0",),
     "--step": (repr(0.1 / (MAX_STEPS + 1)),),
     "--history": ("const:nan", "const:", "seeded:-1", "seeded:x", "seeded:1.5",

@@ -29,7 +29,11 @@ from ndstab.criteria import (
     tau0,
     tau_bar,
 )
+from ndstab.eqspec import EquationSpec
+from ndstab.expr import absval, add, const, scale, sin, tvar
 from ndstab.params import ParameterSummary, SummaryError, integral_summary, summarize
+
+T = tvar()
 
 
 def mk(norm_a, inf_a, norm_b, sigma, tau, delta, inf_b=None, plus=None, minus=None,
@@ -422,6 +426,20 @@ def test_best_verdict_ex1(ex1):
     assert not verdicts["prop_yu"].applicable
     assert not verdicts["prop_tang_zou"].applicable
     assert verdicts["theorem1"].satisfied  # feasible at alpha near the gate cap
+
+
+def test_constant_delay_baselines_see_a_lag_that_varies_between_samples():
+    # h's lag 1 + 0.5 |sin(t / 2)| is 1.0 at every node of the 2,001-point
+    # grid of [0, 4000 pi], whose step is 2 pi, and reaches 1.5 between them
+    spec = EquationSpec(a=const(0.1), b=const(0.3), g=add(T, const(-0.5)),
+                        h=add(T, const(-1.0), scale(-0.5, absval(sin(scale(0.5, T))))),
+                        t0=0.0, horizon=4000 * math.pi)
+    ts = spec.grid(2001)
+    assert np.ptp(ts - spec.h.eval_array(ts)) < 1e-9
+    verdicts = {v.criterion: v for v in best_verdict(spec)}
+    for name in ("prop_yu", "prop_tang_zou"):
+        assert not verdicts[name].applicable and verdicts[name].reason == "constant delays required"
+    assert verdicts["theorem1"].satisfied  # the paper's tests still decide it
 
 
 def test_best_verdict_ex4(ex4):

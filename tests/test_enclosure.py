@@ -12,6 +12,7 @@ the grid route gives.  The grid route is forced by replacing
 import contextlib
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ndstab import cli, eqspec
 from ndstab.eqspec import ENCLOSURE_CELLS, Enclosure, EquationSpec, validate
 from ndstab.expr import TRIG_ALLOWANCE, absval, add, const, cos, div, lag_enclosure, scale, sin, tvar
 from ndstab.params import SummaryError, summarize
-from test_expr import _TREES
+from test_expr import _TREES, _random_tree
 
 T = tvar()
 
@@ -135,6 +136,56 @@ def test_trig_bounds_are_tight_away_from_extrema():
     assert np.all(hi - lo <= np.diff(edges) + 2 * TRIG_ALLOWANCE + 1e-16)
 
 
+def assert_cells_hold_their_nodes(spec, points):
+    """The cells of a grid run over its nodes in order, neighbours sharing
+    one, and every node's a, b, t - g and t - h lies within the bounds of
+    each cell whose index range holds it (a NaN value needs NaN bounds)."""
+    first, last = eqspec._cells(points)
+    assert first[0] == 0 and last[-1] == points - 1
+    assert np.array_equal(first[1:], last[:-1]) and np.all(first <= last)
+    idx = eqspec._range_nodes(first, last)
+    cell = np.repeat(np.arange(ENCLOSURE_CELLS), last - first + 1)
+    ts = np.concatenate(list(eqspec.grid_blocks(spec, points)))
+    with np.errstate(all="ignore"):
+        enc = eqspec.enclose(spec, points)
+        for tree in eqspec.TREES:
+            lo, hi = (bound[cell] for bound in enc.cells[tree])
+            try:
+                values = eqspec._tree_values(spec, tree, ts)[idx]
+            except ValueError:  # a zero denominator on the grid: unproven somewhere
+                assert np.isnan(lo).any()
+                continue
+            bad = ~((lo <= values) & (values <= hi) | np.isnan(lo) | np.isnan(hi))
+            assert not bad.any(), (spec, points, tree, ts[idx][bad][:3], values[bad][:3], lo[bad][:3], hi[bad][:3])
+
+
+PARTITION_SIZES = (2, 3, 1_024, 1_025, 1_026, 4_001, 32_768, 100_000)
+
+
+def test_cells_hold_their_nodes_on_the_corpus(corpus):
+    for spec in corpus.values():
+        for points in PARTITION_SIZES:
+            assert_cells_hold_their_nodes(spec, points)
+
+
+def test_cells_hold_their_nodes_on_random_trees():
+    rng = random.Random(19)
+    for _ in range(12):
+        a, b, g, h = (_random_tree(rng, rng.randint(0, 3)) for _ in range(4))
+        t0 = rng.choice((0.0, 1.0, 1e4))
+        spec = EquationSpec(a=a, b=b, g=g, h=h, t0=t0, horizon=t0 + rng.choice((1e-3, 10.0, 400.0)))
+        for points in PARTITION_SIZES:
+            assert_cells_hold_their_nodes(spec, points)
+
+
+def test_last_cell_holds_a_node_past_the_horizon():
+    # On a window of three subnormals, node 4 of 6 rounds past the horizon.
+    spec = EquationSpec(a=T, b=T, g=T, h=add(T, scale(-0.5, T)), t0=0.0, horizon=1.5e-323)
+    ts = np.concatenate(list(eqspec.grid_blocks(spec, 6)))
+    assert ts[4] > spec.horizon == ts[5]
+    assert_cells_hold_their_nodes(spec, 6)
+
+
 def test_zero_denominator_interval_is_unproven_not_raised():
     lo, hi = div(const(1.0), add(T, const(-5.0))).enclose(np.array([4.0, 6.0]), np.array([6.0, 7.0]))
     assert np.isnan(lo[0]) and np.isnan(hi[0])
@@ -143,9 +194,12 @@ def test_zero_denominator_interval_is_unproven_not_raised():
 
 # -- routes and parity ------------------------------------------------------------------
 
-def _no_proof(spec):
-    """An enclosure that proves and clears nothing: the grid route."""
-    return Enclosure(dict.fromkeys(eqspec.FIELD_TREE, math.nan), math.nan, False)
+def _no_proof(spec, points):
+    """An enclosure that proves, clears and prunes nothing: the grid route,
+    and the block pass."""
+    unproven = np.full(ENCLOSURE_CELLS, math.nan)
+    return Enclosure(dict.fromkeys(eqspec.FIELD_TREE, math.nan), math.nan, False,
+                     dict.fromkeys(eqspec.TREES, (unproven, unproven)))
 
 
 def _bench_like_specs():
@@ -286,12 +340,12 @@ def test_summary_sampled_trees_stay_out_of_its_record(ex5):
     s = summarize(ex5, 1001)
     assert s.sampled == ("b", "g", "h")
     assert "sampled" not in s.to_dict() and "sampled" not in repr(s)
-    assert s == summarize(ex5, 1001, extrema=eqspec.Extrema(ex5, 1001, enclosure=_no_proof(ex5)))
+    assert s == summarize(ex5, 1001, extrema=eqspec.Extrema(ex5, 1001, enclosure=_no_proof(ex5, 1001)))
 
 
 def test_corpus_specs_prove_every_check(corpus):
     for name, spec in corpus.items():
-        enc = eqspec.enclose(spec)
+        enc = eqspec.enclose(spec, 100_000)
         assert enc.proves_checks, name
         assert all(enc.clears(k, v, 1e-12 * 400.0) for k, v in spec.overrides.items()
                    if k in eqspec.FIELD_TREE), name

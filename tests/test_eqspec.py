@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import bare
 from ndstab.eqspec import TREES, EquationSpec, SpecError, load_spec, save_spec, validate
-from ndstab.expr import add, const, tvar
+from ndstab.expr import add, const, mul, scale, sin, tvar
 
 T = tvar()
 
@@ -48,6 +49,21 @@ def test_validate_detects_nonpositive_b():
     spec = EquationSpec(a=const(0.1), b=const(-0.5), g=T, h=T, t0=0.0, horizon=10.0)
     rep = validate(spec, 101)
     assert any(c.check_id == "a1_b" for c in rep.failures())
+
+
+# 0.5 sin(1e308 t^2): the argument overflows to inf past t = 1.3408, and sin(inf) is NaN
+_NAN_PAST_1_34 = scale(0.5, sin(scale(1e308, mul(T, T))))
+
+
+@pytest.mark.parametrize("tree, check_id", [("a", "a1_a"), ("b", "a1_b")])
+def test_validate_flags_nan_coefficients(tree, check_id):
+    coefficients = dict(a=const(0.5), b=const(1.0), g=add(T, const(-1.0)), h=add(T, const(-1.0)))
+    coefficients[tree] = _NAN_PAST_1_34 if tree == "a" else add(const(1.0), _NAN_PAST_1_34)
+    with np.errstate(all="ignore"):
+        rep = validate(EquationSpec(**coefficients, t0=0.0, horizon=10.0), 100_000)
+    assert rep.route == "grid" and [c.check_id for c in rep.failures()] == [check_id]
+    witnesses = rep.failures()[0].witnesses
+    assert len(witnesses) == 8 and 1.3408 < witnesses[0] < 1.3409
 
 
 def test_validate_flags_denominator_zero_crossing():

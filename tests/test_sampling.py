@@ -18,7 +18,7 @@ import pytest
 from conftest import bare
 from ndstab import eqspec
 from ndstab.eqspec import (ENCLOSURE_CELLS, FIELD_TREE, SAMPLE_BLOCK, TREES, Enclosure, EquationSpec, Extrema,
-                           enclose, grid_blocks, validate)
+                           grid_blocks, validate)
 from ndstab.expr import absval, add, const, cos, div, mul, scale, sin, tvar
 from ndstab.params import ANALYTIC, GRID_ESTIMATE, ParameterSummary, SummaryError, summarize
 from test_expr import _random_tree
@@ -31,8 +31,16 @@ SIZES = (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2, 100_000)
 def _search_every_grid(monkeypatch):
     """Search grids of any size, not only those of _MIN_CELL_NODES nodes a
     cell or more, so that the references below check the search on small
-    grids too."""
+    grids too; and check that every call of _nodes gets the non-decreasing
+    indices it requires."""
     monkeypatch.setattr(eqspec, "_MIN_CELL_NODES", 0)
+    nodes = eqspec._nodes
+
+    def checked_nodes(spec, points, idx):
+        assert np.all(idx[1:] >= idx[:-1]), idx
+        return nodes(spec, points, idx)
+
+    monkeypatch.setattr(eqspec, "_nodes", checked_nodes)
 
 
 # -- whole-grid references ------------------------------------------------------------
@@ -65,8 +73,8 @@ def reference_validate(spec, grid_points):
         est = dict(norm_a=float(np.max(np.abs(av))), inf_b=float(np.min(bv)),
                    norm_b=float(np.max(bv)), sigma=float(np.max(lag_g)),
                    tau=float(np.max(lag_h)), delta=float(np.min(lag_h)))
-        checks.append(_reference_check("a1_a", "|a(t)| <= A0 < 1", ts, np.abs(av) >= 1.0))
-        checks.append(_reference_check("a1_b", "0 < b0 <= b(t) <= B0", ts, bv <= 0.0))
+        checks.append(_reference_check("a1_a", "|a(t)| <= A0 < 1", ts, ~(np.abs(av) < 1.0)))
+        checks.append(_reference_check("a1_b", "0 < b0 <= b(t) <= B0", ts, ~(bv > 0.0)))
         checks.append(_reference_check("a3_g", "g(t) <= t", ts, lag_g < 0.0))
         checks.append(_reference_check("a3_h", "h(t) <= t", ts, lag_h < 0.0))
         for label, e in (("g", spec.g), ("h", spec.h)):
@@ -125,11 +133,10 @@ def _summary_fields(spec, grid_points):
 
 def _grid_extrema(spec, grid_points):
     """The extrema by branch and bound over the spec's enclosure cells,
-    where its bounds allow (``summarize`` without a report takes the block
-    pass)."""
+    where its bounds allow."""
     with np.errstate(all="ignore"):
-        extrema = Extrema(spec, grid_points, enclosure=enclose(spec))
-    extrema.sample(TREES)
+        extrema = Extrema(spec, grid_points)
+        extrema.sample(TREES)
     return extrema.values
 
 
@@ -185,7 +192,7 @@ def test_pruned_search_matches_whole_grid_reference(label):
     spec = PRUNED[label]
     for points in SIZES + (ENCLOSURE_CELLS + 1, 4 * ENCLOSURE_CELLS + 1):
         assert_matches_reference(spec, points)
-    extrema = Extrema(spec, 100_000, enclosure=enclose(spec))
+    extrema = Extrema(spec, 100_000)
     extrema.sample(TREES)
     assert all(n < 5_000 for n in extrema.evaluated.values()), extrema.evaluated
 
@@ -196,22 +203,29 @@ def test_search_reaches_a_cell_that_beats_by_less_than_1e_12():
     # that holds the max beats what the decoy holds by less than 1e-12.
     spec = EquationSpec(a=add(const(0.5), scale(2e-7, sin(T))), b=const(1.0), g=T, h=T,
                         t0=0.0, horizon=400.0)
-    ts, edges = spec.grid(100_000), np.linspace(0.0, 400.0, ENCLOSURE_CELLS + 1)
-    av = spec.a.eval_array(ts)
-    lo, hi = np.full(ENCLOSURE_CELLS, math.inf), np.full(ENCLOSURE_CELLS, -math.inf)
-    for side in ("left", "right"):
-        cell = np.clip(np.searchsorted(edges, ts, side) - 1, 0, ENCLOSURE_CELLS - 1)
-        np.minimum.at(lo, cell, av)
-        np.maximum.at(hi, cell, av)
+    av = spec.a.eval_array(spec.grid(100_000))
+    lo, hi = (np.array([f(av[i:j + 1]) for i, j in zip(*eqspec._cells(100_000))]) for f in (np.min, np.max))
     for bound, top, outward in ((hi, av.max(), math.inf), (lo, av.min(), -math.inf)):
         runner_up = np.argmax(np.where(bound != top, np.abs(bound - 0.5), -1.0))
         assert 0.0 < abs(top - bound[runner_up]) < 1e-12
         bound[runner_up] = np.nextafter(top, outward)
-    enclosure = Enclosure(dict.fromkeys(FIELD_TREE, math.nan), math.nan, False, {"a": (lo, hi)}, edges)
+    enclosure = Enclosure(dict.fromkeys(FIELD_TREE, math.nan), math.nan, False, {"a": (lo, hi)})
     extrema = Extrema(spec, 100_000, enclosure=enclosure)
     extrema.sample(("a",))
     assert extrema.evaluated["a"] < 5_000
     assert extrema.values == {k: v for k, v in reference_extrema(spec, 100_000).items() if FIELD_TREE[k] == "a"}
+
+
+def test_search_batches_open_runs_best_bound_first():
+    # The corner bounds of sin(t / 2) cos(t / 2) leave runs of more than
+    # SAMPLE_BLOCK nodes open, so they are batched best bound first, and
+    # each batch's nodes are put back in order for _nodes.
+    c = mul(sin(scale(0.5, T)), cos(scale(0.5, T)))
+    spec = EquationSpec(a=scale(0.8, c), b=add(const(1.0), scale(0.5, c)), g=T, h=T, t0=0.0, horizon=400.0)
+    assert_matches_reference(spec, 100_000)
+    extrema = Extrema(spec, 100_000)
+    extrema.sample(("a", "b"))
+    assert SAMPLE_BLOCK < extrema.evaluated["a"] < 20_000 and extrema.evaluated["b"] < 20_000
 
 
 # The trees that each corpus spec prunes.  The others, the constant lags,
@@ -230,12 +244,12 @@ def test_corpus_pruning_routes(corpus, monkeypatch):
         pruned = "".join(t for t in TREES if rep.evaluated[t] < 5_000)
         assert pruned == CORPUS_PRUNED[name], (name, rep.evaluated)
         assert all(rep.evaluated[t] >= 100_000 for t in TREES if t not in pruned), (name, rep.evaluated)
-    extrema = Extrema(corpus["ex2"], 100_000)  # no enclosure computed: the block pass
+    extrema = Extrema(corpus["ex2"], 100_000)  # its enclosure, computed on first use
     extrema.sample(TREES)
-    assert extrema.evaluated == dict.fromkeys(TREES, 100_000)
+    assert "".join(t for t in TREES if extrema.evaluated[t] < 5_000) == CORPUS_PRUNED["ex2"]
     points = 32 * ENCLOSURE_CELLS  # the smallest grid searched, and one node fewer
     for n, pruned in ((points, "abg"), (points - 1, "")):
-        extrema = Extrema(corpus["ex2"], n, enclosure=enclose(corpus["ex2"]))
+        extrema = Extrema(corpus["ex2"], n)
         extrema.sample(TREES)
         assert "".join(t for t in TREES if extrema.evaluated[t] < n) == pruned, (n, extrema.evaluated)
 
