@@ -221,7 +221,7 @@ def _cmd_check(args) -> int:
     if args.grid > MAX_GRID_POINTS:
         raise SpecError(f"--grid {args.grid} is over the bound of {MAX_GRID_POINTS:,}")
     spec, rep = _load_validated(args.spec, args.grid)
-    summary = summarize(spec, args.grid, extrema=rep)
+    summary = summarize(spec, rep)
     if alpha is None:
         verdicts = criteria.best_verdict(spec, summary)
     else:
@@ -259,7 +259,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     spec, rep = _load_validated(args.spec)
     alphas = _parse_alpha_grid(args.alpha_grid)
-    rows = report.sweep_alpha_r(spec, alphas, summary=summarize(spec, extrema=rep))
+    rows = report.sweep_alpha_r(spec, alphas, summary=summarize(spec, rep))
     with _output(args.out) as fh:
         report.write_sweep_csv(rows, fh)
     return 0
@@ -299,7 +299,7 @@ def _cmd_examples(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec, rep = _load_validated(args.spec)
-    rows = report.compare_baselines(spec, summary=summarize(spec, extrema=rep))
+    rows = report.compare_baselines(spec, summary=summarize(spec, rep))
     if args.json:
         print(json.dumps(rows, indent=2, allow_nan=False))
     else:

@@ -28,10 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
-import numpy as np
-
 from .eqspec import EquationSpec
-from .expr import lag_enclosure
 from .params import (
     IntegralsOfB,
     ParameterSummary,
@@ -493,47 +490,35 @@ _BASELINE_FIELDS = ("norm_a", "limsup_int_b")
 
 
 def _baseline(criterion: str, summary: ParameterSummary, limsup_int_b: float,
-              constant_delays: bool, threshold: float | None, out_of_range: str) -> CriterionVerdict:
+              threshold: float | None, out_of_range: str) -> CriterionVerdict:
     """Decide ``limsup_int_b < threshold``; a None threshold is out of range."""
     cert = _cert(summary, _BASELINE_FIELDS)
-    if not constant_delays:
+    if not summary.constant_delays:
         return _not_applicable(criterion, "constant delays required", ASYMPTOTIC, cert)
     if threshold is None:
         return _not_applicable(criterion, out_of_range, ASYMPTOTIC, cert)
     return _decide(criterion, threshold - limsup_int_b, ASYMPTOTIC, cert, notes=_BASELINE_NOTES)
 
 
-def check_prop_yu(summary: ParameterSummary, limsup_int_b: float,
-                  constant_delays: bool = True) -> CriterionVerdict:
+def check_prop_yu(summary: ParameterSummary, limsup_int_b: float) -> CriterionVerdict:
     """Classical 3/2-type asymptotic stability baseline.
 
     ``limsup_int_b`` is limsup_t int_{t-tau}^t b; applicable only for
-    constant delays and a positive threshold.
+    constant delays (``summary.constant_delays``) and a positive threshold.
     """
     thr = yu_threshold(summary.norm_a)
     return _baseline(
-        "prop_yu", summary, limsup_int_b, constant_delays, thr if thr > 0.0 else None,
+        "prop_yu", summary, limsup_int_b, thr if thr > 0.0 else None,
         f"threshold 3/2 - 2*A0*(2-A0) = {thr:.6g} is not positive (A0 = {summary.norm_a:.6g})")
 
 
-def check_prop_tang_zou(summary: ParameterSummary, limsup_int_b: float,
-                        constant_delays: bool = True) -> CriterionVerdict:
+def check_prop_tang_zou(summary: ParameterSummary, limsup_int_b: float) -> CriterionVerdict:
     """Refined constant-delay baseline; case selected by A0."""
-    return _baseline("prop_tang_zou", summary, limsup_int_b, constant_delays,
+    return _baseline("prop_tang_zou", summary, limsup_int_b,
                      tang_zou_threshold(summary.norm_a), f"A0 = {summary.norm_a:.6g} >= 1/2 is out of range")
 
 
 # -- orchestration --------------------------------------------------------------
-
-def _delays_constant(spec: EquationSpec) -> bool:
-    """Whether both lags t - g(t) and t - h(t) stay within 1e-9 max(1,
-    window) of a constant, by their enclosures on the whole window: no
-    varying lag hides between samples, and a NaN bound is not constant."""
-    lo, hi = np.array([spec.t0]), np.array([spec.horizon])
-    tol = 1e-9 * max(1.0, spec.horizon - spec.t0)
-    with np.errstate(all="ignore"):
-        return all(float(np.ptp(lag_enclosure(e, lo, hi))) <= tol for e in (spec.g, spec.h))
-
 
 def best_verdict(spec: EquationSpec, summary: ParameterSummary | None = None) -> list[CriterionVerdict]:
     """Run every applicable test, optimizing alpha where parameterized, on
@@ -567,7 +552,6 @@ def best_verdict(spec: EquationSpec, summary: ParameterSummary | None = None) ->
     integrals = IntegralsOfB(spec)  # one table of the integral of b for both estimates
     verdicts.append(theorem3_verdict(spec, summary, None, integrals))
 
-    const_delays = _delays_constant(spec)
     limsup = summary.limsup_int_b
     try:
         if limsup is None:
@@ -576,8 +560,8 @@ def best_verdict(spec: EquationSpec, summary: ParameterSummary | None = None) ->
         cert = _cert(summary, _BASELINE_FIELDS)
         verdicts += [_not_applicable(c, str(exc), ASYMPTOTIC, cert) for c in ("prop_yu", "prop_tang_zou")]
     else:
-        verdicts.append(check_prop_yu(summary, limsup, const_delays))
-        verdicts.append(check_prop_tang_zou(summary, limsup, const_delays))
+        verdicts.append(check_prop_yu(summary, limsup))
+        verdicts.append(check_prop_tang_zou(summary, limsup))
 
     def key(v: CriterionVerdict):
         margin = v.margin if not math.isnan(v.margin) else -math.inf

@@ -226,10 +226,13 @@ class Extrema:
     sampled here, in order, and ``evaluated`` maps each of them to the
     grid nodes evaluated for it (``grid_points`` on the block pass, plus
     the nodes of a search that gave up).  ``enclosure`` is the spec's
-    Enclosure on this grid, computed on first use."""
+    Enclosure on this grid, computed on first use, and ``constant_delays``
+    what its bounds say of the lags."""
 
     def __init__(self, spec: EquationSpec, grid_points: int, values: dict | None = None,
                  enclosure: Enclosure | None = None):
+        if grid_points < 2:
+            raise ValueError("grid_points must be >= 2")
         self.spec = spec
         self.grid_points = grid_points
         self.values = {} if values is None else dict(values)  # field -> grid extremum
@@ -242,6 +245,16 @@ class Extrema:
         if self._enclosure is None:
             self._enclosure = enclose(self.spec, self.grid_points)
         return self._enclosure
+
+    @property
+    def constant_delays(self) -> bool:
+        """Whether both lags t - g(t) and t - h(t) stay within 1e-9 max(1,
+        window) of a constant, by the enclosure's bounds on its cells: no
+        varying lag hides between samples, and a NaN bound is not constant."""
+        enc = self.enclosure
+        tol = 1e-9 * max(1.0, self.spec.horizon - self.spec.t0)
+        return (enc.bounds["sigma"] - enc.lag_g_inf <= tol
+                and enc.bounds["tau"] - enc.bounds["delta"] <= tol)
 
     def sample(self, trees) -> None:
         """Sample those of ``trees`` not known yet.  On grids of _MIN_CELL_NODES
@@ -350,8 +363,11 @@ _RUN = 16
 
 def _nodes(spec: EquationSpec, points: int, idx: np.ndarray) -> np.ndarray:
     """The grid nodes of the non-decreasing indices ``idx``, bit for bit as
-    ``linspace`` computes them: node i is i * step + t0, the last the horizon."""
-    ts = idx * ((spec.horizon - spec.t0) / (points - 1))
+    ``linspace`` computes them: node i is i * step + t0, or i / (points - 1)
+    * (horizon - t0) + t0 when the step underflows to 0, the last the horizon."""
+    width = spec.horizon - spec.t0
+    step = width / (points - 1)
+    ts = idx * step if step else idx / (points - 1) * width
     ts += spec.t0
     if idx[-1] == points - 1:
         ts[idx == points - 1] = spec.horizon

@@ -87,8 +87,10 @@ class ParameterSummary:
     integrals of b, tilde_delta <= int_{h(t)}^t b <= tilde_tau and
     int_{g(t)}^t b <= tilde_sigma, are None until ``integral_summary`` fills
     them in; ``notes`` then names the samples it skipped.  ``sampled``
-    names the trees (a, b, g, h) whose grid ``summarize`` sampled itself;
-    it is left out of comparisons, ``repr`` and ``to_dict``.
+    names the trees (a, b, g, h) whose grid ``summarize`` sampled itself,
+    and ``constant_delays`` whether both lags are constant on the window
+    (``Extrema.constant_delays``), which the constant-delay baselines
+    require; both are left out of comparisons, ``repr`` and ``to_dict``.
     """
 
     norm_a: float
@@ -108,6 +110,7 @@ class ParameterSummary:
     provenance: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
     sampled: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    constant_delays: bool = field(default=True, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.norm_a < 1.0):
@@ -156,27 +159,24 @@ def _pick(ov: dict, prov: dict, name: str, estimate=None):
     return float(estimate())
 
 
-def summarize(spec: EquationSpec, grid_points: int = DEFAULT_GRID,
-              extrema: Extrema | None = None) -> ParameterSummary:
+def summarize(spec: EquationSpec, extrema: Extrema | None = None) -> ParameterSummary:
     """Extract the scalar bounds, preferring analytic overrides.
 
     Grid extrema can under-estimate suprema and over-estimate infima; the
     per-field provenance lets callers distinguish certified bounds from
-    sampled ones.  ``extrema`` are the spec's grid extrema on
-    ``grid_points`` points, as ``validate`` reports them; a new Extrema
-    when None.  A tree (a, b, g or h) is sampled only when it has a field
-    without an override, or an override that the spec's enclosure does not
-    clear (``Enclosure.clears``: then no grid value can refute it).  Fields
-    come from overrides and the grid only, never from the enclosure, so
-    the summary is the one that sampling every tree gives.  An override
-    that the grid extrema refute (see REFUTE_SLACK) raises SummaryError.
+    sampled ones.  ``extrema`` are the spec's grid extrema on the
+    request's grid, as ``validate`` reports them; ``Extrema(spec,
+    DEFAULT_GRID)`` when None.  A tree (a, b, g or h) is sampled only when
+    it has a field without an override, or an override that the spec's
+    enclosure does not clear (``Enclosure.clears``: then no grid value can
+    refute it).  The bounds come from overrides and the grid only, never
+    from the enclosure, so the summary is the one that sampling every tree
+    gives; the enclosure decides ``constant_delays`` alone
+    (``Extrema.constant_delays``).  An override that the grid extrema
+    refute (see REFUTE_SLACK) raises SummaryError.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
     if extrema is None:
-        extrema = Extrema(spec, grid_points)
-    elif extrema.grid_points != grid_points:
-        raise ValueError(f"extrema sampled on {extrema.grid_points} points, not {grid_points}")
+        extrema = Extrema(spec, DEFAULT_GRID)
 
     ov = spec.overrides
     slack = REFUTE_SLACK * max(1.0, abs(spec.t0), abs(spec.horizon))
@@ -192,7 +192,7 @@ def summarize(spec: EquationSpec, grid_points: int = DEFAULT_GRID,
                 raise SummaryError(
                     f"override {name} = {ov[name]:.12g} is refuted: it lies "
                     f"{'below' if sup else 'above'} the grid {'supremum' if sup else 'infimum'} "
-                    f"{sampled:.12g} ({grid_points} points)")
+                    f"{sampled:.12g} ({extrema.grid_points} points)")
 
     prov: dict[str, str] = {}
     summary = {name: _pick(ov, prov, name, lambda: known[name]) for name in _SAMPLED}
@@ -200,7 +200,8 @@ def summarize(spec: EquationSpec, grid_points: int = DEFAULT_GRID,
     summary["limsup_int_b"] = _pick(ov, prov, "limsup_int_b")
     if summary["inf_b"] <= 0.0:
         raise SummaryError(f"b must stay positive on the window; estimated inf b = {summary['inf_b']}")
-    return ParameterSummary(**summary, provenance=prov, sampled=tuple(extrema.sampled[before:]))
+    return ParameterSummary(**summary, provenance=prov, sampled=tuple(extrema.sampled[before:]),
+                            constant_delays=extrema.constant_delays)
 
 
 def simpson(expr, lo, hi, panels: int = DEFAULT_PANELS):

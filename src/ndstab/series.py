@@ -151,19 +151,17 @@ def neumann_inverse(
     spec: EquationSpec,
     y: SampledFunction,
     tol: float = 1e-10,
-    norm_a: float | None = None,
 ) -> tuple[SampledFunction, TruncationCert]:
     """Apply (E - S)^{-1} = sum_j S^j to y with a certified geometric tail.
 
-    ``norm_a`` defaults to the sampled sup of |a| on y's grid (override it
-    with a certified bound when available).  The result satisfies
+    ||a|| is the spec's norm_a override when it has one, else the sampled
+    sup of |a| on y's grid.  The result satisfies
     ||result|| <= ||y|| / (1 - ||a||) + tol, which is asserted.
     """
-    if norm_a is None:
-        if "norm_a" in spec.overrides:
-            norm_a = float(spec.overrides["norm_a"])
-        else:
-            norm_a = float(np.max(np.abs(spec.a.eval_array(y.times()))))
+    if "norm_a" in spec.overrides:
+        norm_a = float(spec.overrides["norm_a"])
+    else:
+        norm_a = float(np.max(np.abs(spec.a.eval_array(y.times()))))
     if not (0.0 <= norm_a < 1.0):
         raise ValueError(f"need ||a|| < 1 for the geometric series, got {norm_a}")
 
@@ -231,15 +229,3 @@ def big_B(
         assert lo - slack <= value <= hi + slack, (
             f"series coefficient {value} at t={t} outside [{lo}, {hi}]")
     return value, TruncationCert(terms, tail, tol)
-
-
-def dump_big_B_csv(spec: EquationSpec, ts, fh, tol: float = 1e-10,
-                   summary: ParameterSummary | None = None,
-                   positive_part: bool = False) -> None:
-    """Debug dump of (t, coefficient value, terms kept) triples as CSV."""
-    if summary is None:
-        summary = summarize(spec)
-    fh.write("t,B,terms\r\n")
-    for t in ts:
-        value, cert = big_B(spec, float(t), tol, summary, positive_part)
-        fh.write(f"{float(t):.12g},{value:.12g},{cert.terms}\r\n")

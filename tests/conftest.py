@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ndstab.eqspec import EquationSpec
-from ndstab.params import ParameterSummary
+from ndstab.eqspec import EquationSpec, Extrema
+from ndstab.params import ParameterSummary, summarize
 from ndstab.report import EXAMPLE_IDS, load_corpus_spec
 
 
@@ -40,6 +40,11 @@ def bare(spec: EquationSpec) -> EquationSpec:
     """Copy of a spec with analytic overrides stripped (forces grid estimates)."""
     return EquationSpec(a=spec.a, b=spec.b, g=spec.g, h=spec.h,
                         t0=spec.t0, horizon=spec.horizon, f=spec.f, name=spec.name)
+
+
+def summarize_at(spec: EquationSpec, points: int) -> ParameterSummary:
+    """The summary of a spec on its grid of ``points`` points."""
+    return summarize(spec, Extrema(spec, points))
 
 
 def random_summary(rng: np.random.Generator) -> ParameterSummary:

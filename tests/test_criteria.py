@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bare, random_summary
+from conftest import bare, random_summary, summarize_at
 from ndstab import criteria
 from ndstab.criteria import (
     MissingLimit,
@@ -373,8 +373,9 @@ def test_prop_tang_zou_thresholds():
 
 def test_baselines_reject_variable_delays():
     s = mk(0.3, 0.1, 1.0, 0.0, 1.0, 1.0)
-    assert not check_prop_yu(s, 0.1, constant_delays=False).applicable
-    assert not check_prop_tang_zou(s, 0.1, constant_delays=False).applicable
+    s = replace(s, constant_delays=False)
+    assert not check_prop_yu(s, 0.1).applicable
+    assert not check_prop_tang_zou(s, 0.1).applicable
 
 
 # -- margin structure --------------------------------------------------------------------
@@ -453,7 +454,7 @@ def test_best_verdict_trivial_nondelayed():
     from ndstab.expr import const, tvar
     spec = EquationSpec(a=const(0.0), b=const(1.0), g=tvar(), h=tvar(),
                         t0=0.0, horizon=10.0)
-    verdicts = {v.criterion: v for v in best_verdict(spec, summarize(spec, 2001))}
+    verdicts = {v.criterion: v for v in best_verdict(spec, summarize_at(spec, 2001))}
     assert verdicts["corollary2"].satisfied
     assert verdicts["corollary2"].margin == 1.0
 
@@ -476,8 +477,9 @@ def test_every_verdict_reads_the_summary_sup_a_and_inf_a():
                                    criteria.THEOREM2, criteria.THEOREM2_REMARK, criteria.COROLLARY5_A,
                                    criteria.COROLLARY5_B, criteria.THEOREM3)}
     limsup = estimate_limsup_int_b(spec, summary.tau)
-    baselines = {"prop_yu": check_prop_yu(summary, limsup, False),
-                 "prop_tang_zou": check_prop_tang_zou(summary, limsup, False)}
+    variable = replace(summary, constant_delays=False)
+    baselines = {"prop_yu": check_prop_yu(variable, limsup),
+                 "prop_tang_zou": check_prop_tang_zou(variable, limsup)}
     verdicts = best_verdict(spec, summary)
     assert {v.criterion for v in verdicts} == records.keys() | baselines.keys()
     for v in verdicts:
@@ -722,7 +724,7 @@ def test_records_match_the_reference_on_the_corpus(corpus):
     rng = np.random.default_rng(5)
     for spec in corpus.values():
         for variant in (spec, bare(spec)):
-            s = summarize(variant, 20001)
+            s = summarize_at(variant, 20001)
             if s.limit_tau is None:  # a limiting lag, so that corollary3 is decided
                 s = replace(s, limit_tau=0.5 * (s.delta + s.tau))
             _assert_records_match_reference(s, integral_summary(variant, s), rng)

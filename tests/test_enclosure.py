@@ -11,16 +11,18 @@ the grid route gives.  The grid route is forced by replacing
 
 import contextlib
 import io
+import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bare
-from ndstab import cli, eqspec
+from conftest import bare, summarize_at
+from ndstab import cli, criteria, eqspec, params, report
 from ndstab.eqspec import ENCLOSURE_CELLS, Enclosure, EquationSpec, validate
 from ndstab.expr import TRIG_ALLOWANCE, absval, add, const, cos, div, lag_enclosure, scale, sin, tvar
 from ndstab.params import SummaryError, summarize
@@ -262,7 +264,7 @@ def _parity_specs(corpus):
 
 def _summary_outcome(spec, points, extrema=None):
     try:
-        return repr(summarize(spec, points, extrema=extrema))
+        return repr(summarize(spec, extrema or eqspec.Extrema(spec, points)))
     except (SummaryError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -314,6 +316,11 @@ def test_cli_routes_agree(corpus, monkeypatch, tmp_path):
             return [_cli([cmd[0], path, *cmd[1:]]) for path in paths for cmd in commands]
 
     fast = outcomes()
+    # the baselines read the lags' constancy from the enclosure on either
+    # route: keep the one the real enclosure gives
+    constant_delays, enclose = eqspec.Extrema.constant_delays.fget, eqspec.enclose
+    monkeypatch.setattr(eqspec.Extrema, "constant_delays", property(lambda self: constant_delays(
+        eqspec.Extrema(self.spec, self.grid_points, enclosure=enclose(self.spec, self.grid_points)))))
     monkeypatch.setattr(eqspec, "enclose", _no_proof)
     assert outcomes() == fast
     assert {code for code, _, _ in fast} == {0, 2}
@@ -323,24 +330,24 @@ def test_report_records_its_route(ex1, ex5):
     rep = validate(ex1, 1001)
     assert (rep.route, rep.cells) == ("enclosure", ENCLOSURE_CELLS)
     assert rep.sampled == []
-    assert summarize(ex1, 1001, extrema=rep).sampled == ()  # every field is overridden and cleared
+    assert summarize(ex1, rep).sampled == ()  # every field is overridden and cleared
     assert rep.sampled == []
     # ex5 overrides only the fields of a: summarize samples b, g and h in one pass
     rep = validate(ex5, 1001)
-    assert summarize(ex5, 1001, extrema=rep).sampled == ("b", "g", "h")
+    assert summarize(ex5, rep).sampled == ("b", "g", "h")
     ref = validate(bare(ex5), 1001)
     ref.sample(("h",))
     assert rep.values["tau"] == ref.values["tau"]  # the grid value, read from the same pass
     rep = validate(EquationSpec(a=cos(T), b=const(1.0), g=T, h=T, t0=0.0, horizon=1.0), 101)
     assert (rep.route, rep.sampled) == ("grid", [])
-    assert summarize(bare(ex1), 1001, extrema=validate(bare(ex1), 1001)).sampled == ("a", "b", "g", "h")
+    assert summarize(bare(ex1), validate(bare(ex1), 1001)).sampled == ("a", "b", "g", "h")
 
 
 def test_summary_sampled_trees_stay_out_of_its_record(ex5):
-    s = summarize(ex5, 1001)
+    s = summarize_at(ex5, 1001)
     assert s.sampled == ("b", "g", "h")
     assert "sampled" not in s.to_dict() and "sampled" not in repr(s)
-    assert s == summarize(ex5, 1001, extrema=eqspec.Extrema(ex5, 1001, enclosure=_no_proof(ex5, 1001)))
+    assert s == summarize(ex5, eqspec.Extrema(ex5, 1001, enclosure=_no_proof(ex5, 1001)))
 
 
 def test_corpus_specs_prove_every_check(corpus):
@@ -349,3 +356,94 @@ def test_corpus_specs_prove_every_check(corpus):
         assert enc.proves_checks, name
         assert all(enc.clears(k, v, 1e-12 * 400.0) for k, v in spec.overrides.items()
                    if k in eqspec.FIELD_TREE), name
+
+
+# -- the lags' constancy, read from the request's enclosure ----------------------------
+
+def _one_cell_constancy(spec):
+    """Both lags enclosed on one cell, the whole window, and tested against
+    1e-9 max(1, window): how the baselines decided constancy before the
+    request's enclosure on its cells did."""
+    lo, hi = np.array([spec.t0]), np.array([spec.horizon])
+    tol = 1e-9 * max(1.0, spec.horizon - spec.t0)
+    with np.errstate(all="ignore"):
+        return all(float(np.ptp(lag_enclosure(e, lo, hi))) <= tol for e in (spec.g, spec.h))
+
+
+CONSTANCY_SIZES = (2, 3, 1_025, 100_000)
+
+
+def test_summary_constancy_matches_one_cell_on_the_corpus(corpus):
+    specs = {**corpus, **{name + "-bare": bare(spec) for name, spec in corpus.items()}, **_bench_like_specs()}
+    decided = set()
+    for name, spec in specs.items():
+        want = _one_cell_constancy(spec)
+        decided.add(want)
+        for points in CONSTANCY_SIZES:
+            with np.errstate(all="ignore"):
+                s = summarize(spec, validate(spec, points))
+            assert s.constant_delays == want, (name, points)
+            assert s.constant_delays == summarize_at(spec, points).constant_delays
+    assert decided == {True, False}
+    s = summarize_at(corpus["ex3"], 1001)
+    assert "constant_delays" not in s.to_dict() and "constant_delays" not in repr(s)
+    assert s == replace(s, constant_delays=not s.constant_delays)
+
+
+def test_extrema_constancy_matches_one_cell_on_random_trees():
+    rng = random.Random(20)
+    decided = []
+    for _ in range(60):
+        a, b = (_random_tree(rng, rng.randint(0, 3)) for _ in range(2))
+        g, h = (rng.choice((_random_tree(rng, rng.randint(0, 3)), add(T, _random_tree(rng, rng.randint(0, 2))),
+                            add(T, const(-rng.uniform(0.0, 2.0)))))
+                for _ in range(2))
+        t0 = rng.choice((0.0, 1.0, 1e4))
+        spec = EquationSpec(a=a, b=b, g=g, h=h, t0=t0, horizon=t0 + rng.choice((1e-3, 10.0, 400.0)))
+        want = _one_cell_constancy(spec)
+        decided.append(want)
+        for points in CONSTANCY_SIZES:
+            assert eqspec.Extrema(spec, points).constant_delays == want, (spec.to_dict(), points)
+    assert 5 < sum(decided) < 55
+
+
+def test_check_encloses_the_lags_only_in_validate_and_summarize(corpus, monkeypatch, tmp_path):
+    calls = []
+    enclose_lag = lag_enclosure
+
+    def counted(*args):
+        calls.append(1)
+        return enclose_lag(*args)
+
+    for mod in (eqspec, criteria, params, report, cli):
+        if getattr(mod, "lag_enclosure", None) is enclose_lag:
+            monkeypatch.setattr(mod, "lag_enclosure", counted)
+    for name, spec in corpus.items():
+        path = tmp_path / f"{name}.json"
+        eqspec.save_spec(spec, path)
+        del calls[:]
+        rep = validate(spec, 100_000)
+        in_validate = len(calls)
+        summary = summarize(spec, rep)
+        in_request = len(calls)
+        criteria.best_verdict(spec, summary)
+        assert len(calls) == in_request and in_validate == 2, name
+        del calls[:]
+        assert _cli(["check", str(path)])[0] == 0
+        assert len(calls) == in_request, name
+
+
+def test_check_sees_a_lag_that_varies_between_samples(tmp_path):
+    # h's lag 1 + 0.5 |sin(t / 2)| is 1.0 at every node of a 2,001-point grid
+    # of [0, 4000 pi] and reaches 1.5 between them
+    spec = EquationSpec(a=const(0.1), b=const(0.3), g=add(T, const(-0.5)),
+                        h=add(T, const(-1.0), scale(-0.5, absval(sin(scale(0.5, T))))),
+                        t0=0.0, horizon=4000 * math.pi)
+    path = tmp_path / "aliased.json"
+    eqspec.save_spec(spec, path)
+    for points in ("2001", "100000"):
+        code, out, _ = _cli(["check", str(path), "--json", "--grid", points])
+        verdicts = {v["criterion"]: v for v in json.loads(out)}
+        assert code == 0
+        for name in ("prop_yu", "prop_tang_zou"):
+            assert not verdicts[name]["applicable"] and verdicts[name]["notes"] == ["constant delays required"]

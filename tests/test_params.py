@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import bare
+from conftest import bare, summarize_at
 from ndstab import criteria, params
 from ndstab.eqspec import EquationSpec
 from ndstab.expr import DomainError, add, const, div, mul, scale, sin, tvar
@@ -25,7 +25,7 @@ T = tvar()
 
 
 def test_summarize_ex2_estimates(ex2):
-    s = summarize(bare(ex2), 100_000)
+    s = summarize_at(bare(ex2), 100_000)
     assert s.norm_a == pytest.approx(0.6, abs=1e-6)
     assert s.inf_a == pytest.approx(0.4, abs=1e-6)
     assert s.sigma == pytest.approx(1.0, abs=1e-6)
@@ -37,7 +37,7 @@ def test_summarize_ex2_estimates(ex2):
 
 
 def test_summarize_ex4_sign_split(ex4):
-    s = summarize(bare(ex4), 100_000)
+    s = summarize_at(bare(ex4), 100_000)
     assert s.norm_a == pytest.approx(0.6, abs=1e-6)
     assert s.norm_a_plus == pytest.approx(0.6, abs=1e-6)
     assert s.norm_a_minus == pytest.approx(0.6, abs=1e-6)
@@ -49,12 +49,12 @@ def test_summarize_ex4_sign_split(ex4):
 
 def test_summarize_degenerate_non_neutral():
     spec = EquationSpec(a=const(0.0), b=const(1.0), g=T, h=T, t0=0.0, horizon=10.0)
-    s = summarize(spec, 1001)
+    s = summarize_at(spec, 1001)
     assert s.norm_a == 0.0 and s.sigma == 0.0 and s.tau == 0.0 and s.delta == 0.0
 
 
 def test_summarize_prefers_overrides(ex1):
-    s = summarize(ex1, 1001)
+    s = summarize_at(ex1, 1001)
     assert s.norm_a == 0.6 and s.provenance["norm_a"] == ANALYTIC
     assert s.limit_tau == 0.14 and s.provenance["limit_tau"] == ANALYTIC
 
@@ -62,7 +62,7 @@ def test_summarize_prefers_overrides(ex1):
 def test_summarize_rejects_nonpositive_b():
     spec = EquationSpec(a=const(0.1), b=sin(T), g=T, h=T, t0=0.0, horizon=10.0)
     with pytest.raises(SummaryError):
-        summarize(spec, 1001)
+        summarize_at(spec, 1001)
 
 
 def test_sign_split_pointwise_identity(corpus):
@@ -77,8 +77,8 @@ def test_sign_split_pointwise_identity(corpus):
 
 def test_refining_grid_monotone(ex2):
     spec = bare(ex2)
-    coarse = summarize(spec, 2001)
-    fine = summarize(spec, 4001)
+    coarse = summarize_at(spec, 2001)
+    fine = summarize_at(spec, 4001)
     assert fine.norm_a >= coarse.norm_a
     assert fine.norm_b >= coarse.norm_b
     assert fine.sigma >= coarse.sigma
@@ -194,7 +194,7 @@ def test_integral_summary_constant_b_matches_delay_bounds():
     spec = EquationSpec(a=const(0.2), b=const(c),
                         g=add(T, const(-0.4)), h=add(T, const(-lag)),
                         t0=0.0, horizon=50.0)
-    s = summarize(spec, 10_001)
+    s = summarize_at(spec, 10_001)
     isum = integral_summary(spec, s)
     assert isum.tilde_tau == pytest.approx(c * s.tau, abs=1e-10)
     assert isum.tilde_delta == pytest.approx(c * s.delta, abs=1e-10)
@@ -207,7 +207,7 @@ def test_integral_summary_reads_no_a():
     good = EquationSpec(a=const(0.2), b=const(0.7), g=add(T, const(-0.4)), h=add(T, const(-1.3)),
                         t0=0.0, horizon=50.0)
     bad = replace(good, a=div(const(0.2), add(T, const(-float(good.grid(513)[7])))))
-    s = summarize(good, 10_001)
+    s = summarize_at(good, 10_001)
     assert integral_summary(bad, s) == integral_summary(good, s)
 
 
@@ -217,7 +217,7 @@ def test_integral_summary_tilde_tau0_formula(ex5):
 
 
 def test_summary_serialization_carries_provenance(ex1):
-    d = summarize(ex1, 1001).to_dict()
+    d = summarize_at(ex1, 1001).to_dict()
     assert d["provenance"]["norm_a"] == ANALYTIC
     assert d["sign_split_convention"] == "u- = max(-u, 0)"
 

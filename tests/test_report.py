@@ -2,12 +2,13 @@ import io
 import json
 import math
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from ndstab import criteria
+from conftest import summarize_at
+from ndstab import criteria, report
 from ndstab.eqspec import EquationSpec
 from ndstab.expr import absval, add, const, cos, div, scale, sin, tvar
 from ndstab.params import ParameterSummary, summarize
@@ -72,7 +73,7 @@ def test_sweep_cells_match_main_test(ex2):
     rs = rng.uniform(0.01, 0.25, 25)
     for row in sweep_alpha_r(ex2, alphas):
         for r in rs:
-            v = criteria.check_theorem1(summarize(scale_b(ex2, r), 101), row.alpha)
+            v = criteria.check_theorem1(summarize_at(scale_b(ex2, r), 101), row.alpha)
             assert (row.r_lower <= r < row.r_upper) == (v.applicable and v.satisfied), (row.alpha, r)
     # and on 50 random summaries, 1000 cells each, plus each row's edges and
     # their neighbours; b enters the summary as norm_b and inf_b, which scale
@@ -80,10 +81,10 @@ def test_sweep_cells_match_main_test(ex2):
     pyrng = random.Random(42)
     for i in range(50):
         spec = _spec_like_generated(pyrng, i)
-        s = summarize(spec, 1001)
+        s = summarize_at(spec, 1001)
         alphas = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 38)))
         rs = rng.uniform(0.001, 1.0, 25)
-        assert summarize(scale_b(spec, rs[0]), 1001) == s.scale_b(rs[0])
+        assert summarize_at(scale_b(spec, rs[0]), 1001) == s.scale_b(rs[0])
         for row in sweep_alpha_r(spec, alphas, summary=s):
             edges = [e for e in (row.r_lower, row.r_upper) if 0.0 < e < math.inf]
             for r in [*rs, *edges, *(math.nextafter(e, d) for e in edges for d in (0.0, math.inf))]:
@@ -112,6 +113,14 @@ def test_sweep_csv_deterministic(ex2):
     header, first = blobs[0].split("\r\n")[:2]
     assert header == "alpha,r_lower,r_upper"
     assert first.startswith("0,")
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex3", "ex4"])
+def test_reference_grid_of_a_is_the_override_free_summary(corpus, name):
+    spec = corpus[name]
+    grid, summary = report._grid(spec), summarize_at(replace(spec, overrides={}), 20001)
+    assert (grid["norm_a"], grid["inf_a"]) == (summary.norm_a, summary.inf_a)
+    assert spec.overrides  # the summary with the overrides would read them instead
 
 
 def test_reports_match_flags(corpus):

@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import bare
+from conftest import bare, summarize_at
 from ndstab import eqspec
 from ndstab.eqspec import (ENCLOSURE_CELLS, FIELD_TREE, SAMPLE_BLOCK, TREES, Enclosure, EquationSpec, Extrema,
                            grid_blocks, validate)
@@ -126,7 +126,7 @@ def _fields(summary):
 
 
 def _summary_fields(spec, grid_points):
-    s = summarize(spec, grid_points)
+    s = summarize_at(spec, grid_points)
     assert set(s.provenance.values()) == {GRID_ESTIMATE}
     return _fields(s)
 
@@ -156,6 +156,15 @@ def test_grid_blocks_reproduce_the_grid(ex5, points):
     blocks = list(grid_blocks(ex5, points))
     assert all(len(b) <= SAMPLE_BLOCK for b in blocks)
     assert np.array_equal(np.concatenate(blocks), ex5.grid(points))
+
+
+@pytest.mark.parametrize("t0, horizon, points", [
+    (0.0, 1.5e-323, 10),  # the step underflows to 0: linspace's i / (n - 1) * width branch
+    (0.0, 1.5e-323, 2), (0.0, 5e-324, 100_000),
+    (1.0, 401.0, 2), (1.0, 401.0, 8_193), (0.3, 7.7, 100_000)])
+def test_grid_blocks_are_the_grid_bit_for_bit(t0, horizon, points):
+    spec = EquationSpec(a=const(0.1), b=const(1.0), g=T, h=T, t0=t0, horizon=horizon)
+    assert np.concatenate(list(grid_blocks(spec, points))).tobytes() == spec.grid(points).tobytes()
 
 
 @pytest.mark.parametrize("points", SIZES)
@@ -390,9 +399,12 @@ def test_summarize_error_names_the_first_singular_coefficient():
 def test_summarize_with_validation_extrema(corpus):
     for spec in corpus.values():
         rep = validate(spec, 4096)
-        assert summarize(spec, 4096, extrema=rep) == summarize(spec, 4096)
-    with pytest.raises(ValueError, match="4096 points"):
-        summarize(spec, 2048, extrema=rep)
+        assert summarize(spec, rep) == summarize_at(spec, 4096)
+
+
+def test_extrema_need_two_points(ex1):
+    with pytest.raises(ValueError, match="grid_points must be >= 2"):
+        summarize(ex1, Extrema(ex1, 1))
 
 
 def test_overrides_refuted_by_the_grid():
@@ -400,13 +412,13 @@ def test_overrides_refuted_by_the_grid():
                         g=add(T, const(-0.2), scale(-0.1, absval(sin(T)))),
                         h=add(T, const(-0.14), scale(-0.05, sin(T))), t0=0.0, horizon=50.0)
     exact = _grid_extrema(spec, 1001)
-    s = summarize(EquationSpec(**{**vars(spec), "overrides": exact}), 1001)
+    s = summarize_at(EquationSpec(**{**vars(spec), "overrides": exact}), 1001)
     assert set(s.provenance.values()) == {ANALYTIC}
     slack = 1e-12 * 50.0
     for name, value in exact.items():
         infimum = name in ("inf_a", "inf_b", "delta")
         within = value + slack / 2 if infimum else value - slack / 2
-        summarize(EquationSpec(**{**vars(spec), "overrides": {**exact, name: within}}), 1001)
+        summarize_at(EquationSpec(**{**vars(spec), "overrides": {**exact, name: within}}), 1001)
         false = value + 2 * slack if infimum else value - 2 * slack
         with pytest.raises(SummaryError, match=f"override {name} = .* is refuted"):
-            summarize(EquationSpec(**{**vars(spec), "overrides": {**exact, name: false}}), 1001)
+            summarize_at(EquationSpec(**{**vars(spec), "overrides": {**exact, name: false}}), 1001)

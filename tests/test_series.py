@@ -262,13 +262,3 @@ def test_big_B_requires_positive_a(ex4):
     with pytest.raises(ValueError):
         big_B(ex4, 5.0, summary=s)
 
-
-def test_big_B_csv_dump(ex1):
-    import io
-    from ndstab.series import dump_big_B_csv
-    fh = io.StringIO()
-    dump_big_B_csv(ex1, [5.0, 10.0], fh, summary=summarize(ex1))
-    lines = fh.getvalue().split("\r\n")
-    assert lines[0] == "t,B,terms"
-    assert len(lines) == 4 and lines[3] == ""
-    assert lines[1].startswith("5,")
