@@ -51,7 +51,6 @@ from .simulate import (
     SeededHistory,
     Trajectory,
     decay_rate,
-    forced_bound_check,
     fundamental,
     integrate,
     lemma4_check,
@@ -81,8 +80,8 @@ __all__ = [
     "check_corollary5", "check_corollary_main", "check_prop_tang_zou",
     "check_prop_yu", "check_theorem1", "check_theorem2", "check_theorem3",
     "compare_baselines", "corpus_dir", "decay_rate", "delay_chain_bounds",
-    "forced_bound_check", "fundamental", "integral_summary", "integrate",
-    "iterated_delay", "lemma4_check", "lemma5_condition", "load_corpus_spec",
-    "load_spec", "neumann_inverse", "parse_expr", "reproduce_examples",
-    "save_spec", "summarize", "sweep_alpha_r", "tau0", "tau_bar", "validate",
+    "fundamental", "integral_summary", "integrate", "iterated_delay",
+    "lemma4_check", "lemma5_condition", "load_corpus_spec", "load_spec",
+    "neumann_inverse", "parse_expr", "reproduce_examples", "save_spec",
+    "summarize", "sweep_alpha_r", "tau0", "tau_bar", "validate",
 ]

@@ -7,7 +7,7 @@ Subcommands: ``check`` (run every stability test on a spec), ``simulate``
 
 Exit codes: 0 on success, 1 when a benchmark reproduction has unwaived
 mismatches, 2 on a specification parse or validation failure, including
-override values or coefficients that the analysis rejects.
+override values, coefficients and integrations that the analysis rejects.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import numpy as np
 
 from . import criteria, report
 from .criteria import MissingLimit
-from .eqspec import SpecError, load_spec, validate
+from .eqspec import DEFAULT_GRID, SpecError, load_spec, validate
 from .expr import DomainError, sin, tvar
 from .params import QuadratureError, SummaryError, summarize
-from .simulate import SeededHistory, fundamental, integrate
+from .simulate import FixedPointDivergence, SeededHistory, fundamental, integrate
 
 PROG = "ndstab"
 MAX_ALPHA_POINTS = 100_001  # the most alphas an --alpha-grid may hold (0:1:1e-5)
@@ -34,8 +34,7 @@ MAX_ALPHA_POINTS = 100_001  # the most alphas an --alpha-grid may hold (0:1:1e-5
 # step 3e-5, 33 times the 300,000 of the longest bundled run.  The
 # trajectory holds about 24 bytes a step.
 MAX_STEPS = 10_000_000
-# The most points that check --grid may sample: 100 times the default.
-MAX_GRID_POINTS = 10_000_000
+MAX_GRID_POINTS = 100 * DEFAULT_GRID  # the most points that check --grid may sample
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="path to a JSON equation spec")
     p.add_argument("--alpha", default="auto",
                    help="'auto' (optimize per test) or a fixed value in [0,1]")
-    p.add_argument("--grid", type=int, default=100_000,
-                   help="validation/summary grid points (default 100000)")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                   help="validation/summary grid points (default %(default)s)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(handler=_cmd_check)
 
@@ -108,7 +107,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _load_validated(path, grid: int = 100_000):
+def _load_validated(path, grid: int = DEFAULT_GRID):
     """The spec at ``path`` and its validation report, which carries the
     grid extrema for ``summarize``."""
     spec = load_spec(path)
@@ -324,7 +323,7 @@ def run(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # NaN and overflow show in the verdicts, not as warnings
             return args.handler(args)
-    except (SpecError, SummaryError, QuadratureError, MissingLimit, DomainError) as exc:
+    except (SpecError, SummaryError, QuadratureError, MissingLimit, DomainError, FixedPointDivergence) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,15 @@ OVERRIDE_KEYS = frozenset({
 
 
 _SPEC_KEYS = frozenset({"a", "b", "g", "h", "t0", "horizon", "f", "overrides", "name"})
+
+DEFAULT_GRID = 100_000  # points of the grid that validate and summarize sample by default
+# The deepest expression a spec file may hold: the bundled trees are at most
+# 5 deep, and a tree walk takes one or two of Python's 1,000 frames a level.
+MAX_EXPR_DEPTH = 100
+# What load_spec skips to count the nesting of JSON text: a string (an
+# unterminated one runs to the end), or a run of neither brackets nor quotes.
+_JSON_SKIP = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[^][{}"]+', re.S)
+_JSON_NEST = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 class SpecError(ValueError):
@@ -113,7 +124,7 @@ class EquationSpec:
             )
         except SpecError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"malformed specification: {exc}") from exc
 
 
@@ -121,10 +132,18 @@ def load_spec(path) -> EquationSpec:
     """Read a JSON specification file."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # Depth first, as the decoder recurses once a level.  The top-level object
+    # holds the expressions, and text nests no deeper than it has brackets.
+    if text.count("[") + text.count("{") > MAX_EXPR_DEPTH + 1:
+        nesting = accumulate(map(_JSON_NEST.__getitem__, _JSON_SKIP.sub("", text)))
+        if max(nesting, default=0) > MAX_EXPR_DEPTH + 1:
+            raise SpecError(f"{path}: expressions nested deeper than {MAX_EXPR_DEPTH} levels")
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # also an integer of more digits than int() converts
         raise SpecError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecError(f"top-level JSON object expected in {path}")
@@ -620,7 +639,7 @@ def _domain_check(label, den, spec, points) -> AssumptionCheck:
     return wit.check(f"domain_{label}", _DOMAIN.format(label))
 
 
-def validate(spec: EquationSpec, grid_points: int = 100_000) -> ValidationReport:
+def validate(spec: EquationSpec, grid_points: int = DEFAULT_GRID) -> ValidationReport:
     """Check the structural assumptions on a uniform grid over the window.
 
     Violations are report entries with witness times, never exceptions.
@@ -660,7 +679,10 @@ def validate(spec: EquationSpec, grid_points: int = 100_000) -> ValidationReport
     # Finite-horizon proxy: on [t0, horizon] we can only check that the delay
     # arguments eventually exceed t0; unboundedness above is out of reach.
     for label, e in (("g", spec.g), ("h", spec.h)):
-        reached = e.evaluate(spec.horizon) > spec.t0
+        try:
+            reached = e.evaluate(spec.horizon) > spec.t0
+        except ValueError:  # math.sin or math.cos of an infinity
+            reached = False
         checks.append(AssumptionCheck(
             f"a3_reach_{label}", f"{label}(horizon) > t0 (finite-horizon proxy for {label} -> inf)",
             bool(reached), () if reached else (float(spec.horizon),)))

@@ -20,13 +20,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .eqspec import FIELD_TREE, INFIMA, SAMPLE_BLOCK, EquationSpec, Extrema
+from .eqspec import DEFAULT_GRID, FIELD_TREE, INFIMA, SAMPLE_BLOCK, EquationSpec, Extrema
 from .expr import DomainError, Expr
 
 GRID_ESTIMATE = "grid-estimate"
 ANALYTIC = "analytic-override"
 
-DEFAULT_GRID = 100_000
 DEFAULT_PANELS = 2048
 _INTEGRAL_SAMPLES = 513  # sample times t of integral_summary
 _LIMSUP_SAMPLES = 257    # sample times t of estimate_limsup_int_b

@@ -53,6 +53,11 @@ from .params import simpson
 
 _DEGENERATE_LAG = 1e-14
 
+# The recovery of x from y, a contraction by A0 < 1 an iteration, stops at
+# the first residual under FP_TOL and fails after FP_MAX_ITER iterations.
+FP_TOL = 1e-12
+FP_MAX_ITER = 100
+
 # Rows per write in Trajectory.write_csv, each block formatted by one %
 # operation: a write and a format call per row cost more than the number
 # formatting, and one string for the whole trajectory would hold every row
@@ -266,23 +271,15 @@ def _evaluate_whole_run(spec, hist_scalar, hist_array, forcing, initial_value,
         hist_scalar(g0)
 
 
-def integrate(
-    spec: EquationSpec,
-    history,
-    t_end: float,
-    step: float,
-    forcing=None,
-    initial_value: float | None = None,
-    fp_tol: float = 1e-12,
-    fp_max_iter: int = 100,
-) -> Trajectory:
+def integrate(spec: EquationSpec, history, t_end: float, step: float, forcing=None,
+              initial_value: float | None = None) -> Trajectory:
     """Integrate the initial value problem forward from t0 to (at least) t_end.
 
     ``history`` supplies x(t) for t <= t0 (a constant, an Expr, or any
     callable); ``initial_value`` overrides x(t0) when the initial point is
     detached from the history (used for fundamental functions).  The grid
     step is fixed.  Raises FixedPointDivergence when the x-recovery
-    iteration fails to contract within ``fp_max_iter`` iterations.
+    iteration fails to contract within FP_MAX_ITER iterations.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -305,11 +302,10 @@ def integrate(
         if k_chunk >= 8:
             path = "chunked"
             _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps,
-                             min(k_chunk, 4096), fp_tol, fp_max_iter, stats)
+                             min(k_chunk, 4096), stats)
         else:
             path = "scalar"
-            _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
-                            fp_tol, fp_max_iter, stats)
+            _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats)
     except (ValueError, FixedPointDivergence):
         _evaluate_whole_run(spec, hist_scalar, hist_array, forcing, initial_value,
                             t0, step, n_steps)
@@ -337,15 +333,16 @@ def _divergence(t_i):
         f"x-recovery did not contract at t={t_i} (|a| >= 1 or broken spec?)")
 
 
-def _fixed_point(i, frac, x, yi, ai, t_i, fp_tol, fp_max_iter, stats):
+def _fixed_point(i, frac, x, yi, ai, t_i, stats):
     """Fixed-point recovery of x[i] = yi + ai (x[i-1] + frac (x[i] - x[i-1])), on
     Python floats from x[i] = x[i-1]; x[i] is written once, also on divergence."""
     xj = cur = float(x[i - 1])
-    for it in range(1, fp_max_iter + 1):
+    tol = FP_TOL
+    for it in range(1, FP_MAX_ITER + 1):
         new = yi + ai * (xj + frac * (cur - xj))
         resid = abs(new - cur)
         cur = new
-        if resid < fp_tol:
+        if resid < tol:
             x[i] = cur
             stats.iters_max = max(stats.iters_max, it)
             stats.resid_max = max(stats.resid_max, resid)
@@ -354,8 +351,7 @@ def _fixed_point(i, frac, x, yi, ai, t_i, fp_tol, fp_max_iter, stats):
     raise _divergence(t_i)
 
 
-def _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps, k_chunk,
-                     fp_tol, fp_max_iter, stats):
+def _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps, k_chunk, stats):
     # All stage lookups inside a chunk land at or before the chunk start,
     # so a whole chunk of y-updates is a pure quadrature accumulation.  A
     # block of whole chunks fills buffers that every block reuses with the
@@ -439,11 +435,10 @@ def _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps, k
                 ii, jj, w = nodes[i2:e2], jn[i2:e2], fn[i2:e2]
                 x[ii] = y[ii] + an[i2:e2] * (x[jj] * (1.0 - w) + x[jj + 1] * w)
             if i3 < e3:
-                _wavefront(nodes[i3:e3], jn[i3:e3], fn[i3:e3], an[i3:e3], x, y,
-                           t0, step, fp_tol, fp_max_iter, stats)
+                _wavefront(nodes[i3:e3], jn[i3:e3], fn[i3:e3], an[i3:e3], x, y, t0, step, stats)
 
 
-def _wavefront(nodes, jn, fn, an, x, y, t0, step, fp_tol, fp_max_iter, stats):
+def _wavefront(nodes, jn, fn, an, x, y, t0, step, stats):
     """Recover x at the hard nodes of one chunk (ascending, g past the chunk
     start, x at g indexed jn and weighted fn, a = an there) bit-for-bit as
     the node-by-node iteration would, in rounds: from the first unresolved
@@ -459,10 +454,9 @@ def _wavefront(nodes, jn, fn, an, x, y, t0, step, fp_tol, fp_max_iter, stats):
     while k < len(nodes):
         stop = stops[k]
         if stop == k:
-            _accept(nodes[checked:k], x, t0, step, fp_tol, fp_max_iter, stats)
+            _accept(nodes[checked:k], x, t0, step, stats)
             p = int(nodes[k])
-            _fixed_point(p, float(fn[k]), x, float(yh[k]), float(an[k]), t0 + step * p,
-                         fp_tol, fp_max_iter, stats)
+            _fixed_point(p, float(fn[k]), x, float(yh[k]), float(an[k]), t0 + step * p, stats)
             stats.hard, stats.self_ref = stats.hard - 1, stats.self_ref + 1
             k = checked = k + 1
             continue
@@ -470,36 +464,29 @@ def _wavefront(nodes, jn, fn, an, x, y, t0, step, fp_tol, fp_max_iter, stats):
         xj = x[jj]
         x[nodes[k:stop]] = yh[k:stop] + an[k:stop] * (xj + fn[k:stop] * (x1[jj] - xj))
         k = stop
-    _accept(nodes[checked:], x, t0, step, fp_tol, fp_max_iter, stats)
+    _accept(nodes[checked:], x, t0, step, stats)
 
 
-def _accept(ii, x, t0, step, fp_tol, fp_max_iter, stats):
+def _accept(ii, x, t0, step, stats):
     """The node-by-node loop's outcome at hard nodes ii whose x holds the
     closed form: from final interpolation nodes the second iterate repeats
-    the first, so the loop takes one iteration when |x_i - x_{i-1}| < fp_tol
+    the first, so the loop takes one iteration when |x_i - x_{i-1}| < FP_TOL
     and two (the second with residual 0) otherwise, and fails on non-finite x_i."""
     if not len(ii):
         return
     new = x[ii]
     r1 = np.abs(new - x[ii - 1])
-    two_ok = fp_max_iter >= 2 and 0.0 < fp_tol
     r_hi = np.maximum.reduce(r1)  # NaN if any r1 is
-    if not (two_ok and r_hi < math.inf):
-        ok = np.isfinite(new)
-        if not two_ok:
-            ok &= (r1 < fp_tol) & (fp_max_iter >= 1)
-        if not ok.all():
-            raise _divergence(t0 + step * int(ii[ok.argmin()]))
-    if r_hi < fp_tol:
+    if not r_hi < math.inf and not (ok := np.isfinite(new)).all():
+        raise _divergence(t0 + step * int(ii[ok.argmin()]))
+    if r_hi < FP_TOL:
         stats.resid_max = max(stats.resid_max, float(r_hi))
         return
     stats.iters_max = max(stats.iters_max, 2)
-    if np.fmin.reduce(r1) < fp_tol:  # fmin skips NaN
-        stats.resid_max = max(stats.resid_max, float(r1[r1 < fp_tol].max()))
+    stats.resid_max = max(stats.resid_max, float(np.max(r1, where=r1 < FP_TOL, initial=0.0)))
 
 
-def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
-                    fp_tol, fp_max_iter, stats):
+def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats):
     # xb and yb are x and y at the nodes lo to hi of the current block.
     a_at, g_at = spec.a.evaluate, spec.g.evaluate
     inv_step = 1.0 / step
@@ -541,8 +528,7 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
         xq = lookup_committed(q) if q <= t_n else x_in_step(q, s, y_s)
         return -bs[k] * xq + fs[k]
 
-    half, sixth = 0.5 * step, step / 6.0
-    one_ok, two_ok = fp_max_iter >= 1, fp_max_iter >= 2 and 0.0 < fp_tol  # as in _accept
+    half, sixth, tol = 0.5 * step, step / 6.0, FP_TOL
     near, below, self_ref, iters, resid = 0, 0, 0, 1, 0.0
     for lo in range(0, n_steps, _SCALAR_BLOCK_STEPS):
         hi = min(lo + _SCALAR_BLOCK_STEPS, n_steps)
@@ -575,13 +561,13 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps,
                 xb[m + 1] = yi + ai * float(hist_scalar(q))
             elif (j := min(int(pos := (q - t0) / step), n)) == n:
                 self_ref += 1
-                _fixed_point(m + 1, pos - j, xb, yi, ai, t_i, fp_tol, fp_max_iter, stats)
+                _fixed_point(m + 1, pos - j, xb, yi, ai, t_i, stats)
             else:  # x[j] and x[j + 1] are final: the closed form of _fixed_point
                 xj, xj1 = (xb[j - lo], xb[j - lo + 1]) if j >= lo else (x.item(j), x.item(j + 1))
                 new = xb[m + 1] = yi + ai * (xj + (pos - j) * (xj1 - xj))
-                if one_ok and (r1 := abs(new - xb[m])) < fp_tol:
+                if (r1 := abs(new - xb[m])) < tol:
                     resid = max(resid, r1)
-                elif two_ok and new - new == 0.0:  # the second residual, 0 unless new is inf or nan
+                elif new - new == 0.0:  # the second residual, 0 unless new is inf or nan
                     iters = 2
                 else:
                     raise _divergence(t_i)
@@ -706,10 +692,3 @@ def decay_rate(traj: Trajectory, warmup: float, window: float) -> DecayEstimate:
         verdict = "inconclusive"
     return DecayEstimate(window_length=window, window_mids=tuple(mids),
                          window_sups=tuple(sups), rate=rate, verdict=verdict)
-
-
-def forced_bound_check(spec: EquationSpec, forcing, t_end: float, step: float) -> float:
-    """Boundedness smoke test: integrate from a zero history under a bounded
-    forcing and return sup |x| on [t0, t_end]."""
-    traj = integrate(spec, 0.0, t_end, step, forcing=forcing)
-    return float(np.max(np.abs(traj.x)))

@@ -644,3 +644,61 @@ def test_junk_option_values_exit_0_or_2(tmp_path, data):
             code = exc.code
     assert code in (0, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+# -- junk spec files ---------------------------------------------------------------
+
+# numbers as JSON text: ordinary, zero, tiny, huge, non-finite, an integer
+# too large for a float and one of more digits than Python converts
+_SPEC_NUMBERS = ("0.5", "0.25", "-0.3", "2", "0", "-0.0", "5e-324", "1e308", "-1e308", "1e400",
+                 "NaN", "Infinity", "-Infinity", "1" + "0" * 400, "9" * 5000)
+_NUMBER = st.sampled_from(_SPEC_NUMBERS)
+# every grammar tag, in trees of a few nodes
+_SPEC_TREES = st.recursive(
+    st.just('["t"]') | _NUMBER.map('["const", {}]'.format),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(("sin", "cos", "abs")), kids).map('["{0[0]}", {0[1]}]'.format),
+        st.tuples(_NUMBER, kids).map('["scale", {0[0]}, {0[1]}]'.format),
+        st.tuples(st.sampled_from("+*"), st.lists(kids, min_size=1, max_size=3)).map(
+            lambda p: f'["{p[0]}", {", ".join(p[1])}]'),
+        st.tuples(kids, kids).map('["/", {0[0]}, {0[1]}]'.format)),
+    max_leaves=6)
+# one layer of a deep chain, as the text before and after the inner tree
+_LAYERS = (('["sin", ', "]"), ('["abs", ', "]"), ('["scale", 0.5, ', "]"), ('["+", ', "]"),
+           ('["*", ["const", 0.5], ', "]"), ('["/", ', ', ["const", 2]]'))
+# ex1 without its overrides, as JSON text
+_SPEC_BASE = {"a": '["const", 0.6]', "b": '["const", 1.0]',
+              "g": '["+", ["t"], ["scale", -0.2, ["abs", ["sin", ["t"]]]]]',
+              "h": '["+", ["t"], ["const", -0.14]]', "t0": "0.0", "horizon": "400.0"}
+_SPEC_ARGV = {"check": [], "compare": [], "sweep": ["--alpha-grid=0:1:0.5"],
+              "simulate": ["--t-end=0.1"], "fundamental": ["--s=0", "--t-end=0.1"]}
+
+
+@st.composite
+def _junk_spec_text(draw):
+    """A spec file's text: ex1 with some of its trees replaced by random
+    ones, some wrapped in chains up to a few thousand deep (as text, since
+    json.dumps recurses), and maybe junk numbers for t0, horizon or an
+    override."""
+    fields = dict(_SPEC_BASE)
+    for key in draw(st.lists(st.sampled_from("abghf"), min_size=1, max_size=2, unique=True)):
+        before, after = draw(st.sampled_from(_LAYERS))
+        depth = draw(st.sampled_from((0, 0, 1, 98, 99, 100, 101, 500, 3000)))
+        fields[key] = before * depth + draw(_SPEC_TREES) + after * depth
+    for key in draw(st.lists(st.sampled_from(("t0", "horizon", "overrides")), max_size=1)):
+        number = draw(_NUMBER)
+        fields[key] = f'{{"norm_a": {number}}}' if key == "overrides" else number
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_SPEC_ARGV)), text=_junk_spec_text())
+def test_junk_spec_files_exit_0_or_2(tmp_path, command, text):
+    path = tmp_path / "junk.json"
+    path.write_text(text)
+    argv = [command, str(path), *_SPEC_ARGV[command]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2), (argv, text[:300], err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

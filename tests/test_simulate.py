@@ -14,7 +14,6 @@ from ndstab.simulate import (
     SeededHistory,
     Trajectory,
     decay_rate,
-    forced_bound_check,
     fundamental,
     integrate,
     lemma4_check,
@@ -130,7 +129,7 @@ def _reference_lookup(qs, x, committed, t0, step, phi_vals):
 
 
 def _reference_advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
-                               t0, step, n_steps, k_chunk, fp_tol, fp_max_iter, stats):
+                               t0, step, n_steps, k_chunk, stats):
     """The chunked integrator as it was before wavefront recovery: lookups
     and node classes per chunk, hard nodes recovered one by one."""
     pos = 0
@@ -162,11 +161,11 @@ def _reference_advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
             j = min(int(q), i - 1)
             frac = q - j
             x[i] = x[i - 1]
-            for it in range(1, fp_max_iter + 1):
+            for it in range(1, 101):
                 new = yi + ai * (x[j] + frac * (x[j + 1] - x[j]))
                 resid = abs(new - x[i])
                 x[i] = new
-                if resid < fp_tol:
+                if resid < 1e-12:
                     stats.iters_max = max(stats.iters_max, it)
                     stats.resid_max = max(stats.resid_max, resid)
                     break
@@ -221,14 +220,10 @@ def test_wavefront_recovery_matches_sequential_loop(corpus, name, t_end):
         assert new.fp_iterations_max == 1 and new.fp_residual_max > 0.0
 
 
-@pytest.mark.parametrize("case", ["expanding", "one_iteration_allowed"])
-def test_wavefront_divergence_reports_the_sequential_node(ex4, case):
-    if case == "expanding":
-        spec = spec_of(const(1.5), const(1.0), add(T, const(-0.003)), add(T, const(-0.02)))
-        args = (spec, 1.0, 6.0, 1e-3)
-    else:
-        args = (ex4, 1.0, 5.0, 1e-3, None, None, 1e-12, 1)
-    new, ref = _divergence_messages(*args)
+@pytest.mark.parametrize("case", ["expanding"])
+def test_wavefront_divergence_reports_the_sequential_node(case):
+    spec = spec_of(const(1.5), const(1.0), add(T, const(-0.003)), add(T, const(-0.02)))
+    new, ref = _divergence_messages(spec, 1.0, 6.0, 1e-3)
     assert new == ref
 
 
@@ -273,8 +268,7 @@ def test_block_csv_writer_matches_per_row_format():
 
 # -- scalar loop on Python floats against its numpy-scalar form ---------------------
 
-def _reference_recover_node(i, x, y, a_n, g_n, t0, step, hist_scalar, fp_tol, fp_max_iter,
-                            stats):
+def _reference_recover_node(i, x, y, a_n, g_n, t0, step, hist_scalar, stats):
     yi = y[i]
     ai = a_n[i]
     q = g_n[i]
@@ -289,11 +283,11 @@ def _reference_recover_node(i, x, y, a_n, g_n, t0, step, hist_scalar, fp_tol, fp
     j = min(int(pos), i - 1)
     frac = pos - j
     x[i] = x[i - 1]
-    for it in range(1, fp_max_iter + 1):
+    for it in range(1, 101):
         new = yi + ai * (x[j] + frac * (x[j + 1] - x[j]))
         resid = abs(new - x[i])
         x[i] = new
-        if resid < fp_tol:
+        if resid < 1e-12:
             stats.iters_max = max(stats.iters_max, it)
             stats.resid_max = max(stats.resid_max, resid)
             return
@@ -302,7 +296,7 @@ def _reference_recover_node(i, x, y, a_n, g_n, t0, step, hist_scalar, fp_tol, fp
 
 
 def _reference_advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
-                              hist_scalar, t0, step, n_steps, fp_tol, fp_max_iter, stats):
+                              hist_scalar, t0, step, n_steps, stats):
     """The scalar loop as it was before it ran on Python floats: numpy
     scalar reads and writes, one node recovery call per step."""
     a_expr, g_expr = spec.a, spec.g
@@ -359,12 +353,10 @@ def _reference_advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
         k3 = f_stage(j + 1, t + half, yn + half * k2, n)
         k4 = f_stage(j + 2, t + step, yn + step * k3, n)
         y[n + 1] = yn + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _reference_recover_node(n + 1, x, y, a_n, g_n, t0, step, hist_scalar, fp_tol,
-                                fp_max_iter, stats)
+        _reference_recover_node(n + 1, x, y, a_n, g_n, t0, step, hist_scalar, stats)
 
 
-def _reference_integrate(spec, history, t_end, step, forcing=None, initial_value=None,
-                         fp_tol=1e-12, fp_max_iter=100):
+def _reference_integrate(spec, history, t_end, step, forcing=None, initial_value=None):
     """integrate with every input evaluated over the whole run up front, in
     the order a, g, b, h, forcing, history, and the reference advance loops."""
     t0 = spec.t0
@@ -406,13 +398,11 @@ def _reference_integrate(spec, history, t_end, step, forcing=None, initial_value
     if k_chunk >= 8:
         path = "chunked"
         _reference_advance_chunked(x, y, tn, a_n, g_n, b_s, h_s, f_s, phi_h, phi_g,
-                                   t0, step, n_steps, min(k_chunk, 4096),
-                                   fp_tol, fp_max_iter, stats)
+                                   t0, step, n_steps, min(k_chunk, 4096), stats)
     else:
         path = "scalar"
         _reference_advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
-                                  hist_scalar, t0, step, n_steps,
-                                  fp_tol, fp_max_iter, stats)
+                                  hist_scalar, t0, step, n_steps, stats)
     return Trajectory(t0=t0, step=step, x=x, y=y,
                       fp_iterations_max=stats.iters_max,
                       fp_residual_max=float(stats.resid_max),
@@ -496,25 +486,11 @@ def test_fundamental_matches_numpy_scalar_loop():
     assert np.array_equal(new.x, ref.x) and np.array_equal(new.y, ref.y)
 
 
-@pytest.mark.parametrize("case", ["expanding", "one_iteration_allowed"])
+@pytest.mark.parametrize("case", ["expanding"])
 def test_scalar_divergence_reports_the_same_node(case):
-    if case == "expanding":
-        args = (spec_of(const(1.5), const(1.0), add(T, const(-1e-4)), add(T, const(-2e-3))),
-                1.0, 0.5, 1e-3)
-    else:
-        args = (LONG_NEUTRAL, 1.0, 1.5, 1e-3, None, None, 1e-12, 1)
-    new, ref = _divergence_messages(*args)
+    spec = spec_of(const(1.5), const(1.0), add(T, const(-1e-4)), add(T, const(-2e-3)))
+    new, ref = _divergence_messages(spec, 1.0, 0.5, 1e-3)
     assert new == ref
-
-
-# the fixed-point parameters on both paths, against the node-by-node
-# reference: no iteration allowed, and no residual small enough, so the
-# closed form and _fixed_point reject, with the loop's message (the tests
-# above accept at one and two iterations under the defaults, fp_tol = 1e-12
-# and fp_max_iter = 100, and the [one_iteration_allowed] cases cap it at 1);
-# a negative or NaN fp_tol fails every `< fp_tol` and `0.0 < fp_tol` test,
-# so it rejects the same nodes, with the same message, as (0.0, 100)
-FP_PARAMS = [(1e-12, 0), (0.0, 100)]
 
 
 def _outcome(run, args):
@@ -544,11 +520,42 @@ def _assert_same_outcome(args, counts=True):
     return new
 
 
-@pytest.mark.parametrize("fp_tol, fp_max_iter", FP_PARAMS)
-@pytest.mark.parametrize("name", sorted(SCALAR_CASES))
-def test_scalar_loop_fixed_point_parameters(name, fp_tol, fp_max_iter):
-    spec, history, t_end, forcing = (*SCALAR_CASES[name], None)[:4]
-    _assert_same_outcome((spec, history, t_end, 1e-3, forcing, None, fp_tol, fp_max_iter))
+# STILL_SCALAR with a neutral lag of half a step: every node refers to itself
+STILL_SELF = spec_of(const(0.5), const(1e-10), add(T, const(-5e-4)), add(T, const(-2e-3)))
+
+
+@pytest.mark.parametrize("spec, t_end", [(STILL_SCALAR, 0.5), (STILL, 5.0), (STILL_SELF, 0.5)],
+                         ids=["scalar", "chunked", "self"])
+def test_a_residual_equal_to_the_tolerance_is_not_under_it(monkeypatch, spec, t_end):
+    # every recovered node of these runs takes one iteration; with the
+    # tolerance at their largest residual, the node of that residual takes two
+    traj = integrate(spec, 1.0, t_end, 1e-3)
+    assert traj.fp_iterations_max == 1 and traj.fp_residual_max > 0.0
+    assert (traj.nodes_self if spec is STILL_SELF else traj.nodes_hard) > 0
+    monkeypatch.setattr(simulate, "FP_TOL", traj.fp_residual_max)
+    again = integrate(spec, 1.0, t_end, 1e-3)
+    assert again.fp_iterations_max == 2 and again.fp_residual_max < traj.fp_residual_max
+    # the second iterate repeats the first but where a node refers to itself
+    assert np.array_equal(again.x, traj.x) == (spec is not STILL_SELF)
+
+
+def test_a_self_node_may_take_exactly_the_iteration_cap():
+    # x = yi + 0.99 (0.99 x) from x = 0 contracts by 0.9801 an iteration;
+    # the first yi on a fine scale that needs 100 iterations is accepted,
+    # and the first that needs 101 is not
+    def iterations(yi):
+        cur, it = 0.0, 1
+        while abs((new := yi + 0.99 * (0.0 + 0.99 * (cur - 0.0))) - cur) >= 1e-12:
+            cur, it = new, it + 1
+        return it
+
+    yis = [1e-12 * 1.001 ** k for k in range(3000)]
+    first = {n: next(yi for yi in yis if iterations(yi) == n) for n in (100, 101)}
+    stats = simulate._Stats()
+    simulate._fixed_point(1, 0.99, [0.0, 0.0], first[100], 0.99, 1.0, stats)
+    assert stats.iters_max == 100
+    with pytest.raises(FixedPointDivergence, match="t=1.0"):
+        simulate._fixed_point(1, 0.99, [0.0, 0.0], first[101], 0.99, 1.0, simulate._Stats())
 
 
 def test_scalar_divergence_on_a_non_self_node():
@@ -655,15 +662,6 @@ def test_chunked_blocks_match_whole_run_inputs(name):
                              "block_plus_one": CB + 1}[name]
     if spec is LONG_LAGS:
         assert new.n - 1 > 10.3e3 > simulate._BLOCK_STEPS and new.nodes_below > 0
-
-
-@pytest.mark.parametrize("fp_tol, fp_max_iter", FP_PARAMS)
-@pytest.mark.parametrize("name", sorted(CHUNKED_CASES))
-def test_chunked_fixed_point_parameters(name, fp_tol, fp_max_iter):
-    # the reference loop counts no branches
-    spec, history, t_end, forcing = (*CHUNKED_CASES[name], None)[:4]
-    _assert_same_outcome((spec, history, t_end, 1e-3, forcing, None, fp_tol, fp_max_iter),
-                         counts=False)
 
 
 def _chunked_spec_like_generated(rng, i):
@@ -916,22 +914,23 @@ def test_decay_rate_needs_enough_windows():
         decay_rate(synthetic_traj(lambda t: 1.0, t_end=30.0), warmup=10.0, window=10.0)
 
 
-# -- forced-response smoke tests ----------------------------------------------------------
+# -- forced response from a zero history ---------------------------------------------------
+
+def _forced_sup(spec, forcing, t_end):
+    """sup |x| on [t0, t_end] from a zero history under ``forcing``."""
+    return float(np.max(np.abs(integrate(spec, 0.0, t_end, 1e-3, forcing=forcing).x)))
+
 
 def test_forced_bound_stable_ode():
-    spec = spec_of(const(0.0), const(1.0), T, T)
-    sup = forced_bound_check(spec, const(1.0), 10.0, 1e-3)
-    assert sup == pytest.approx(1.0 - math.exp(-10.0), abs=1e-6)
+    spec = spec_of(const(0.0), const(1.0), T, T)  # x' = -x + 1
+    assert _forced_sup(spec, const(1.0), 10.0) == pytest.approx(1.0 - math.exp(-10.0), abs=1e-6)
 
 
 def test_forced_bound_ex1_delayed_step(ex1):
     step_on = ex1.t0 + 0.14
-    forcing = lambda t: 1.0 if t >= step_on else 0.0
-    sup = forced_bound_check(ex1, forcing, 40.0, 1e-3)
-    assert 0.0 < sup < 10.0
+    assert 0.0 < _forced_sup(ex1, lambda t: 1.0 if t >= step_on else 0.0, 40.0) < 10.0
 
 
 def test_forced_bound_unstable_inversion():
     spec = spec_of(const(0.0), const(-1.0), T, T)  # x' = +x + 1
-    sup = forced_bound_check(spec, const(1.0), 10.0, 1e-3)
-    assert sup > 1e3
+    assert _forced_sup(spec, const(1.0), 10.0) > 1e3
