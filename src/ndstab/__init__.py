@@ -40,8 +40,6 @@ from .series import (
     TruncationCert,
     apply_S,
     big_B,
-    delay_chain_bounds,
-    iterated_delay,
     neumann_inverse,
 )
 from .simulate import (
@@ -79,9 +77,9 @@ __all__ = [
     "big_B", "check_corollary1", "check_corollary2", "check_corollary3",
     "check_corollary5", "check_corollary_main", "check_prop_tang_zou",
     "check_prop_yu", "check_theorem1", "check_theorem2", "check_theorem3",
-    "compare_baselines", "corpus_dir", "decay_rate", "delay_chain_bounds",
-    "fundamental", "integral_summary", "integrate", "iterated_delay",
-    "lemma4_check", "lemma5_condition", "load_corpus_spec", "load_spec",
-    "neumann_inverse", "parse_expr", "reproduce_examples", "save_spec",
-    "summarize", "sweep_alpha_r", "tau0", "tau_bar", "validate",
+    "compare_baselines", "corpus_dir", "decay_rate", "fundamental",
+    "integral_summary", "integrate", "lemma4_check", "lemma5_condition",
+    "load_corpus_spec", "load_spec", "neumann_inverse", "parse_expr",
+    "reproduce_examples", "save_spec", "summarize", "sweep_alpha_r", "tau0",
+    "tau_bar", "validate",
 ]

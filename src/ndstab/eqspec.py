@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import DomainError, Expr, lag_enclosure, parse_expr
+from .expr import MAX_EXPR_DEPTH, Expr, lag_enclosure, parse_expr
 
 # Override keys accepted in spec files.  The tilde_* entries bound the
 # integrals of b over the delay intervals; limsup_int_b feeds the classical
@@ -38,9 +38,6 @@ OVERRIDE_KEYS = frozenset({
 _SPEC_KEYS = frozenset({"a", "b", "g", "h", "t0", "horizon", "f", "overrides", "name"})
 
 DEFAULT_GRID = 100_000  # points of the grid that validate and summarize sample by default
-# The deepest expression a spec file may hold: the bundled trees are at most
-# 5 deep, and a tree walk takes one or two of Python's 1,000 frames a level.
-MAX_EXPR_DEPTH = 100
 # What load_spec skips to count the nesting of JSON text: a string (an
 # unterminated one runs to the end), or a run of neither brackets nor quotes.
 _JSON_SKIP = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[^][{}"]+', re.S)
@@ -307,8 +304,9 @@ class ValidationReport(Extrema):
     """Per-assumption verdicts, how they were reached, and the grid extrema.
 
     ``route`` is "enclosure" when the enclosure on ``cells`` cells proved
-    every check but ``a3_reach_*``: no grid point was evaluated, and no
-    tree is known until ``sample`` is called.  It is "grid" when the checks were
+    every check but ``a3_reach_*`` and ``f_finite`` (proven or sampled on
+    its own): no grid point of a, b, g or h was evaluated, and no tree is
+    known until ``sample`` is called.  It is "grid" when the checks were
     sampled on the grid, in one pass that also took the extrema of every
     tree (NaN when a denominator check failed: the trees cannot then be
     sampled)."""
@@ -535,6 +533,7 @@ _SAMPLED_CHECKS = (
     ("a4", "0 <= t-g(t) and 0 <= t-h(t) with finite bounds"),
 )
 _DOMAIN = "quotient denominator in {}(t) bounded away from zero"
+_FORCING = ("f_finite", "forcing f(t) defined and finite")
 
 
 def _a_norms(av, top, bottom):
@@ -569,17 +568,13 @@ def _sample(spec: EquationSpec, points: int, trees) -> tuple[dict, dict[str, Ass
     it takes the max and min of a, b, t - g and t - h, and builds a check's
     witness mask only where these show a possible violation or a non-finite
     value.  Per-block extrema combine exactly, so the values equal those of
-    whole-grid reductions, whichever trees are sampled together."""
+    whole-grid reductions, whichever trees are sampled together.  An
+    evaluation error is that of the first block where a tree fails, the
+    first such tree in TREES order."""
     rows = []
     wit = {cid: _Witnesses() for cid, _ in _SAMPLED_CHECKS}
     for ts in grid_blocks(spec, points):
-        try:
-            v = {tree: _tree_values(spec, tree, ts) for tree in trees}
-        except DomainError:
-            # raise what whole-grid evaluation in the order a, b, g, h raises
-            for e in (spec.a, spec.b, spec.g, spec.h):
-                e.eval_array(spec.grid(points))
-            raise
+        v = {tree: _tree_values(spec, tree, ts) for tree in trees}
         row = []
         if "a" in v:
             av = v["a"]
@@ -639,6 +634,29 @@ def _domain_check(label, den, spec, points) -> AssumptionCheck:
     return wit.check(f"domain_{label}", _DOMAIN.format(label))
 
 
+def _forcing_check(spec: EquationSpec, points: int) -> AssumptionCheck:
+    """The forcing f is defined and finite at every grid point: proven when
+    its enclosure on the cells of the grid is finite (a denominator that may
+    reach 0 makes it NaN), else sampled in blocks.  A sample is evaluated
+    only where every quotient denominator is nonzero, inner ones first, and
+    a zero denominator is a witness as a non-finite value is."""
+    f = spec.f
+    with np.errstate(all="ignore"):
+        f_lo, f_hi = f.enclose(*_spans(spec, points, *_cells(points)))
+    if np.all((-math.inf < f_lo) & (f_hi < math.inf)):
+        return AssumptionCheck(*_FORCING, True)
+    dens = list(f.denominators())[::-1]  # a denominator after those inside it
+    wit = _Witnesses()
+    with np.errstate(all="ignore"):
+        for ts in grid_blocks(spec, points):
+            ok = np.ones(len(ts), dtype=bool)
+            for den in dens:
+                ok[ok] = den.eval_array(ts[ok]) != 0.0
+            ok[ok] = np.isfinite(f.eval_array(ts[ok]))
+            wit.add(ts, ~ok)
+    return wit.check(*_FORCING)
+
+
 def validate(spec: EquationSpec, grid_points: int = DEFAULT_GRID) -> ValidationReport:
     """Check the structural assumptions on a uniform grid over the window.
 
@@ -647,7 +665,8 @@ def validate(spec: EquationSpec, grid_points: int = DEFAULT_GRID) -> ValidationR
     sign; |a| stays below 1 and b stays positive and bounded; g(t) <= t and
     h(t) <= t; the delays reach past t0 by the end of the window (finite-
     horizon proxy for the delays being unbounded above); the lags
-    t - g(t) and t - h(t) are nonnegative with finite bounds.
+    t - g(t) and t - h(t) are nonnegative with finite bounds; and, when
+    the spec has a forcing f, that f is defined and finite.
 
     The spec's Enclosure comes first.  When it proves every check but the
     reach checks, no grid can fail them, and the grid is not sampled: the
@@ -687,4 +706,6 @@ def validate(spec: EquationSpec, grid_points: int = DEFAULT_GRID) -> ValidationR
             f"a3_reach_{label}", f"{label}(horizon) > t0 (finite-horizon proxy for {label} -> inf)",
             bool(reached), () if reached else (float(spec.horizon),)))
     checks.append(sampled["a4"])
+    if spec.f is not None:
+        checks.append(_forcing_check(spec, grid_points))
     return ValidationReport(spec, grid_points, checks, route, values, enclosure)

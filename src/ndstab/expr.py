@@ -29,11 +29,17 @@ each cell of a partition, by the grammar's interval extension, and
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
+
+# The deepest expression that parse_expr accepts: the bundled trees are at
+# most 5 deep, and a tree walk takes one or two of Python's 1,000 frames a
+# level.
+MAX_EXPR_DEPTH = 100
 
 
 class DomainError(ValueError):
@@ -436,22 +442,32 @@ def scale(v: float, e: Expr) -> Expr:
 
 
 def parse_expr(node) -> Expr:
-    """Parse the nested-array JSON form into an Expr tree."""
+    """Parse the nested-array JSON form into an Expr tree.  Raises
+    ValueError on a malformed node, or on arrays nested deeper than
+    MAX_EXPR_DEPTH levels (``["t"]`` is one level).  Messages show a node
+    by ``reprlib.repr``, which shortens it, so a deep one cannot exhaust
+    the stack."""
+    return _parse(node, 1)
+
+
+def _parse(node, depth: int) -> Expr:
+    if depth > MAX_EXPR_DEPTH:
+        raise ValueError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
     if not isinstance(node, (list, tuple)) or not node:
-        raise ValueError(f"expression node must be a non-empty array, got {node!r}")
+        raise ValueError(f"expression node must be a non-empty array, got {reprlib.repr(node)}")
     tag = node[0]
     if tag == "const":
         if len(node) != 2 or not isinstance(node[1], (int, float)):
-            raise ValueError(f"const node takes one number: {node!r}")
+            raise ValueError(f"const node takes one number: {reprlib.repr(node)}")
         return const(node[1])
     if tag == "t":
         if len(node) != 1:
-            raise ValueError(f"t node takes no arguments: {node!r}")
+            raise ValueError(f"t node takes no arguments: {reprlib.repr(node)}")
         return tvar()
     if tag == "scale":
         if len(node) != 3 or not isinstance(node[1], (int, float)):
-            raise ValueError(f"scale node takes a number and one child: {node!r}")
-        return scale(node[1], parse_expr(node[2]))
-    if tag not in _TAG_KINDS:
-        raise ValueError(f"unknown expression tag {tag!r}")
-    return Expr(_TAG_KINDS[tag], args=tuple(parse_expr(c) for c in node[1:]))
+            raise ValueError(f"scale node takes a number and one child: {reprlib.repr(node)}")
+        return scale(node[1], _parse(node[2], depth + 1))
+    if not isinstance(tag, str) or tag not in _TAG_KINDS:
+        raise ValueError(f"unknown expression tag {reprlib.repr(tag)}")
+    return Expr(_TAG_KINDS[tag], args=tuple(_parse(c, depth + 1) for c in node[1:]))

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .eqspec import DEFAULT_GRID, FIELD_TREE, INFIMA, SAMPLE_BLOCK, EquationSpec, Extrema
-from .expr import DomainError, Expr
+from .expr import Expr
 
 GRID_ESTIMATE = "grid-estimate"
 ANALYTIC = "analytic-override"
@@ -211,38 +211,29 @@ def simpson(expr, lo, hi, panels: int = DEFAULT_PANELS):
     because the nodes come from the same ``linspace`` formula and the sum
     over each row is numpy's pairwise reduction, as for a 1-D array.
     Scalar limits give a float.  ``panels`` counts subintervals (rounded
-    up to even).  Errors are those of the first failing entry in order.
+    up to even).  A reversed range anywhere raises ValueError before any
+    evaluation.  The rows are evaluated _SIMPSON_BLOCK at a time, so an
+    evaluation error is that of the first failing block, and within it the
+    first the tree meets over the block's nodes (``Expr.eval_array``).
     """
     lo_v = np.atleast_1d(np.asarray(lo, dtype=float))
     hi_v = np.atleast_1d(np.asarray(hi, dtype=float))
+    if np.any(hi_v < lo_v):
+        raise ValueError("empty or reversed integration range")
     n = panels + (panels % 2)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     out = np.zeros(lo_v.shape)
-    reversed_rows = np.flatnonzero(hi_v < lo_v)
-    stop = reversed_rows[0] if reversed_rows.size else len(out)
     # zero-width rows stay 0.0 and out of linspace, which switches a whole
     # block to another formula when any row has a zero step
-    rows = np.flatnonzero(hi_v[:stop] != lo_v[:stop])
+    rows = np.flatnonzero(hi_v != lo_v)
     for k in range(0, len(rows), _SIMPSON_BLOCK):
         r = rows[k:k + _SIMPSON_BLOCK]
-        out[r] = _simpson_rows(expr, lo_v[r], hi_v[r], n, w)
-    if reversed_rows.size:
-        raise ValueError("empty or reversed integration range")
-    return float(out[0]) if np.ndim(lo) == 0 and np.ndim(hi) == 0 else out
-
-
-def _simpson_rows(expr, lo, hi, n, w):
-    xs = np.linspace(lo, hi, n + 1, axis=1)
-    try:
+        xs = np.linspace(lo_v[r], hi_v[r], n + 1, axis=1)
         ys = expr.eval_array(xs.ravel()).reshape(xs.shape)
-    except DomainError:
-        if len(lo) > 1:  # the first failing row wins, whatever order the tree met them in
-            for i in range(len(lo)):
-                _simpson_rows(expr, lo[i:i + 1], hi[i:i + 1], n, w)
-        raise
-    return (hi - lo) / (3.0 * n) * np.sum(w * ys, axis=1)
+        out[r] = (hi_v[r] - lo_v[r]) / (3.0 * n) * np.sum(w * ys, axis=1)
+    return float(out[0]) if np.ndim(lo) == 0 and np.ndim(hi) == 0 else out
 
 
 def _has_abs(e: Expr) -> bool:

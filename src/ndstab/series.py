@@ -1,10 +1,11 @@
 """Constructive objects behind the stability tests.
 
-Iterated neutral delays g^[k], the shift-and-scale operator
-(S y)(t) = a(t) y(g(t)) (zero once g drops below t0), its geometric-series
-inverse (E - S)^{-1} = sum_j S^j with a certified truncation, and the
-infinite-series coefficient B(t) = b(t) sum_j prod_{k<j} a(h(g^[k](t)))
-of the equivalent non-neutral equation.  An empty product equals one.
+The shift-and-scale operator (S y)(t) = a(t) y(g(t)) (zero once g drops
+below t0), its geometric-series inverse (E - S)^{-1} = sum_j S^j with a
+certified truncation, and the infinite-series coefficient
+B(t) = b(t) sum_j prod_{k<j} a(h(g^[k](t))) of the equivalent non-neutral
+equation, where g^[k] is the k-fold composition of g.  An empty product
+equals one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eqspec import EquationSpec
-from .expr import DomainError
 from .params import ParameterSummary, summarize
 
 
@@ -89,40 +89,6 @@ class SampledFunction:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-def iterated_delay(spec: EquationSpec, t: float, k: int) -> float:
-    """k-fold composition of the neutral delay argument; k = 0 returns t."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    u = float(t)
-    g_at = spec.g.evaluate
-    for _ in range(k):
-        u = g_at(u)
-        if not math.isfinite(u):
-            raise DomainError(f"delay composition left the domain at u={u}")
-    return u
-
-
-def delay_chain_bounds(
-    spec: EquationSpec,
-    t: float,
-    n: int,
-    summary: ParameterSummary | None = None,
-) -> tuple[float, tuple[float, float]]:
-    """Evaluate t - h(g^[n](t)) and assert it lies in [delta, n sigma + tau].
-
-    Returns the value together with the bound pair.  A violation indicates
-    a broken spec or stale summary, hence AssertionError.
-    """
-    if summary is None:
-        summary = summarize(spec)
-    value = t - spec.h.evaluate(iterated_delay(spec, t, n))
-    lo, hi = summary.delta, n * summary.sigma + summary.tau
-    slack = 1e-9 * max(1.0, abs(hi))
-    assert lo - slack <= value <= hi + slack, (
-        f"t - h(g^[{n}]({t})) = {value} outside [{lo}, {hi}]")
-    return value, (lo, hi)
 
 
 def _shift(spec: EquationSpec, y: SampledFunction):

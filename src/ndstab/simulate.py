@@ -23,7 +23,8 @@ the smallest retarded lag, which picks the path; a run of one block keeps
 h from it.  The scalar loop runs on Python floats, one block at a time: it
 reads lists of the block's inputs and of its x and y, writes x and y back
 at the end of the block, and reads a lookup that reaches before the block
-from the array.
+from the array.  A failing run raises where this order meets the failure,
+with x and y still the only arrays of the run's length.
 
 A node whose interpolation nodes are final is recovered in closed form on
 both paths: its second iterate repeats its first, so the node-by-node
@@ -250,27 +251,6 @@ def _set_y0(x, y, a0, g0, t0, hist_scalar):
     y[0] = x0 - a0 * xg0
 
 
-def _evaluate_whole_run(spec, hist_scalar, hist_array, forcing, initial_value,
-                        t0, step, n_steps):
-    """Evaluate every input over the whole run, in the order a, g, b, h,
-    forcing, history at h and at g, x(t0), x(g(t0)).  A failing run reports
-    the first error of this order, whatever the order of its blocks."""
-    tn = t0 + step * np.arange(n_steps + 1)
-    ts = t0 + 0.5 * step * np.arange(2 * n_steps + 1)
-    spec.a.eval_array(tn)
-    g_n = spec.g.eval_array(tn)
-    spec.b.eval_array(ts)
-    h_s = spec.h.eval_array(ts)
-    _forcing_arrays(forcing, ts)
-    for q in (h_s, g_n):
-        _history_at(q, q < t0, hist_array)
-    if initial_value is None:
-        hist_scalar(t0)
-    g0 = float(g_n[0])
-    if not t0 - g0 < _DEGENERATE_LAG:
-        hist_scalar(g0)
-
-
 def integrate(spec: EquationSpec, history, t_end: float, step: float, forcing=None,
               initial_value: float | None = None) -> Trajectory:
     """Integrate the initial value problem forward from t0 to (at least) t_end.
@@ -280,6 +260,12 @@ def integrate(spec: EquationSpec, history, t_end: float, step: float, forcing=No
     detached from the history (used for fundamental functions).  The grid
     step is fixed.  Raises FixedPointDivergence when the x-recovery
     iteration fails to contract within FP_MAX_ITER iterations.
+
+    A failure is raised where the blocked evaluation meets it: h at the
+    stages first, in the pass over the whole run that picks the path; then
+    x(t0) from the history; then block by block in time, a and g at the
+    block's nodes, b, h and the forcing at its stages, and last the history
+    and the recovery of x.  Nothing is evaluated again after a failure.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -289,27 +275,22 @@ def integrate(spec: EquationSpec, history, t_end: float, step: float, forcing=No
     n_steps = max(1, int(math.ceil((t_end - t0) / step - 1e-9)))
     hist_scalar, hist_array = _history_fns(history)
 
-    try:
-        inputs = _Inputs(spec, forcing, t0, step, n_steps)
-        k_chunk = int(inputs.lag_min / step + 1e-12)
-        # zeros, not empty: a stage lookup at exactly t0 from the first chunk
-        # or step reads the last node with weight 0, which must not be NaN
-        # garbage
-        x = np.zeros(n_steps + 1)
-        y = np.empty(n_steps + 1)
-        x[0] = float(hist_scalar(t0)) if initial_value is None else float(initial_value)
-        stats = _Stats()
-        if k_chunk >= 8:
-            path = "chunked"
-            _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps,
-                             min(k_chunk, 4096), stats)
-        else:
-            path = "scalar"
-            _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats)
-    except (ValueError, FixedPointDivergence):
-        _evaluate_whole_run(spec, hist_scalar, hist_array, forcing, initial_value,
-                            t0, step, n_steps)
-        raise
+    inputs = _Inputs(spec, forcing, t0, step, n_steps)
+    k_chunk = int(inputs.lag_min / step + 1e-12)
+    # zeros, not empty: a stage lookup at exactly t0 from the first chunk
+    # or step reads the last node with weight 0, which must not be NaN
+    # garbage
+    x = np.zeros(n_steps + 1)
+    y = np.empty(n_steps + 1)
+    x[0] = float(hist_scalar(t0)) if initial_value is None else float(initial_value)
+    stats = _Stats()
+    if k_chunk >= 8:
+        path = "chunked"
+        _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps,
+                         min(k_chunk, 4096), stats)
+    else:
+        path = "scalar"
+        _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats)
 
     return Trajectory(t0=t0, step=step, x=x, y=y,
                       fp_iterations_max=stats.iters_max,
@@ -598,13 +579,7 @@ def lemma5_condition(b: Expr, h: Expr, grid: np.ndarray) -> tuple[bool, float]:
     integrals.
     """
     grid = np.asarray(grid, dtype=float)
-    lows = []
-    for t in grid:
-        try:
-            lows.append(h.evaluate(float(t)))
-        except ValueError:
-            simpson(b, np.array(lows), grid[:len(lows)])  # a failing integral at an earlier t wins
-            raise
+    lows = [h.evaluate(float(t)) for t in grid]
     sup = max([-math.inf] + simpson(b, np.array(lows), grid).tolist())
     margin = 1.0 / math.e - sup
     return margin >= -1e-12, margin

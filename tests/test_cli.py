@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -417,6 +418,26 @@ def test_simulate_applies_the_spec_forcing(tmp_path, capsys):
     want = io.StringIO()
     integrate(forced, 1.0, 2.0, 0.01, forcing=forced.f).write_csv(want)
     assert outs[1] == want.getvalue() != outs[0]
+
+
+@pytest.mark.parametrize("base", ["constant_lags", "ex1"])
+def test_simulate_rejects_a_nan_forcing(tmp_path, capsys, base):
+    # it used to write NaN rows (constant lags 1), or to blame a for a
+    # recovery that did not contract (ex1)
+    if base == "ex1":
+        spec = json.loads((corpus_dir() / "ex1.json").read_text())
+    else:
+        spec = {"a": ["const", 0.3], "b": ["const", 1.0], "g": ["+", ["t"], ["const", -1.0]],
+                "h": ["+", ["t"], ["const", -1.0]], "t0": 0.0, "horizon": 10.0}
+    spec["f"] = ["const", math.nan]
+    p = tmp_path / "nan_f.json"
+    p.write_text(json.dumps(spec))
+    assert run(["simulate", str(p), "--t-end", "1"]) == 2
+    captured = capsys.readouterr()
+    head, *rest = captured.err.splitlines()
+    assert head == f"ndstab: {p}: structural validation failed"
+    assert len(rest) == 1 and rest[0].startswith("  [f_finite] forcing f(t) defined and finite; witness t = 0, ")
+    assert captured.out == ""
 
 
 def test_simulate_histories(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import bare
 from ndstab.eqspec import TREES, EquationSpec, SpecError, load_spec, save_spec, validate
-from ndstab.expr import add, const, mul, scale, sin, tvar
+from ndstab.expr import MAX_EXPR_DEPTH, add, const, div, mul, scale, sin, tvar
 
 T = tvar()
 
@@ -115,6 +115,39 @@ def test_load_spec_malformed_expression(tmp_path):
                              "h": ["t"], "t0": 0, "horizon": 1}))
     with pytest.raises(SpecError):
         load_spec(p)
+
+
+def test_from_dict_bounds_the_expression_depth():
+    chain = ["t"]
+    for _ in range(1_999):
+        chain = ["sin", chain]
+    d = {"a": ["const", 0.3], "b": ["const", 1.0], "g": ["t"], "h": ["t"], "t0": 0.0, "horizon": 1.0}
+    for key in ("a", "f"):
+        with pytest.raises(SpecError) as exc:
+            EquationSpec.from_dict({**d, key: chain})
+        assert str(exc.value) == f"malformed specification: expression nested deeper than {MAX_EXPR_DEPTH} levels"
+
+
+def test_validate_checks_the_forcing():
+    base = dict(a=const(0.3), b=const(1.0), g=add(T, const(-1.0)), h=add(T, const(-1.0)),
+                t0=0.0, horizon=10.0)
+    ids = [c.check_id for c in validate(EquationSpec(**base), 11).checks]
+    assert "f_finite" not in ids
+
+    def forcing_check(f, points=11):
+        rep = validate(EquationSpec(**base, f=f), points)
+        assert [c.check_id for c in rep.checks] == ids + ["f_finite"]
+        return rep.checks[-1]
+
+    # proven by the enclosure, or sampled: NaN, a pole on the grid, and one
+    # inside another quotient's denominator, which is not evaluated there
+    assert forcing_check(sin(T)).passed
+    assert forcing_check(const(float("nan"))).witnesses == tuple(float(t) for t in range(8))
+    assert forcing_check(div(const(1.0), add(T, const(-5.0)))).witnesses == (5.0,)
+    assert forcing_check(div(const(1.0), div(const(1.0), add(T, const(-5.0))))).witnesses == (5.0,)
+    assert forcing_check(scale(1e308, scale(1e308, T))).witnesses == tuple(float(t) for t in range(1, 9))
+    # between grid points a pole is not seen
+    assert forcing_check(div(const(1.0), add(T, const(-5.5)))).passed
 
 
 def test_spec_rejects_bad_window():

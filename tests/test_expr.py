@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndstab.expr import (
+    MAX_EXPR_DEPTH,
     DomainError,
     absval,
     add,
@@ -96,6 +97,34 @@ def test_parse_rejects_garbage():
     for bad in (["huh", 1], [], ["const"], ["scale", ["t"]], 7, ["t", 1]):
         with pytest.raises(ValueError):
             parse_expr(bad)
+
+
+def _sin_chain(depth):
+    """["sin", ["sin", ... ["t"]]] with ``depth`` levels of arrays."""
+    node = ["t"]
+    for _ in range(depth - 1):
+        node = ["sin", node]
+    return node
+
+
+def test_parse_expr_bounds_the_depth():
+    chain = T
+    for _ in range(MAX_EXPR_DEPTH - 1):
+        chain = sin(chain)
+    assert parse_expr(_sin_chain(MAX_EXPR_DEPTH)) == chain
+    for depth in (MAX_EXPR_DEPTH + 1, 2_000):
+        with pytest.raises(ValueError) as exc:
+            parse_expr(_sin_chain(depth))
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"expression nested deeper than {MAX_EXPR_DEPTH} levels"
+    # a malformed node above a deep one names it without exhausting the stack
+    deep = _sin_chain(2_000)
+    for bad, start in ((["const", deep], "const node takes one number: ['const', ['sin', "),
+                       (["scale", deep, ["t"]], "scale node takes a number and one child: "),
+                       ([deep], "unknown expression tag ['sin', ")):
+        with pytest.raises(ValueError) as exc:
+            parse_expr(bad)
+        assert type(exc.value) is ValueError and str(exc.value).startswith(start), str(exc.value)
 
 
 def test_json_examples_from_docs():

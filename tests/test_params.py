@@ -123,22 +123,26 @@ def test_array_simpson_equals_scalar_calls(corpus):
     assert isinstance(simpson(spec.b, 0.5, 1.5), float)
 
 
-def test_array_simpson_raises_the_first_scalar_failure():
-    def first_error(expr, lo, hi):
-        with pytest.raises(ValueError) as one:
-            _one_by_one(expr, lo, hi)
-        with pytest.raises(ValueError) as batch:
+def test_array_simpson_errors_follow_its_blocks():
+    def error(expr, lo, hi):
+        with pytest.raises(ValueError) as exc:
             simpson(expr, np.array(lo), np.array(hi))
-        assert (type(batch.value), str(batch.value)) == (type(one.value), str(one.value))
-        return batch.value
+        return type(exc.value), str(exc.value)
 
+    reversed_range = (ValueError, "empty or reversed integration range")
     quotient = div(const(1.0), add(T, const(-5.0)))
-    assert "empty or reversed" in str(first_error(quotient, [0.0, 2.0, 1.0], [1.0, 1.0, 5.0]))
-    assert isinstance(first_error(quotient, [0.0, 1.0, 2.0], [1.0, 5.0, 1.0]), DomainError)
-    # the tree meets t = 7 before t = 3 in a joint evaluation; the row order decides
+    # a reversed row anywhere is rejected before anything is evaluated
+    assert error(quotient, [0.0, 2.0, 1.0], [1.0, 1.0, 5.0]) == reversed_range
+    assert error(quotient, [0.0, 1.0, 2.0], [1.0, 5.0, 1.0]) == reversed_range
+    assert error(quotient, [0.0, 1.0], [1.0, 5.0]) == (DomainError, "division by zero at t=5.0")
+    # in one block the tree's order decides: it meets t = 7 before t = 3
     two_poles = add(div(const(1.0), add(T, const(-7.0))), div(const(1.0), add(T, const(-3.0))))
-    err = first_error(two_poles, [2.0, 6.0], [4.0, 8.0])
-    assert "t=3.0" in str(err)
+    assert error(two_poles, [2.0, 6.0], [4.0, 8.0]) == (DomainError, "division by zero at t=7.0")
+    # across blocks of _SIMPSON_BLOCK rows the first failing block decides
+    n = params._SIMPSON_BLOCK + 1
+    lo, hi = [0.0] * n, [1.0] * n
+    lo[3], hi[3], lo[n - 1], hi[n - 1] = 2.0, 4.0, 6.0, 8.0
+    assert error(two_poles, lo, hi) == (DomainError, "division by zero at t=3.0")
 
 
 def _one_row(expr, lo, hi, panels=DEFAULT_PANELS):

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from ndstab.eqspec import EquationSpec
-from ndstab.expr import add, const, div, scale, sin, tvar
+from ndstab.expr import add, const, scale, sin, tvar
 from ndstab.params import summarize
 from ndstab.series import (
     SampledFunction,
     apply_S,
     big_B,
-    delay_chain_bounds,
-    iterated_delay,
     neumann_inverse,
 )
 
@@ -27,48 +25,6 @@ def const_spec(a=0.5, g=None, b=1.0, h=None, t0=0.0, horizon=50.0, **ov):
 def sampled(fn, t0, t1, n=513):
     ts = np.linspace(t0, t1, n)
     return SampledFunction(t0, ts[1] - ts[0], np.asarray([fn(t) for t in ts], dtype=float))
-
-
-# -- iterated delays ------------------------------------------------------------
-
-def test_iterated_delay_proportional():
-    spec = EquationSpec(a=const(0.55), b=const(1.0), g=div(T, const(3.0)), h=T,
-                        t0=1.0, horizon=100.0)
-    assert iterated_delay(spec, 9.0, 2) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_iterated_delay_constant_lag():
-    spec = const_spec(g=add(T, const(-0.7)))
-    for n in range(5):
-        assert iterated_delay(spec, 10.0, n) == pytest.approx(10.0 - 0.7 * n, abs=1e-12)
-
-
-def test_iterated_delay_identity():
-    spec = const_spec()
-    assert iterated_delay(spec, 3.25, 0) == 3.25
-
-
-def test_delay_chain_bounds_ex1(ex1):
-    s = summarize(ex1)
-    val, (lo, hi) = delay_chain_bounds(ex1, 10.0, 3, s)
-    assert lo == 0.14 and hi == pytest.approx(3 * 0.2 + 0.14, abs=1e-15)
-    assert lo <= val <= hi
-
-
-def test_delay_chain_bounds_n0(ex1):
-    s = summarize(ex1)
-    val, (lo, hi) = delay_chain_bounds(ex1, 7.0, 0, s)
-    assert val == pytest.approx(0.14, abs=1e-12)
-
-
-def test_delay_chain_bounds_constant_equality():
-    spec = const_spec(g=add(T, const(-0.3)), h=add(T, const(-0.5)),
-                      sigma=0.3, tau=0.5, delta=0.5)
-    s = summarize(spec)
-    for n in (0, 1, 4):
-        val, (lo, hi) = delay_chain_bounds(spec, 20.0, n, s)
-        assert val == pytest.approx(n * 0.3 + 0.5, abs=1e-12)
-        assert val == pytest.approx(hi, abs=1e-12)
 
 
 # -- the shift-and-scale operator -----------------------------------------------

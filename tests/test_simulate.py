@@ -751,14 +751,15 @@ def test_first_divergence_in_a_chunk_with_self_nodes_is_the_loops(first):
                          "(|a| >= 1 or broken spec?)"
 
 
-# step 2^-10 puts the poles on the node and stage grids
+# step 2^-10 puts the poles on the node and stage grids, and a block of
+# 8,192 steps is 8 time units
 POLE_STEP = 2.0 ** -10
 # b's pole at t = 20 comes first in time, a's at t = 30 first in the order
 # a, g, b, h; both lie past the horizon
 TWO_POLES = EquationSpec(a=div(const(0.5), add(T, const(-30.0))),
                          b=div(const(1.0), add(T, const(-20.0))),
                          g=add(T, const(-0.5)), h=add(T, const(-1.0)), t0=0.0, horizon=10.0)
-# a fixed-point divergence from t = 0 and b's pole at t = 30
+# a fixed-point divergence in the first block and b's pole at t = 30
 EXPANDING_POLE = spec_of(const(1.5), div(const(1.0), add(T, const(-30.0))),
                          add(T, const(-0.003)), add(T, const(-0.02)), horizon=10.0)
 # b's pole at 5, h's at 3: the first pass over the stages evaluates h first
@@ -766,22 +767,22 @@ FUNDAMENTAL_POLES = (div(const(1.0), add(T, const(-5.0))),
                      add(T, const(-1.0), div(const(0.01), add(T, const(-3.0)))),
                      0.0, 8.0, POLE_STEP)
 POLE_CASES = {
-    "integrate": (integrate, _reference_integrate, (TWO_POLES, 1.0, 40.0, POLE_STEP), 30.0),
-    "divergence": (integrate, _reference_integrate, (EXPANDING_POLE, 1.0, 40.0, POLE_STEP),
-                   30.0),
-    "fundamental": (fundamental, _reference_fundamental, FUNDAMENTAL_POLES, 5.0),
+    "integrate": (integrate, (TWO_POLES, 1.0, 40.0, POLE_STEP),
+                  DomainError, "division by zero at t=20.0"),
+    "divergence": (integrate, (EXPANDING_POLE, 1.0, 40.0, POLE_STEP), FixedPointDivergence,
+                   f"x-recovery did not contract at t={5427 * POLE_STEP} (|a| >= 1 or broken spec?)"),
+    "fundamental": (fundamental, FUNDAMENTAL_POLES, DomainError, "division by zero at t=3.0"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(POLE_CASES))
-def test_first_error_is_that_of_the_whole_run_order(name):
-    run, reference, args, pole = POLE_CASES[name]
-    messages = []
-    for f in (run, reference):
-        with pytest.raises(DomainError) as exc, np.errstate(all="ignore"):
-            f(*args)
-        messages.append(str(exc.value))
-    assert messages == [f"division by zero at t={pole}"] * 2
+def test_first_error_is_that_of_the_first_failing_block(name):
+    # h's pass over the whole run first, then block by block in time; an
+    # error or divergence in an earlier block wins over one in a later block
+    run, args, error, message = POLE_CASES[name]
+    with pytest.raises(error) as exc, np.errstate(all="ignore"):
+        run(*args)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 # Memory beyond x and y: one block of inputs, and on the scalar path the
@@ -808,6 +809,22 @@ def test_memory_is_x_and_y_plus_a_block_budget(path, spec, lengths):
     assert max(extra) <= BLOCK_BUDGET, extra
     # one more array of the run's length would add 8 bytes a step
     assert extra[1] - extra[0] < 4 * (lengths[1] - lengths[0]), extra
+
+    # A run of 61,440 steps that fails at a pole of b in its second or third
+    # block, past the spec's horizon, holds no more: nothing is evaluated
+    # again over the whole run.
+    failing = spec_of(spec.a, add(spec.b, div(const(1.0), add(const(8.5), scale(-1.0, T)))),
+                      spec.g, spec.h, horizon=5.0)
+    assert integrate(failing, 1.0, 1.0, POLE_STEP).path == path
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as exc:
+            integrate(failing, 1.0, 60.0, POLE_STEP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "division by zero at t=8.5"
+    assert peak - 2 * 8 * (60 * 1024 + 1) <= BLOCK_BUDGET, peak
 
 
 # -- fundamental function -----------------------------------------------------------
@@ -857,6 +874,15 @@ def test_lemma5_violated():
     ok, margin = lemma5_condition(const(1.0), add(T, const(-1.0)),
                                   np.linspace(1.0, 5.0, 11))
     assert not ok and margin < 0.0
+
+
+def test_lemma5_raises_the_first_failing_lower_limit():
+    # h's pole at t = 3 is met while h is evaluated along the grid, before
+    # any quadrature, so b's pole at t = 2 inside an earlier integral is not
+    h = add(T, const(-1.0), div(const(0.01), add(T, const(-3.0))))
+    with pytest.raises(DomainError) as exc:
+        lemma5_condition(div(const(1.0), add(T, const(-2.0))), h, np.linspace(1.0, 5.0, 9))
+    assert str(exc.value) == "division by zero at t=3.0"
 
 
 def test_lemma5_matches_per_point_loop(corpus):
