@@ -472,7 +472,8 @@ def _prune(spec: EquationSpec, points: int, tree: str, bounds):
     bit.  The extrema are None (the tree takes the block pass) when a
     bound is NaN, when more than _PRUNE_MAX_SHARE of the cells still beat
     the first ones, or when an extremum is NaN or a zero, whose sign the
-    block pass picks by the order of its reductions."""
+    block pass picks by the order of its reductions; a zero that the first
+    cells settle gives None before any other cell is searched."""
     goals = _goals(tree, bounds)
     if any(np.isnan(goal).any() for goal in goals):
         return None, 0
@@ -480,6 +481,8 @@ def _prune(spec: EquationSpec, points: int, tree: str, bounds):
     probe = np.array(sorted({int(np.argmax(goal)) for goal in goals}))
     idx = _range_nodes(first[probe], last[probe])
     best, evaluated = _maxima(spec, points, tree, idx, len(goals)), idx.size
+    if any(top == 0.0 and not np.delete(goal > 0.0, probe).any() for goal, top in zip(goals, best)):
+        return None, evaluated  # a zero extremum that no cell can beat
     open_cells = _excess(goals, best) > 0.0
     open_cells[probe] = False
     if open_cells.sum() > _PRUNE_MAX_SHARE * len(open_cells):
@@ -609,15 +612,41 @@ def _sample(spec: EquationSpec, points: int, trees) -> tuple[dict, dict[str, Ass
     return values, {cid: wit[cid].check(cid, description) for cid, description in _SAMPLED_CHECKS}
 
 
+def _defined(e: Expr, ts: np.ndarray) -> np.ndarray:
+    """e at ts, NaN where one of its quotient denominators is zero: each is
+    evaluated only where those before it, the ones inside it first, are
+    nonzero, so nothing raises."""
+    dens = list(e.denominators())[::-1]  # a denominator after those inside it
+    if not dens:
+        return e.eval_array(ts)
+    ok = np.ones(len(ts), dtype=bool)
+    for den in dens:
+        ok[ok] = den.eval_array(ts[ok]) != 0.0
+    v = np.full(len(ts), math.nan)
+    v[ok] = e.eval_array(ts[ok])
+    return v
+
+
+def _sign_changes(dv: np.ndarray, last_sign: float):
+    """Where the values dv change sign from the value before, the first from
+    ``last_sign`` (a NaN or a zero changes nothing), and the sign of the last."""
+    sign = np.sign(dv)
+    change = np.empty(len(dv), dtype=bool)
+    change[0] = sign[0] * last_sign < 0
+    change[1:] = sign[1:] * sign[:-1] < 0
+    return change, sign[-1]
+
+
 def _domain_check(label, den, spec, points) -> AssumptionCheck:
     """Zero, non-finite, or a sign change between adjacent samples (across
-    block boundaries too) of one quotient denominator.  A block that is
-    finite and of one strict sign can hold none of these except at its
-    first point, against the last sign of the block before."""
+    block boundaries too) of one quotient denominator, NaN where one inside
+    it is zero.  A block that is finite and of one strict sign can hold none
+    of these except at its first point, against the last sign of the block
+    before."""
     wit = _Witnesses()
     last_sign = 0.0
     for ts in grid_blocks(spec, points):
-        dv = den.eval_array(ts)
+        dv = _defined(den, ts)
         bottom, top = dv.min(), dv.max()
         if 0.0 < bottom and top < math.inf or -math.inf < bottom and top < 0.0:
             sign = 1.0 if bottom > 0.0 else -1.0
@@ -625,35 +654,33 @@ def _domain_check(label, den, spec, points) -> AssumptionCheck:
                 wit.add(ts[:1], [True])
             last_sign = sign
             continue
-        sign = np.sign(dv)
-        sign_change = np.empty(len(ts), dtype=bool)
-        sign_change[0] = sign[0] * last_sign < 0
-        sign_change[1:] = sign[1:] * sign[:-1] < 0
-        wit.add(ts, (dv == 0.0) | ~np.isfinite(dv) | sign_change)
-        last_sign = sign[-1]
+        change, last_sign = _sign_changes(dv, last_sign)
+        wit.add(ts, (dv == 0.0) | ~np.isfinite(dv) | change)
     return wit.check(f"domain_{label}", _DOMAIN.format(label))
 
 
 def _forcing_check(spec: EquationSpec, points: int) -> AssumptionCheck:
-    """The forcing f is defined and finite at every grid point: proven when
-    its enclosure on the cells of the grid is finite (a denominator that may
-    reach 0 makes it NaN), else sampled in blocks.  A sample is evaluated
-    only where every quotient denominator is nonzero, inner ones first, and
-    a zero denominator is a witness as a non-finite value is."""
+    """The forcing f is defined and finite at every grid point, and has no
+    pole between two: proven when its enclosure on the cells of the grid is
+    finite (a denominator that may reach 0 makes it NaN), else sampled in
+    blocks.  A zero quotient denominator is a witness, as a non-finite value
+    is and as a sign change of a denominator between adjacent samples
+    (across block boundaries too) is."""
     f = spec.f
     with np.errstate(all="ignore"):
         f_lo, f_hi = f.enclose(*_spans(spec, points, *_cells(points)))
     if np.all((-math.inf < f_lo) & (f_hi < math.inf)):
         return AssumptionCheck(*_FORCING, True)
-    dens = list(f.denominators())[::-1]  # a denominator after those inside it
+    dens = list(f.denominators())
+    last_signs = [0.0] * len(dens)
     wit = _Witnesses()
     with np.errstate(all="ignore"):
         for ts in grid_blocks(spec, points):
-            ok = np.ones(len(ts), dtype=bool)
-            for den in dens:
-                ok[ok] = den.eval_array(ts[ok]) != 0.0
-            ok[ok] = np.isfinite(f.eval_array(ts[ok]))
-            wit.add(ts, ~ok)
+            bad = ~np.isfinite(_defined(f, ts))
+            for i, den in enumerate(dens):
+                change, last_signs[i] = _sign_changes(_defined(den, ts), last_signs[i])
+                bad |= change
+            wit.add(ts, bad)
     return wit.check(*_FORCING)
 
 

@@ -20,11 +20,14 @@ a delayed argument reaches before t0.  Only x and y are kept for the whole
 run, since a neutral lookup can reach anywhere back, so memory is x and y
 plus a few blocks.  A first pass over the stage grid, also in blocks, finds
 the smallest retarded lag, which picks the path; a run of one block keeps
-h from it.  The scalar loop runs on Python floats, one block at a time: it
-reads lists of the block's inputs and of its x and y, writes x and y back
-at the end of the block, and reads a lookup that reaches before the block
-from the array.  A failing run raises where this order meets the failure,
-with x and y still the only arrays of the run's length.
+h from it.  The scalar loop runs on Python floats, one block at a time, on
+lists of the block's inputs, x and y (written back at the block's end),
+and of each stage's lookup index and weight and each node's recovery class
+and (g - t0) / step, computed in numpy.  A step reads the block's committed
+nodes in line, takes the last step's k4 for its k1 when that read them,
+and evaluates a and g once for both midpoint stages; other lookups call
+out.  A failing run raises where this order meets the failure, with x and
+y still the only arrays of the run's length.
 
 A node whose interpolation nodes are final is recovered in closed form on
 both paths: its second iterate repeats its first, so the node-by-node
@@ -34,7 +37,8 @@ nodes and indexes every lookup once per block, and a chunk only gathers,
 sums and writes.  Its nodes past the chunk start go in rounds (wavefront),
 each the longest run whose interpolation nodes precede its first, all found
 from one running max.  Only a node whose neutral lag is under one step
-refers to itself and is iterated on its own, on Python floats.
+refers to itself and is iterated on its own, on Python floats (in line on
+the scalar path).
 
 Derivative jumps emitted at t0 and propagated along the delays are handled
 by small fixed steps and linear interpolation, not breakpoint tracking:
@@ -484,78 +488,105 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats):
             return xj + frac * (x.item(j + 1) - xj)
         return xb[k] + frac * (xb[k + 1] - xb[k])
 
-    def x_in_step(q, s, y_s, depth=0):
-        # Lookup past the last accepted node t_n: interpolate y linearly on
-        # [t_n, s] using the current stage estimate, then unwind the neutral
-        # term (contraction, so the recursion depth is effectively bounded).
+    def x_in_step(q, s, y_s, aq, gq, depth=0):
+        # Lookup past the last accepted node t_n, with aq and gq a and g at q:
+        # interpolate y linearly on [t_n, s] using the current stage estimate,
+        # then unwind the neutral term (a contraction: the depth stays small).
         if s > t_n:
             y_q = yn + (y_s - yn) * (q - t_n) / (s - t_n)
         else:
             y_q = yn
-        aq = a_at(q)
-        gq = g_at(q)
         if q - gq < _DEGENERATE_LAG:  # at a = 1, numpy's inf or nan and warning
             return y_q / d if (d := 1.0 - aq) else np.float64(y_q) / d
         if gq <= t_n:
             return y_q + aq * lookup_committed(gq)
         if depth >= 100:
             return y_q
-        return y_q + aq * x_in_step(gq, s, y_s, depth + 1)
+        return y_q + aq * x_in_step(gq, s, y_s, a_at(gq), g_at(gq), depth + 1)
 
-    def f_stage(k, s, y_s):
+    def f_stage(k, s, y_s):  # a stage whose lookup is not a read of xb in the block
         q = hs[k]
-        if q <= t_n and 0 <= (j := js[k]) < m:  # lookup_committed's read of xb
-            return -bs[k] * (xb[j] + fracs[k] * (xb[j + 1] - xb[j])) + fs[k]
-        xq = lookup_committed(q) if q <= t_n else x_in_step(q, s, y_s)
-        return -bs[k] * xq + fs[k]
+        xq = lookup_committed(q) if q <= t_n else x_in_step(q, s, y_s, a_at(q), g_at(q))
+        return nb[k] * xq + fs[k]
 
     half, sixth, tol = 0.5 * step, step / 6.0, FP_TOL
-    near, below, self_ref, iters, resid = 0, 0, 0, 1, 0.0
+    near, below, self_ref, iters, self_iters, resid = 0, 0, 0, 1, 1, 0.0
     for lo in range(0, n_steps, _SCALAR_BLOCK_STEPS):
         hi = min(lo + _SCALAR_BLOCK_STEPS, n_steps)
-        tb, ab, gb = (v.tolist() for v in inputs.nodes(lo, hi))
-        bs, hs, fs = inputs.stages(lo, hi)
-        # lookup_committed's weight and index (from lo; -1 for the history) at every stage
-        pos = (hs - t0) * inv_step
-        fracs = (pos - np.floor(pos)).tolist()
-        js = np.where(hs < t0, -1, np.minimum(np.floor(pos), hi) - lo).astype(np.int64).tolist()
-        bs, hs, fs = bs.tolist(), hs.tolist(), fs.tolist()
+        tn, a_n, g_n = inputs.nodes(lo, hi)
+        b_s, hs, fs = inputs.stages(lo, hi)
+        # each stage's lookup_committed weight and index (from lo; -1 for the history)
+        ps = (hs - t0) * inv_step
+        fracs = (ps - np.floor(ps)).tolist()
+        js = np.where(hs < t0, -1, np.minimum(np.floor(ps), hi) - lo).astype(np.int64).tolist()
+        # each node's (g - t0) / step where x(g) is interpolated (>= 0, or NaN),
+        # -1 where the neutral lag degenerates and -2 where g is below t0
+        pos = (g_n - t0) / step
+        pos[g_n < t0] = -2.0
+        pos[tn - g_n < _DEGENERATE_LAG] = -1.0
+        tb, ab, pos = tn.tolist(), a_n.tolist(), pos.tolist()
+        nb, hs, fs = np.negative(b_s, out=b_s).tolist(), hs.tolist(), fs.tolist()
+        del tn, a_n, b_s, ps
         if lo == 0:
-            _set_y0(x, y, ab[0], gb[0], t0, hist_scalar)
+            _set_y0(x, y, ab[0], g_n.item(0), t0, hist_scalar)
         xb, yb = x[lo:hi + 1].tolist(), y[lo:hi + 1].tolist()
+        reuse = False  # a block takes nothing from the one before but x and y
         for m in range(hi - lo):
             n, t_n, yn = lo + m, tb[m], yb[m]
             k = 2 * m
-            k1 = f_stage(k, t_n, yn)
-            k2 = f_stage(k + 1, t_n + half, yn + half * k1)
-            # a committed lookup does not depend on the stage's y
-            k3 = k2 if hs[k + 1] <= t_n else f_stage(k + 1, t_n + half, yn + half * k2)
-            k4 = f_stage(k + 2, t_n + step, yn + step * k3)
+            if reuse:  # the last step's k4 read xb at this stage
+                k1 = k4
+            elif hs[k] <= t_n and 0 <= (j := js[k]) < m:  # lookup_committed's read of xb
+                k1 = nb[k] * (xb[j] + fracs[k] * (xb[j + 1] - xb[j])) + fs[k]
+            else:
+                k1 = f_stage(k, t_n, yn)
+            if (q := hs[k + 1]) <= t_n:  # a committed lookup does not depend on the stage's y
+                xq = (xb[j] + fracs[k + 1] * (xb[j + 1] - xb[j]) if 0 <= (j := js[k + 1]) < m
+                      else lookup_committed(q))
+                k2 = k3 = nb[k + 1] * xq + fs[k + 1]
+            else:  # lag under half a step: a and g at q once
+                aq, gq, s = a_at(q), g_at(q), t_n + half
+                k2 = nb[k + 1] * x_in_step(q, s, yn + half * k1, aq, gq) + fs[k + 1]
+                k3 = nb[k + 1] * x_in_step(q, s, yn + half * k2, aq, gq) + fs[k + 1]
+            if reuse := hs[k + 2] <= t_n and 0 <= (j := js[k + 2]) < m:
+                k4 = nb[k + 2] * (xb[j] + fracs[k + 2] * (xb[j + 1] - xb[j])) + fs[k + 2]
+            else:
+                k4 = f_stage(k + 2, t_n + step, yn + step * k3)
             yi = yb[m + 1] = yn + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # recover x at node n + 1 from y
-            ai, q, t_i = ab[m + 1], gb[m + 1], tb[m + 1]
-            if t_i - q < _DEGENERATE_LAG:
+            ai, p, t_i = ab[m + 1], pos[m + 1], tb[m + 1]
+            if p == -1.0:
                 near += 1
                 xb[m + 1] = yi / d if (d := 1.0 - ai) else np.float64(yi) / d
-            elif q < t0:
+            elif p == -2.0:
                 below += 1
-                xb[m + 1] = yi + ai * float(hist_scalar(q))
-            elif (j := min(int(pos := (q - t0) / step), n)) == n:
-                self_ref += 1
-                _fixed_point(m + 1, pos - j, xb, yi, ai, t_i, stats)
-            else:  # x[j] and x[j + 1] are final: the closed form of _fixed_point
+                xb[m + 1] = yi + ai * float(hist_scalar(g_n.item(m + 1)))
+            elif (j := int(p)) < n:  # x[j] and x[j + 1] are final: the closed form of _fixed_point
                 xj, xj1 = (xb[j - lo], xb[j - lo + 1]) if j >= lo else (x.item(j), x.item(j + 1))
-                new = xb[m + 1] = yi + ai * (xj + (pos - j) * (xj1 - xj))
-                if (r1 := abs(new - xb[m])) < tol:
-                    resid = max(resid, r1)
+                new = xb[m + 1] = yi + ai * (xj + (p - j) * (xj1 - xj))
+                if -tol < (r := new - xb[m]) < tol:  # abs(r) < tol
+                    resid = max(resid, abs(r))
                 elif new - new == 0.0:  # the second residual, 0 unless new is inf or nan
                     iters = 2
                 else:
                     raise _divergence(t_i)
+            else:  # x(g) past node n: _fixed_point from x[n], in line
+                self_ref += 1
+                frac, xj = p - n, float(xb[m])  # j = n
+                cur = xj
+                for it in range(1, FP_MAX_ITER + 1):
+                    new = yi + ai * (xj + frac * (cur - xj))
+                    r, cur = new - cur, new
+                    if -tol < r < tol:
+                        break
+                else:
+                    raise _divergence(t_i)
+                xb[m + 1] = cur
+                self_iters, resid = max(self_iters, it), max(resid, abs(r))
         y[lo:hi + 1] = yb
         x[lo:hi + 1] = xb
-        del tb, ab, gb, bs, hs, fs, js, fracs, xb, yb  # free them before the next block's
-    stats.iters_max, stats.resid_max = max(stats.iters_max, iters), max(stats.resid_max, resid)
+        del g_n, tb, ab, pos, nb, hs, fs, js, fracs, xb, yb  # free them before the next block's
+    stats.iters_max, stats.resid_max = max(stats.iters_max, iters, self_iters), max(stats.resid_max, resid)
     stats.near, stats.below, stats.self_ref = near, below, self_ref
     stats.hard = n_steps - near - below - self_ref
 

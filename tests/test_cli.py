@@ -380,6 +380,32 @@ def test_nan_coefficient_exits_2_with_witnesses_and_no_warning(tmp_path, capsys)
     assert captured.out == ""
 
 
+_RECIPROCAL = ["/", ["const", 1.0], ["+", ["t"], ["const", -5.0]]]  # 1 / (t - 5)
+
+
+@pytest.mark.parametrize("key, value, argv, witness", [
+    # a quotient inside a's denominator, zero at a grid point
+    ("a", ["/", ["const", 0.1], _RECIPROCAL], ["check", "--grid", "11"],
+     "  [domain_a] quotient denominator in a(t) bounded away from zero; witness t = 5"),
+    # a pole of f between the default grid's points, reached by the integration
+    ("f", _RECIPROCAL, ["simulate", "--t-end", "6"],
+     "  [f_finite] forcing f(t) defined and finite; witness t = 5.00005"),
+], ids=["nested_denominator", "forcing_pole"])
+def test_a_singular_spec_exits_2_with_a_witness(tmp_path, capsys, key, value, argv, witness):
+    spec = {"a": ["const", 0.3], "b": ["const", 1.0], "g": ["+", ["t"], ["const", -1.0]],
+            "h": ["+", ["t"], ["const", -1.0]], "t0": 0.0, "horizon": 10.0, key: value}
+    p = tmp_path / "singular.json"
+    p.write_text(json.dumps(spec))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([argv[0], str(p), *argv[1:]]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    head, *rest = captured.err.splitlines()
+    assert head == f"ndstab: {p}: structural validation failed"
+    assert rest[0] == witness and captured.out == ""
+
+
 def test_unknown_spec_keys_exit_2(tmp_path, capsys):
     # a misspelt "overrides" used to be dropped, and check ran without them
     spec = json.loads((corpus_dir() / "ex1.json").read_text())

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import bare
 from ndstab.eqspec import TREES, EquationSpec, SpecError, load_spec, save_spec, validate
-from ndstab.expr import MAX_EXPR_DEPTH, add, const, div, mul, scale, sin, tvar
+from ndstab.expr import MAX_EXPR_DEPTH, absval, add, const, div, mul, scale, sin, tvar
 
 T = tvar()
 
@@ -146,8 +146,21 @@ def test_validate_checks_the_forcing():
     assert forcing_check(div(const(1.0), add(T, const(-5.0)))).witnesses == (5.0,)
     assert forcing_check(div(const(1.0), div(const(1.0), add(T, const(-5.0))))).witnesses == (5.0,)
     assert forcing_check(scale(1e308, scale(1e308, T))).witnesses == tuple(float(t) for t in range(1, 9))
-    # between grid points a pole is not seen
-    assert forcing_check(div(const(1.0), add(T, const(-5.5)))).passed
+    # a pole between grid points: its denominator changes sign
+    assert forcing_check(div(const(1.0), add(T, const(-5.5)))).witnesses == (6.0,)
+    # the default grid misses t = 5
+    past_5 = float(np.linspace(0.0, 10.0, 100_000)[50_000])
+    assert forcing_check(div(const(1.0), add(T, const(-5.0))), 100_000).witnesses == (past_5,)
+    assert forcing_check(div(const(1.0), absval(add(T, const(-5.5))))).passed
+
+
+def test_validate_reports_a_zero_inside_a_denominator():
+    # a's denominator 1 / (t - 5) is not evaluated at t = 5, where its own
+    # denominator is zero: both are witnesses there, and nothing raises
+    spec = EquationSpec(a=div(const(0.1), div(const(1.0), add(T, const(-5.0)))), b=const(1.0),
+                        g=add(T, const(-1.0)), h=add(T, const(-1.0)), t0=0.0, horizon=10.0)
+    rep = validate(spec, 11)
+    assert [(c.check_id, c.witnesses) for c in rep.failures()] == [("domain_a", (5.0,))] * 2
 
 
 def test_spec_rejects_bad_window():

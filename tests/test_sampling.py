@@ -53,12 +53,23 @@ def _reference_check(check_id, description, ts, bad_mask):
             "witnesses": [float(ts[i]) for i in idx[:8]]}
 
 
+def _defined(e, ts):
+    """e on the whole grid, NaN where one of its quotient denominators is
+    zero; none is evaluated where one inside it is zero."""
+    ok = np.ones(len(ts), dtype=bool)
+    for den in reversed(list(e.denominators())):
+        ok[ok] = den.eval_array(ts[ok]) != 0.0
+    v = np.full(len(ts), math.nan)
+    v[ok] = e.eval_array(ts[ok])
+    return v
+
+
 def reference_validate(spec, grid_points):
     ts = spec.grid(grid_points)
     checks = []
     for label, e in (("a", spec.a), ("b", spec.b), ("g", spec.g), ("h", spec.h)):
         for den in e.denominators():
-            dv = den.eval_array(ts)
+            dv = _defined(den, ts)
             bad = (dv == 0.0) | ~np.isfinite(dv)
             sign_change = np.zeros_like(bad)
             sign_change[1:] = np.sign(dv[1:]) * np.sign(dv[:-1]) < 0
@@ -242,6 +253,19 @@ def test_search_batches_open_runs_best_bound_first():
     assert SAMPLE_BLOCK < extrema.evaluated["a"] < 20_000 and extrema.evaluated["b"] < 20_000
 
 
+@pytest.mark.parametrize("omega", [0.5, 4.0])
+def test_zero_extremum_settled_by_the_first_cells_takes_the_block_pass_at_once(omega):
+    # a's min 0.0 at t = 0: the cells bound |sin| below by 0, so none can
+    # beat it, and the search stops after the first cells
+    spec = EquationSpec(a=scale(0.5, absval(sin(scale(omega, T)))), b=const(1.0), g=T, h=T,
+                        t0=0.0, horizon=400.0)
+    extrema = Extrema(spec, 100_000)
+    extrema.sample(("a",))
+    assert extrema.values["inf_a"] == 0.0
+    assert extrema.evaluated["a"] <= 100_000 + 2 * 99  # the grid, and two cells of 98 or 99 nodes
+    assert extrema.values == {k: v for k, v in reference_extrema(spec, 100_000).items() if FIELD_TREE[k] == "a"}
+
+
 # The trees that each corpus spec prunes.  The others, the constant lags,
 # take the block pass: t - (t - c) rounds differently at each node, while
 # the bounds tie in every cell.  ex1's g prunes: sigma reads only the max
@@ -318,6 +342,15 @@ def test_denominator_sign_change_at_a_block_boundary(offset):
     rep = validate(spec, n)
     assert [c.witnesses for c in rep.failures()] == [(float(SAMPLE_BLOCK),)]
     assert_matches_reference(spec, n)
+
+
+@pytest.mark.parametrize("pole", [SAMPLE_BLOCK - 0.5, SAMPLE_BLOCK + 10.5])
+def test_forcing_pole_between_samples(pole):
+    # f's denominator changes sign between the last point of the first
+    # block and the first of the second, or inside the second block
+    spec, n = _unit_step_spec(f=div(const(1.0), add(T, const(-pole))))
+    assert [(c.check_id, c.witnesses) for c in validate(spec, n).failures()] == [
+        ("f_finite", (math.ceil(pole),))]
 
 
 _N = 2 * SAMPLE_BLOCK + 5  # the grid of _unit_step_spec: t = 0, 1, ..., _N - 1

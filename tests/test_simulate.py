@@ -430,6 +430,25 @@ LONG_NEUTRAL = spec_of(scale(0.5, sin(T)), add(const(1.0), scale(0.3, sin(T))),
 HALF_STEP = spec_of(const(0.4), const(1.0), add(T, const(-5e-4)), add(T, const(-5e-4)))
 # x moves by about 1e-13 per step: every node takes one iteration
 STILL_SCALAR = spec_of(const(0.5), const(1e-10), add(T, const(-5e-3)), add(T, const(-2e-3)))
+# neutral lag 0.89 to 1.24 steps: self nodes, which iterate up to 7 times,
+# between hard nodes, whose closed form takes two iterations
+SELF_AND_HARD = spec_of(add(const(0.285), scale(0.0535, cos(T))), const(1.245),
+                        add(T, const(-8.86e-4), scale(-3.53e-4, absval(cos(scale(1.854, T))))),
+                        add(T, const(-2.96e-3), scale(-7.03e-4, absval(sin(scale(1.854, T))))))
+# retarded lag 2.5 steps: every k4 but the first two of a block reads x in
+# the block, the last one before each block boundary too
+K4_IN_BLOCK = spec_of(add(const(0.3), scale(0.2, sin(T))), const(0.8),
+                      add(T, const(-1.5e-3)), add(T, const(-2.5e-3)))
+
+
+def _midpoints_in_step(g_lag):
+    """Retarded lag 0.2 to 0.4 steps: both midpoint stages look x up inside
+    the step, where a and g vary."""
+    return spec_of(add(const(0.3), scale(0.2, sin(scale(3.0, T)))), const(0.8),
+                   add(T, const(-g_lag), scale(-g_lag, absval(cos(scale(2.0, T))))),
+                   add(T, const(-2e-4), scale(-2e-4, absval(sin(T)))))
+
+
 SCALAR_CASES = {
     "half_step": (HALF_STEP, 1.0, 2.0),
     "self_nodes": (SELF_NODES, 1.0, 2.0),
@@ -441,6 +460,10 @@ SCALAR_CASES = {
     "block_minus_one": (SELF_NODES, 1.0, (2 * B - 1) * 1e-3),
     "block": (LONG_NEUTRAL, SeededHistory(5, -1.0, 0.5), 0.5 + 2 * B * 1e-3),
     "block_plus_one": (IN_STEP, 1.0, (2 * B + 1) * 1e-3),
+    "self_and_hard": (SELF_AND_HARD, 1.0, 2.0),
+    "k4_across_blocks": (K4_IN_BLOCK, sin(scale(3.0, T)), (2 * B + 3) * 1e-3),
+    "midpoints_neutral_shorter": (_midpoints_in_step(1e-4), cos(T), 1.5),
+    "midpoints_neutral_longer": (_midpoints_in_step(3e-3), cos(T), 1.5),
 }
 
 
@@ -461,6 +484,8 @@ def test_scalar_loop_matches_numpy_scalar_loop(name):
                              "block_plus_one": 2 * B + 1}[name]
     if name == "self_nodes":
         assert new.nodes_self > 0
+    if name == "self_and_hard":  # not the hard nodes' 2
+        assert new.fp_iterations_max == 7 and new.nodes_self > 0 and new.nodes_hard > 0
     if name == "still":
         assert new.fp_iterations_max == 1 and new.fp_residual_max > 0.0 and new.nodes_hard > 0
     if name.endswith("history"):
