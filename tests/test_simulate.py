@@ -1,7 +1,10 @@
+import hashlib
 import io
 import math
+import os
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +267,139 @@ def test_block_csv_writer_matches_per_row_format():
     ts = traj.times()
     rows = [f"{ts[i]:.12g},{x[i]:.12g},{y[i]:.12g}\r\n" for i in range(n)]
     assert out.getvalue() == "t,x,y\r\n" + "".join(rows)
+
+
+def _reference_write_csv(traj, fh):
+    """Trajectory.write_csv as one % operation per block of 4096 rows."""
+    fh.write("t,x,y\r\n")
+    for lo in range(0, traj.n, 4096):
+        hi = min(lo + 4096, traj.n)
+        ts = traj.t0 + traj.step * np.arange(lo, hi)
+        block = np.column_stack((ts, traj.x[lo:hi], traj.y[lo:hi]))
+        fh.write("%.12g,%.12g,%.12g\r\n" * len(block) % tuple(block.ravel().tolist()))
+
+
+class _Digest:
+    """A text sink that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode("ascii"))
+
+
+def _assert_csv_bytes_match(traj):
+    new, ref = _Digest(), _Digest()
+    traj.write_csv(new)
+    _reference_write_csv(traj, ref)
+    if new.sha.digest() != ref.sha.digest():
+        out, want = io.StringIO(), io.StringIO()
+        traj.write_csv(out)
+        _reference_write_csv(traj, want)
+        bad = [(a, b) for a, b in zip(out.getvalue().split("\r\n"), want.getvalue().split("\r\n"))
+               if a != b]
+        pytest.fail(f"{len(bad)} rows differ, first {bad[:3]}")
+
+
+def _csv_traj(values, t0=0.5, step=1e-3):
+    values = np.asarray(values, dtype=float)
+    return Trajectory(t0=t0, step=step, x=values, y=values[::-1].copy(),
+                      fp_iterations_max=1, fp_residual_max=0.0)
+
+
+def _finite_bit_patterns(rng, count):
+    """Random 64-bit patterns as doubles, the finite ones: subnormal, huge, either sign."""
+    values = rng.integers(0, 2**64, count, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def _near_ties(rng, count):
+    """13-digit decimals that end in 5, and both their float neighbours."""
+    digits = rng.integers(10**11, 10**12, count).tolist()
+    exps = rng.integers(-30, 31, count).tolist()
+    ties = np.array([float(f"{d}5e{p}") for d, p in zip(digits, exps)])
+    return np.concatenate((ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)))
+
+
+def _decade_edges():
+    """10^k and 9.99999999999d * 10^k for d = 0..9, with their float neighbours."""
+    values = np.array([float(f"1e{k}") for k in range(-300, 300)]
+                      + [float(f"9.99999999999{d}e{k}") for k in range(-300, 300) for d in range(10)])
+    return np.concatenate((values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)))
+
+
+CSV_FAMILIES = {
+    "bits": lambda rng: _finite_bit_patterns(rng, 60_000),
+    "scaled_normal": lambda rng: rng.standard_normal(60_000) * 10.0 ** rng.integers(-30, 31, 60_000),
+    "near_ties": lambda rng: _near_ties(rng, 20_000),
+    "decade_edges": lambda rng: np.concatenate((_decade_edges(), -_decade_edges())),
+    "integers": lambda rng: np.arange(-30_000, 30_000, dtype=float) * 997.0,
+    "specials": lambda rng: np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+                                      -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                                      1e-280, 9.99999999999e-281, 1e280, 9.99999999999e279,
+                                      1e-5, 9.999999999995e-5, 1e-4, 0.5, 1e11, 1e12, 999999999999.5,
+                                      123456789012.0, 1234567890123.0, 0.1, 0.3, 2.0 / 3.0]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CSV_FAMILIES))
+def test_csv_bytes_match_percent_format_on_value_families(family):
+    # about 280,000 values over the families, in x and reversed in y
+    values = CSV_FAMILIES[family](np.random.default_rng(11))
+    _assert_csv_bytes_match(_csv_traj(values))
+
+
+@pytest.mark.parametrize("t0, step", [(0.0, 1e-3), (-7.25, 1e-2), (1e5, 0.1), (0.0, 1.0 / 3.0),
+                                      (-1.0, 1e-7)])
+def test_csv_bytes_match_percent_format_on_time_grids(t0, step):
+    n = 30_000
+    _assert_csv_bytes_match(_csv_traj(np.sin(np.arange(n) * 0.37) * 10.0 ** (np.arange(n) % 9 - 4),
+                                      t0=t0, step=step))
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex2", "ex4"])
+def test_csv_bytes_match_percent_format_on_corpus_trajectories(case, corpus):
+    t_end = {"ex1": 300.0, "ex2": 50.0, "ex4": 300.0}[case]
+    _assert_csv_bytes_match(integrate(corpus[case], 1.0, t_end, 1e-3))
+
+
+@pytest.mark.parametrize("n", [1, simulate._CSV_BLOCK_ROWS, simulate._CSV_BLOCK_ROWS + 1])
+def test_csv_bytes_match_percent_format_at_block_edges(n):
+    rng = np.random.default_rng(n)
+    _assert_csv_bytes_match(_csv_traj(rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)))
+
+
+def test_write_csv_raises_no_numpy_warning():
+    # a library call runs under numpy's default error state, not cli.run's
+    values = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e300, -1e-300, 1.0])
+    out = io.StringIO()
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        _csv_traj(values).write_csv(out)
+    assert out.getvalue().splitlines()[1:4] == ["0.5,nan,1", "0.501,inf,-1e-300", "0.502,-inf,1e+300"]
+
+
+# Memory of write_csv beyond its trajectory: one block of rows formatted at a
+# time, about 1 MB, as the % operation of 4096 rows it replaces held.  A
+# whole-run temporary would cost at least 8 bytes a row.
+CSV_BUDGET = 1_500_000
+
+
+def test_write_csv_memory_is_a_block_budget():
+    rng = np.random.default_rng(5)
+    peaks = []
+    with open(os.devnull, "w", newline="") as sink:
+        for n in (10_001, 60_001):
+            traj = _csv_traj(rng.standard_normal(n))
+            tracemalloc.start()
+            try:
+                traj.write_csv(sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert max(peaks) <= CSV_BUDGET, peaks
+    assert peaks[1] - peaks[0] < 2 * (60_001 - 10_001), peaks
 
 
 # -- scalar loop on Python floats against its numpy-scalar form ---------------------
@@ -963,6 +1099,23 @@ def test_decay_rate_growth_flagged():
 def test_decay_rate_needs_enough_windows():
     with pytest.raises(ValueError):
         decay_rate(synthetic_traj(lambda t: 1.0, t_end=30.0), warmup=10.0, window=10.0)
+
+
+@pytest.mark.parametrize("warmup, window, name", [
+    (0.0, 0.0, "window"), (0.0, -1.0, "window"), (0.0, math.nan, "window"),
+    (0.0, math.inf, "window"), (-0.5, 1.0, "warmup"), (math.nan, 1.0, "warmup"),
+    (math.inf, 1.0, "warmup"), (-math.inf, 1.0, "warmup")])
+def test_decay_rate_rejects_bad_arguments_by_name(warmup, window, name):
+    traj = synthetic_traj(lambda t: math.exp(-0.3 * t), t_end=10.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        decay_rate(traj, warmup=warmup, window=window)
+
+
+def test_decay_rate_takes_a_zero_warmup():
+    # report.reproduce_examples calls it with warmup 0 and ten windows
+    est = decay_rate(synthetic_traj(lambda t: math.exp(-0.3 * t)), warmup=0.0, window=10.0)
+    assert est.verdict == "decaying" and len(est.window_sups) == 10
+    assert est.window_mids[0] == 5.0 and est.window_sups[0] == 1.0
 
 
 # -- forced response from a zero history ---------------------------------------------------
