@@ -258,7 +258,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     spec, rep = _load_validated(args.spec)
     alphas = _parse_alpha_grid(args.alpha_grid)
-    rows = report.sweep_alpha_r(spec, alphas, summary=summarize(spec, rep))
+    rows = report.sweep_alpha_r(summarize(spec, rep), alphas)
     with _output(args.out) as fh:
         report.write_sweep_csv(rows, fh)
     return 0
@@ -298,7 +298,7 @@ def _cmd_examples(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec, rep = _load_validated(args.spec)
-    rows = report.compare_baselines(spec, summary=summarize(spec, rep))
+    rows = report.compare_baselines(summarize(spec, rep))
     if args.json:
         print(json.dumps(rows, indent=2, allow_nan=False))
     else:

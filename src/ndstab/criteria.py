@@ -36,7 +36,6 @@ from .params import (
     SummaryError,
     estimate_limsup_int_b,
     integral_summary,
-    summarize,
 )
 
 UNIFORM_EXPONENTIAL = "uniform-exponential"
@@ -520,16 +519,14 @@ def check_prop_tang_zou(summary: ParameterSummary, limsup_int_b: float) -> Crite
 
 # -- orchestration --------------------------------------------------------------
 
-def best_verdict(spec: EquationSpec, summary: ParameterSummary | None = None) -> list[CriterionVerdict]:
+def best_verdict(spec: EquationSpec, summary: ParameterSummary) -> list[CriterionVerdict]:
     """Run every applicable test, optimizing alpha where parameterized, on
-    ``summary`` (``summarize(spec)`` when None; theorem 3 takes its integral
+    the caller's ``summary`` of ``spec`` (theorem 3 takes its integral
     bounds as they are, and fills them in when it has none).
 
     Returns all verdicts for audit, sorted best first (satisfied before
     unsatisfied, larger margin first).
     """
-    if summary is None:
-        summary = summarize(spec)
     verdicts: list[CriterionVerdict] = []
 
     a_star = THEOREM1.best_alpha(summary)

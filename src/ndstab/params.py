@@ -387,13 +387,12 @@ def integral_summary(spec: EquationSpec, summary: ParameterSummary,
                    provenance=prov, notes=tuple(notes))
 
 
-def estimate_limsup_int_b(spec: EquationSpec, window: float,
-                          integrals: IntegralsOfB | None = None) -> float:
+def estimate_limsup_int_b(spec: EquationSpec, window: float, integrals: IntegralsOfB) -> float:
     """Grid estimate of limsup_t int_{t-window}^t b, over the window tail.
 
     Uses the last half of [t0, horizon]; an analytic override is preferable
     whenever available (the estimate is flagged as such by callers).
-    ``integrals`` evaluates the integrals; a new IntegralsOfB when None.
+    ``integrals`` is the caller's table of the integrals of b over ``spec``.
     """
     lo = 0.5 * (spec.t0 + spec.horizon)
     lo = max(lo, spec.t0 + window)
@@ -402,6 +401,4 @@ def estimate_limsup_int_b(spec: EquationSpec, window: float,
     if lo > spec.horizon:
         raise QuadratureError("window longer than the analysis horizon")
     ts = np.linspace(lo, spec.horizon, _LIMSUP_SAMPLES)
-    if integrals is None:
-        integrals = IntegralsOfB(spec)
     return float(max(integrals.over(ts - window, ts).tolist()))

@@ -68,18 +68,12 @@ class SweepRow:
     feasible: bool
 
 
-def sweep_alpha_r(
-    spec: EquationSpec,
-    alpha_grid,
-    summary: ParameterSummary | None = None,
-) -> list[SweepRow]:
+def sweep_alpha_r(summary: ParameterSummary, alpha_grid) -> list[SweepRow]:
     """Feasibility bands of the alpha-parameterized main test over alpha.
 
-    ``spec`` holds the coefficient family at unit amplitude (b enters
-    linearly).  One row per alpha, in grid order.
+    ``summary`` is the caller's summary of the coefficient family at unit
+    amplitude (b enters linearly).  One row per alpha, in grid order.
     """
-    if summary is None:
-        summary = summarize(spec)
     rows: list[SweepRow] = []
     for a in alpha_grid:
         a = float(a)
@@ -193,7 +187,7 @@ def _report_ex1(spec, summary):
 
 
 def _report_ex2(spec, summary):
-    rows = {a: sweep_alpha_r(spec, [a], summary=summary)[0] for a in (0.0, 0.5, 1.0)}
+    rows = {row.alpha: row for row in sweep_alpha_r(summary, (0.0, 0.5, 1.0))}
     grid = _grid(spec)
     quantities = (
         _Q("r_upper_alpha_1", 0.168, rows[1.0].r_upper, 5e-4, "closed-form"),
@@ -354,13 +348,12 @@ def unwaived_mismatches(reports, waived: set[str]) -> list[str]:
 
 # -- baseline comparison -----------------------------------------------------------
 
-def compare_baselines(spec: EquationSpec, summary: ParameterSummary | None = None) -> list[dict]:
-    """Side-by-side thresholds for one equation: the classical constant-delay
-    baselines (on the integrated-b scale) and this library's endpoint tests
-    (on the coefficient scale, with the integrated-scale equivalent where a
-    limsup of the b-integral is available)."""
-    if summary is None:
-        summary = summarize(spec)
+def compare_baselines(summary: ParameterSummary) -> list[dict]:
+    """Side-by-side thresholds for one equation, read from the caller's
+    ``summary``: the classical constant-delay baselines (on the integrated-b
+    scale) and this library's endpoint tests (on the coefficient scale, with
+    the integrated-scale equivalent where a limsup of the b-integral is
+    available)."""
     rows: list[dict] = []
 
     def row(criterion, unit, threshold, note):

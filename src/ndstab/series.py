@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eqspec import EquationSpec
-from .params import ParameterSummary, summarize
+from .params import ParameterSummary
+
+TAIL_TOL = 1e-10  # bound on the discarded tail of every truncated series
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,7 @@ class TruncationCert:
 
     ``terms`` were kept; the discarded tail is bounded by ``tail_bound``
     (ratio^terms * scale / (1 - ratio)), which is <= ``tol`` and minimal in
-    the number of terms.
+    the number of terms; ``tol`` is ``TAIL_TOL``.
     """
 
     terms: int
@@ -113,16 +115,13 @@ def apply_S(spec: EquationSpec, y: SampledFunction) -> SampledFunction:
     return SampledFunction(y.t0, y.step, _shift(spec, y)(y.values))
 
 
-def neumann_inverse(
-    spec: EquationSpec,
-    y: SampledFunction,
-    tol: float = 1e-10,
-) -> tuple[SampledFunction, TruncationCert]:
-    """Apply (E - S)^{-1} = sum_j S^j to y with a certified geometric tail.
+def neumann_inverse(spec: EquationSpec, y: SampledFunction) -> tuple[SampledFunction, TruncationCert]:
+    """Apply (E - S)^{-1} = sum_j S^j to y with a geometric tail of at
+    most ``TAIL_TOL``.
 
     ||a|| is the spec's norm_a override when it has one, else the sampled
     sup of |a| on y's grid.  The result satisfies
-    ||result|| <= ||y|| / (1 - ||a||) + tol, which is asserted.
+    ||result|| <= ||y|| / (1 - ||a||) + TAIL_TOL, which is asserted.
     """
     if "norm_a" in spec.overrides:
         norm_a = float(spec.overrides["norm_a"])
@@ -132,7 +131,7 @@ def neumann_inverse(
         raise ValueError(f"need ||a|| < 1 for the geometric series, got {norm_a}")
 
     scale = y.sup_norm()
-    terms = _terms_for(norm_a, scale, tol)
+    terms = _terms_for(norm_a, scale, TAIL_TOL)
     total = y.values.copy()
     term = y.values
     if terms > 1:
@@ -142,33 +141,32 @@ def neumann_inverse(
         total += term
     out = SampledFunction(y.t0, y.step, total)
     tail = _tail(norm_a, scale, terms)
-    bound = scale / (1.0 - norm_a) + tol
+    bound = scale / (1.0 - norm_a) + TAIL_TOL
     assert out.sup_norm() <= bound + 1e-12 * max(1.0, bound), (
         f"inverse norm {out.sup_norm()} exceeds certified bound {bound}")
-    return out, TruncationCert(terms, tail, tol)
+    return out, TruncationCert(terms, tail, TAIL_TOL)
 
 
 def big_B(
     spec: EquationSpec,
     t: float,
-    tol: float = 1e-10,
-    summary: ParameterSummary | None = None,
+    summary: ParameterSummary,
     positive_part: bool = False,
 ) -> tuple[float, TruncationCert]:
     """Series coefficient of the equivalent infinite-delay equation at time t.
 
-    Factors a(h(g^[k](t))) use the convention a = a0 below t0; the
-    ``positive_part`` variant uses a+ factors with the convention a = 0
-    below t0.  In the standard variant (which presumes inf a > 0) the value
-    is asserted to lie in [b0/(1 - a0), ||b||/(1 - ||a||)].
+    The ratio and bounds come from the caller's ``summary`` of ``spec``, and
+    the terms kept leave a tail of at most ``TAIL_TOL``.  Factors
+    a(h(g^[k](t))) use the convention a = a0 below t0; the ``positive_part``
+    variant uses a+ factors with the convention a = 0 below t0.  In the
+    standard variant (which presumes inf a > 0) the value is asserted to lie
+    in [b0/(1 - a0), ||b||/(1 - ||a||)].
     """
-    if summary is None:
-        summary = summarize(spec)
     ratio = summary.norm_a_plus if positive_part else summary.norm_a
     if not positive_part and summary.inf_a <= 0.0:
         raise ValueError("standard series coefficient requires inf a > 0")
 
-    terms = _terms_for(ratio, summary.norm_b, tol) if ratio > 0.0 else 1
+    terms = _terms_for(ratio, summary.norm_b, TAIL_TOL) if ratio > 0.0 else 1
     bt = spec.b.evaluate(t)
     a_at, g_at, h_at = spec.a.evaluate, spec.g.evaluate, spec.h.evaluate
     total = 0.0
@@ -194,4 +192,4 @@ def big_B(
         slack = tail + 1e-9 * max(1.0, hi)
         assert lo - slack <= value <= hi + slack, (
             f"series coefficient {value} at t={t} outside [{lo}, {hi}]")
-    return value, TruncationCert(terms, tail, tol)
+    return value, TruncationCert(terms, tail, TAIL_TOL)

@@ -651,9 +651,12 @@ def lemma4_check(b: Expr, h: Expr, s_grid: np.ndarray, t_end: float, step: float
             bad = float(traj.times()[np.argmax(xs <= 0.0)])
             raise PositivityViolation(
                 f"fundamental function not positive at t={bad} for s={float(s)}")
-        for i, t in enumerate(t_samples):
-            if t >= s:
-                table[i, k] = traj.x_at(float(t))
+        # traj.x_at at every t >= s, with x_at's own operations
+        rows = t_samples >= s
+        pos = (t_samples[rows] - traj.t0) / traj.step
+        j = np.minimum(np.maximum(pos.astype(np.int64), 0), traj.n - 2)
+        frac = pos - j
+        table[rows, k] = xs[j] * (1.0 - frac) + xs[j + 1] * frac
 
     best = 0.0
     for i, t in enumerate(t_samples):
@@ -673,26 +676,30 @@ def decay_rate(traj: Trajectory, warmup: float, window: float) -> DecayEstimate:
     and classifies: decaying when the last/first sup ratio drops below 1/2
     with a positive fitted rate, non-decaying when the ratio exceeds 2,
     inconclusive otherwise.  Raises ValueError for a warmup that is negative
-    or not finite and for a window that is not positive or not finite.
+    or not finite, for a window that is not positive or not finite, and for
+    a window shorter than the trajectory's step.
     """
     if not (math.isfinite(warmup) and warmup >= 0.0):
         raise ValueError(f"warmup must be finite and non-negative, got {warmup!r}")
     if not (math.isfinite(window) and window > 0.0):
         raise ValueError(f"window must be finite and positive, got {window!r}")
+    if window < traj.step:
+        raise ValueError(f"window must be at least the trajectory step {traj.step!r}, got {window!r}")
     span = traj.t_end - traj.t0
     if span < warmup + 5.0 * window:
         raise ValueError("trajectory too short: need t_end - t0 >= warmup + 5*window")
     start = traj.t0 + warmup
-    n_windows = int((traj.t_end - start) / window)
-    mids = []
-    sups = []
-    for k in range(n_windows):
-        w0 = start + k * window
-        i0 = int(round((w0 - traj.t0) / traj.step))
-        i1 = int(round((w0 + window - traj.t0) / traj.step))
-        i1 = min(i1, traj.n - 1)
-        sups.append(float(np.max(np.abs(traj.x[i0:i1 + 1]))))
-        mids.append(w0 + 0.5 * window)
+    w0 = start + np.arange(int((traj.t_end - start) / window)) * window
+    # window k covers the samples i0[k] ..= i1[k]; i1[k] + 1 need not equal
+    # i0[k + 1], so the bounds are interleaved and every other max is kept
+    i0 = np.rint((w0 - traj.t0) / traj.step).astype(np.int64)
+    i1 = np.minimum(np.rint((w0 + window - traj.t0) / traj.step).astype(np.int64), traj.n - 1)
+    bounds = np.column_stack((i0, i1 + 1)).ravel()
+    padded = np.empty(traj.n + 1)  # a spare last element, so that i1 + 1 = n is a valid index
+    np.abs(traj.x, out=padded[:-1])
+    padded[-1] = 0.0
+    sups = np.maximum.reduceat(padded, bounds)[::2].tolist()
+    mids = (w0 + 0.5 * window).tolist()
     sups_arr = np.maximum(np.array(sups), 1e-300)  # log-safe floor
     slope = float(np.polyfit(np.array(mids), np.log(sups_arr), 1)[0])
     rate = -slope

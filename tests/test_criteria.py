@@ -420,7 +420,7 @@ def test_margin_monotonicity(seed, alpha):
 
 
 def test_best_verdict_ex1(ex1):
-    verdicts = {v.criterion: v for v in best_verdict(ex1)}
+    verdicts = {v.criterion: v for v in best_verdict(ex1, summarize(ex1))}
     c3 = verdicts["corollary3"]
     assert c3.satisfied
     assert c3.witness_alpha == pytest.approx(0.61161, abs=1e-4)  # interval midpoint
@@ -437,14 +437,14 @@ def test_constant_delay_baselines_see_a_lag_that_varies_between_samples():
                         t0=0.0, horizon=4000 * math.pi)
     ts = spec.grid(2001)
     assert np.ptp(ts - spec.h.eval_array(ts)) < 1e-9
-    verdicts = {v.criterion: v for v in best_verdict(spec)}
+    verdicts = {v.criterion: v for v in best_verdict(spec, summarize(spec))}
     for name in ("prop_yu", "prop_tang_zou"):
         assert not verdicts[name].applicable and verdicts[name].reason == "constant delays required"
     assert verdicts["theorem1"].satisfied  # the paper's tests still decide it
 
 
 def test_best_verdict_ex4(ex4):
-    verdicts = {v.criterion: v for v in best_verdict(ex4)}
+    verdicts = {v.criterion: v for v in best_verdict(ex4, summarize(ex4))}
     assert verdicts["theorem2"].satisfied
     assert not verdicts["theorem1"].applicable  # a changes sign
 
@@ -465,7 +465,7 @@ def test_every_verdict_reads_the_summary_sup_a_and_inf_a():
     # included, reads the summary's sup |a| near 0.7 and inf a near 0.1
     from ndstab.eqspec import EquationSpec
     from ndstab.expr import add, const, cos, div, scale, tvar
-    from ndstab.params import estimate_limsup_int_b
+    from ndstab.params import IntegralsOfB, estimate_limsup_int_b
     t = tvar()
     spec = EquationSpec(a=add(const(0.4), scale(0.3, cos(scale(8.0425, t)))), b=div(const(0.2), t),
                         g=div(t, const(2.0)), h=div(t, const(3.0)), t0=1.0, horizon=401.0)
@@ -476,7 +476,7 @@ def test_every_verdict_reads_the_summary_sup_a_and_inf_a():
     records = {r.name: r for r in (criteria.THEOREM1, criteria.COROLLARY_MAIN_A, criteria.COROLLARY_MAIN_B,
                                    criteria.THEOREM2, criteria.THEOREM2_REMARK, criteria.COROLLARY5_A,
                                    criteria.COROLLARY5_B, criteria.THEOREM3)}
-    limsup = estimate_limsup_int_b(spec, summary.tau)
+    limsup = estimate_limsup_int_b(spec, summary.tau, IntegralsOfB(spec))
     variable = replace(summary, constant_delays=False)
     baselines = {"prop_yu": check_prop_yu(variable, limsup),
                  "prop_tang_zou": check_prop_tang_zou(variable, limsup)}
@@ -489,13 +489,13 @@ def test_every_verdict_reads_the_summary_sup_a_and_inf_a():
 
 
 def test_verdict_sorted_satisfied_first(ex4):
-    verdicts = best_verdict(ex4)
+    verdicts = best_verdict(ex4, summarize(ex4))
     flags = [v.satisfied for v in verdicts]
     assert flags == sorted(flags, reverse=True)
 
 
 def test_verdict_json_shape(ex1):
-    d = best_verdict(ex1)[0].to_dict()
+    d = best_verdict(ex1, summarize(ex1))[0].to_dict()
     assert set(d) == {"criterion", "applicable", "satisfied", "margin",
                       "alpha", "kind", "certification", "notes"}
 

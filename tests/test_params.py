@@ -180,7 +180,7 @@ def test_scalar_simpson_equals_its_one_row_array_call(corpus):
 def test_limsup_estimate_matches_per_point_loop(ex4):
     tau = summarize(ex4).tau
     tail = np.linspace(max(0.5 * (ex4.t0 + ex4.horizon), ex4.t0 + tau), ex4.horizon, 257)
-    assert estimate_limsup_int_b(ex4, tau) == max(_one_by_one(ex4.b, tail - tau, tail).tolist())
+    assert estimate_limsup_int_b(ex4, tau, IntegralsOfB(ex4)) == max(_one_by_one(ex4.b, tail - tau, tail).tolist())
 
 
 def test_integral_summary_pantograph(ex5):
@@ -359,6 +359,6 @@ def test_best_verdict_builds_one_table(ex2, monkeypatch):
 
     monkeypatch.setattr(params, "IntegralsOfB", Counting)
     monkeypatch.setattr(criteria, "IntegralsOfB", Counting)
-    names = {v.criterion for v in criteria.best_verdict(ex2)}
+    names = {v.criterion for v in criteria.best_verdict(ex2, summarize(ex2))}
     assert {"theorem3", "prop_yu"} <= names and "limsup_int_b" not in ex2.overrides
     assert len(built) == 1

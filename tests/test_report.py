@@ -26,7 +26,7 @@ T = tvar()
 
 
 def test_sweep_closed_form_spot_values(ex2):
-    rows = {r.alpha: r for r in sweep_alpha_r(ex2, [0.0, 0.5, 1.0])}
+    rows = {r.alpha: r for r in sweep_alpha_r(summarize(ex2), [0.0, 0.5, 1.0])}
     assert rows[1.0].r_upper == pytest.approx((1.6 / 13) * (1 + 1 / math.e), abs=1e-12)
     assert rows[1.0].r_lower == pytest.approx(0.4 / math.e, abs=1e-12)
     assert rows[0.0].r_upper == pytest.approx(1.6 / 13, abs=1e-12)
@@ -71,7 +71,7 @@ def test_sweep_cells_match_main_test(ex2):
     rng = np.random.default_rng(42)
     alphas = rng.uniform(0.0, 1.0, 40)
     rs = rng.uniform(0.01, 0.25, 25)
-    for row in sweep_alpha_r(ex2, alphas):
+    for row in sweep_alpha_r(summarize(ex2), alphas):
         for r in rs:
             v = criteria.check_theorem1(summarize_at(scale_b(ex2, r), 101), row.alpha)
             assert (row.r_lower <= r < row.r_upper) == (v.applicable and v.satisfied), (row.alpha, r)
@@ -85,7 +85,7 @@ def test_sweep_cells_match_main_test(ex2):
         alphas = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 38)))
         rs = rng.uniform(0.001, 1.0, 25)
         assert summarize_at(scale_b(spec, rs[0]), 1001) == s.scale_b(rs[0])
-        for row in sweep_alpha_r(spec, alphas, summary=s):
+        for row in sweep_alpha_r(s, alphas):
             edges = [e for e in (row.r_lower, row.r_upper) if 0.0 < e < math.inf]
             for r in [*rs, *edges, *(math.nextafter(e, d) for e in edges for d in (0.0, math.inf))]:
                 v = criteria.check_theorem1(s.scale_b(r), row.alpha)
@@ -107,7 +107,7 @@ def test_sweep_csv_deterministic(ex2):
     blobs = []
     for _ in range(2):
         fh = io.StringIO()
-        write_sweep_csv(sweep_alpha_r(ex2, alphas), fh)
+        write_sweep_csv(sweep_alpha_r(summarize(ex2), alphas), fh)
         blobs.append(fh.getvalue())
     assert blobs[0] == blobs[1]
     header, first = blobs[0].split("\r\n")[:2]
@@ -168,7 +168,7 @@ def test_report_json_provenance_tags():
 
 
 def test_compare_baselines_near_critical(ex3):
-    rows = {r["criterion"]: r for r in compare_baselines(ex3)}
+    rows = {r["criterion"]: r for r in compare_baselines(summarize(ex3))}
     assert rows["baseline_sqrt"]["threshold"] == pytest.approx(0.063246, abs=1e-6)
     assert rows["baseline_3_2"]["threshold"] == pytest.approx(0.002002, abs=1e-9)
     assert rows["corollary_main_b"]["applicable"]
@@ -180,7 +180,7 @@ def test_compare_baselines_near_critical(ex3):
 
 
 def test_compare_baselines_not_applicable_at_large_a(ex1):
-    rows = {r["criterion"]: r for r in compare_baselines(ex1)}
+    rows = {r["criterion"]: r for r in compare_baselines(summarize(ex1))}
     assert not rows["baseline_3_2"]["applicable"]
     assert not rows["baseline_sqrt"]["applicable"]
     assert rows["baseline_3_2"]["threshold"] is None
@@ -192,5 +192,5 @@ def test_compare_baselines_classical_limit():
     t = tvar()
     spec = EquationSpec(a=const(0.0), b=const(1.0), g=t, h=add(t, const(-1.0)),
                         t0=0.0, horizon=50.0)
-    rows = {r["criterion"]: r for r in compare_baselines(spec)}
+    rows = {r["criterion"]: r for r in compare_baselines(summarize(spec))}
     assert rows["baseline_3_2"]["threshold"] == pytest.approx(1.5, abs=1e-12)

@@ -7,7 +7,9 @@ from ndstab.eqspec import EquationSpec
 from ndstab.expr import add, const, scale, sin, tvar
 from ndstab.params import summarize
 from ndstab.series import (
+    TAIL_TOL,
     SampledFunction,
+    _terms_for,
     apply_S,
     big_B,
     neumann_inverse,
@@ -61,24 +63,36 @@ def test_apply_S_shifted_ramp_oracle():
 def test_neumann_geometric_sum():
     spec = const_spec(a=0.5)
     y = sampled(lambda t: 1.0, 0.0, 10.0)
-    out, cert = neumann_inverse(spec, y, tol=1e-10)
+    out, cert = neumann_inverse(spec, y)
     np.testing.assert_allclose(out.values, 2.0, atol=1e-9)
-    assert 0.5 ** cert.terms * 1.0 / 0.5 <= 1e-10
+    assert 0.5 ** cert.terms * 1.0 / 0.5 <= TAIL_TOL
 
 
 def test_neumann_term_count_matches_formula():
     spec = const_spec(a=0.6)
     y = sampled(lambda t: 1.0, 0.0, 5.0, 65)
-    _, cert = neumann_inverse(spec, y, tol=1e-12)
-    assert cert.terms == 56  # smallest J with 0.6^J / 0.4 <= 1e-12
-    assert cert.tail_bound <= 1e-12
+    _, cert = neumann_inverse(spec, y)
+    assert cert.terms == 47  # smallest J with 0.6^J / 0.4 <= 1e-10
+    assert cert.tail_bound <= TAIL_TOL == cert.tol
+    assert _terms_for(0.6, 1.0, 1e-12) == 56  # and with 0.6^J / 0.4 <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3])
+def test_terms_for_is_the_least_count_that_meets_the_tolerance(tol):
+    rng = np.random.default_rng(11)
+    for ratio, scale in zip(rng.uniform(0.01, 0.99, 200), 10.0 ** rng.uniform(-3.0, 3.0, 200)):
+        terms = _terms_for(ratio, scale, tol)
+        assert ratio ** terms * scale / (1.0 - ratio) <= tol
+        assert terms == 1 or ratio ** (terms - 1) * scale / (1.0 - ratio) > tol, (ratio, scale)
+    # a tolerance above the whole sum, or a vanishing ratio or scale, keeps one term
+    assert _terms_for(0.6, 1.0, 10.0) == _terms_for(0.0, 1.0, tol) == _terms_for(0.6, 0.0, tol) == 1
 
 
 def test_neumann_inverse_property():
     # (E - S)(inverse y) == y on the grid, up to tol
     spec = const_spec(a=0.7, g=add(T, const(-0.9)))
     y = sampled(lambda t: math.sin(0.7 * t) + 1.1, 0.0, 30.0, 3001)
-    inv, cert = neumann_inverse(spec, y, tol=1e-10)
+    inv, cert = neumann_inverse(spec, y)
     back = inv.values - apply_S(spec, inv).values
     np.testing.assert_allclose(back, y.values, atol=5e-10)
 
@@ -97,16 +111,16 @@ def test_neumann_norm_bound_200_random_cases():
         amp = rng.uniform(0.1, 3.0)
         ph = rng.uniform(0.0, 6.0)
         y = sampled(lambda t: amp * math.cos(t + ph), 0.0, 12.0, 257)
-        out, cert = neumann_inverse(spec, y, tol=1e-8)
+        out, cert = neumann_inverse(spec, y)
         norm_a = float(np.max(np.abs(spec.a.eval_array(y.times()))))
-        assert out.sup_norm() <= y.sup_norm() / (1.0 - norm_a) + 1e-8 + 1e-12
+        assert out.sup_norm() <= y.sup_norm() / (1.0 - norm_a) + TAIL_TOL + 1e-12
 
 
 def test_tail_certificate_soundness():
     # adding 10 more terms moves the value by less than the certified tail
     spec = const_spec(a=0.6, g=add(T, const(-0.5)))
     y = sampled(lambda t: math.sin(t), 0.0, 20.0, 1001)
-    out, cert = neumann_inverse(spec, y, tol=1e-6)
+    out, cert = neumann_inverse(spec, y)
     extra = y
     total = y.values.copy()
     for _ in range(cert.terms + 10 - 1):
@@ -146,24 +160,25 @@ def test_neumann_inverse_matches_one_apply_S_per_term(corpus, case):
             assert np.array_equal(out.values, _reference_neumann(spec, y, cert.terms))
             assert np.array_equal(apply_S(spec, y).values, _reference_apply_S(spec, y).values)
         return
-    spec = EquationSpec(a=scale(0.6, sin(T)), b=const(1.0), g=add(T, const(-0.7)), h=T,
-                        t0=0.0, horizon=50.0)
+    # a = 0 keeps one term
+    a = const(0.0) if case == "one_term" else scale(0.6, sin(T))
+    spec = EquationSpec(a=a, b=const(1.0), g=add(T, const(-0.7)), h=T, t0=0.0, horizon=50.0)
     y = sampled(lambda t: math.cos(3.0 * t) - 0.5, 2.0 if case == "grid_after_t0" else 0.0, 20.0, 1001)
-    out, cert = neumann_inverse(spec, y, 10.0 if case == "one_term" else 1e-12)
+    out, cert = neumann_inverse(spec, y)
     assert (cert.terms == 1) == (case == "one_term")
     assert np.array_equal(out.values, _reference_neumann(spec, y, cert.terms))
 
 
 def test_neumann_inverse_query_above_the_grid_raises_from_the_second_term():
     # g(t) = t + 1 reads past the grid's end: apply_S raises, and so does
-    # neumann_inverse, but only when it builds a second term
+    # neumann_inverse, but only when it builds a second term (a = 0 keeps one)
     spec = const_spec(a=0.5, g=add(T, const(1.0)))
     y = sampled(lambda t: 1.0, 0.0, 10.0)
     with pytest.raises(ValueError, match="query above the sampled domain"):
         apply_S(spec, y)
     with pytest.raises(ValueError, match="query above the sampled domain"):
-        neumann_inverse(spec, y, tol=1e-10)
-    out, cert = neumann_inverse(spec, y, tol=10.0)
+        neumann_inverse(spec, y)
+    out, cert = neumann_inverse(const_spec(a=0.0, g=add(T, const(1.0))), y)
     assert cert.terms == 1 and np.array_equal(out.values, y.values)
 
 
@@ -171,7 +186,7 @@ def test_neumann_inverse_query_above_the_grid_raises_from_the_second_term():
 
 def test_big_B_geometric():
     spec = const_spec(a=0.5, b=1.0)
-    val, cert = big_B(spec, 5.0, tol=1e-10)
+    val, cert = big_B(spec, 5.0, summarize(spec))
     assert val == pytest.approx(2.0, abs=1e-9)
 
 
@@ -180,7 +195,7 @@ def test_big_B_band_ex2(ex2):
     spec = scale_b(ex2, 0.1)
     s = summarize(spec)
     lo, hi = 0.08 / 0.6, 0.1 / 0.4
-    val, cert = big_B(spec, 20.0, tol=1e-10, summary=s)
+    val, cert = big_B(spec, 20.0, s)
     assert lo - 1e-9 <= val <= hi + 1e-9
 
 
@@ -191,7 +206,7 @@ def test_big_B_band_everywhere_on_corpus(ex1, ex2):
         lo = s.inf_b / (1.0 - s.inf_a)
         hi = s.norm_b / (1.0 - s.norm_a)
         for t in np.linspace(spec.t0 + 1.0, spec.t0 + 50.0, 23):
-            val, _ = big_B(spec, float(t), tol=1e-10, summary=s)
+            val, _ = big_B(spec, float(t), s)
             assert lo - 1e-8 <= val <= hi + 1e-8
 
 
@@ -200,17 +215,32 @@ def test_big_B_positive_part_empty_chain():
     spec = EquationSpec(a=scale(-0.4, add(const(1.0), scale(0.5, sin(T)))),
                         b=const(0.9), g=add(T, const(-1.0)), h=add(T, const(-0.5)),
                         t0=0.0, horizon=50.0)
-    val, cert = big_B(spec, 10.0, tol=1e-10, positive_part=True)
+    val, cert = big_B(spec, 10.0, summarize(spec), positive_part=True)
     assert val == pytest.approx(0.9, abs=1e-12)
     assert cert.terms >= 1
 
 
+def _direct_B(spec, t, summary, terms, positive_part):
+    """b(t) sum_{j < terms} prod_{k<j} a(h(g^[k](t))), with big_B's conventions below t0."""
+    total, product, u = 0.0, 1.0, t
+    for _ in range(terms):
+        total += product
+        arg = spec.h.evaluate(u)
+        factor = spec.a.evaluate(arg) if arg >= spec.t0 else (0.0 if positive_part else summary.inf_a)
+        product *= max(factor, 0.0) if positive_part else factor
+        u = spec.g.evaluate(u)
+    return spec.b.evaluate(t) * total
+
+
 def test_big_B_tail_soundness(ex1):
+    # the terms big_B drops add up to at most the certified tail
     s = summarize(ex1)
-    t = 30.0
-    v1, cert = big_B(ex1, t, tol=1e-6, summary=s)
-    v2, _ = big_B(ex1, t, tol=1e-13, summary=s)
-    assert abs(v2 - v1) < cert.tail_bound
+    for positive_part in (False, True):
+        for t in (5.0, 30.0, 77.7):
+            value, cert = big_B(ex1, t, s, positive_part=positive_part)
+            assert cert.tail_bound <= TAIL_TOL
+            assert value == _direct_B(ex1, t, s, cert.terms, positive_part)
+            assert abs(_direct_B(ex1, t, s, cert.terms + 2000, positive_part) - value) <= cert.tail_bound
 
 
 def test_big_B_requires_positive_a(ex4):

@@ -1069,6 +1069,54 @@ def test_lemma4_delayed_case():
     assert val <= 1.0 + 1e-3
 
 
+def _reference_lemma4_check(b, h, s_grid, t_end, step):
+    """lemma4_check with its table filled by one traj.x_at call per cell."""
+    s_grid = np.asarray(s_grid, dtype=float)
+    t0 = float(s_grid[0])
+    probe = np.linspace(t0, t_end, 2049)
+    lo = t0 + float(np.max(probe - h.eval_array(probe)))
+    s_vals = s_grid[s_grid >= lo - 1e-12]
+    if len(s_vals) < 2:
+        return 0.0
+    b_at_s = b.eval_array(s_vals)
+    table = np.zeros((len(s_vals), len(s_vals)))
+    for k, s in enumerate(s_vals):
+        if s >= t_end:
+            continue
+        traj = fundamental(b, h, float(s), t_end, step)
+        assert np.all(traj.x > 0.0)
+        for i, t in enumerate(s_vals):
+            if t >= s:
+                table[i, k] = traj.x_at(float(t))
+    best = 0.0
+    for i, t in enumerate(s_vals):
+        m = s_vals <= t
+        if np.sum(m) < 2:
+            continue
+        best = max(best, float(np.trapezoid(table[i, m] * b_at_s[m], s_vals[m])))
+    return best
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex4", "ex5"])
+@pytest.mark.parametrize("past_t_end", [False, True])
+def test_lemma4_table_matches_one_x_at_per_cell(corpus, monkeypatch, name, past_t_end):
+    # every row handed to the quadrature, and so every cell of the table
+    # where b is not zero, is bit for bit that of the per-cell loop; a grid
+    # past t_end reads each fundamental beyond its last node
+    spec = corpus[name]
+    t_end = spec.t0 + 3.0
+    s_grid = np.linspace(spec.t0, t_end + (1.3 if past_t_end else 0.0), 14 if past_t_end else 9)
+    rows = []
+    trapezoid = np.trapezoid
+    monkeypatch.setattr(np, "trapezoid", lambda y, x: rows.append((y, x)) or trapezoid(y, x))
+    got = lemma4_check(spec.b, spec.h, s_grid, t_end, 1e-2)
+    ours, rows[:] = rows[:], []
+    want = _reference_lemma4_check(spec.b, spec.h, s_grid, t_end, 1e-2)
+    assert got == want and len(ours) == len(rows) > 0
+    for (y, x), (y_ref, x_ref) in zip(ours, rows):
+        assert y.tobytes() == y_ref.tobytes() and x.tobytes() == x_ref.tobytes()
+
+
 # -- decay classification ---------------------------------------------------------------
 
 def synthetic_traj(fn, t_end=100.0, step=1e-2):
@@ -1116,6 +1164,64 @@ def test_decay_rate_takes_a_zero_warmup():
     est = decay_rate(synthetic_traj(lambda t: math.exp(-0.3 * t)), warmup=0.0, window=10.0)
     assert est.verdict == "decaying" and len(est.window_sups) == 10
     assert est.window_mids[0] == 5.0 and est.window_sups[0] == 1.0
+
+
+def test_decay_rate_rejects_a_window_shorter_than_the_step():
+    traj = synthetic_traj(lambda t: math.exp(-0.3 * t), step=1e-2)
+    with pytest.raises(ValueError, match=r"^window must be at least the trajectory step 0\.01, got 0\.0099"):
+        decay_rate(traj, warmup=0.0, window=0.0099)
+    assert len(decay_rate(traj, warmup=0.0, window=1e-2).window_sups) == 10000
+
+
+def _reference_decay_rate(traj, warmup, window):
+    """decay_rate's windows, one slice of |x| per window, and its fit."""
+    start = traj.t0 + warmup
+    mids, sups = [], []
+    for k in range(int((traj.t_end - start) / window)):
+        w0 = start + k * window
+        i0 = int(round((w0 - traj.t0) / traj.step))
+        i1 = min(int(round((w0 + window - traj.t0) / traj.step)), traj.n - 1)
+        sups.append(float(np.max(np.abs(traj.x[i0:i1 + 1]))))
+        mids.append(w0 + 0.5 * window)
+    slope = float(np.polyfit(np.array(mids), np.log(np.maximum(np.array(sups), 1e-300)), 1)[0])
+    return mids, sups, -slope
+
+
+def _assert_decay_matches_loop(traj, warmup, window):
+    est = decay_rate(traj, warmup=warmup, window=window)
+    mids, sups, rate = _reference_decay_rate(traj, warmup, window)
+    assert np.array(est.window_mids).tobytes() == np.array(mids).tobytes()
+    assert np.array(est.window_sups).tobytes() == np.array(sups).tobytes()
+    assert all(type(v) is float for v in est.window_mids + est.window_sups)
+    assert est.rate == rate
+
+
+def test_decay_rate_matches_per_window_loop_on_random_trajectories():
+    # windows that are not whole numbers of steps put one window's last
+    # sample and the next one's first on either side of a shared boundary
+    rng = np.random.default_rng(26)
+    for _ in range(600):
+        step = float(10.0 ** rng.uniform(-3.0, -0.5))
+        n = int(rng.integers(12, 4000))
+        span = step * (n - 1)
+        warmup = float(rng.choice([0.0, rng.uniform(0.0, 0.5 * span)]))
+        most = (span - warmup) / 5.0 * (1.0 - 1e-9)  # the longest window that fits five times
+        if most < step:
+            continue
+        window = float(rng.choice([step, step * rng.integers(1, max(2, int(most / step))),
+                                   rng.uniform(step, most), most]))
+        x = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
+        traj = Trajectory(t0=float(rng.uniform(-50.0, 50.0)), step=step, x=x, y=x,
+                          fp_iterations_max=0, fp_residual_max=0.0)
+        _assert_decay_matches_loop(traj, warmup, window)
+
+
+@pytest.mark.parametrize("window", [1e-2, 0.37, 1.0, 4.9])
+def test_decay_rate_matches_per_window_loop_on_corpus(corpus, window):
+    for spec in corpus.values():
+        traj = integrate(spec, 1.0, spec.t0 + 30.0, 1e-2)
+        _assert_decay_matches_loop(traj, 0.0, window)
+        _assert_decay_matches_loop(traj, 2.5, window)
 
 
 # -- forced response from a zero history ---------------------------------------------------
