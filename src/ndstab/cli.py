@@ -241,7 +241,8 @@ def _cmd_check(args) -> int:
         if best is None:
             print("no test satisfied (stability undecided by these criteria)")
         else:
-            print(f"stability certified by {best.criterion} ({best.stability_kind})")
+            how = "certified" if best.certification == criteria.CERTIFIED else "numerically supported"
+            print(f"stability {how} by {best.criterion} ({best.stability_kind})")
     return 0
 
 

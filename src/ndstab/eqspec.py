@@ -222,7 +222,8 @@ def enclose(spec: EquationSpec, points: int) -> Enclosure:
     of ``spec`` on the cells of its grid of ``points`` points."""
     lo, hi = _spans(spec, points, *_cells(points))
     with np.errstate(all="ignore"):
-        cells = {tree: _tree_bounds(spec, tree, lo, hi) for tree in TREES}
+        cells = {tree: (lag_enclosure if tree in ("g", "h") else Expr.enclose)(getattr(spec, tree), lo, hi)
+                 for tree in TREES}
         (a_lo, a_hi), (b_lo, b_hi), (g_lo, g_hi), (h_lo, h_hi) = (
             (float(x[0].min()), float(x[1].max())) for x in cells.values())
         dens = [den.enclose(lo, hi) for tree in TREES for den in getattr(spec, tree).denominators()]
@@ -274,9 +275,9 @@ class Extrema:
 
     def sample(self, trees) -> None:
         """Sample those of ``trees`` not known yet.  On grids of _MIN_CELL_NODES
-        to SAMPLE_BLOCK nodes a cell, each tree's max and min come from the
-        cells that can hold them (``_prune``), else from one block pass
-        (``_sample``), which gives the same bits."""
+        to SAMPLE_BLOCK nodes a cell, each tree's max and min come from its
+        probe cells and the cells whose bounds beat them (``_prune``), else
+        from one block pass (``_sample``), which gives the same bits."""
         known = {FIELD_TREE[name] for name in self.values}
         todo = [t for t in TREES if t in trees and t not in known]
         if not todo:
@@ -359,23 +360,18 @@ def grid_blocks(spec: EquationSpec, points: int):
         yield _nodes(spec, points, np.arange(start, min(start + SAMPLE_BLOCK, points), dtype=float))
 
 
-# The search of _prune.  It costs about 0.1-0.3 ms a tree whatever the
-# grid (the first cells, the bounds of the runs, the batches).  On grids of
-# fewer nodes a cell than _MIN_CELL_NODES (32,768 points on 1,024 cells)
-# the block pass is as fast: on the corpus and 16 bench specs (2-CPU
-# container, numpy 2.4) the search took 1.2 times its time at the median
-# at 20,001 points, and 0.8 times at 33,001.
+# Grids of fewer nodes a cell than _MIN_CELL_NODES (32,768 points on 1,024
+# cells) take the block pass.  On the corpus and 16 bench specs (2-CPU
+# container, numpy 2.4) the two-level search that came before took 1.2
+# times its time per tree at the median at 20,001 points, and 0.8 times at
+# 33,001.  The one-level search takes 0.67 and 0.46 times, so the gate
+# could come down once a change measures that end to end.
 _MIN_CELL_NODES = 32
 # A tree takes the block pass when more than this share of its cells can
-# still beat the extrema of the first cells searched.  Bounds that tie in
-# every cell, as those of a lag t - (t + c) do, would have the search
-# evaluate the grid anyway, in more and smaller batches.
+# still beat the extrema of the probe cells.  Bounds that tie in every
+# cell, as those of a lag t - (t + c) do, would have the search evaluate
+# the grid anyway, cell by cell.
 _PRUNE_MAX_SHARE = 0.5
-# Nodes per run of the second level: about a sixth of a cell on the
-# default grid of 100,000 points.  A peak of sin or cos reaches its
-# cell's bound, so the run that holds it is evaluated whatever its length;
-# shorter runs cost more in bounds than they save in nodes.
-_RUN = 16
 
 
 def _nodes(spec: EquationSpec, points: int, idx: np.ndarray) -> np.ndarray:
@@ -401,7 +397,7 @@ def _cells(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _spans(spec: EquationSpec, points: int, first: np.ndarray, last: np.ndarray):
     """The times [node first[k], node last[k]], which hold the nodes
-    first[k]..last[k] as the nodes before the last never decrease; a run
+    first[k]..last[k] as the nodes before the last never decrease; a cell
     that ends at the horizon spans node points - 2, which can pass it."""
     lo, hi = _nodes(spec, points, first), _nodes(spec, points, last)
     end = last == points - 1
@@ -417,97 +413,59 @@ def _range_nodes(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     return np.arange(starts[-1] + counts[-1]) + np.repeat(first - starts, counts)
 
 
-def _runs(first: np.ndarray, last: np.ndarray):
-    """Each range first[k]..last[k] cut into runs of at most _RUN nodes:
-    their first and last indices."""
-    n = (last - first) // _RUN + 1
-    starts = np.repeat(first, n) + _RUN * (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
-    return starts, np.minimum(starts + _RUN - 1, np.repeat(last, n))
-
-
-def _tree_bounds(spec: EquationSpec, tree: str, lo: np.ndarray, hi: np.ndarray):
-    """Bounds of _tree_values on each cell [lo[k], hi[k]]."""
-    e = getattr(spec, tree)
-    return lag_enclosure(e, lo, hi) if tree in ("g", "h") else e.enclose(lo, hi)
-
-
-def _goals(tree: str, bounds) -> tuple:
-    """Upper bounds of the values that _prune maximizes: a tree's values,
-    and minus them but for g, whose minimum no field reads."""
-    return (bounds[1],) if tree == "g" else (bounds[1], -bounds[0])
-
-
-def _maxima(spec: EquationSpec, points: int, tree: str, idx: np.ndarray, n: int) -> np.ndarray:
-    """The max of a tree's values at the grid nodes ``idx`` and, with
-    n = 2, of minus them, in blocks of at most SAMPLE_BLOCK nodes; a NaN
-    value makes both NaN."""
+def _maxima(spec: EquationSpec, points: int, tree: str, first: np.ndarray, last: np.ndarray,
+            n: int) -> np.ndarray:
+    """The max of a tree's values at the grid nodes first[k]..last[k] of
+    the given cells and, with n = 2, of minus them; a NaN value makes both
+    NaN.  The cells are evaluated SAMPLE_BLOCK // 2 // (nodes a cell) at a
+    time, one at least.  Batches of up to a whole block raised the peak RSS
+    of the simulate benchmark from 68.0 to 72.8 MB in 8 of 8 runs, where
+    half blocks read 66.5 (2-CPU container, Python 3.11, numpy 2.4)."""
     best = np.full(n, -math.inf)
-    for start in range(0, idx.size, SAMPLE_BLOCK):
-        v = _tree_values(spec, tree, _nodes(spec, points, idx[start:start + SAMPLE_BLOCK]))
+    batch = max(1, SAMPLE_BLOCK // 2 // int((last - first).max() + 1))
+    for start in range(0, len(first), batch):
+        idx = _range_nodes(first[start:start + batch], last[start:start + batch])
+        v = _tree_values(spec, tree, _nodes(spec, points, idx))
         best = np.maximum(best, (v.max(),) if n == 1 else (v.max(), -v.min()))
     return best
 
 
-def _excess(goals, best) -> np.ndarray:
-    """By how much the bounds of each cell beat the maxima found, the larger
-    of its two for a and b: a cell can hold a larger value where this is
-    > 0.  An infinite bound against an equal maximum gives NaN, which
-    beats nothing."""
-    with np.errstate(invalid="ignore"):
-        excess = goals[0] - best[0]
-        return excess if len(goals) == 1 else np.fmax(excess, goals[1] - best[1])
-
-
 def _prune(spec: EquationSpec, points: int, tree: str, bounds):
     """The grid max and min of one tree's values (``_tree_values``; the max
-    alone for g), by branch and bound, and the nodes evaluated.
+    alone for g), by branch and bound on the enclosure cells, and the nodes
+    evaluated.
 
-    It evaluates the enclosure cell of the highest upper bound and the cell
-    of the lowest lower bound.  The other cells whose bounds strictly beat
-    the extrema found are cut into runs of _RUN nodes, each bounded by the
-    enclosure of [its first node, its last node].  Runs are evaluated best
-    bound first, in batches of at most SAMPLE_BLOCK nodes, while their
-    bounds still beat the extrema found.  A cell or run that cannot beat
-    them holds no node that changes them, so they are the grid's, bit for
-    bit.  The extrema are None (the tree takes the block pass) when a
-    bound is NaN, when more than _PRUNE_MAX_SHARE of the cells still beat
-    the first ones, or when an extremum is NaN or a zero, whose sign the
-    block pass picks by the order of its reductions; a zero that the first
-    cells settle gives None before any other cell is searched."""
-    goals = _goals(tree, bounds)
+    It evaluates the probe cells: the cell of the highest upper bound and
+    the cell of the lowest lower bound.  Then it evaluates, in one pass,
+    every other cell whose bounds strictly beat the probe's extrema.  A cell
+    that cannot beat them holds no node that changes them, so the extrema
+    are the grid's, bit for bit.  They are None (the tree takes the block
+    pass) when a cell bound is NaN, when more than _PRUNE_MAX_SHARE of the
+    cells still beat the probe's extrema, or when an extremum is NaN or a
+    zero, whose sign the block pass picks by the order of its reductions;
+    a zero that the probe cells settle gives None before any other cell is
+    evaluated."""
+    # upper bounds of the values maximized: the tree's, and minus them but
+    # for g, whose minimum no field reads
+    goals = (bounds[1],) if tree == "g" else (bounds[1], -bounds[0])
     if any(np.isnan(goal).any() for goal in goals):
         return None, 0
     first, last = _cells(points)
+    sizes = last - first + 1
     probe = np.array(sorted({int(np.argmax(goal)) for goal in goals}))
-    idx = _range_nodes(first[probe], last[probe])
-    best, evaluated = _maxima(spec, points, tree, idx, len(goals)), idx.size
+    best = _maxima(spec, points, tree, first[probe], last[probe], len(goals))
+    evaluated = int(sizes[probe].sum())
     if any(top == 0.0 and not np.delete(goal > 0.0, probe).any() for goal, top in zip(goals, best)):
         return None, evaluated  # a zero extremum that no cell can beat
-    open_cells = _excess(goals, best) > 0.0
+    with np.errstate(invalid="ignore"):  # an infinite bound against an equal maximum beats nothing
+        excess = goals[0] - best[0]
+        open_cells = (excess if len(goals) == 1 else np.fmax(excess, goals[1] - best[1])) > 0.0
     open_cells[probe] = False
     if open_cells.sum() > _PRUNE_MAX_SHARE * len(open_cells):
         return None, evaluated
     if open_cells.any():
-        starts, ends = _runs(first[open_cells], last[open_cells])
-        with np.errstate(all="ignore"):
-            goals = _goals(tree, _tree_bounds(spec, tree, *_spans(spec, points, starts, ends)))
-        if any(np.isnan(goal).any() for goal in goals):
-            return None, evaluated
-        open_runs = np.ones(len(starts), dtype=bool)
-        while True:
-            excess = _excess(goals, best)
-            runs = np.flatnonzero(open_runs & (excess > 0.0))
-            if not runs.size:
-                break
-            sizes = np.cumsum(ends[runs] - starts[runs] + 1)
-            if sizes[-1] > SAMPLE_BLOCK:
-                runs = runs[np.argsort(-excess[runs], kind="stable")]
-                sizes = np.cumsum(ends[runs] - starts[runs] + 1)
-            batch = np.sort(runs[:max(1, int(np.searchsorted(sizes, SAMPLE_BLOCK, "right")))])
-            open_runs[batch] = False
-            idx = _range_nodes(starts[batch], ends[batch])
-            best = np.maximum(best, _maxima(spec, points, tree, idx, len(goals)))
-            evaluated += idx.size
+        best = np.maximum(best, _maxima(spec, points, tree, first[open_cells], last[open_cells], len(goals)))
+        evaluated += int(sizes[open_cells].sum())
     if not np.all((best != 0.0) & (best == best)):
         return None, evaluated
     return (best[0], -best[1] if len(best) == 2 else None), evaluated

@@ -34,12 +34,13 @@ def _search_every_grid(monkeypatch):
     """Search grids of any size, not only those of _MIN_CELL_NODES nodes a
     cell or more, so that the references below check the search on small
     grids too; and check that every call of _nodes gets the non-decreasing
-    indices it requires."""
+    indices it requires, at most SAMPLE_BLOCK of them plus one cell."""
     monkeypatch.setattr(eqspec, "_MIN_CELL_NODES", 0)
     nodes = eqspec._nodes
 
     def checked_nodes(spec, points, idx):
         assert np.all(idx[1:] >= idx[:-1]), idx
+        assert idx.size <= SAMPLE_BLOCK + (points - 1) // ENCLOSURE_CELLS + 2, (points, idx.size)
         return nodes(spec, points, idx)
 
     monkeypatch.setattr(eqspec, "_nodes", checked_nodes)
@@ -212,6 +213,23 @@ PRUNED = {
 }
 
 
+def _searched_nodes(extrema, tree):
+    """The nodes that the search evaluates for ``tree``, by its rule and
+    whole-grid values: those of the probe cells (the highest upper bound,
+    and the lowest lower bound but for g), and of every other cell whose
+    bounds strictly beat the probe cells' extrema."""
+    lo, hi = extrema.enclosure.cells[tree]
+    first, last = eqspec._cells(extrema.grid_points)
+    values = eqspec._tree_values(extrema.spec, tree, extrema.spec.grid(extrema.grid_points))
+    probe = {int(np.argmax(hi))} | (set() if tree == "g" else {int(np.argmin(lo))})
+    probe_values = np.concatenate([values[first[k]:last[k] + 1] for k in probe])
+    beat = hi > probe_values.max()
+    if tree != "g":
+        beat |= lo < probe_values.min()
+    beat[list(probe)] = True
+    return int((last - first + 1)[beat].sum())
+
+
 @pytest.mark.parametrize("label", sorted(PRUNED))
 def test_pruned_search_matches_whole_grid_reference(label):
     spec = PRUNED[label]
@@ -219,7 +237,8 @@ def test_pruned_search_matches_whole_grid_reference(label):
         assert_matches_reference(spec, points)
     extrema = Extrema(spec, 100_000)
     extrema.sample(TREES)
-    assert all(n < 5_000 for n in extrema.evaluated.values()), extrema.evaluated
+    assert extrema.evaluated == {tree: _searched_nodes(extrema, tree) for tree in TREES}
+    assert all(n < 100_000 / 5 for n in extrema.evaluated.values()), extrema.evaluated
 
 
 def test_search_reaches_a_cell_that_beats_by_less_than_1e_12():
@@ -241,16 +260,16 @@ def test_search_reaches_a_cell_that_beats_by_less_than_1e_12():
     assert extrema.values == {k: v for k, v in reference_extrema(spec, 100_000).items() if FIELD_TREE[k] == "a"}
 
 
-def test_search_batches_open_runs_best_bound_first():
-    # The corner bounds of sin(t / 2) cos(t / 2) leave runs of more than
-    # SAMPLE_BLOCK nodes open, so they are batched best bound first, and
-    # each batch's nodes are put back in order for _nodes.
+def test_search_evaluates_open_cells_in_batches():
+    # The corner bounds of sin(t / 2) cos(t / 2) leave cells of more than
+    # SAMPLE_BLOCK nodes open, so they are evaluated in batches: the fixture
+    # checks that no batch holds more than SAMPLE_BLOCK nodes and one cell.
     c = mul(sin(scale(0.5, T)), cos(scale(0.5, T)))
     spec = EquationSpec(a=scale(0.8, c), b=add(const(1.0), scale(0.5, c)), g=T, h=T, t0=0.0, horizon=400.0)
     assert_matches_reference(spec, 100_000)
     extrema = Extrema(spec, 100_000)
     extrema.sample(("a", "b"))
-    assert SAMPLE_BLOCK < extrema.evaluated["a"] < 20_000 and extrema.evaluated["b"] < 20_000
+    assert all(SAMPLE_BLOCK < extrema.evaluated[t] < 100_000 for t in "ab"), extrema.evaluated
 
 
 @pytest.mark.parametrize("omega", [0.5, 4.0])
@@ -279,12 +298,12 @@ def test_corpus_pruning_routes(corpus, monkeypatch):
         rep = validate(spec, 100_000)
         rep.sample(TREES)
         assert rep.route == "enclosure" and rep.sampled == list(TREES), name
-        pruned = "".join(t for t in TREES if rep.evaluated[t] < 5_000)
+        pruned = "".join(t for t in TREES if rep.evaluated[t] < 100_000)
         assert pruned == CORPUS_PRUNED[name], (name, rep.evaluated)
         assert all(rep.evaluated[t] >= 100_000 for t in TREES if t not in pruned), (name, rep.evaluated)
     extrema = Extrema(corpus["ex2"], 100_000)  # its enclosure, computed on first use
     extrema.sample(TREES)
-    assert "".join(t for t in TREES if extrema.evaluated[t] < 5_000) == CORPUS_PRUNED["ex2"]
+    assert "".join(t for t in TREES if extrema.evaluated[t] < 100_000) == CORPUS_PRUNED["ex2"]
     points = 32 * ENCLOSURE_CELLS  # the smallest grid searched, and one node fewer
     for n, pruned in ((points, "abg"), (points - 1, "")):
         extrema = Extrema(corpus["ex2"], n)
