@@ -25,7 +25,7 @@ from . import criteria, report
 from .criteria import MissingLimit
 from .eqspec import DEFAULT_GRID, SpecError, load_spec, validate
 from .expr import DomainError, sin, tvar
-from .params import QuadratureError, SummaryError, summarize
+from .params import IntegralsOfB, QuadratureError, SummaryError, summarize
 from .simulate import FixedPointDivergence, SeededHistory, fundamental, integrate
 
 PROG = "ndstab"
@@ -228,7 +228,7 @@ def _cmd_check(args) -> int:
         if summary.limit_tau is not None:
             verdicts.append(criteria.check_corollary3(summary, alpha))
         verdicts.append(criteria.check_theorem2(summary, alpha))
-        verdicts.append(criteria.theorem3_verdict(spec, summary, alpha))
+        verdicts.append(criteria.theorem3_verdict(spec, summary, alpha, IntegralsOfB(spec)))
     if args.json:
         print(json.dumps([v.to_dict() for v in verdicts], indent=2))
     else:
@@ -250,7 +250,7 @@ def _cmd_simulate(args) -> int:
     spec, _ = _load_validated(args.spec)
     _check_window(spec.t0, args.t_end, args.step)
     history = _parse_history(args.history, spec, args.seed)
-    traj = integrate(spec, history, args.t_end, args.step, forcing=spec.f)
+    traj = integrate(spec, history, args.t_end, args.step)
     with _output(args.out) as fh:
         traj.write_csv(fh)
     return 0
@@ -267,8 +267,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_examples(args) -> int:
     ids = (f"ex{args.id}",) if args.id else None
+    waived = report.load_waivers()  # a malformed file fails before any report is built
     reports = report.reproduce_examples(ids, with_simulation=not args.no_simulation)
-    waived = report.load_waivers()
     bad = report.unwaived_mismatches(reports, waived)
     if args.json:
         print(json.dumps({

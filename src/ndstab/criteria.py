@@ -442,12 +442,12 @@ def check_theorem3(summary: ParameterSummary, alpha: float) -> CriterionVerdict:
     return THEOREM3.check(summary, alpha)
 
 
-def theorem3_verdict(spec: EquationSpec, summary: ParameterSummary, alpha: float | None = None,
-                     integrals: IntegralsOfB | None = None) -> CriterionVerdict:
+def theorem3_verdict(spec: EquationSpec, summary: ParameterSummary, alpha: float | None,
+                     integrals: IntegralsOfB) -> CriterionVerdict:
     """THEOREM3 at ``alpha``, or at its best alpha when None, on ``summary``
-    with its integral bounds (filled in by ``integral_summary`` when it has
-    none); not applicable, with the reason, when alpha is 0 or the bounds
-    cannot be built."""
+    with its integral bounds (filled in by ``integral_summary`` from the
+    caller's table ``integrals`` when it has none); not applicable, with the
+    reason, when alpha is 0 or the bounds cannot be built."""
     if alpha is not None and alpha <= 0.0:
         reason = "alpha must be positive"
     else:

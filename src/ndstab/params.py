@@ -362,16 +362,14 @@ def _delay_integrals(spec: EquationSpec, ts, lower, family: str, notes: list,
 
 
 def integral_summary(spec: EquationSpec, summary: ParameterSummary,
-                     integrals: IntegralsOfB | None = None) -> ParameterSummary:
+                     integrals: IntegralsOfB) -> ParameterSummary:
     """``summary`` with the bounds on int_{h(t)}^t b and int_{g(t)}^t b over a
     grid of t filled in.
 
     Sample points whose delay argument falls before t0 (no b there) are
     skipped and noted.  Analytic overrides win over quadrature estimates.
-    ``integrals`` evaluates the integrals; a new IntegralsOfB when None.
+    ``integrals`` is the caller's table of the integrals of b over ``spec``.
     """
-    if integrals is None:
-        integrals = IntegralsOfB(spec)
     ts = spec.grid(_INTEGRAL_SAMPLES)
     hv = spec.h.eval_array(ts)
     gv = spec.g.eval_array(ts)

@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import criteria
 from .criteria import CriterionVerdict
-from .eqspec import EquationSpec, Extrema, load_spec
+from .eqspec import EquationSpec, Extrema, SpecError, load_spec
 from .expr import scale
-from .params import B_LINEAR, ParameterSummary, integral_summary, summarize
+from .params import B_LINEAR, IntegralsOfB, ParameterSummary, integral_summary, summarize
 from .simulate import DecayEstimate, decay_rate, integrate
 
 CORPUS_ENV = "NDSTAB_CORPUS_DIR"
@@ -42,11 +42,19 @@ def load_corpus_spec(example_id: str) -> EquationSpec:
 
 
 def load_waivers() -> set[str]:
+    """The waived mismatches of the corpus's waivers.json, if any; SpecError
+    unless it is an object whose "waived_mismatches" is a list of strings."""
     path = corpus_dir() / "waivers.json"
     if not path.exists():
         return set()
-    data = json.loads(path.read_text())
-    return set(data.get("waived_mismatches", []))
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:
+        raise SpecError(f"{path}: not valid JSON: {exc}") from exc
+    names = data.get("waived_mismatches", []) if isinstance(data, dict) else None
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise SpecError(f'{path}: expected an object whose "waived_mismatches" is a list of strings')
+    return set(names)
 
 
 def scale_b(spec: EquationSpec, r: float) -> EquationSpec:
@@ -266,7 +274,7 @@ def _report_ex4(spec, summary):
 
 
 def _report_ex5(spec, summary):
-    summary = integral_summary(spec, summary)
+    summary = integral_summary(spec, summary, IntegralsOfB(spec))
     lhs = criteria.THEOREM3.lhs(summary)
     rhs_1 = criteria.THEOREM3.rhs(summary, 1.0)
     t3 = {a: criteria.check_theorem3(summary, a) for a in (1.0, 0.36, 0.30)}

@@ -48,6 +48,7 @@ verdict-level accuracy is the goal, not high-order solution accuracy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +127,14 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.t0 + self.step * np.arange(self.n)
 
-    def x_at(self, t: float) -> float:
-        pos = (t - self.t0) / self.step
-        j = min(max(int(pos), 0), self.n - 2)
+    def x_at(self, t):
+        """x at t, linear between the nodes and extended past t0 and t_end: a
+        float for a number, elementwise the same operations for an array."""
+        pos = (np.asarray(t, dtype=float) - self.t0) / self.step
+        j = np.minimum(np.maximum(pos.astype(np.int64), 0), self.n - 2)
         frac = pos - j
-        return float(self.x[j] * (1.0 - frac) + self.x[j + 1] * frac)
+        xs = self.x[j] * (1.0 - frac) + self.x[j + 1] * frac
+        return float(xs) if xs.ndim == 0 else xs
 
     def write_csv(self, fh) -> None:
         # imported here, so that a process that writes no trajectory does not compile it
@@ -176,33 +180,25 @@ class SeededHistory:
         self.nodes_t = np.linspace(lo, hi, 33)
         self.nodes_v = np.random.default_rng(self.seed).uniform(-1.0, 1.0, len(self.nodes_t))
 
-    def __call__(self, t):
-        return np.interp(t, self.nodes_t, self.nodes_v)
+    def evaluate(self, t: float) -> float:
+        return float(np.interp(t, self.nodes_t, self.nodes_v))
+
+    def eval_array(self, ts: np.ndarray) -> np.ndarray:
+        return np.interp(ts, self.nodes_t, self.nodes_v)
 
     def __repr__(self):
         return f"SeededHistory(seed={self.seed})"
 
 
 def _history_fns(history):
-    """Normalize a history (constant, Expr, or callable) to scalar+array form."""
-    if isinstance(history, Expr):
+    """The scalar and array forms of a number, Expr or SeededHistory history."""
+    if isinstance(history, (Expr, SeededHistory)):
         return history.evaluate, history.eval_array
-    if isinstance(history, SeededHistory):
-        return (lambda t: float(history(t))), \
-               (lambda ts: np.asarray(history(np.asarray(ts, dtype=float)), dtype=float))
-    if callable(history):
-        return (lambda t: float(history(t))), \
-               (lambda ts: np.array([float(history(t)) for t in np.asarray(ts, dtype=float)]))
+    if not isinstance(history, numbers.Real):
+        raise TypeError("history must be a number, an Expr or a SeededHistory, "
+                        f"got {type(history).__name__}")
     c = float(history)
     return (lambda t: c), (lambda ts: np.full(len(ts), c))
-
-
-def _forcing_arrays(forcing, ts):
-    if forcing is None:
-        return np.zeros(len(ts))
-    if isinstance(forcing, Expr):
-        return forcing.eval_array(ts)
-    return np.array([float(forcing(t)) for t in ts])
 
 
 def _history_at(q, below, hist_array):
@@ -222,8 +218,8 @@ class _Inputs:
     lag; a run of one block keeps that block's times and h.
     """
 
-    def __init__(self, spec, forcing, t0, step, n_steps):
-        self.spec, self.forcing, self.t0, self.step = spec, forcing, t0, step
+    def __init__(self, spec, step, n_steps):
+        self.spec, self.t0, self.step = spec, spec.t0, step
         lag_min = math.inf
         for lo in range(0, n_steps, _BLOCK_STEPS):
             ts, h = self._stage_h(lo, min(lo + _BLOCK_STEPS, n_steps))
@@ -241,13 +237,14 @@ class _Inputs:
         return tn, self.spec.a.eval_array(tn), self.spec.g.eval_array(tn)
 
     def stages(self, lo, hi):
-        """b, h and the forcing at the stages of steps lo to hi - 1 (stages
-        2*lo to 2*hi)."""
+        """b, h and the forcing f (zero without one) at the stages of steps
+        lo to hi - 1 (stages 2*lo to 2*hi)."""
         if self._whole is None:
             ts, h = self._stage_h(lo, hi)
         else:
             ts, h = (v[2 * lo:2 * hi + 1] for v in self._whole)
-        return self.spec.b.eval_array(ts), h, _forcing_arrays(self.forcing, ts)
+        f = self.spec.f
+        return self.spec.b.eval_array(ts), h, np.zeros(len(ts)) if f is None else f.eval_array(ts)
 
 
 def _set_y0(x, y, a0, g0, t0, hist_scalar):
@@ -257,15 +254,16 @@ def _set_y0(x, y, a0, g0, t0, hist_scalar):
     y[0] = x0 - a0 * xg0
 
 
-def integrate(spec: EquationSpec, history, t_end: float, step: float, forcing=None,
+def integrate(spec: EquationSpec, history, t_end: float, step: float,
               initial_value: float | None = None) -> Trajectory:
-    """Integrate the initial value problem forward from t0 to (at least) t_end.
+    """Integrate ``spec`` with its forcing f forward from t0 to (at least) t_end.
 
-    ``history`` supplies x(t) for t <= t0 (a constant, an Expr, or any
-    callable); ``initial_value`` overrides x(t0) when the initial point is
-    detached from the history (used for fundamental functions).  The grid
-    step is fixed.  Raises FixedPointDivergence when the x-recovery
-    iteration fails to contract within FP_MAX_ITER iterations.
+    ``history`` supplies x(t) for t <= t0: a number, an Expr or a
+    SeededHistory (anything else raises TypeError); ``initial_value``
+    overrides x(t0) when the initial point is detached from the history
+    (used for fundamental functions).  The grid step is fixed.  Raises
+    FixedPointDivergence when the x-recovery iteration fails to contract
+    within FP_MAX_ITER iterations.
 
     A failure is raised where the blocked evaluation meets it: h at the
     stages first, in the pass over the whole run that picks the path; then
@@ -281,7 +279,7 @@ def integrate(spec: EquationSpec, history, t_end: float, step: float, forcing=No
     n_steps = max(1, int(math.ceil((t_end - t0) / step - 1e-9)))
     hist_scalar, hist_array = _history_fns(history)
 
-    inputs = _Inputs(spec, forcing, t0, step, n_steps)
+    inputs = _Inputs(spec, step, n_steps)
     k_chunk = int(inputs.lag_min / step + 1e-12)
     # zeros, not empty: a stage lookup at exactly t0 from the first chunk
     # or step reads the last node with weight 0, which must not be NaN
@@ -646,17 +644,12 @@ def lemma4_check(b: Expr, h: Expr, s_grid: np.ndarray, t_end: float, step: float
         if s >= t_end:
             continue
         traj = fundamental(b, h, float(s), t_end, step)
-        xs = traj.x
-        if np.any(xs <= 0.0):
-            bad = float(traj.times()[np.argmax(xs <= 0.0)])
+        if np.any(traj.x <= 0.0):
+            bad = float(traj.times()[np.argmax(traj.x <= 0.0)])
             raise PositivityViolation(
                 f"fundamental function not positive at t={bad} for s={float(s)}")
-        # traj.x_at at every t >= s, with x_at's own operations
         rows = t_samples >= s
-        pos = (t_samples[rows] - traj.t0) / traj.step
-        j = np.minimum(np.maximum(pos.astype(np.int64), 0), traj.n - 2)
-        frac = pos - j
-        table[rows, k] = xs[j] * (1.0 - frac) + xs[j + 1] * frac
+        table[rows, k] = traj.x_at(t_samples[rows])
 
     best = 0.0
     for i, t in enumerate(t_samples):

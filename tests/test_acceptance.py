@@ -21,7 +21,7 @@ from ndstab.criteria import (
     tau_bar,
 )
 from ndstab.eqspec import EquationSpec
-from ndstab.params import ParameterSummary, integral_summary, summarize
+from ndstab.params import IntegralsOfB, ParameterSummary, integral_summary, summarize
 from ndstab.report import scale_b, sweep_alpha_r
 from ndstab.series import SampledFunction, neumann_inverse
 from ndstab.simulate import (
@@ -95,7 +95,7 @@ def test_criterion_03_sign_split_example(ex4):
 
 
 def test_criterion_04_integral_test(ex5):
-    isum = integral_summary(ex5, summarize(ex5))
+    isum = integral_summary(ex5, summarize(ex5), IntegralsOfB(ex5))
     lhs = criteria.theorem3_lhs(isum)
     v1 = check_theorem3(isum, 1.0)
     v36 = check_theorem3(isum, 0.36)
@@ -159,10 +159,15 @@ def test_criterion_06_soundness_corpus(corpus):
 
 
 def test_criterion_07_reconstruction(ex1):
-    # zero prehistory plus a forcing that switches on smoothly after one lag
+    from ndstab.expr import absval, add, const, cos, scale, tvar
+    # zero prehistory plus a forcing that switches on smoothly after one lag:
+    # 0.5 (1 - cos r) of the ramp r = ((t - t_on) + |t - t_on|) / 2, which is 0
+    # before t_on and t - t_on after
     t_on = ex1.t0 + 0.14
-    forcing = lambda t: 0.0 if t < t_on else 0.5 * (1.0 - math.cos(t - t_on))
-    traj = integrate(ex1, 0.0, ex1.t0 + 30.0, 1e-3, forcing=forcing)
+    lag = add(tvar(), const(-t_on))
+    ramp = scale(0.5, add(lag, absval(lag)))
+    forced = replace(ex1, f=scale(0.5, add(const(1.0), scale(-1.0, cos(ramp)))))
+    traj = integrate(forced, 0.0, ex1.t0 + 30.0, 1e-3)
     y = SampledFunction(traj.t0, traj.step, traj.y.copy())
     recon, cert = neumann_inverse(ex1, y)
     err = float(np.max(np.abs(recon.values - traj.x)))

@@ -442,7 +442,7 @@ def test_simulate_applies_the_spec_forcing(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     forced = load_spec(p)
     want = io.StringIO()
-    integrate(forced, 1.0, 2.0, 0.01, forcing=forced.f).write_csv(want)
+    integrate(forced, 1.0, 2.0, 0.01).write_csv(want)
     assert outs[1] == want.getvalue() != outs[0]
 
 
@@ -533,6 +533,30 @@ def test_examples_exit_1_without_waivers(tmp_path, capsys, monkeypatch):
     code = run(["examples", "--id", "4", "--no-simulation"])
     assert code == 1
     assert "unwaived" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"waived_mismatches": ["ex4:rhs_at_alpha_0.45"', "not valid JSON: Expecting "),
+    ('["ex4:rhs_at_alpha_0.45"]', 'expected an object whose "waived_mismatches" is a list of strings'),
+    ('{"waived_mismatches": "ex4:rhs_at_alpha_0.45"}',
+     'expected an object whose "waived_mismatches" is a list of strings'),
+    ('{"waived_mismatches": ["ex4:rhs_at_alpha_0.45", 7]}',
+     'expected an object whose "waived_mismatches" is a list of strings'),
+], ids=["invalid_json", "top_level_array", "string", "non_string_entry"])
+def test_examples_exit_2_on_a_malformed_waivers_file(tmp_path, capsys, monkeypatch, text, message):
+    # it used to end in a traceback and exit 1, the code of unwaived
+    # mismatches, or to waive the single characters of a string; the file is
+    # read before any report is built
+    import shutil
+    for f in corpus_dir().glob("ex*.json"):
+        shutil.copy(f, tmp_path / f.name)
+    (tmp_path / "waivers.json").write_text(text)
+    monkeypatch.setenv("NDSTAB_CORPUS_DIR", str(tmp_path))
+    monkeypatch.setattr(cli.report, "reproduce_examples", lambda *args, **kwargs: pytest.fail("reports built"))
+    assert run(["examples", "--id", "4", "--no-simulation"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"ndstab: {tmp_path / 'waivers.json'}: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_corpus_dir_env_override(tmp_path, monkeypatch):

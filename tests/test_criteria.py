@@ -31,7 +31,7 @@ from ndstab.criteria import (
 )
 from ndstab.eqspec import EquationSpec
 from ndstab.expr import absval, add, const, scale, sin, tvar
-from ndstab.params import ParameterSummary, SummaryError, integral_summary, summarize
+from ndstab.params import IntegralsOfB, ParameterSummary, SummaryError, integral_summary, summarize
 
 T = tvar()
 
@@ -465,12 +465,12 @@ def test_every_verdict_reads_the_summary_sup_a_and_inf_a():
     # included, reads the summary's sup |a| near 0.7 and inf a near 0.1
     from ndstab.eqspec import EquationSpec
     from ndstab.expr import add, const, cos, div, scale, tvar
-    from ndstab.params import IntegralsOfB, estimate_limsup_int_b
+    from ndstab.params import estimate_limsup_int_b
     t = tvar()
     spec = EquationSpec(a=add(const(0.4), scale(0.3, cos(scale(8.0425, t)))), b=div(const(0.2), t),
                         g=div(t, const(2.0)), h=div(t, const(3.0)), t0=1.0, horizon=401.0)
     summary = summarize(spec)
-    full = integral_summary(spec, summary)
+    full = integral_summary(spec, summary, IntegralsOfB(spec))
     assert (full.norm_a, full.inf_a) == (summary.norm_a, summary.inf_a)
     assert summary.norm_a > 0.69 and summary.inf_a < 0.11
     records = {r.name: r for r in (criteria.THEOREM1, criteria.COROLLARY_MAIN_A, criteria.COROLLARY_MAIN_B,
@@ -727,4 +727,4 @@ def test_records_match_the_reference_on_the_corpus(corpus):
             s = summarize_at(variant, 20001)
             if s.limit_tau is None:  # a limiting lag, so that corollary3 is decided
                 s = replace(s, limit_tau=0.5 * (s.delta + s.tau))
-            _assert_records_match_reference(s, integral_summary(variant, s), rng)
+            _assert_records_match_reference(s, integral_summary(variant, s, IntegralsOfB(variant)), rng)

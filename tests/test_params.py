@@ -184,7 +184,7 @@ def test_limsup_estimate_matches_per_point_loop(ex4):
 
 
 def test_integral_summary_pantograph(ex5):
-    isum = integral_summary(ex5, summarize(ex5))
+    isum = integral_summary(ex5, summarize(ex5), IntegralsOfB(ex5))
     assert isum.tilde_tau == pytest.approx(0.25 * math.log(2.0), abs=1e-10)
     assert isum.tilde_delta == pytest.approx(0.25 * math.log(2.0), abs=1e-10)
     assert isum.tilde_sigma == pytest.approx(0.25 * math.log(3.0), abs=1e-10)
@@ -199,7 +199,7 @@ def test_integral_summary_constant_b_matches_delay_bounds():
                         g=add(T, const(-0.4)), h=add(T, const(-lag)),
                         t0=0.0, horizon=50.0)
     s = summarize_at(spec, 10_001)
-    isum = integral_summary(spec, s)
+    isum = integral_summary(spec, s, IntegralsOfB(spec))
     assert isum.tilde_tau == pytest.approx(c * s.tau, abs=1e-10)
     assert isum.tilde_delta == pytest.approx(c * s.delta, abs=1e-10)
     assert isum.tilde_sigma == pytest.approx(c * s.sigma, abs=1e-10)
@@ -212,11 +212,11 @@ def test_integral_summary_reads_no_a():
                         t0=0.0, horizon=50.0)
     bad = replace(good, a=div(const(0.2), add(T, const(-float(good.grid(513)[7])))))
     s = summarize_at(good, 10_001)
-    assert integral_summary(bad, s) == integral_summary(good, s)
+    assert integral_summary(bad, s, IntegralsOfB(bad)) == integral_summary(good, s, IntegralsOfB(good))
 
 
 def test_integral_summary_tilde_tau0_formula(ex5):
-    isum = integral_summary(ex5, summarize(ex5))
+    isum = integral_summary(ex5, summarize(ex5), IntegralsOfB(ex5))
     assert isum.tilde_tau0 == pytest.approx(0.165545748527149, abs=1e-12)
 
 
@@ -335,7 +335,7 @@ def test_finest_width_is_the_unchecked_table(ex2, monkeypatch):
 
 def test_kinked_b_and_long_windows_keep_simpson(ex4):
     # ex4's b contains abs: integral_summary takes Simpson's values bit for bit
-    isum = integral_summary(ex4, summarize(ex4))
+    isum = integral_summary(ex4, summarize(ex4), IntegralsOfB(ex4))
     ts = ex4.grid(513)
     lower = ex4.h.eval_array(ts)
     int_h = simpson(ex4.b, lower[lower >= ex4.t0], ts[lower >= ex4.t0]).tolist()

@@ -5,6 +5,7 @@ import os
 import random
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,8 +104,31 @@ def test_seeded_history_reproducible():
     h1 = SeededHistory(7, -2.0, 0.0)
     h2 = SeededHistory(7, -2.0, 0.0)
     ts = np.linspace(-3.0, 0.0, 17)  # clamps below the node range
-    np.testing.assert_array_equal(h1(ts), h2(ts))
-    assert float(h1(-2.5)) == float(h1(-2.0))
+    np.testing.assert_array_equal(h1.eval_array(ts), h2.eval_array(ts))
+    assert h1.evaluate(-2.5) == h1.evaluate(-2.0)
+    assert [h1.evaluate(t) for t in ts.tolist()] == h1.eval_array(ts).tolist()
+
+
+@pytest.mark.parametrize("history", [lambda t: 1.0, "1.0"], ids=["callable", "str"])
+def test_a_history_that_is_not_a_number_expr_or_seeded_history_is_a_type_error(history):
+    spec = spec_of(const(0.0), const(1.0), T, add(T, const(-0.5)))
+    with pytest.raises(TypeError, match="^history must be a number, an Expr or a SeededHistory, got "):
+        integrate(spec, history, 1.0, 1e-2)
+    assert integrate(spec, np.float64(1.0), 1.0, 1e-2).x.tolist() == integrate(spec, 1, 1.0, 1e-2).x.tolist()
+
+
+def test_x_at_on_an_array_is_the_scalar_calls(ex1):
+    # bit for bit, at nodes, between them, before t0 and past t_end, where
+    # x_at extends the first and the last two nodes linearly
+    traj = integrate(ex1, 1.0, ex1.t0 + 2.0, 1e-2)
+    rng = np.random.default_rng(4)
+    ts = np.concatenate((rng.uniform(traj.t0 - 1.5, traj.t_end + 1.5, 500), traj.times(),
+                         [traj.t0 - 1e-300, traj.t0 - 0.5 * traj.step, traj.t_end + 0.5 * traj.step]))
+    got = traj.x_at(ts)
+    assert got.dtype == np.float64 and got.shape == ts.shape
+    want = [traj.x_at(t) for t in ts.tolist()]
+    assert all(type(v) is float for v in want)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_trajectory_csv(tmp_path, ex1):
@@ -492,9 +516,9 @@ def _reference_advance_scalar(spec, x, y, tn, a_n, g_n, b_s, h_s, f_s,
         _reference_recover_node(n + 1, x, y, a_n, g_n, t0, step, hist_scalar, stats)
 
 
-def _reference_integrate(spec, history, t_end, step, forcing=None, initial_value=None):
+def _reference_integrate(spec, history, t_end, step, initial_value=None):
     """integrate with every input evaluated over the whole run up front, in
-    the order a, g, b, h, forcing, history, and the reference advance loops."""
+    the order a, g, b, h, f, history, and the reference advance loops."""
     t0 = spec.t0
     n_steps = max(1, int(math.ceil((t_end - t0) / step - 1e-9)))
 
@@ -504,7 +528,7 @@ def _reference_integrate(spec, history, t_end, step, forcing=None, initial_value
     g_n = spec.g.eval_array(tn)
     b_s = spec.b.eval_array(ts)
     h_s = spec.h.eval_array(ts)
-    f_s = simulate._forcing_arrays(forcing, ts)
+    f_s = np.zeros(len(ts)) if spec.f is None else spec.f.eval_array(ts)
 
     hist_scalar, hist_array = simulate._history_fns(history)
     phi_h = np.zeros(len(ts))
@@ -591,7 +615,6 @@ SCALAR_CASES = {
     "still": (STILL_SCALAR, 1.0, 0.5),
     "in_step": (IN_STEP, 1.0, 2.0),
     "expr_history": (LONG_NEUTRAL, sin(scale(3.0, T)), 1.5),
-    "callable_history": (LONG_NEUTRAL, lambda t: math.cos(3.0 * t) - t, 1.5),
     "expr_forcing": (SELF_NODES, 0.0, 2.0, sin(scale(2.0, T))),
     "block_minus_one": (SELF_NODES, 1.0, (2 * B - 1) * 1e-3),
     "block": (LONG_NEUTRAL, SeededHistory(5, -1.0, 0.5), 0.5 + 2 * B * 1e-3),
@@ -605,8 +628,8 @@ SCALAR_CASES = {
 
 @pytest.mark.parametrize("name", sorted(SCALAR_CASES))
 def test_scalar_loop_matches_numpy_scalar_loop(name):
-    spec, history, t_end, *forcing = SCALAR_CASES[name]
-    new, ref = _integrate_both(spec, history, t_end, 1e-3, *forcing)
+    spec, history, t_end, *f = SCALAR_CASES[name]
+    new, ref = _integrate_both(replace(spec, f=f[0]) if f else spec, history, t_end, 1e-3)
     assert new.path == "scalar"
     assert np.array_equal(new.x, ref.x)
     assert np.array_equal(new.y, ref.y)
@@ -785,6 +808,17 @@ def test_seeded_scalar_specs_match_numpy_scalar_loop():
 
 # -- inputs per block against the whole-run reference --------------------------------
 
+class _Switch:
+    """A forcing f that is ``value`` past t = ``cut`` and 0 before, evaluated
+    as the integrator evaluates a spec's f."""
+
+    def __init__(self, cut, value):
+        self.cut, self.value = cut, value
+
+    def eval_array(self, ts):
+        return np.where(ts > self.cut, self.value, 0.0)
+
+
 # retarded lag 50.5 steps and neutral lag 30: chunks of 50 steps, which do not
 # divide _BLOCK_STEPS, so a block is rounded up to whole chunks
 K50 = spec_of(scale(0.4, sin(T)), add(const(0.8), scale(0.2, cos(T))), add(T, const(-0.03)),
@@ -798,16 +832,15 @@ CHUNKED_CASES = {
     "block_plus_one": (K50, SeededHistory(3, -1.0, 0.0), (CB + 1) * 1e-3),
     "seeded_history": (LONG_LAGS, SeededHistory(5, -10.3, 0.0), 12.0),
     "expr_history": (LONG_LAGS, sin(scale(3.0, T)), 12.0),
-    "callable_history": (LONG_LAGS, lambda t: math.cos(3.0 * t) - t, 12.0),
     "expr_forcing": (K50, 0.0, (CB + 1) * 1e-3, sin(scale(2.0, T))),
-    "callable_forcing": (LONG_LAGS, 1.0, 12.0, lambda t: 1.0 if t >= 9.5 else 0.0),
+    "switch_forcing": (LONG_LAGS, 1.0, 12.0, _Switch(9.5, 1.0)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHUNKED_CASES))
 def test_chunked_blocks_match_whole_run_inputs(name):
-    spec, history, t_end, *forcing = CHUNKED_CASES[name]
-    new, ref = _integrate_both(spec, history, t_end, 1e-3, *forcing)
+    spec, history, t_end, *f = CHUNKED_CASES[name]
+    new, ref = _integrate_both(replace(spec, f=f[0]) if f else spec, history, t_end, 1e-3)
     assert new.path == "chunked"
     assert np.array_equal(new.x, ref.x)
     assert np.array_equal(new.y, ref.y)
@@ -906,8 +939,8 @@ def test_first_divergence_in_a_chunk_with_self_nodes_is_the_loops(first):
     still = integrate(V_LAG, 1.0, 0.2, 1e-3)
     assert still.path == "chunked" and still.nodes_self >= 4
     # a non-finite round before a diverging self node, or the reverse
-    forcing = lambda t, cut=(first - 0.3) * 1e-3: math.nan if t > cut else 0.0  # noqa: E731
-    new, ref = _divergence_messages(V_LAG, 1.0, 0.2, 1e-3, forcing)
+    forced = replace(V_LAG, f=_Switch((first - 0.3) * 1e-3, math.nan))
+    new, ref = _divergence_messages(forced, 1.0, 0.2, 1e-3)
     assert new == ref == f"x-recovery did not contract at t={1e-3 * first} " \
                          "(|a| >= 1 or broken spec?)"
 
@@ -1226,9 +1259,15 @@ def test_decay_rate_matches_per_window_loop_on_corpus(corpus, window):
 
 # -- forced response from a zero history ---------------------------------------------------
 
-def _forced_sup(spec, forcing, t_end):
-    """sup |x| on [t0, t_end] from a zero history under ``forcing``."""
-    return float(np.max(np.abs(integrate(spec, 0.0, t_end, 1e-3, forcing=forcing).x)))
+def _forced_sup(spec, f, t_end):
+    """sup |x| on [t0, t_end] from a zero history under the forcing ``f``."""
+    return float(np.max(np.abs(integrate(replace(spec, f=f), 0.0, t_end, 1e-3).x)))
+
+
+def _ramp(c):
+    """((t - c) + |t - c|) / 2: 0 up to c, then t - c, exactly."""
+    lag = add(T, const(-c))
+    return scale(0.5, add(lag, absval(lag)))
 
 
 def test_forced_bound_stable_ode():
@@ -1237,8 +1276,10 @@ def test_forced_bound_stable_ode():
 
 
 def test_forced_bound_ex1_delayed_step(ex1):
-    step_on = ex1.t0 + 0.14
-    assert 0.0 < _forced_sup(ex1, lambda t: 1.0 if t >= step_on else 0.0, 40.0) < 10.0
+    # a unit step that rises linearly over [on, on + 0.01]
+    on = ex1.t0 + 0.14
+    step = scale(100.0, add(_ramp(on), scale(-1.0, _ramp(on + 0.01))))
+    assert 0.0 < _forced_sup(ex1, step, 40.0) < 10.0
 
 
 def test_forced_bound_unstable_inversion():
