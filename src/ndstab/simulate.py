@@ -22,12 +22,16 @@ plus a few blocks.  A first pass over the stage grid, also in blocks, finds
 the smallest retarded lag, which picks the path; a run of one block keeps
 h from it.  The scalar loop runs on Python floats, one block at a time, on
 lists of the block's inputs, x and y (written back at the block's end),
-and of each stage's lookup index and weight and each node's recovery class
-and (g - t0) / step, computed in numpy.  A step reads the block's committed
-nodes in line, takes the last step's k4 for its k1 when that read them,
-and evaluates a and g once for both midpoint stages; other lookups call
-out.  A failing run raises where this order meets the failure, with x and
-y still the only arrays of the run's length.
+and of each node's recovery class and (g - t0) / step, computed in numpy.
+So are its steps' stage lookups.  One at or before the last accepted node
+t_n is an index into the block's x and a weight, or its value where it is
+final before the block.  One past t_n lands inside the step, and unwinds
+the neutral term along its chain q, g(q), g(g(q)), ... to the first time
+whose g is at or before t_n (x(u) = y(u) + a(u) x(g(u))): the chain
+depends only on the grid and the spec, so a along it, each time's offset
+from t_n and its end are computed for the whole block, level by level, and
+a step walks them with no call.  A failing run raises where this order
+meets the failure, with x and y still the only arrays of the run's length.
 
 A node whose interpolation nodes are final is recovered in closed form on
 both paths: its second iterate repeats its first, so the node-by-node
@@ -72,7 +76,10 @@ _CSV_BLOCK_ROWS = 1024
 
 # Steps per block of the scalar loop, which reads its inputs as Python lists
 # (numpy scalar indexing costs more than the arithmetic) one block at a time.
-_SCALAR_BLOCK_STEPS = 4096
+# A list costs 32 bytes an entry, so a block of 2048 steps holds about 1 MB,
+# plus about 100 bytes a chain and 64 a level of its in-step chains; blocks
+# of 4096 steps ran no faster.
+_SCALAR_BLOCK_STEPS = 2048
 
 # Steps per block of the first pass over the stage grid and, rounded up to
 # whole chunks, of the vectorized loop's inputs: a run of at most this many
@@ -268,7 +275,8 @@ def integrate(spec: EquationSpec, history, t_end: float, step: float,
     A failure is raised where the blocked evaluation meets it: h at the
     stages first, in the pass over the whole run that picks the path; then
     x(t0) from the history; then block by block in time, a and g at the
-    block's nodes, b, h and the forcing at its stages, and last the history
+    block's nodes, b, h and the forcing at its stages, on the scalar path a
+    and g along the in-step chains (level by level), and last the history
     and the recovery of x.  Nothing is evaluated again after a failure.
     """
     if step <= 0.0:
@@ -471,90 +479,163 @@ def _accept(ii, x, t0, step, stats):
     stats.resid_max = max(stats.resid_max, float(np.max(r1, where=r1 < FP_TOL, initial=0.0)))
 
 
+def _committed_reads(q, n, x, lo, t0, inv_step, hist_scalar):
+    """x at times q at or before t_n from the nodes n of the block that
+    starts at lo: linear between nodes j = min(floor((q - t0) / step), n - 1)
+    and j + 1, or the history below t0.  Each is an index into the block's x
+    (from lo) and a weight, or index -1 and the value itself where the read
+    is final before the block starts: x before lo, or the history."""
+    hist = q < t0
+    pos = np.where(hist, 0.0, (q - t0) * inv_step)
+    j = np.minimum(pos.astype(np.int64), n - 1)
+    w = pos - j
+    before = (j < lo) & ~hist
+    jb = j[before]
+    xj = x[jb]  # at n = 0, x[-1] is 0 and its weight 0
+    w[before] = xj + w[before] * (x[jb + 1] - xj)
+    if hist.any():
+        w[hist] = [float(hist_scalar(t)) for t in q[hist].tolist()]
+    j -= lo
+    j[before | hist] = -1
+    return j, w
+
+
+def _in_step_chains(spec, q, t_n):
+    """The chains of the lookups at times q past the last accepted node t_n:
+    q, then g(q), g(g(q)) and so on, to the first time whose g is at or
+    below t_n, or whose neutral lag degenerates, or to level 100.  Per level
+    of each chain, a and the time past t_n; per chain, its levels' offsets
+    (outermost first), how it ends (-2 degenerate, -3 at the cap, else -1)
+    and, where it ends at or below t_n, that g and the chain's index.
+    a and g are evaluated level by level over the chains still open."""
+    live = np.arange(len(q))
+    ids, levels_a, levels_d, ends, ends_g = [], [], [], [], []
+    kind = np.full(len(q), -3, np.int64)
+    for _ in range(101):  # levels 0 to 100
+        aq, gq = spec.a.eval_array(q), spec.g.eval_array(q)
+        ids.append(live)
+        levels_a.append(aq)
+        levels_d.append(q - t_n)
+        near = q - gq < _DEGENERATE_LAG
+        read = ~near & (gq <= t_n)
+        kind[live[near]] = -2
+        kind[live[read]] = -1
+        ends.append(live[read])
+        ends_g.append(gq[read])
+        go = ~(near | read)
+        q, t_n, live = gq[go], t_n[go], live[go]
+        if not len(q):
+            break
+    ids = np.concatenate(ids)
+    order = np.argsort(ids, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=len(kind)))))
+    return (offsets, kind, np.concatenate(levels_a)[order], np.concatenate(levels_d)[order],
+            np.concatenate(ends), np.concatenate(ends_g))
+
+
+def _step_lookups(spec, x, lo, tn, hs, t0, step, hist_scalar):
+    """The stage lookups of the scalar loop's block of steps from lo, with
+    tn and hs its node and stage times: per step, of its k1, midpoint and
+    k4 stages, as three lists each of codes and of weights.  A lookup at or
+    before the last accepted node t_n is a committed read (code >= 0, an
+    index into the block's x, and its weight; or -1 and the value), or -2 at
+    a k1 that the last step's k4 read already.  One past t_n is -3 - c for
+    the in-step chain c, with s - t_n for its weight (s is t_n, t_n + step / 2
+    and t_n + step).  Last, the chains' lists: offsets of their levels, how
+    each ends (as a code, or -2 degenerate, -3 at the cap) and its weight,
+    and a and the time past t_n at each level."""
+    M = len(tn) - 1
+    q = np.concatenate((hs[0:2 * M:2], hs[1:2 * M:2], hs[2::2]))
+    t_q = np.tile(tn[:M], 3)
+    n_q = np.tile(np.arange(lo, lo + M), 3)
+    committed = q <= t_q
+    reads, chained = np.flatnonzero(committed), np.flatnonzero(~committed)
+    co, cj, la, ld, end, end_g = _in_step_chains(spec, q[chained], t_q[chained])
+    J, W = np.empty(3 * M, np.int64), np.empty(3 * M)
+    J[chained] = -3 - np.arange(len(chained))
+    W[chained] = ((t_q + np.repeat((0.0, 0.5 * step, step), M)) - t_q)[chained]
+    J_r, W_r = _committed_reads(np.concatenate((q[reads], end_g)),
+                                np.concatenate((n_q[reads], n_q[chained][end])),
+                                x, lo, t0, 1.0 / step, hist_scalar)
+    J[reads], W[reads] = J_r[:len(reads)], W_r[:len(reads)]
+    cj[end] = J_r[len(reads):]
+    cw = np.zeros(len(chained))
+    cw[end] = W_r[len(reads):]
+    J1, J4 = J[:M], J[2 * M:]
+    J1[1:][(J4[:-1] >= 0) & (J1[1:] == J4[:-1])] = -2
+    return ((J1.tolist(), J[M:2 * M].tolist(), J4.tolist()),
+            (W[:M].tolist(), W[M:2 * M].tolist(), W[2 * M:].tolist()),
+            (co.tolist(), cj.tolist(), cw.tolist(), la.tolist(), ld.tolist()))
+
+
 def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats):
     # xb and yb are x and y at the nodes lo to hi of the current block.
-    a_at, g_at = spec.a.evaluate, spec.g.evaluate
-    inv_step = 1.0 / step
-
-    def lookup_committed(q):
-        if q < t0:
-            return float(hist_scalar(q))
-        pos = (q - t0) * inv_step
-        j = min(int(pos), n - 1)
-        frac = pos - j
-        k = j - lo
-        if k < 0:  # before the block, final in x
-            xj = x.item(j)
-            return xj + frac * (x.item(j + 1) - xj)
-        return xb[k] + frac * (xb[k + 1] - xb[k])
-
-    def x_in_step(q, s, y_s, aq, gq, depth=0):
-        # Lookup past the last accepted node t_n, with aq and gq a and g at q:
-        # interpolate y linearly on [t_n, s] using the current stage estimate,
-        # then unwind the neutral term (a contraction: the depth stays small).
-        if s > t_n:
-            y_q = yn + (y_s - yn) * (q - t_n) / (s - t_n)
+    def in_step(c, yn, dy, ds):
+        # x at the in-step chain c: y interpolated linearly on [t_n, s] (dy =
+        # y_s - yn, ds = s - t_n) at each level, plus a times x at the next
+        # level, from the innermost level outward
+        i, e = co[c], co[c + 1] - 1
+        y_q = yn + dy * ld[e] / ds if ds else yn
+        if (j := cj[c]) >= 0:
+            v = y_q + la[e] * (xb[j] + cw[c] * (xb[j + 1] - xb[j]))
+        elif j == -1:
+            v = y_q + la[e] * cw[c]
+        elif j == -2:  # at a = 1, numpy's inf or nan and warning
+            v = y_q / d if (d := 1.0 - la[e]) else np.float64(y_q) / d
         else:
-            y_q = yn
-        if q - gq < _DEGENERATE_LAG:  # at a = 1, numpy's inf or nan and warning
-            return y_q / d if (d := 1.0 - aq) else np.float64(y_q) / d
-        if gq <= t_n:
-            return y_q + aq * lookup_committed(gq)
-        if depth >= 100:
-            return y_q
-        return y_q + aq * x_in_step(gq, s, y_s, a_at(gq), g_at(gq), depth + 1)
+            v = y_q
+        while e > i:
+            e -= 1
+            v = (yn + dy * ld[e] / ds if ds else yn) + la[e] * v
+        return v
 
-    def f_stage(k, s, y_s):  # a stage whose lookup is not a read of xb in the block
-        q = hs[k]
-        xq = lookup_committed(q) if q <= t_n else x_in_step(q, s, y_s, a_at(q), g_at(q))
-        return nb[k] * xq + fs[k]
-
-    half, sixth, tol = 0.5 * step, step / 6.0, FP_TOL
+    half, sixth, tol, ntol = 0.5 * step, step / 6.0, FP_TOL, -FP_TOL
     near, below, self_ref, iters, self_iters, resid = 0, 0, 0, 1, 1, 0.0
     for lo in range(0, n_steps, _SCALAR_BLOCK_STEPS):
         hi = min(lo + _SCALAR_BLOCK_STEPS, n_steps)
         tn, a_n, g_n = inputs.nodes(lo, hi)
         b_s, hs, fs = inputs.stages(lo, hi)
-        # each stage's lookup_committed weight and index (from lo; -1 for the history)
-        ps = (hs - t0) * inv_step
-        fracs = (ps - np.floor(ps)).tolist()
-        js = np.where(hs < t0, -1, np.minimum(np.floor(ps), hi) - lo).astype(np.int64).tolist()
+        (J1, Jm, J4), (W1, Wm, W4), (co, cj, cw, la, ld) = _step_lookups(
+            spec, x, lo, tn, hs, t0, step, hist_scalar)
         # each node's (g - t0) / step where x(g) is interpolated (>= 0, or NaN),
         # -1 where the neutral lag degenerates and -2 where g is below t0
         pos = (g_n - t0) / step
         pos[g_n < t0] = -2.0
         pos[tn - g_n < _DEGENERATE_LAG] = -1.0
-        tb, ab, pos = tn.tolist(), a_n.tolist(), pos.tolist()
-        nb, hs, fs = np.negative(b_s, out=b_s).tolist(), hs.tolist(), fs.tolist()
-        del tn, a_n, b_s, ps
+        ab, pos = a_n.tolist(), pos.tolist()
+        nb, fs = np.negative(b_s, out=b_s).tolist(), fs.tolist()
+        del tn, a_n, b_s, hs
         if lo == 0:
             _set_y0(x, y, ab[0], g_n.item(0), t0, hist_scalar)
         xb, yb = x[lo:hi + 1].tolist(), y[lo:hi + 1].tolist()
-        reuse = False  # a block takes nothing from the one before but x and y
         for m in range(hi - lo):
-            n, t_n, yn = lo + m, tb[m], yb[m]
+            n, yn = lo + m, yb[m]
             k = 2 * m
-            if reuse:  # the last step's k4 read xb at this stage
+            if (j := J1[m]) == -2:
                 k1 = k4
-            elif hs[k] <= t_n and 0 <= (j := js[k]) < m:  # lookup_committed's read of xb
-                k1 = nb[k] * (xb[j] + fracs[k] * (xb[j + 1] - xb[j])) + fs[k]
+            elif j >= 0:
+                k1 = nb[k] * (xb[j] + W1[m] * (xb[j + 1] - xb[j])) + fs[k]
+            elif j == -1:
+                k1 = nb[k] * W1[m] + fs[k]
+            else:  # s = t_n: y is yn along the chain
+                k1 = nb[k] * in_step(-3 - j, yn, 0.0, W1[m]) + fs[k]
+            if (j := Jm[m]) >= 0:  # a committed lookup does not depend on the stage's y
+                k2 = k3 = nb[k + 1] * (xb[j] + Wm[m] * (xb[j + 1] - xb[j])) + fs[k + 1]
+            elif j == -1:
+                k2 = k3 = nb[k + 1] * Wm[m] + fs[k + 1]
             else:
-                k1 = f_stage(k, t_n, yn)
-            if (q := hs[k + 1]) <= t_n:  # a committed lookup does not depend on the stage's y
-                xq = (xb[j] + fracs[k + 1] * (xb[j + 1] - xb[j]) if 0 <= (j := js[k + 1]) < m
-                      else lookup_committed(q))
-                k2 = k3 = nb[k + 1] * xq + fs[k + 1]
-            else:  # lag under half a step: a and g at q once
-                aq, gq, s = a_at(q), g_at(q), t_n + half
-                k2 = nb[k + 1] * x_in_step(q, s, yn + half * k1, aq, gq) + fs[k + 1]
-                k3 = nb[k + 1] * x_in_step(q, s, yn + half * k2, aq, gq) + fs[k + 1]
-            if reuse := hs[k + 2] <= t_n and 0 <= (j := js[k + 2]) < m:
-                k4 = nb[k + 2] * (xb[j] + fracs[k + 2] * (xb[j + 1] - xb[j])) + fs[k + 2]
+                c, ds = -3 - j, Wm[m]
+                k2 = nb[k + 1] * in_step(c, yn, (yn + half * k1) - yn, ds) + fs[k + 1]
+                k3 = nb[k + 1] * in_step(c, yn, (yn + half * k2) - yn, ds) + fs[k + 1]
+            if (j := J4[m]) >= 0:
+                k4 = nb[k + 2] * (xb[j] + W4[m] * (xb[j + 1] - xb[j])) + fs[k + 2]
+            elif j == -1:
+                k4 = nb[k + 2] * W4[m] + fs[k + 2]
             else:
-                k4 = f_stage(k + 2, t_n + step, yn + step * k3)
+                k4 = nb[k + 2] * in_step(-3 - j, yn, (yn + step * k3) - yn, W4[m]) + fs[k + 2]
             yi = yb[m + 1] = yn + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # recover x at node n + 1 from y
-            ai, p, t_i = ab[m + 1], pos[m + 1], tb[m + 1]
+            ai, p = ab[m + 1], pos[m + 1]
             if p == -1.0:
                 near += 1
                 xb[m + 1] = yi / d if (d := 1.0 - ai) else np.float64(yi) / d
@@ -564,12 +645,12 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats):
             elif (j := int(p)) < n:  # x[j] and x[j + 1] are final: the closed form of _fixed_point
                 xj, xj1 = (xb[j - lo], xb[j - lo + 1]) if j >= lo else (x.item(j), x.item(j + 1))
                 new = xb[m + 1] = yi + ai * (xj + (p - j) * (xj1 - xj))
-                if -tol < (r := new - xb[m]) < tol:  # abs(r) < tol
+                if ntol < (r := new - xb[m]) < tol:  # abs(r) < tol
                     resid = max(resid, abs(r))
                 elif new - new == 0.0:  # the second residual, 0 unless new is inf or nan
                     iters = 2
                 else:
-                    raise _divergence(t_i)
+                    raise _divergence(t0 + step * (n + 1))
             else:  # x(g) past node n: _fixed_point from x[n], in line
                 self_ref += 1
                 frac, xj = p - n, float(xb[m])  # j = n
@@ -577,15 +658,16 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats):
                 for it in range(1, FP_MAX_ITER + 1):
                     new = yi + ai * (xj + frac * (cur - xj))
                     r, cur = new - cur, new
-                    if -tol < r < tol:
+                    if ntol < r < tol:
                         break
                 else:
-                    raise _divergence(t_i)
+                    raise _divergence(t0 + step * (n + 1))
                 xb[m + 1] = cur
                 self_iters, resid = max(self_iters, it), max(resid, abs(r))
         y[lo:hi + 1] = yb
         x[lo:hi + 1] = xb
-        del g_n, tb, ab, pos, nb, hs, fs, js, fracs, xb, yb  # free them before the next block's
+        # free them before the next block's
+        del g_n, ab, pos, nb, fs, J1, Jm, J4, W1, Wm, W4, co, cj, cw, la, ld, xb, yb
     stats.iters_max, stats.resid_max = max(stats.iters_max, iters, self_iters), max(stats.resid_max, resid)
     stats.near, stats.below, stats.self_ref = near, below, self_ref
     stats.hard = n_steps - near - below - self_ref

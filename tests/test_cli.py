@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -608,6 +609,17 @@ def test_corpus_text_outputs_match_golden_files(capsys, tmp_path, name):
     if command == "check":
         out = out.split("\n", 1)[1]  # the header line prints the spec path
     assert out == (DATA / f"{name}.txt").read_text()
+
+
+def test_simulate_of_an_in_step_spec_matches_its_pinned_sha256(tmp_path):
+    # retarded lag 0.3 to 0.45 steps and a shorter neutral lag: every midpoint
+    # and k4 lookup lands inside its step and unwinds up to 5 levels of the
+    # neutral term, the first ones into the sin history.  The SHA-256 was
+    # recorded when those chains were walked one scalar call a level.
+    out = tmp_path / "in_step.csv"
+    assert run(["simulate", str(DATA / "in_step.json"), "--t-end", "2.0", "--step", "0.001",
+                "--history", "sin", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (DATA / "in_step.sha256").read_text().strip()
 
 
 def test_compare_table(capsys):

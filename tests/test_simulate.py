@@ -599,6 +599,16 @@ SELF_AND_HARD = spec_of(add(const(0.285), scale(0.0535, cos(T))), const(1.245),
 # the block, the last one before each block boundary too
 K4_IN_BLOCK = spec_of(add(const(0.3), scale(0.2, sin(T))), const(0.8),
                       add(T, const(-1.5e-3)), add(T, const(-2.5e-3)))
+# retarded lag 0.1 steps and neutral lag 0.09, with a varying: a k4 lookup
+# unwinds 10 levels before its g falls to t_n
+DEEP_CHAIN = spec_of(add(const(0.3), scale(0.2, sin(scale(5.0, T)))), const(0.8),
+                     add(T, const(-9e-5)), add(T, const(-1e-4)))
+# neutral lag 0.003 steps: the midpoint and k4 chains stop at level 100
+CHAIN_CAP = spec_of(const(0.4), const(1.0), add(T, const(-3e-6)), add(T, const(-4e-4)))
+# neutral lag 2.5 steps and retarded lag 0.4: in the first steps the chains
+# of the midpoint and k4 lookups read the history
+CHAIN_BELOW_T0 = spec_of(add(const(0.3), scale(0.2, sin(T))), const(0.8),
+                         add(T, const(-2.5e-3)), add(T, const(-4e-4)))
 
 
 def _midpoints_in_step(g_lag):
@@ -623,12 +633,33 @@ SCALAR_CASES = {
     "k4_across_blocks": (K4_IN_BLOCK, sin(scale(3.0, T)), (2 * B + 3) * 1e-3),
     "midpoints_neutral_shorter": (_midpoints_in_step(1e-4), cos(T), 1.5),
     "midpoints_neutral_longer": (_midpoints_in_step(3e-3), cos(T), 1.5),
+    "deep_chain": (DEEP_CHAIN, cos(T), 1.0),
+    "chain_cap": (CHAIN_CAP, 1.0, 0.05),
+    "chain_below_t0_expr": (CHAIN_BELOW_T0, sin(scale(3.0, T)), 0.5),
+    "chain_below_t0_seeded": (CHAIN_BELOW_T0, SeededHistory(7, -1.0, 0.0), 0.5),
 }
 
 
+def _record_chains(monkeypatch):
+    """Per block of the scalar loop, the depth of its deepest in-step chain
+    and the least time at which one of its chains reads x or the history."""
+    seen = []
+    chains = simulate._in_step_chains
+
+    def record(spec, q, t_n):
+        out = chains(spec, q, t_n)
+        offsets, end_g = out[0], out[-1]
+        seen.append((int(np.diff(offsets).max(initial=0)), float(end_g.min(initial=math.inf))))
+        return out
+
+    monkeypatch.setattr(simulate, "_in_step_chains", record)
+    return seen
+
+
 @pytest.mark.parametrize("name", sorted(SCALAR_CASES))
-def test_scalar_loop_matches_numpy_scalar_loop(name):
+def test_scalar_loop_matches_numpy_scalar_loop(monkeypatch, name):
     spec, history, t_end, *f = SCALAR_CASES[name]
+    chains = _record_chains(monkeypatch)
     new, ref = _integrate_both(replace(spec, f=f[0]) if f else spec, history, t_end, 1e-3)
     assert new.path == "scalar"
     assert np.array_equal(new.x, ref.x)
@@ -649,6 +680,13 @@ def test_scalar_loop_matches_numpy_scalar_loop(name):
         assert new.fp_iterations_max == 1 and new.fp_residual_max > 0.0 and new.nodes_hard > 0
     if name.endswith("history"):
         assert new.nodes_below > 0 and new.nodes_hard > 0
+    depth, lowest_read = max(d for d, _ in chains), min(r for _, r in chains)
+    if name == "deep_chain":
+        assert depth >= 9
+    if name == "chain_cap":  # levels 0 to 100
+        assert depth == 101
+    if name.startswith("chain_below_t0"):
+        assert lowest_read < spec.t0
 
 
 def test_scalar_loop_singular_near_node_matches_numpy():
@@ -960,12 +998,24 @@ EXPANDING_POLE = spec_of(const(1.5), div(const(1.0), add(T, const(-30.0))),
 FUNDAMENTAL_POLES = (div(const(1.0), add(T, const(-5.0))),
                      add(T, const(-1.0), div(const(0.01), add(T, const(-3.0)))),
                      0.0, 8.0, POLE_STEP)
+# retarded lag 3/8 of a step and neutral lag 1/8: the k4 lookup of the step
+# to t = 20 starts its in-step chain at 20 - 3/8 step, where g has a pole and
+# which is no node or stage; a = 1.5 diverges at the first node instead
+CHAIN_POLE_T = 20.0 - 3 * POLE_STEP / 8
+CHAIN_POLE = spec_of(const(0.4), const(1.0),
+                     add(T, const(-POLE_STEP / 8), div(const(1e-12), add(T, const(-CHAIN_POLE_T)))),
+                     add(T, const(-3 * POLE_STEP / 8)), horizon=10.0)
 POLE_CASES = {
     "integrate": (integrate, (TWO_POLES, 1.0, 40.0, POLE_STEP),
                   DomainError, "division by zero at t=20.0"),
     "divergence": (integrate, (EXPANDING_POLE, 1.0, 40.0, POLE_STEP), FixedPointDivergence,
                    f"x-recovery did not contract at t={5427 * POLE_STEP} (|a| >= 1 or broken spec?)"),
     "fundamental": (fundamental, FUNDAMENTAL_POLES, DomainError, "division by zero at t=3.0"),
+    "chain": (integrate, (CHAIN_POLE, 1.0, 40.0, POLE_STEP), DomainError,
+              f"division by zero at t={CHAIN_POLE_T}"),
+    "chain_after_divergence": (integrate, (replace(CHAIN_POLE, a=const(1.5)), 1.0, 40.0, POLE_STEP),
+                               FixedPointDivergence,
+                               f"x-recovery did not contract at t={POLE_STEP} (|a| >= 1 or broken spec?)"),
 }
 
 
@@ -977,18 +1027,22 @@ def test_first_error_is_that_of_the_first_failing_block(name):
     with pytest.raises(error) as exc, np.errstate(all="ignore"):
         run(*args)
     assert type(exc.value) is error and str(exc.value) == message
+    if name.startswith("chain"):  # the pole lies on neither the node nor the stage grid
+        assert CHAIN_POLE_T / (POLE_STEP / 2) % 1.0 != 0.0
 
 
 # Memory beyond x and y: one block of inputs, and on the scalar path the
-# block's lists of Python floats and of each stage's lookup index and weight;
-# about 1.8 MB on the vectorized path and 2.2 MB on the scalar path.  Every input
-# evaluated over the whole run would cost 8 bytes a step per array, and a
-# list of the run's length 32.
+# block's lists of Python floats, of each stage lookup's index and weight and
+# of its in-step chains' levels; about 1.8 MB on the vectorized path, and on
+# the scalar path 1.1 MB (SELF_NODES) and 1.8 MB (IN_STEP, 1.3 chains of 1.6
+# levels a step).  Every input evaluated over the whole run would cost 8
+# bytes a step per array, and a list of the run's length 32.
 BLOCK_BUDGET = 2_500_000
 
 
 @pytest.mark.parametrize("path, spec, lengths", [("chunked", K50, (20_000, 60_000)),
-                                                 ("scalar", SELF_NODES, (4097, 12289))])
+                                                 ("scalar", SELF_NODES, (4097, 12289)),
+                                                 ("scalar", IN_STEP, (4097, 12289))])
 def test_memory_is_x_and_y_plus_a_block_budget(path, spec, lengths):
     extra = []
     for n in lengths:
