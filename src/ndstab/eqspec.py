@@ -274,20 +274,20 @@ class Extrema:
                 and enc.bounds["tau"] - enc.bounds["delta"] <= tol)
 
     def sample(self, trees) -> None:
-        """Sample those of ``trees`` not known yet.  On grids of _MIN_CELL_NODES
-        to SAMPLE_BLOCK nodes a cell, each tree's max and min come from its
-        probe cells and the cells whose bounds beat them (``_prune``), else
-        from one block pass (``_sample``), which gives the same bits."""
+        """Sample those of ``trees`` not known yet.  Each tree's max and min
+        come from its probe cells and the cells whose bounds beat them
+        (``_prune``), or, where that search gives up, from one block pass
+        (``_sample``), which gives the same bits.  Either way a failure is
+        raised where the evaluation meets it: the searches tree by tree in
+        TREES order, then the block pass over the trees they left."""
         known = {FIELD_TREE[name] for name in self.values}
         todo = [t for t in TREES if t in trees and t not in known]
         if not todo:
             return
         points = self.grid_points
-        search = _MIN_CELL_NODES * ENCLOSURE_CELLS <= points <= SAMPLE_BLOCK * ENCLOSURE_CELLS
         rows = {}
         for tree in todo:
-            extremes, self.evaluated[tree] = (
-                _prune(self.spec, points, tree, self.enclosure.cells[tree]) if search else (None, 0))
+            extremes, self.evaluated[tree] = _prune(self.spec, points, tree, self.enclosure.cells[tree])
             if extremes is not None:
                 rows[tree] = _tree_row(tree, None, *extremes)
         rest = [t for t in todo if t not in rows]
@@ -360,13 +360,6 @@ def grid_blocks(spec: EquationSpec, points: int):
         yield _nodes(spec, points, np.arange(start, min(start + SAMPLE_BLOCK, points), dtype=float))
 
 
-# Grids of fewer nodes a cell than _MIN_CELL_NODES (32,768 points on 1,024
-# cells) take the block pass.  On the corpus and 16 bench specs (2-CPU
-# container, numpy 2.4) the two-level search that came before took 1.2
-# times its time per tree at the median at 20,001 points, and 0.8 times at
-# 33,001.  The one-level search takes 0.67 and 0.46 times, so the gate
-# could come down once a change measures that end to end.
-_MIN_CELL_NODES = 32
 # A tree takes the block pass when more than this share of its cells can
 # still beat the extrema of the probe cells.  Bounds that tie in every
 # cell, as those of a lag t - (t + c) do, would have the search evaluate

@@ -14,13 +14,13 @@ loop runs, interpolating y linearly inside the current step for lookups
 that land past the last accepted node (this makes the scheme collapse to
 plain RK4 on ordinary equations).
 
-Both loops evaluate their inputs per block of steps: the node times, a and
-g at the nodes, b, h and the forcing at the stages, and the history where
-a delayed argument reaches before t0.  Only x and y are kept for the whole
-run, since a neutral lookup can reach anywhere back, so memory is x and y
-plus a few blocks.  A first pass over the stage grid, also in blocks, finds
-the smallest retarded lag, which picks the path; a run of one block keeps
-h from it.  The scalar loop runs on Python floats, one block at a time, on
+Both loops evaluate their inputs per block of steps, each in array form:
+the node times, a and g at the nodes, b, h and the forcing at the stages,
+and the history where a delayed argument reaches before t0.  Only x and y
+are kept for the whole run, since a neutral lookup can reach anywhere
+back, so memory is x and y plus a few blocks.  A first pass over the stage
+grid, also in blocks, finds the smallest retarded lag, which picks the
+path; a run of one block keeps h from it.  The scalar loop runs on Python floats, one block at a time, on
 lists of the block's inputs, x and y (written back at the block's end),
 and of each node's recovery class and (g - t0) / step, computed in numpy.
 So are its steps' stage lookups.  One at or before the last accepted node
@@ -30,8 +30,10 @@ the neutral term along its chain q, g(q), g(g(q)), ... to the first time
 whose g is at or before t_n (x(u) = y(u) + a(u) x(g(u))): the chain
 depends only on the grid and the spec, so a along it, each time's offset
 from t_n and its end are computed for the whole block, level by level, and
-a step walks them with no call.  A failing run raises where this order
-meets the failure, with x and y still the only arrays of the run's length.
+a step walks them with no call.  On both paths a failing run raises where
+this order meets the failure, the history before the recovery of x within
+a block (``integrate``), with x and y still the only arrays of the run's
+length.
 
 A node whose interpolation nodes are final is recovered in closed form on
 both paths: its second iterate repeats its first, so the node-by-node
@@ -187,9 +189,6 @@ class SeededHistory:
         self.nodes_t = np.linspace(lo, hi, 33)
         self.nodes_v = np.random.default_rng(self.seed).uniform(-1.0, 1.0, len(self.nodes_t))
 
-    def evaluate(self, t: float) -> float:
-        return float(np.interp(t, self.nodes_t, self.nodes_v))
-
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
         return np.interp(ts, self.nodes_t, self.nodes_v)
 
@@ -198,21 +197,21 @@ class SeededHistory:
 
 
 def _history_fns(history):
-    """The scalar and array forms of a number, Expr or SeededHistory history."""
+    """The array form of a number, Expr or SeededHistory history."""
     if isinstance(history, (Expr, SeededHistory)):
-        return history.evaluate, history.eval_array
+        return history.eval_array
     if not isinstance(history, numbers.Real):
         raise TypeError("history must be a number, an Expr or a SeededHistory, "
                         f"got {type(history).__name__}")
     c = float(history)
-    return (lambda t: c), (lambda ts: np.full(len(ts), c))
+    return lambda ts: np.full(len(ts), c)
 
 
-def _history_at(q, below, hist_array):
+def _history_at(q, below, hist):
     """The history at q where ``below`` holds, zero elsewhere."""
     phi = np.zeros(len(q))
     if np.any(below):
-        phi[below] = hist_array(q[below])
+        phi[below] = hist(q[below])
     return phi
 
 
@@ -254,11 +253,10 @@ class _Inputs:
         return self.spec.b.eval_array(ts), h, np.zeros(len(ts)) if f is None else f.eval_array(ts)
 
 
-def _set_y0(x, y, a0, g0, t0, hist_scalar):
-    """y at t0, from x(t0) = x[0] and a and g at t0."""
+def _set_y0(x, y, a0, g0, t0, phi_g0):
+    """y at t0, from x(t0) = x[0], a and g at t0 and the history at g(t0)."""
     x0 = float(x[0])
-    xg0 = x0 if t0 - g0 < _DEGENERATE_LAG else float(hist_scalar(g0))
-    y[0] = x0 - a0 * xg0
+    y[0] = x0 - a0 * (x0 if t0 - g0 < _DEGENERATE_LAG else phi_g0)
 
 
 def integrate(spec: EquationSpec, history, t_end: float, step: float,
@@ -272,12 +270,13 @@ def integrate(spec: EquationSpec, history, t_end: float, step: float,
     FixedPointDivergence when the x-recovery iteration fails to contract
     within FP_MAX_ITER iterations.
 
-    A failure is raised where the blocked evaluation meets it: h at the
-    stages first, in the pass over the whole run that picks the path; then
-    x(t0) from the history; then block by block in time, a and g at the
-    block's nodes, b, h and the forcing at its stages, on the scalar path a
-    and g along the in-step chains (level by level), and last the history
-    and the recovery of x.  Nothing is evaluated again after a failure.
+    A failure is raised where the blocked evaluation meets it, on either
+    path: h at the stages first, in the pass over the whole run that picks
+    the path; then x(t0) from the history; then block by block in time, a
+    and g at the block's nodes, b, h and the forcing at its stages, on the
+    scalar path a and g along the in-step chains (level by level), then the
+    history at every time of the block that reads it, and last the recovery
+    of x, node by node.  Nothing is evaluated again after a failure.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -285,7 +284,7 @@ def integrate(spec: EquationSpec, history, t_end: float, step: float,
         raise ValueError("t_end must exceed t0")
     t0 = spec.t0
     n_steps = max(1, int(math.ceil((t_end - t0) / step - 1e-9)))
-    hist_scalar, hist_array = _history_fns(history)
+    hist = _history_fns(history)
 
     inputs = _Inputs(spec, step, n_steps)
     k_chunk = int(inputs.lag_min / step + 1e-12)
@@ -294,15 +293,14 @@ def integrate(spec: EquationSpec, history, t_end: float, step: float,
     # garbage
     x = np.zeros(n_steps + 1)
     y = np.empty(n_steps + 1)
-    x[0] = float(hist_scalar(t0)) if initial_value is None else float(initial_value)
+    x[0] = hist(np.full(1, t0)).item() if initial_value is None else float(initial_value)
     stats = _Stats()
     if k_chunk >= 8:
         path = "chunked"
-        _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps,
-                         min(k_chunk, 4096), stats)
+        _advance_chunked(x, y, inputs, hist, t0, step, n_steps, min(k_chunk, 4096), stats)
     else:
         path = "scalar"
-        _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats)
+        _advance_scalar(spec, x, y, inputs, hist, t0, step, n_steps, stats)
 
     return Trajectory(t0=t0, step=step, x=x, y=y,
                       fp_iterations_max=stats.iters_max,
@@ -344,7 +342,7 @@ def _fixed_point(i, frac, x, yi, ai, t_i, stats):
     raise _divergence(t_i)
 
 
-def _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps, k_chunk, stats):
+def _advance_chunked(x, y, inputs, hist, t0, step, n_steps, k_chunk, stats):
     # All stage lookups inside a chunk land at or before the chunk start,
     # so a whole chunk of y-updates is a pure quadrature accumulation.  A
     # block of whole chunks fills buffers that every block reuses with the
@@ -360,13 +358,13 @@ def _advance_chunked(x, y, inputs, hist_scalar, hist_array, t0, step, n_steps, k
         m = hi - lo
         tn, a_n, g_n = inputs.nodes(lo, hi)
         b_s, h_s, f_s = inputs.stages(lo, hi)
+        phi_g = _history_at(g_n, g_n < t0, hist)
         if lo == 0:
-            _set_y0(x, y, float(a_n[0]), float(g_n[0]), t0, hist_scalar)
-        phi_g = _history_at(g_n, g_n < t0, hist_array)
+            _set_y0(x, y, float(a_n[0]), float(g_n[0]), t0, float(phi_g[0]))
         below_h = h_s < t0
         hist_h = np.flatnonzero(below_h)
         last_hist_h = int(hist_h[-1]) if len(hist_h) else -1
-        phi_h = _history_at(h_s, below_h, hist_array)
+        phi_h = _history_at(h_s, below_h, hist)
         nb = np.negative(b_s, out=b_s)
         # Index max(floor(p), 0), which is trunc(max(p, 0)), and weight of
         # each stage's lookup.  The chunk [pos, end) clamps the index to
@@ -479,24 +477,24 @@ def _accept(ii, x, t0, step, stats):
     stats.resid_max = max(stats.resid_max, float(np.max(r1, where=r1 < FP_TOL, initial=0.0)))
 
 
-def _committed_reads(q, n, x, lo, t0, inv_step, hist_scalar):
+def _committed_reads(q, n, x, lo, t0, inv_step, hist):
     """x at times q at or before t_n from the nodes n of the block that
     starts at lo: linear between nodes j = min(floor((q - t0) / step), n - 1)
     and j + 1, or the history below t0.  Each is an index into the block's x
     (from lo) and a weight, or index -1 and the value itself where the read
     is final before the block starts: x before lo, or the history."""
-    hist = q < t0
-    pos = np.where(hist, 0.0, (q - t0) * inv_step)
+    below = q < t0
+    pos = np.where(below, 0.0, (q - t0) * inv_step)
     j = np.minimum(pos.astype(np.int64), n - 1)
     w = pos - j
-    before = (j < lo) & ~hist
+    before = (j < lo) & ~below
     jb = j[before]
     xj = x[jb]  # at n = 0, x[-1] is 0 and its weight 0
     w[before] = xj + w[before] * (x[jb + 1] - xj)
-    if hist.any():
-        w[hist] = [float(hist_scalar(t)) for t in q[hist].tolist()]
+    if below.any():
+        w[below] = hist(q[below])
     j -= lo
-    j[before | hist] = -1
+    j[before | below] = -1
     return j, w
 
 
@@ -533,7 +531,7 @@ def _in_step_chains(spec, q, t_n):
             np.concatenate(ends), np.concatenate(ends_g))
 
 
-def _step_lookups(spec, x, lo, tn, hs, t0, step, hist_scalar):
+def _step_lookups(spec, x, lo, tn, hs, t0, step, hist):
     """The stage lookups of the scalar loop's block of steps from lo, with
     tn and hs its node and stage times: per step, of its k1, midpoint and
     k4 stages, as three lists each of codes and of weights.  A lookup at or
@@ -556,7 +554,7 @@ def _step_lookups(spec, x, lo, tn, hs, t0, step, hist_scalar):
     W[chained] = ((t_q + np.repeat((0.0, 0.5 * step, step), M)) - t_q)[chained]
     J_r, W_r = _committed_reads(np.concatenate((q[reads], end_g)),
                                 np.concatenate((n_q[reads], n_q[chained][end])),
-                                x, lo, t0, 1.0 / step, hist_scalar)
+                                x, lo, t0, 1.0 / step, hist)
     J[reads], W[reads] = J_r[:len(reads)], W_r[:len(reads)]
     cj[end] = J_r[len(reads):]
     cw = np.zeros(len(chained))
@@ -568,7 +566,7 @@ def _step_lookups(spec, x, lo, tn, hs, t0, step, hist_scalar):
             (co.tolist(), cj.tolist(), cw.tolist(), la.tolist(), ld.tolist()))
 
 
-def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats):
+def _advance_scalar(spec, x, y, inputs, hist, t0, step, n_steps, stats):
     # xb and yb are x and y at the nodes lo to hi of the current block.
     def in_step(c, yn, dy, ds):
         # x at the in-step chain c: y interpolated linearly on [t_n, s] (dy =
@@ -596,17 +594,21 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats):
         tn, a_n, g_n = inputs.nodes(lo, hi)
         b_s, hs, fs = inputs.stages(lo, hi)
         (J1, Jm, J4), (W1, Wm, W4), (co, cj, cw, la, ld) = _step_lookups(
-            spec, x, lo, tn, hs, t0, step, hist_scalar)
+            spec, x, lo, tn, hs, t0, step, hist)
         # each node's (g - t0) / step where x(g) is interpolated (>= 0, or NaN),
-        # -1 where the neutral lag degenerates and -2 where g is below t0
+        # -1 where the neutral lag degenerates and -2 where g is below t0, and
+        # the history there in node order (node lo > 0 read it in the block before)
         pos = (g_n - t0) / step
         pos[g_n < t0] = -2.0
         pos[tn - g_n < _DEGENERATE_LAG] = -1.0
+        reads = pos == -2.0
+        reads[0] &= lo == 0
+        phi = iter(hist(g_n[reads]).tolist() if reads.any() else ())
         ab, pos = a_n.tolist(), pos.tolist()
         nb, fs = np.negative(b_s, out=b_s).tolist(), fs.tolist()
         del tn, a_n, b_s, hs
         if lo == 0:
-            _set_y0(x, y, ab[0], g_n.item(0), t0, hist_scalar)
+            _set_y0(x, y, ab[0], g_n.item(0), t0, next(phi) if reads[0] else 0.0)
         xb, yb = x[lo:hi + 1].tolist(), y[lo:hi + 1].tolist()
         for m in range(hi - lo):
             n, yn = lo + m, yb[m]
@@ -641,7 +643,7 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats):
                 xb[m + 1] = yi / d if (d := 1.0 - ai) else np.float64(yi) / d
             elif p == -2.0:
                 below += 1
-                xb[m + 1] = yi + ai * float(hist_scalar(g_n.item(m + 1)))
+                xb[m + 1] = yi + ai * next(phi)
             elif (j := int(p)) < n:  # x[j] and x[j + 1] are final: the closed form of _fixed_point
                 xj, xj1 = (xb[j - lo], xb[j - lo + 1]) if j >= lo else (x.item(j), x.item(j + 1))
                 new = xb[m + 1] = yi + ai * (xj + (p - j) * (xj1 - xj))
@@ -667,7 +669,7 @@ def _advance_scalar(spec, x, y, inputs, hist_scalar, t0, step, n_steps, stats):
         y[lo:hi + 1] = yb
         x[lo:hi + 1] = xb
         # free them before the next block's
-        del g_n, ab, pos, nb, fs, J1, Jm, J4, W1, Wm, W4, co, cj, cw, la, ld, xb, yb
+        del g_n, reads, phi, ab, pos, nb, fs, J1, Jm, J4, W1, Wm, W4, co, cj, cw, la, ld, xb, yb
     stats.iters_max, stats.resid_max = max(stats.iters_max, iters, self_iters), max(stats.resid_max, resid)
     stats.near, stats.below, stats.self_ref = near, below, self_ref
     stats.hard = n_steps - near - below - self_ref
@@ -692,8 +694,7 @@ def lemma5_condition(b: Expr, h: Expr, grid: np.ndarray) -> tuple[bool, float]:
     integrals.
     """
     grid = np.asarray(grid, dtype=float)
-    lows = [h.evaluate(float(t)) for t in grid]
-    sup = max([-math.inf] + simpson(b, np.array(lows), grid).tolist())
+    sup = max([-math.inf] + simpson(b, h.eval_array(grid), grid).tolist())
     margin = 1.0 / math.e - sup
     return margin >= -1e-12, margin
 

@@ -30,12 +30,9 @@ SIZES = (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2, 100_000)
 
 
 @pytest.fixture(autouse=True)
-def _search_every_grid(monkeypatch):
-    """Search grids of any size, not only those of _MIN_CELL_NODES nodes a
-    cell or more, so that the references below check the search on small
-    grids too; and check that every call of _nodes gets the non-decreasing
-    indices it requires, at most SAMPLE_BLOCK of them plus one cell."""
-    monkeypatch.setattr(eqspec, "_MIN_CELL_NODES", 0)
+def _checked_nodes(monkeypatch):
+    """Check that every call of _nodes gets the non-decreasing indices it
+    requires, at most SAMPLE_BLOCK of them plus one cell."""
     nodes = eqspec._nodes
 
     def checked_nodes(spec, points, idx):
@@ -292,8 +289,7 @@ def test_zero_extremum_settled_by_the_first_cells_takes_the_block_pass_at_once(o
 CORPUS_PRUNED = {"ex1": "abg", "ex2": "abg", "ex3": "ab", "ex4": "abg", "ex5": "abgh"}
 
 
-def test_corpus_pruning_routes(corpus, monkeypatch):
-    monkeypatch.undo()  # the rule of the program, not _search_every_grid's
+def test_corpus_pruning_routes(corpus):
     for name, spec in corpus.items():
         rep = validate(spec, 100_000)
         rep.sample(TREES)
@@ -304,11 +300,10 @@ def test_corpus_pruning_routes(corpus, monkeypatch):
     extrema = Extrema(corpus["ex2"], 100_000)  # its enclosure, computed on first use
     extrema.sample(TREES)
     assert "".join(t for t in TREES if extrema.evaluated[t] < 100_000) == CORPUS_PRUNED["ex2"]
-    points = 32 * ENCLOSURE_CELLS  # the smallest grid searched, and one node fewer
-    for n, pruned in ((points, "abg"), (points - 1, "")):
+    for n in (32 * ENCLOSURE_CELLS, 32 * ENCLOSURE_CELLS - 1):  # 32 nodes a cell, and one fewer
         extrema = Extrema(corpus["ex2"], n)
         extrema.sample(TREES)
-        assert "".join(t for t in TREES if extrema.evaluated[t] < n) == pruned, (n, extrema.evaluated)
+        assert "".join(t for t in TREES if extrema.evaluated[t] < n) == "abg", (n, extrema.evaluated)
 
 
 def _random_spec(rng, wrapped):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from ndstab import simulate
 from ndstab.eqspec import EquationSpec
-from ndstab.expr import DomainError, absval, add, const, cos, div, scale, sin, tvar
+from ndstab.expr import DomainError, Expr, absval, add, const, cos, div, scale, sin, tvar
 from ndstab.simulate import (
     FixedPointDivergence,
     SeededHistory,
@@ -105,8 +106,8 @@ def test_seeded_history_reproducible():
     h2 = SeededHistory(7, -2.0, 0.0)
     ts = np.linspace(-3.0, 0.0, 17)  # clamps below the node range
     np.testing.assert_array_equal(h1.eval_array(ts), h2.eval_array(ts))
-    assert h1.evaluate(-2.5) == h1.evaluate(-2.0)
-    assert [h1.evaluate(t) for t in ts.tolist()] == h1.eval_array(ts).tolist()
+    below, first = h1.eval_array(np.array([-2.5, -2.0]))
+    assert below == first
 
 
 @pytest.mark.parametrize("history", [lambda t: 1.0, "1.0"], ids=["callable", "str"])
@@ -428,6 +429,15 @@ def test_write_csv_memory_is_a_block_budget():
 
 # -- scalar loop on Python floats against its numpy-scalar form ---------------------
 
+def _reference_history(history):
+    """The history at one time, read one scalar at a time."""
+    if isinstance(history, Expr):
+        return history.evaluate
+    if isinstance(history, SeededHistory):
+        return lambda t: float(np.interp(t, history.nodes_t, history.nodes_v))
+    return lambda t: float(history)
+
+
 def _reference_recover_node(i, x, y, a_n, g_n, t0, step, hist_scalar, stats):
     yi = y[i]
     ai = a_n[i]
@@ -530,7 +540,8 @@ def _reference_integrate(spec, history, t_end, step, initial_value=None):
     h_s = spec.h.eval_array(ts)
     f_s = np.zeros(len(ts)) if spec.f is None else spec.f.eval_array(ts)
 
-    hist_scalar, hist_array = simulate._history_fns(history)
+    hist_array = simulate._history_fns(history)
+    hist_scalar = _reference_history(history)
     phi_h = np.zeros(len(ts))
     below_h = h_s < t0
     if np.any(below_h):
@@ -938,6 +949,27 @@ def test_seeded_chunked_specs_match_sequential_loop():
     assert min(counts) > 0, counts
 
 
+def _scalar_form_fails(history):
+    """``history`` with a scalar form ``evaluate`` that fails the test when called."""
+    def fail(t):
+        raise AssertionError(f"the history's scalar form was called at t={t}")
+
+    object.__setattr__(history, "evaluate", fail)  # Expr is a frozen dataclass
+    return history
+
+
+@pytest.mark.parametrize("kind", ["expr", "seeded"])
+@pytest.mark.parametrize("spec, t_end, path", [(LONG_LAGS, 12.0, "chunked"),
+                                               (CHAIN_BELOW_T0, 0.5, "scalar")],
+                         ids=["chunked", "scalar"])
+def test_integrate_reads_the_history_only_in_array_form(spec, t_end, path, kind):
+    # x(t0), x(g(t0)), the nodes and stage lookups below t0 and, on the
+    # scalar path, the in-step chains that end below t0 read the history
+    history = sin(scale(3.0, T)) if kind == "expr" else SeededHistory(5, spec.t0 - 10.3, spec.t0)
+    traj = integrate(spec, _scalar_form_fails(history), t_end, 1e-3)
+    assert traj.path == path and traj.nodes_below > 0
+
+
 # step 2^-10 and lags of 8 and 16 steps, exact: the last stage of each chunk
 # of 16 steps looks x up exactly at the chunk start, and a node halfway
 # through a chunk has g exactly there, so both lookups are clamped to the
@@ -954,8 +986,12 @@ def test_lookups_landing_on_a_chunk_start_match_sequential_loop(monkeypatch, his
                    add(T, const(-8 * EXACT_STEP)), add(T, const(short - 16 * EXACT_STEP)))
     chunks = []
     advance = simulate._advance_chunked
-    monkeypatch.setattr(simulate, "_advance_chunked",
-                        lambda *args: chunks.append(args[8]) or advance(*args))
+
+    def record(*args):
+        chunks.append(inspect.signature(advance).bind(*args).arguments["k_chunk"])
+        return advance(*args)
+
+    monkeypatch.setattr(simulate, "_advance_chunked", record)
     new, ref = _integrate_both(spec, history, 2.0, EXACT_STEP)
     assert chunks == [16] and new.path == "chunked" and new.nodes_easy > 0
     assert np.array_equal(new.x, ref.x)
@@ -1038,12 +1074,17 @@ def test_first_error_is_that_of_the_first_failing_block(name):
 # levels a step).  Every input evaluated over the whole run would cost 8
 # bytes a step per array, and a list of the run's length 32.
 BLOCK_BUDGET = 2_500_000
+# CHAIN_CAP, whose in-step chains all run to the cap of 100 levels, holds
+# 23.6 MB in the chains of one block (at 2,049, 4,097 and 12,289 steps)
+CHAIN_BUDGET = 25_000_000
 
 
 @pytest.mark.parametrize("path, spec, lengths", [("chunked", K50, (20_000, 60_000)),
                                                  ("scalar", SELF_NODES, (4097, 12289)),
-                                                 ("scalar", IN_STEP, (4097, 12289))])
+                                                 ("scalar", IN_STEP, (4097, 12289)),
+                                                 ("scalar", CHAIN_CAP, (4097, 12289))])
 def test_memory_is_x_and_y_plus_a_block_budget(path, spec, lengths):
+    budget = CHAIN_BUDGET if spec is CHAIN_CAP else BLOCK_BUDGET
     extra = []
     for n in lengths:
         tracemalloc.start()
@@ -1054,7 +1095,7 @@ def test_memory_is_x_and_y_plus_a_block_budget(path, spec, lengths):
             tracemalloc.stop()
         assert traj.path == path and traj.n == n + 1
         extra.append(peak - traj.x.nbytes - traj.y.nbytes)
-    assert max(extra) <= BLOCK_BUDGET, extra
+    assert max(extra) <= budget, extra
     # one more array of the run's length would add 8 bytes a step
     assert extra[1] - extra[0] < 4 * (lengths[1] - lengths[0]), extra
 
@@ -1072,7 +1113,7 @@ def test_memory_is_x_and_y_plus_a_block_budget(path, spec, lengths):
     finally:
         tracemalloc.stop()
     assert str(exc.value) == "division by zero at t=8.5"
-    assert peak - 2 * 8 * (60 * 1024 + 1) <= BLOCK_BUDGET, peak
+    assert peak - 2 * 8 * (60 * 1024 + 1) <= budget, peak
 
 
 # -- fundamental function -----------------------------------------------------------
