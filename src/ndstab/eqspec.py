@@ -242,9 +242,10 @@ class Extrema:
     the trees known to its grid extremum, ``sampled`` lists the trees
     sampled here, in order, and ``evaluated`` maps each of them to the
     grid nodes evaluated for it (``grid_points`` on the block pass, plus
-    the nodes of a search that gave up).  ``enclosure`` is the spec's
-    Enclosure on this grid, computed on first use, and ``constant_delays``
-    what its bounds say of the lags."""
+    the nodes of a search that gave up; under 1,025 points a search
+    evaluates a node about once).  ``enclosure`` is the spec's Enclosure
+    on this grid, computed on first use, and ``constant_delays`` what its
+    bounds say of the lags."""
 
     def __init__(self, spec: EquationSpec, grid_points: int, values: dict | None = None,
                  enclosure: Enclosure | None = None):
@@ -275,24 +276,27 @@ class Extrema:
 
     def sample(self, trees) -> None:
         """Sample those of ``trees`` not known yet.  Each tree's max and min
-        come from its probe cells and the cells whose bounds beat them
-        (``_prune``), or, where that search gives up, from one block pass
-        (``_sample``), which gives the same bits.  Either way a failure is
-        raised where the evaluation meets it: the searches tree by tree in
-        TREES order, then the block pass over the trees they left."""
+        come from a search of the tree's enclosure cells (``_prune``, given
+        their bounds and the tree at node indices), or, where that search
+        gives up, from one block pass (``_sample``), which gives the same
+        bits.  Either way a failure is raised where the evaluation meets
+        it: the searches tree by tree in TREES order, then the block pass
+        over the trees they left."""
         known = {FIELD_TREE[name] for name in self.values}
         todo = [t for t in TREES if t in trees and t not in known]
         if not todo:
             return
-        points = self.grid_points
+        spec, points = self.spec, self.grid_points
         rows = {}
         for tree in todo:
-            extremes, self.evaluated[tree] = _prune(self.spec, points, tree, self.enclosure.cells[tree])
+            lo, hi = self.enclosure.cells[tree]  # no field reads the min of t - g(t)
+            extremes, self.evaluated[tree] = _prune(points, (hi,) if tree == "g" else (hi, -lo),
+                                                    lambda idx: _tree_values(spec, tree, _nodes(spec, points, idx)))
             if extremes is not None:
                 rows[tree] = _tree_row(tree, None, *extremes)
         rest = [t for t in todo if t not in rows]
         if rest:
-            block = _sample(self.spec, points, rest)[0]
+            block = _sample(spec, points, rest)[0]
             for tree in rest:
                 rows[tree] = [block[name] for name, _ in _TREE_FIELDS[tree]]
                 self.evaluated[tree] += points
@@ -406,48 +410,43 @@ def _range_nodes(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     return np.arange(starts[-1] + counts[-1]) + np.repeat(first - starts, counts)
 
 
-def _maxima(spec: EquationSpec, points: int, tree: str, first: np.ndarray, last: np.ndarray,
-            n: int) -> np.ndarray:
-    """The max of a tree's values at the grid nodes first[k]..last[k] of
-    the given cells and, with n = 2, of minus them; a NaN value makes both
-    NaN.  The cells are evaluated SAMPLE_BLOCK // 2 // (nodes a cell) at a
-    time, one at least.  Batches of up to a whole block raised the peak RSS
-    of the simulate benchmark from 68.0 to 72.8 MB in 8 of 8 runs, where
-    half blocks read 66.5 (2-CPU container, Python 3.11, numpy 2.4)."""
+def _maxima(values, first: np.ndarray, last: np.ndarray, n: int) -> np.ndarray:
+    """The max of ``values`` at the grid nodes first[k]..last[k] of the
+    given cells and, with n = 2, of minus them; a NaN value makes both NaN.
+    The cells are evaluated SAMPLE_BLOCK // 2 // (nodes a cell) at a time,
+    one at least.  Batches of up to a whole block raised the peak RSS of
+    the simulate benchmark from 68.0 to 72.8 MB in 8 of 8 runs, where half
+    blocks read 66.5 (2-CPU container, Python 3.11, numpy 2.4)."""
     best = np.full(n, -math.inf)
     batch = max(1, SAMPLE_BLOCK // 2 // int((last - first).max() + 1))
     for start in range(0, len(first), batch):
-        idx = _range_nodes(first[start:start + batch], last[start:start + batch])
-        v = _tree_values(spec, tree, _nodes(spec, points, idx))
+        v = values(_range_nodes(first[start:start + batch], last[start:start + batch]))
         best = np.maximum(best, (v.max(),) if n == 1 else (v.max(), -v.min()))
     return best
 
 
-def _prune(spec: EquationSpec, points: int, tree: str, bounds):
-    """The grid max and min of one tree's values (``_tree_values``; the max
-    alone for g), by branch and bound on the enclosure cells, and the nodes
-    evaluated.
-
-    It evaluates the probe cells: the cell of the highest upper bound and
-    the cell of the lowest lower bound.  Then it evaluates, in one pass,
-    every other cell whose bounds strictly beat the probe's extrema.  A cell
-    that cannot beat them holds no node that changes them, so the extrema
-    are the grid's, bit for bit.  They are None (the tree takes the block
-    pass) when a cell bound is NaN, when more than _PRUNE_MAX_SHARE of the
-    cells still beat the probe's extrema, or when an extremum is NaN or a
-    zero, whose sign the block pass picks by the order of its reductions;
-    a zero that the probe cells settle gives None before any other cell is
+def _prune(points: int, goals, values):
+    """The grid max, and min when asked, of a quantity by branch and bound
+    on the cells of a grid of ``points`` points (``_cells``), and the nodes
+    evaluated.  ``goals`` bounds per cell from above what is maximized (the
+    quantity, and minus it for its min), and ``values(idx)`` gives the
+    quantity at node indices.  It evaluates the probe cells, of the highest
+    bound of each goal, then in one pass every other cell whose bound
+    strictly beats their extrema; under 1,025 points, where cells repeat
+    nodes, each of their nodes once, but for those of the probe cells.
+    A cell that cannot beat them holds no node that changes them, so the
+    extrema are the grid's, bit for bit.  They are None (the caller takes a
+    whole-grid pass) when a bound is NaN, when more than _PRUNE_MAX_SHARE
+    of the cells still beat the probe's extrema, or when an extremum is NaN
+    or a zero, whose sign that pass picks by the order of its reductions; a
+    zero that the probe cells settle gives None before any other cell is
     evaluated."""
-    # upper bounds of the values maximized: the tree's, and minus them but
-    # for g, whose minimum no field reads
-    goals = (bounds[1],) if tree == "g" else (bounds[1], -bounds[0])
     if any(np.isnan(goal).any() for goal in goals):
         return None, 0
     first, last = _cells(points)
-    sizes = last - first + 1
     probe = np.array(sorted({int(np.argmax(goal)) for goal in goals}))
-    best = _maxima(spec, points, tree, first[probe], last[probe], len(goals))
-    evaluated = int(sizes[probe].sum())
+    best = _maxima(values, first[probe], last[probe], len(goals))
+    evaluated = int((last[probe] - first[probe] + 1).sum())
     if any(top == 0.0 and not np.delete(goal > 0.0, probe).any() for goal, top in zip(goals, best)):
         return None, evaluated  # a zero extremum that no cell can beat
     with np.errstate(invalid="ignore"):  # an infinite bound against an equal maximum beats nothing
@@ -456,9 +455,12 @@ def _prune(spec: EquationSpec, points: int, tree: str, bounds):
     open_cells[probe] = False
     if open_cells.sum() > _PRUNE_MAX_SHARE * len(open_cells):
         return None, evaluated
-    if open_cells.any():
-        best = np.maximum(best, _maxima(spec, points, tree, first[open_cells], last[open_cells], len(goals)))
-        evaluated += int(sizes[open_cells].sum())
+    cells = first[open_cells], last[open_cells]
+    if points <= ENCLOSURE_CELLS and open_cells.any():  # cells share nodes: each node once, if no probe holds it
+        cells = (np.setdiff1d(_range_nodes(*cells), _range_nodes(first[probe], last[probe])),) * 2
+    if cells[0].size:
+        best = np.maximum(best, _maxima(values, *cells, len(goals)))
+        evaluated += int((cells[1] - cells[0] + 1).sum())
     if not np.all((best != 0.0) & (best == best)):
         return None, evaluated
     return (best[0], -best[1] if len(best) == 2 else None), evaluated

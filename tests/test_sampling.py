@@ -230,7 +230,7 @@ def _searched_nodes(extrema, tree):
 @pytest.mark.parametrize("label", sorted(PRUNED))
 def test_pruned_search_matches_whole_grid_reference(label):
     spec = PRUNED[label]
-    for points in SIZES + (ENCLOSURE_CELLS + 1, 4 * ENCLOSURE_CELLS + 1):
+    for points in SIZES + (3, 513, ENCLOSURE_CELLS + 1, 4 * ENCLOSURE_CELLS + 1):
         assert_matches_reference(spec, points)
     extrema = Extrema(spec, 100_000)
     extrema.sample(TREES)
@@ -304,6 +304,42 @@ def test_corpus_pruning_routes(corpus):
         extrema = Extrema(corpus["ex2"], n)
         extrema.sample(TREES)
         assert "".join(t for t in TREES if extrema.evaluated[t] < n) == "abg", (n, extrema.evaluated)
+    for n in (2, 3, 513):  # fewer points than cells: a node is evaluated about once
+        for name, spec in corpus.items():
+            extrema = Extrema(spec, n)
+            extrema.sample(TREES)
+            assert max(extrema.evaluated.values()) <= 3 * n, (name, n, extrema.evaluated)
+
+
+@pytest.mark.parametrize("loose", [False, True])
+@pytest.mark.parametrize("with_min", [False, True])
+def test_search_takes_any_quantity_with_cell_bounds(with_min, loose):
+    # no tree: seeded values on 100,000 points, bounded by each cell's own
+    # max and min; loose bounds, 1 wider, let 1 and 20 more cells beat those
+    # of the probe cells
+    points = 100_000
+    quantity = np.random.default_rng(31).standard_normal(points)
+    first, last = eqspec._cells(points)
+    lo, hi = (np.array([f(quantity[i:j + 1]) for i, j in zip(first, last)]) for f in (np.min, np.max))
+    if loose:
+        lo, hi = lo - 1.0, hi + 1.0
+    goals = (hi, -lo) if with_min else (hi,)
+    seen = []
+
+    def values(idx):
+        seen.append(idx)
+        return quantity[idx]
+
+    extremes, evaluated = eqspec._prune(points, goals, values)
+    assert extremes == (quantity.max(), quantity.min() if with_min else None)
+    # the probe cells, and every other cell whose bounds beat what they hold
+    probe = {int(np.argmax(goal)) for goal in goals}
+    held = np.concatenate([quantity[first[k]:last[k] + 1] for k in probe])
+    beat = (hi > held.max()) | (lo < held.min()) if with_min else hi > held.max()
+    beat[list(probe)] = True
+    want = np.concatenate([np.arange(first[k], last[k] + 1) for k in np.flatnonzero(beat)])
+    assert np.array_equal(np.sort(np.concatenate(seen)), want) and evaluated == want.size
+    assert beat.sum() == len(probe) + (1 + 20 * with_min if loose else 0)
 
 
 def _random_spec(rng, wrapped):
