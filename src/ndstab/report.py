@@ -190,8 +190,7 @@ def _report_ex1(spec, summary):
         ClaimCheck("baseline_3_2_not_applicable", not yu.applicable),
         ClaimCheck("baseline_sqrt_not_applicable", not tz.applicable),
     )
-    verdicts = tuple(criteria.best_verdict(spec, summary))
-    return quantities, claims, verdicts, ()
+    return quantities, claims, ()
 
 
 def _report_ex2(spec, summary):
@@ -209,8 +208,7 @@ def _report_ex2(spec, summary):
         ClaimCheck("main_test_fails_at_r_0.20_alpha_1",
                    not criteria.check_theorem1(summary.scale_b(0.20), 1.0).satisfied),
     )
-    verdicts = tuple(criteria.best_verdict(scale_b(spec, 0.15), summary.scale_b(0.15)))
-    return quantities, claims, verdicts, ()
+    return quantities, claims, ()
 
 
 def _report_ex3(spec, summary):
@@ -242,8 +240,7 @@ def _report_ex3(spec, summary):
         f"recompute, on the coefficient scale, as the alpha=1 gate and bound "
         f"({r_a_lower:.6g} <= r < {r_a_upper:.6g}); the derived alpha=0 bound is {r_b_upper:.6g}",
     )
-    verdicts = tuple(criteria.best_verdict(scale_b(spec, 0.05), summary.scale_b(0.05)))
-    return quantities, claims, verdicts, notes
+    return quantities, claims, notes
 
 
 def _report_ex4(spec, summary):
@@ -269,8 +266,7 @@ def _report_ex4(spec, summary):
         ClaimCheck("alpha_1_endpoint_gate_fails", not c5a.applicable),
         ClaimCheck("alpha_0_endpoint_fails", not c5b.satisfied),
     )
-    verdicts = tuple(criteria.best_verdict(spec, summary))
-    return quantities, claims, verdicts, ()
+    return quantities, claims, ()
 
 
 def _report_ex5(spec, summary):
@@ -294,8 +290,7 @@ def _report_ex5(spec, summary):
         ClaimCheck("integral_test_fails_at_alpha_0.30", not t3[0.30].satisfied),
         ClaimCheck("gate_open_for_any_alpha_below_1", summary.tilde_tau0 <= summary.tilde_delta),
     )
-    verdicts = tuple(criteria.best_verdict(spec, summary))
-    return quantities, claims, verdicts, ()
+    return quantities, claims, ()
 
 
 _BUILDERS = {
@@ -328,20 +323,21 @@ def reproduce_examples(ids=None, with_simulation: bool = True) -> list[ExampleRe
         spec = load_corpus_spec(ex_id)
         summary = summarize(spec)
         builder, rep_r = _BUILDERS[ex_id]
+        # the representative point, at which the verdicts and the simulation are taken
+        rep_spec, rep_summary = (scale_b(spec, rep_r), summary.scale_b(rep_r)) if rep_r != 1.0 else (spec, summary)
 
         sim = None
         sim_note = "simulation skipped"
         if with_simulation:
-            sim_spec = scale_b(spec, rep_r) if rep_r != 1.0 else spec
-            traj = integrate(sim_spec, 1.0, spec.t0 + _SIM_SPAN, _SIM_STEP)
+            traj = integrate(rep_spec, 1.0, spec.t0 + _SIM_SPAN, _SIM_STEP)
             sim = decay_rate(traj, warmup=0.0, window=_SIM_SPAN / 10.0)
             sim_note = (f"representative point (amplitude {rep_r:g}), constant history, "
                         f"span {_SIM_SPAN:g}, step {_SIM_STEP:g}")
 
-        quantities, claims, verdicts, notes = builder(spec, summary)
+        quantities, claims, notes = builder(spec, summary)
         out.append(ExampleReport(
-            example_id=ex_id, name=spec.name,
-            quantities=quantities, claims=claims, verdicts=verdicts,
+            example_id=ex_id, name=spec.name, quantities=quantities, claims=claims,
+            verdicts=tuple(criteria.best_verdict(rep_spec, rep_summary)),
             simulation=sim, simulation_note=sim_note, notes=notes,
         ))
     return out

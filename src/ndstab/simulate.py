@@ -20,12 +20,14 @@ and the history where a delayed argument reaches before t0.  Only x and y
 are kept for the whole run, since a neutral lookup can reach anywhere
 back, so memory is x and y plus a few blocks.  A first pass over the stage
 grid, also in blocks, finds the smallest retarded lag, which picks the
-path; a run of one block keeps h from it.  The scalar loop runs on Python floats, one block at a time, on
-lists of the block's inputs, x and y (written back at the block's end),
-and of each node's recovery class and (g - t0) / step, computed in numpy.
-So are its steps' stage lookups.  One at or before the last accepted node
-t_n is an index into the block's x and a weight, or its value where it is
-final before the block.  One past t_n lands inside the step, and unwinds
+path, and rejects an h that is NaN or past t at any stage; a run of one
+block keeps h from it.  The scalar loop runs on Python floats, one block at
+a time, on lists of the block's inputs, x and y (written back at the
+block's end), and of each node's recovery class and (g - t0) / step,
+computed in numpy.  So are its steps' stage lookups.  One at or before the
+last accepted node t_n, as every k1 lookup is, is an index into the
+block's x and a weight, or its value where it is final before the block.
+One past t_n (a midpoint or k4 lookup) lands inside the step, and unwinds
 the neutral term along its chain q, g(q), g(g(q)), ... to the first time
 whose g is at or before t_n (x(u) = y(u) + a(u) x(g(u))): the chain
 depends only on the grid and the spec, so a along it, each time's offset
@@ -43,8 +45,8 @@ nodes and indexes every lookup once per block, and a chunk only gathers,
 sums and writes.  Its nodes past the chunk start go in rounds (wavefront),
 each the longest run whose interpolation nodes precede its first, all found
 from one running max.  Only a node whose neutral lag is under one step
-refers to itself and is iterated on its own, on Python floats (in line on
-the scalar path).
+refers to itself and is iterated on its own, on Python floats, by the one
+routine both paths call (``_fixed_point``).
 
 Derivative jumps emitted at t0 and propagated along the delays are handled
 by small fixed steps and linear interpolation, not breakpoint tracking:
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eqspec import EquationSpec
+from .eqspec import EquationSpec, SpecError
 from .expr import Expr, const, tvar
 from .params import simpson
 
@@ -221,7 +223,8 @@ class _Inputs:
     time, so a block holds the values the whole grid would.
 
     Construction scans the stage grid in blocks for the smallest retarded
-    lag; a run of one block keeps that block's times and h.
+    lag, and raises SpecError at the first stage where h(t) is NaN or past
+    t; a run of one block keeps that block's times and h.
     """
 
     def __init__(self, spec, step, n_steps):
@@ -229,8 +232,13 @@ class _Inputs:
         lag_min = math.inf
         for lo in range(0, n_steps, _BLOCK_STEPS):
             ts, h = self._stage_h(lo, min(lo + _BLOCK_STEPS, n_steps))
-            lag_min = np.minimum(lag_min, np.min(ts - h))  # NaN if any lag is
-        self.lag_min = float(lag_min)
+            lags = ts - h
+            if not (lag := float(np.min(lags))) >= 0.0:  # NaN if any lag is
+                i = int(np.argmin(lags >= 0.0))
+                raise SpecError(f"the retarded lag t - h(t) is {lags[i]:g} at t={ts[i]}; "
+                                "integration needs h(t) <= t")
+            lag_min = min(lag_min, lag)
+        self.lag_min = lag_min
         self._whole = (ts, h) if n_steps <= _BLOCK_STEPS else None
 
     def _stage_h(self, lo, hi):
@@ -268,7 +276,8 @@ def integrate(spec: EquationSpec, history, t_end: float, step: float,
     overrides x(t0) when the initial point is detached from the history
     (used for fundamental functions).  The grid step is fixed.  Raises
     FixedPointDivergence when the x-recovery iteration fails to contract
-    within FP_MAX_ITER iterations.
+    within FP_MAX_ITER iterations, and SpecError where h(t) is NaN or past t
+    at a stage.
 
     A failure is raised where the blocked evaluation meets it, on either
     path: h at the stages first, in the pass over the whole run that picks
@@ -324,21 +333,16 @@ def _divergence(t_i):
         f"x-recovery did not contract at t={t_i} (|a| >= 1 or broken spec?)")
 
 
-def _fixed_point(i, frac, x, yi, ai, t_i, stats):
-    """Fixed-point recovery of x[i] = yi + ai (x[i-1] + frac (x[i] - x[i-1])), on
-    Python floats from x[i] = x[i-1]; x[i] is written once, also on divergence."""
-    xj = cur = float(x[i - 1])
-    tol = FP_TOL
+def _fixed_point(xj, frac, yi, ai, t_i):
+    """The recovery x = yi + ai (xj + frac (x - xj)) of a node whose neutral
+    lag is under one step, iterated on Python floats from x = xj: x, the
+    iterations taken and the last residual.  Raises at t_i after FP_MAX_ITER."""
+    cur, tol, ntol = xj, FP_TOL, -FP_TOL
     for it in range(1, FP_MAX_ITER + 1):
         new = yi + ai * (xj + frac * (cur - xj))
-        resid = abs(new - cur)
-        cur = new
-        if resid < tol:
-            x[i] = cur
-            stats.iters_max = max(stats.iters_max, it)
-            stats.resid_max = max(stats.resid_max, resid)
-            return
-    x[i] = cur
+        r, cur = new - cur, new
+        if ntol < r < tol:  # abs(r) < tol, with no call
+            return cur, it, abs(r)
     raise _divergence(t_i)
 
 
@@ -447,7 +451,9 @@ def _wavefront(nodes, jn, fn, an, x, y, t0, step, stats):
         if stop == k:
             _accept(nodes[checked:k], x, t0, step, stats)
             p = int(nodes[k])
-            _fixed_point(p, float(fn[k]), x, float(yh[k]), float(an[k]), t0 + step * p, stats)
+            x[p], it, resid = _fixed_point(float(x[p - 1]), float(fn[k]), float(yh[k]), float(an[k]),
+                                           t0 + step * p)
+            stats.iters_max, stats.resid_max = max(stats.iters_max, it), max(stats.resid_max, resid)
             stats.hard, stats.self_ref = stats.hard - 1, stats.self_ref + 1
             k = checked = k + 1
             continue
@@ -538,10 +544,11 @@ def _step_lookups(spec, x, lo, tn, hs, t0, step, hist):
     before the last accepted node t_n is a committed read (code >= 0, an
     index into the block's x, and its weight; or -1 and the value), or -2 at
     a k1 that the last step's k4 read already.  One past t_n is -3 - c for
-    the in-step chain c, with s - t_n for its weight (s is t_n, t_n + step / 2
-    and t_n + step).  Last, the chains' lists: offsets of their levels, how
-    each ends (as a code, or -2 degenerate, -3 at the cap) and its weight,
-    and a and the time past t_n at each level."""
+    the in-step chain c, with s - t_n for its weight (s is t_n + step / 2 or
+    t_n + step: k1's lookup, at t_n, is committed).  Last, the chains'
+    lists: offsets of their levels, how each ends (as a code, or -2
+    degenerate, -3 at the cap) and its weight, and a and the time past t_n
+    at each level."""
     M = len(tn) - 1
     q = np.concatenate((hs[0:2 * M:2], hs[1:2 * M:2], hs[2::2]))
     t_q = np.tile(tn[:M], 3)
@@ -617,10 +624,8 @@ def _advance_scalar(spec, x, y, inputs, hist, t0, step, n_steps, stats):
                 k1 = k4
             elif j >= 0:
                 k1 = nb[k] * (xb[j] + W1[m] * (xb[j + 1] - xb[j])) + fs[k]
-            elif j == -1:
+            else:  # j == -1: as h(t_n) <= t_n (_Inputs), k1 is a committed read
                 k1 = nb[k] * W1[m] + fs[k]
-            else:  # s = t_n: y is yn along the chain
-                k1 = nb[k] * in_step(-3 - j, yn, 0.0, W1[m]) + fs[k]
             if (j := Jm[m]) >= 0:  # a committed lookup does not depend on the stage's y
                 k2 = k3 = nb[k + 1] * (xb[j] + Wm[m] * (xb[j + 1] - xb[j])) + fs[k + 1]
             elif j == -1:
@@ -644,8 +649,8 @@ def _advance_scalar(spec, x, y, inputs, hist, t0, step, n_steps, stats):
             elif p == -2.0:
                 below += 1
                 xb[m + 1] = yi + ai * next(phi)
-            elif (j := int(p)) < n:  # x[j] and x[j + 1] are final: the closed form of _fixed_point
-                xj, xj1 = (xb[j - lo], xb[j - lo + 1]) if j >= lo else (x.item(j), x.item(j + 1))
+            elif p < n:  # x[j] and x[j + 1] are final, j = int(p): the closed form of _fixed_point
+                xj, xj1 = (xb[j - lo], xb[j - lo + 1]) if (j := int(p)) >= lo else (x.item(j), x.item(j + 1))
                 new = xb[m + 1] = yi + ai * (xj + (p - j) * (xj1 - xj))
                 if ntol < (r := new - xb[m]) < tol:  # abs(r) < tol
                     resid = max(resid, abs(r))
@@ -653,19 +658,9 @@ def _advance_scalar(spec, x, y, inputs, hist, t0, step, n_steps, stats):
                     iters = 2
                 else:
                     raise _divergence(t0 + step * (n + 1))
-            else:  # x(g) past node n: _fixed_point from x[n], in line
-                self_ref += 1
-                frac, xj = p - n, float(xb[m])  # j = n
-                cur = xj
-                for it in range(1, FP_MAX_ITER + 1):
-                    new = yi + ai * (xj + frac * (cur - xj))
-                    r, cur = new - cur, new
-                    if ntol < r < tol:
-                        break
-                else:
-                    raise _divergence(t0 + step * (n + 1))
-                xb[m + 1] = cur
-                self_iters, resid = max(self_iters, it), max(resid, abs(r))
+            else:  # x(g) past node n (or NaN): j = n
+                xb[m + 1], it, r = _fixed_point(float(xb[m]), p - n, yi, ai, t0 + step * (n + 1))
+                self_ref, self_iters, resid = self_ref + 1, max(self_iters, it), max(resid, r)
         y[lo:hi + 1] = yb
         x[lo:hi + 1] = xb
         # free them before the next block's

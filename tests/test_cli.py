@@ -467,6 +467,26 @@ def test_simulate_rejects_a_nan_forcing(tmp_path, capsys, base):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name, argv, message", [
+    ("nan_lag", ["--t-end", "460", "--step", "0.01"],
+     "the retarded lag t - h(t) is nan at t=450.005; integration needs h(t) <= t"),
+    ("ahead_lag", ["--t-end", "490", "--step", "0.01"],
+     "the retarded lag t - h(t) is -0.0001 at t=475.005; integration needs h(t) <= t"),
+    ("nan_g", ["--t-end", "6"], "x-recovery did not contract at t=5.001 (|a| >= 1 or broken spec?)"),
+], ids=["nan_lag", "ahead_lag", "nan_g"])
+def test_simulate_past_the_horizon_exits_2_where_a_lag_fails(capsys, name, argv, message):
+    # each spec passes check on its horizon; past it, h turns NaN or ahead of
+    # t, or g turns NaN on the scalar path.  simulate used to end in a
+    # traceback (exit 1) or, where h(t) > t, to write the advanced equation's
+    # trajectory (exit 0)
+    path = str(DATA / f"{name}.json")
+    assert run(["check", path]) == 0
+    capsys.readouterr()
+    assert run(["simulate", path, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ndstab: {message}\n" and captured.out == ""
+
+
 def test_simulate_histories(tmp_path):
     for hist in ("const:0.5", "sin", "seeded", "seeded:7"):
         out = tmp_path / "t.csv"

@@ -4,15 +4,17 @@ import io
 import math
 import os
 import random
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ndstab import simulate
-from ndstab.eqspec import EquationSpec
+from ndstab.eqspec import EquationSpec, SpecError, load_spec
 from ndstab.expr import DomainError, Expr, absval, add, const, cos, div, scale, sin, tvar
 from ndstab.simulate import (
     FixedPointDivergence,
@@ -85,6 +87,51 @@ def test_step_halving_converges(corpus):
         e_coarse = abs(vals[0] - vals[1])
         e_fine = abs(vals[1] - vals[2])
         assert e_fine <= e_coarse or e_coarse < 1e-12
+
+
+# -- convergence order ------------------------------------------------------------
+
+ORDER_STEP = 0.02
+
+
+def _step_errors(spec, ts, path):
+    """max |x - x_ref| over the times ts, from history 1, at steps
+    ORDER_STEP / 2^k for k = 0 to 4, with x_ref at ORDER_STEP / 256; every
+    run takes ``path``."""
+    steps = ORDER_STEP / 2.0 ** np.arange(5)
+    runs = [integrate(spec, 1.0, ts[-1], h) for h in (*steps, ORDER_STEP / 256)]
+    assert {r.path for r in runs} == {path}
+    ref = runs.pop().x_at(ts)
+    return steps, np.array([np.max(np.abs(r.x_at(ts) - ref)) for r in runs])
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex4", "ex5"])
+def test_chunked_path_converges_at_order_2(corpus, name):
+    # RK4 with linearly interpolated lookups is second order where x is smooth
+    # between breaking points; measured 1.96 to 2.07 on these three
+    spec = corpus[name]
+    _, errors = _step_errors(spec, spec.t0 + np.array([5.0, 10.0, 20.0]), "chunked")
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert np.all((1.85 < orders) & (orders < 2.15)), orders
+
+
+def test_ex3_error_is_within_a_multiple_of_the_step_squared(ex3):
+    # ex3's lag pi is no multiple of the step, so the grid's offset from each
+    # breaking point k pi changes with the step and the observed order
+    # scatters (2.69, 1.15, 1.64, 2.88); the error stays under 0.64 h^2
+    steps, errors = _step_errors(ex3, ex3.t0 + np.array([5.0, 10.0, 20.0]), "chunked")
+    assert np.all(errors < 1.0 * steps ** 2), errors / steps ** 2
+
+
+def test_scalar_path_error_is_first_order_in_the_step_while_the_neutral_lag_is_shorter():
+    # a node whose neutral lag sigma is under one step h interpolates x
+    # linearly between itself and the node before, which errs by about
+    # sigma (h - sigma) / 2 |x''|: first order in h while sigma << h (observed
+    # orders 1.08, 1.19, 1.45 and 1.96 as h falls towards sigma).  Here sigma
+    # is 1.2e-4 to 1.7e-4, and the error stays under 0.37 sigma h
+    spec = load_spec(Path(__file__).parent / "data" / "in_step.json")
+    steps, errors = _step_errors(spec, np.array([1.0, 1.5, 2.0]), "scalar")
+    assert np.all(errors < 0.5 * 1.7e-4 * steps), errors / (1.7e-4 * steps)
 
 
 def test_divergence_detected_for_expanding_neutral_term():
@@ -775,20 +822,60 @@ def test_a_residual_equal_to_the_tolerance_is_not_under_it(monkeypatch, spec, t_
 def test_a_self_node_may_take_exactly_the_iteration_cap():
     # x = yi + 0.99 (0.99 x) from x = 0 contracts by 0.9801 an iteration;
     # the first yi on a fine scale that needs 100 iterations is accepted,
-    # and the first that needs 101 is not
-    def iterations(yi):
+    # with that loop's iterate and last residual, and the first that needs
+    # 101 is not
+    def iterate(yi):
         cur, it = 0.0, 1
-        while abs((new := yi + 0.99 * (0.0 + 0.99 * (cur - 0.0))) - cur) >= 1e-12:
+        while (resid := abs((new := yi + 0.99 * (0.0 + 0.99 * (cur - 0.0))) - cur)) >= 1e-12:
             cur, it = new, it + 1
-        return it
+        return new, it, resid
 
     yis = [1e-12 * 1.001 ** k for k in range(3000)]
-    first = {n: next(yi for yi in yis if iterations(yi) == n) for n in (100, 101)}
-    stats = simulate._Stats()
-    simulate._fixed_point(1, 0.99, [0.0, 0.0], first[100], 0.99, 1.0, stats)
-    assert stats.iters_max == 100
+    first = {n: next(yi for yi in yis if iterate(yi)[1] == n) for n in (100, 101)}
+    assert simulate._fixed_point(0.0, 0.99, first[100], 0.99, 1.0) == iterate(first[100])
     with pytest.raises(FixedPointDivergence, match="t=1.0"):
-        simulate._fixed_point(1, 0.99, [0.0, 0.0], first[101], 0.99, 1.0, simulate._Stats())
+        simulate._fixed_point(0.0, 0.99, first[101], 0.99, 1.0)
+
+
+def _past(c):
+    """|t - c| + (t - c): 0 up to t = c, 2 (t - c) after."""
+    return add(absval(add(T, const(-c))), add(T, const(-c)))
+
+
+def _nan_past(c):
+    """0 up to t = c, NaN after: u - u with u = 1e600 (|t - c| + (t - c))."""
+    u = scale(1e300, scale(1e300, _past(c)))
+    return add(u, scale(-1.0, u))
+
+
+# retarded lag 0.5 on the horizon [0, 1.5], where validate checks h(t) <= t,
+# and NaN or negative from t = 2 on (t = 9, in the first pass's second block
+# of stages at step 2^-10); the stage times are multiples of 2^-8 or 2^-11
+@pytest.mark.parametrize("h, step, message", [
+    (_nan_past(2.0), 2.0 ** -7, "is nan at t=2.00390625;"),
+    (_nan_past(9.0), 2.0 ** -10, "is nan at t=9.00048828125;"),
+    (_past(2.0), 2.0 ** -7, "is -0.0078125 at t=2.25390625;"),
+], ids=["nan", "nan_second_block", "ahead"])
+def test_a_nan_or_ahead_retarded_argument_is_a_spec_error(h, step, message):
+    # it used to fail converting NaN to an integer, or to integrate the
+    # advanced equation on the scalar path with no error
+    spec = spec_of(const(0.3), const(1.0), add(T, const(-1.0)), add(T, const(-0.5), h), horizon=1.5)
+    with pytest.raises(SpecError, match="^" + re.escape(f"the retarded lag t - h(t) {message} "
+                                                        "integration needs h(t) <= t")), \
+            np.errstate(over="ignore", invalid="ignore"):
+        integrate(spec, 1.0, 9.5, step)
+
+
+@pytest.mark.parametrize("lag, path", [(2e-3, "scalar"), (0.5, "chunked")])
+def test_a_nan_neutral_argument_fails_the_recovery_alike_on_both_paths(lag, path):
+    # g is NaN past t = 5: the scalar path used to fail converting it to an
+    # integer, where the chunked path reports the recovery of its first node
+    spec = spec_of(const(0.3), const(1.0), add(T, const(-1.0), _nan_past(5.0)),
+                   add(T, const(-lag)), horizon=4.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert integrate(spec, 1.0, 5.0, 1e-3).path == path
+        with pytest.raises(FixedPointDivergence, match="^" + re.escape("x-recovery did not contract at t=5.001 ")):
+            integrate(spec, 1.0, 6.0, 1e-3)
 
 
 def test_scalar_divergence_on_a_non_self_node():
